@@ -7,7 +7,8 @@
 
 Exit codes: 0 success, 1 rejected by the checker, 2 usage or I/O error,
 3 deadlock detected, 4 stuck state or metatheory violation (a soundness
-fault), 5 exploration budget exceeded or refused.
+fault), 5 exploration budget exceeded or refused, 6 internal error (a fault
+in reglock itself, reported on one line of stderr).
 """
 
 from __future__ import annotations
@@ -29,58 +30,48 @@ EXIT_USAGE = 2
 EXIT_DEADLOCK = 3
 EXIT_UNSOUND = 4
 EXIT_BUDGET = 5
+EXIT_INTERNAL = 6
 
 
-def _load(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+def _load(path: str, unchecked: bool = False, as_json: bool = False):
+    """Read and parse a program, then check it, or with `unchecked` only link it.
 
-
-def _parse_and_check(path: str, out) -> tuple[Optional[object], Optional[object], int]:
-    """Returns (program, typed, exit_code); typed is None on rejection."""
+    Returns (TypedProgram, EXIT_OK), or (linked main expression, EXIT_OK)
+    when unchecked; on failure prints the error and returns (None, code).
+    """
     try:
-        text = _load(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return None, None, EXIT_USAGE
+        return None, EXIT_USAGE
     try:
         program = parse_program(text)
     except ParseError as exc:
-        print(f"parse error: {exc}", file=out)
-        return None, None, EXIT_REJECTED
+        diagnostic = {"code": exc.code, "message": exc.message,
+                      "loc": str(exc.loc) if exc.loc else None}
+        return _rejected(as_json, [diagnostic], [f"parse error: {exc}"])
+    if unchecked:
+        try:
+            return link_bodies(program), EXIT_OK
+        except CheckFailure as exc:
+            return _rejected(as_json, [exc.diagnostic.to_json()], [exc.diagnostic.render()])
     result = check_program(program)
     if not result.ok:
-        return program, None, EXIT_REJECTED
-    return program, result, EXIT_OK
+        return _rejected(as_json, [d.to_json() for d in result.diagnostics],
+                         [d.render() for d in result.diagnostics])
+    return result.typed, EXIT_OK
+
+
+def _rejected(as_json: bool, diagnostics: list[dict], lines: list[str]) -> tuple[None, int]:
+    print(json.dumps({"ok": False, "diagnostics": diagnostics}) if as_json else "\n".join(lines))
+    return None, EXIT_REJECTED
 
 
 def cmd_check(args) -> int:
-    try:
-        text = _load(args.file)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        program = parse_program(text)
-    except ParseError as exc:
-        if args.json:
-            print(json.dumps({"ok": False,
-                              "diagnostics": [{"code": exc.code,
-                                               "message": exc.message,
-                                               "loc": str(exc.loc) if exc.loc else None}]}))
-        else:
-            print(f"parse error: {exc}")
-        return EXIT_REJECTED
-    result = check_program(program)
-    if not result.ok:
-        if args.json:
-            print(json.dumps({"ok": False,
-                              "diagnostics": [d.to_json() for d in result.diagnostics]}))
-        else:
-            for d in result.diagnostics:
-                print(d.render())
-        return EXIT_REJECTED
-    typed = result.typed
+    typed, code = _load(args.file, as_json=args.json)
+    if typed is None:
+        return code
     if args.json:
         payload = {
             "ok": True,
@@ -94,10 +85,10 @@ def cmd_check(args) -> int:
             }
         print(json.dumps(payload))
         return EXIT_OK
-    for d in program.defs:
+    for d in typed.program.defs:
         print(f"ok {d.name} : {typed.def_types[d.name]}")
     if args.emit_effects:
-        for d in program.defs:
+        for d in typed.program.defs:
             for line, eff in sorted(typed.effect_lines.get(d.name, {}).items()):
                 print(f"{d.name}:{line}: {eff.pretty(omit_bottom=True, show_purity=False)}")
     return EXIT_OK
@@ -131,41 +122,20 @@ def cmd_run(args) -> int:
         if env is None:
             print("error: --seed is required (or set REGLOCK_SEED)", file=sys.stderr)
             return EXIT_USAGE
-        seed = int(env)
+        try:
+            seed = int(env)
+        except ValueError:
+            print(f"error: REGLOCK_SEED must be an integer, got {env!r}", file=sys.stderr)
+            return EXIT_USAGE
 
+    loaded, code = _load(args.file, unchecked=args.unchecked)
+    if loaded is None:
+        return code
     if args.unchecked:
-        try:
-            program = parse_program(_load(args.file))
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except ParseError as exc:
-            print(f"parse error: {exc}")
-            return EXIT_REJECTED
-        try:
-            main_expr = link_bodies(program)
-        except CheckFailure as exc:
-            print(exc.diagnostic.render())
-            return EXIT_REJECTED
-        harness = None
+        main_expr, harness = loaded, None
     else:
-        try:
-            text = _load(args.file)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            program = parse_program(text)
-        except ParseError as exc:
-            print(f"parse error: {exc}")
-            return EXIT_REJECTED
-        result = check_program(program)
-        if not result.ok:
-            for d in result.diagnostics:
-                print(d.render())
-            return EXIT_REJECTED
-        main_expr = result.typed.linked_main()
-        harness = Harness(result.typed) if args.metatheory else None
+        main_expr = loaded.linked_main()
+        harness = Harness(loaded) if args.metatheory else None
 
     trace = run_seeded(main_expr, seed, max_steps=args.max_steps, harness=harness,
                        snapshots=args.snapshots)
@@ -183,22 +153,10 @@ def cmd_run(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    try:
-        text = _load(args.file)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        program = parse_program(text)
-    except ParseError as exc:
-        print(f"parse error: {exc}")
-        return EXIT_REJECTED
-    result = check_program(program)
-    if not result.ok:
-        for d in result.diagnostics:
-            print(d.render())
-        return EXIT_REJECTED
-    main_expr = result.typed.linked_main()
+    typed, code = _load(args.file)
+    if typed is None:
+        return code
+    main_expr = typed.linked_main()
     try:
         report = explore(main_expr, max_steps=args.max_steps, force=args.force_threads)
     except ExploreRefusal as exc:
@@ -266,7 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except Exception as exc:
+        # Last resort: a fault in reglock itself must not pass for a verdict
+        # on the program, and must not print a traceback.
+        print(f"internal error: {type(exc).__name__}: {' '.join(str(exc).split())}",
+              file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -15,13 +15,13 @@ from .syntax import (
     BOTTOM,
     UNKNOWN,
     Capability,
+    CapOp,
     Effect,
     Parent,
     RegionLit,
     RegionName,
     RegionVar,
     UnitType,
-    parent_str,
 )
 
 
@@ -95,12 +95,12 @@ def effect_subtract(current: Effect, need: Effect) -> SplitResult:
             if parent_have is not BOTTOM:
                 raise CapError("ParentMismatch",
                                f"callee expects {r} to be the physical root, "
-                               f"but its parent is {parent_str(parent_have)}", r)
+                               f"but its parent is {parent_have}", r)
         else:
             if parent_have != parent_need:
                 raise CapError("ParentMismatch",
-                               f"callee expects parent {parent_str(parent_need)} for {r}, "
-                               f"actual parent is {parent_str(parent_have)}", r)
+                               f"callee expects parent {parent_need} for {r}, "
+                               f"actual parent is {parent_have}", r)
         given, kept = cap_split(cap_have, cap_need)
         passed.append((r, given, parent_need))
         if kept.rg > 0:
@@ -147,7 +147,7 @@ def effect_join(original: Effect, retained: Effect, out: Effect,
         if parent_out is not UNKNOWN and parent_out != parent_orig:
             raise CapError("ConsistencyViolation",
                            f"callee output changes {r}'s parent from "
-                           f"{parent_str(parent_orig)} to {parent_str(parent_out)}", r)
+                           f"{parent_orig} to {parent_out}", r)
         base = table.get(r)
         base_rg, base_lk = (base[0].rg, base[0].lk) if base else (0, 0)
         rg, lk = base_rg + cap_out.rg, base_lk + cap_out.lk
@@ -216,8 +216,6 @@ def apply_cap_op(eff: Effect, r: RegionName, op) -> Effect:
     region whose parent chain reaches it (the static face of bulk subtree
     deallocation).
     """
-    from .syntax import CapOp
-
     entry = eff.get(r)
     if entry is None:
         raise CapError("RegionNotLive", f"region {r} is not live in the effect", r)

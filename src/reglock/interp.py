@@ -217,9 +217,6 @@ class Stuck:
 
 StepOutcome = Union[Stepped, Done, Spawned, BlockedOn, Stuck]
 
-RULES = ("E-A", "E-RP", "E-NR", "E-AS", "E-D", "E-NG", "E-C",
-         "E-S", "E-T", "E-SN", "E-IF", "E-SEQ", "E-WHILE", "E-OP")
-
 
 def _prim_eval(op: str, args: tuple[Expr, ...]) -> Expr:
     vals = []
@@ -264,10 +261,8 @@ def step_thread(config: Config, tid: int) -> StepOutcome:
         except StoreFault as exc:
             return Stuck(tid, exc.code, exc.message)
         child = Thread(child_tid, App(redex.fn, redex.arg, SEQ_MODE, redex.loc))
-        parent_expr = rebuild(Const(UNIT_VALUE))
-        threads = tuple(Thread(t.tid, parent_expr) if t.tid == tid else t
-                        for t in config.threads) + (child,)
-        new_config = replace(config, store=store, threads=threads,
+        parent = config.with_thread_expr(tid, rebuild(Const(UNIT_VALUE)))
+        new_config = replace(parent, store=store, threads=parent.threads + (child,),
                              next_tid=child_tid + 1)
         return Spawned(new_config, tid, child_tid, transfer)
 
@@ -444,6 +439,27 @@ def detect_deadlock(outcomes: dict[int, StepOutcome], active: frozenset[int]) ->
     return []
 
 
+def classify(config: Config) -> tuple[dict[int, StepOutcome], Optional[Terminal], list[int]]:
+    """Try every thread once: (outcomes, terminal or None, sorted steppable tids).
+
+    The terminal is `all_done`, `stuck` (at the lowest stuck tid) or `deadlock`.
+    """
+    if not config.threads:
+        return {}, Terminal("all_done", {}), []
+    outcomes = {t.tid: step_thread(config, t.tid) for t in config.threads}
+    stuck = [o for o in outcomes.values() if isinstance(o, Stuck)]
+    if stuck:
+        worst = min(stuck, key=lambda o: o.tid)
+        return outcomes, Terminal("stuck", {"thread": worst.tid, "fault": worst.code,
+                                            "detail": worst.detail}), []
+    steppable = sorted(tid for tid, o in outcomes.items() if not isinstance(o, BlockedOn))
+    if not steppable:
+        cycle = detect_deadlock(outcomes, frozenset(outcomes))
+        waits = {str(tid): sorted(o.holders) for tid, o in outcomes.items()}
+        return outcomes, Terminal("deadlock", {"cycle": cycle, "waiting": waits}), []
+    return outcomes, None, steppable
+
+
 def _apply_outcome(config: Config, outcome: StepOutcome) -> tuple[Config, str]:
     if isinstance(outcome, Stepped):
         return outcome.config, outcome.rule
@@ -471,27 +487,10 @@ def run_seeded(main_expr: Expr, seed: int, max_steps: int = 10_000,
     if harness is not None:
         harness.observe_init(config)
     for index in range(max_steps):
-        if not config.threads:
-            trace.terminal = Terminal("all_done", {"steps": index})
-            return trace
-        outcomes = {t.tid: step_thread(config, t.tid) for t in config.threads}
-        stuck = [o for o in outcomes.values() if isinstance(o, Stuck)]
-        if stuck:
-            worst = min(stuck, key=lambda o: o.tid)
-            trace.terminal = Terminal("stuck", {
-                "thread": worst.tid, "fault": worst.code, "detail": worst.detail,
-                "step": index,
-            })
-            return trace
-        steppable = sorted(tid for tid, o in outcomes.items()
-                           if not isinstance(o, BlockedOn))
-        if not steppable:
-            active = frozenset(t.tid for t in config.threads)
-            cycle = detect_deadlock(outcomes, active)
-            waits = {str(tid): sorted(o.holders) for tid, o in outcomes.items()
-                     if isinstance(o, BlockedOn)}
-            trace.terminal = Terminal("deadlock", {"cycle": cycle, "waiting": waits,
-                                                   "step": index})
+        outcomes, terminal, steppable = classify(config)
+        if terminal is not None:
+            at = "steps" if terminal.kind == "all_done" else "step"
+            trace.terminal = Terminal(terminal.kind, {**terminal.detail, at: index})
             return trace
         tid = rng.choice(steppable)
         before = config
@@ -553,25 +552,15 @@ def explore(main_expr: Expr, max_steps: int = 2_000, max_threads: int = 3,
             raise ExploreRefusal(
                 f"state with {len(config.threads)} threads exceeds the limit of "
                 f"{max_threads}; re-run with force to override")
-        if not config.threads:
-            terminals["all_done"] = terminals.get("all_done", 0) + 1
-            continue
-        outcomes = {t.tid: step_thread(config, t.tid) for t in config.threads}
-        stuck = [o for o in outcomes.values() if isinstance(o, Stuck)]
-        if stuck:
-            terminals["stuck"] = terminals.get("stuck", 0) + 1
-            worst = min(stuck, key=lambda o: o.tid)
-            stuck_reports.append({"thread": worst.tid, "fault": worst.code,
-                                  "detail": worst.detail, "depth": depth})
-            continue
-        steppable = sorted(tid for tid, o in outcomes.items()
-                           if not isinstance(o, BlockedOn))
-        if not steppable:
-            terminals["deadlock"] = terminals.get("deadlock", 0) + 1
-            active = frozenset(t.tid for t in config.threads)
-            cycle = detect_deadlock(outcomes, active)
-            if cycle and cycle not in cycles:
-                cycles.append(cycle)
+        outcomes, terminal, steppable = classify(config)
+        if terminal is not None:
+            terminals[terminal.kind] = terminals.get(terminal.kind, 0) + 1
+            if terminal.kind == "stuck":
+                stuck_reports.append({**terminal.detail, "depth": depth})
+            elif terminal.kind == "deadlock":
+                cycle = terminal.detail["cycle"]
+                if cycle and cycle not in cycles:
+                    cycles.append(cycle)
             continue
         if depth >= max_steps:
             budget_hits += 1

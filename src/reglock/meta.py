@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import effects as fx
-from .interp import BlockedOn, Config, Done, Spawned, Stepped, StepOutcome, Stuck
+from .interp import (BlockedOn, Config, Done, SoundnessViolation, Spawned, Stepped,
+                     StepOutcome, Stuck)
 from .store import Store
 from .syntax import (
     EMPTY_EFFECT,
@@ -345,8 +346,6 @@ class Harness:
         return out
 
     def _raise(self, step: int, violations: list[Violation]) -> None:
-        from .interp import SoundnessViolation
-
         raise SoundnessViolation({
             "step": step,
             "violations": [v.to_json() for v in violations],

@@ -35,7 +35,6 @@ from .syntax import (
     UNKNOWN,
     App,
     Assign,
-    BaseType,
     Cap,
     Capability,
     Const,
@@ -56,15 +55,14 @@ from .syntax import (
     RefType,
     RegionApp,
     RegionLambda,
-    RegionPolyType,
     RegionVar,
     RgnVal,
     Seq,
     Type,
-    UnitType,
     UnitVal,
     Var,
     While,
+    is_let,
 )
 
 
@@ -282,23 +280,18 @@ class _Parser:
     def lambda_expr(self) -> Expr:
         loc = self.eat("\\").loc
         params: list[tuple[str, Type]] = []
-        if self.at("("):
+        parens = self.at("(")
+        if parens:
             self.eat("(")
-            while True:
-                pname = self.eat_name("parameter name").text
-                self.eat(":")
-                ptype = self.type_expr()
-                params.append((pname, ptype))
-                if self.at(","):
-                    self.eat(",")
-                    continue
-                break
-            self.eat(")")
-        else:
+        while True:
             pname = self.eat_name("parameter name").text
             self.eat(":")
-            ptype = self.type_expr()
-            params.append((pname, ptype))
+            params.append((pname, self.type_expr()))
+            if not (parens and self.at(",")):
+                break
+            self.eat(",")
+        if parens:
+            self.eat(")")
         self.eat("@")
         self.eat("[")
         eff_in = self.effect()
@@ -409,12 +402,9 @@ class _Parser:
         if tok.kind == "int":
             self.next()
             return Const(int(tok.text), tok.loc)
-        if tok.text == "true":
+        if tok.text in ("true", "false"):
             self.next()
-            return Const(True, tok.loc)
-        if tok.text == "false":
-            self.next()
-            return Const(False, tok.loc)
+            return Const(tok.text == "true", tok.loc)
         if tok.text == "(":
             self.next()
             if self.at(")"):
@@ -540,31 +530,9 @@ def parse_expr(text: str) -> Expr:
 # Pretty printer
 # ---------------------------------------------------------------------------
 
-def _type_str(t: Type) -> str:
-    if isinstance(t, BaseType):
-        return t.name
-    if isinstance(t, UnitType):
-        return "unit"
-    if isinstance(t, HandleType):
-        return f"rgn({t.region})"
-    if isinstance(t, RefType):
-        return f"ref({_type_str(t.elem)}, {t.region})"
-    if isinstance(t, FnType):
-        return (f"fn({_type_str(t.param)}) @ [{t.effect_in.pretty()} -> "
-                f"{t.effect_out.pretty()}] -> {_type_str(t.result)}")
-    if isinstance(t, RegionPolyType):
-        return f"forall {t.var}. {_type_str(t.body)}"
-    raise TypeError(f"unknown type {t!r}")
-
-
-def _is_let(e: Expr) -> bool:
-    return (isinstance(e, App) and isinstance(e.fn, Lambda)
-            and e.fn.param_type is None and e.mode is SEQ_MODE)
-
-
 def _app_spine(e: Expr) -> tuple[Expr, list[Expr]]:
     args: list[Expr] = []
-    while isinstance(e, App) and e.mode is SEQ_MODE and not _is_let(e):
+    while isinstance(e, App) and e.mode is SEQ_MODE and not is_let(e):
         args.append(e.arg)
         e = e.fn
     return e, list(reversed(args))
@@ -602,7 +570,7 @@ def _pp(e: Expr, level: int) -> str:
         return f"loc<{e.location.idx}@{e.location.region}>"
     if isinstance(e, Seq):
         return wrap(f"{_pp(e.first, 1)}; {_pp(e.second, 0)}", 0)
-    if _is_let(e):
+    if is_let(e):
         lam = e.fn
         assert isinstance(lam, Lambda)
         return wrap(f"let {lam.param} = {_pp(e.arg, 1)} in {_pp(lam.body, 1)}", 1)
@@ -623,7 +591,7 @@ def _pp(e: Expr, level: int) -> str:
         ann = ""
         if e.effect_in is not None and e.effect_out is not None:
             ann = f" @ [{e.effect_in.pretty()} -> {e.effect_out.pretty()}]"
-        return wrap(f"\\{e.param}: {_type_str(e.param_type)}{ann}. {_pp(e.body, 1)}", 1)
+        return wrap(f"\\{e.param}: {e.param_type}{ann}. {_pp(e.body, 1)}", 1)
     if isinstance(e, Assign):
         return wrap(f"{_pp(e.target, 3)} := {_pp(e.value, 2)}", 2)
     if isinstance(e, Prim):

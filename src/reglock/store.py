@@ -192,28 +192,25 @@ class Store:
         loc = Location(loc_idx, rid)
         return self._rebuild(rid, lambda n: n.heap_set(loc, value)), loc
 
-    def lookup(self, loc: Location, tid: int) -> Expr:
+    def _accessible_region(self, loc: Location, tid: int, verb: str) -> RegionLit:
         rid = self.region_of_location(loc)
         if rid is None:
             raise StoreFault("UnknownLocation", f"location {loc} does not exist")
         if not self.is_accessible(rid, tid):
             raise StoreFault("Inaccessible",
-                             f"thread {tid} reads {loc} without holding a lock on "
+                             f"thread {tid} {verb} {loc} without holding a lock on "
                              f"{rid} or an ancestor")
-        node = self.find(rid)
+        return rid
+
+    def lookup(self, loc: Location, tid: int) -> Expr:
+        node = self.find(self._accessible_region(loc, tid, "reads"))
         assert node is not None
         value = node.heap_get(loc)
         assert value is not None
         return value
 
     def update(self, loc: Location, value: Expr, tid: int) -> "Store":
-        rid = self.region_of_location(loc)
-        if rid is None:
-            raise StoreFault("UnknownLocation", f"location {loc} does not exist")
-        if not self.is_accessible(rid, tid):
-            raise StoreFault("Inaccessible",
-                             f"thread {tid} writes {loc} without holding a lock on "
-                             f"{rid} or an ancestor")
+        rid = self._accessible_region(loc, tid, "writes")
         return self._rebuild(rid, lambda n: n.heap_set(loc, value))
 
     def newrgn(self, parent: RegionLit, tid: int, name: str) -> tuple["Store", RegionLit]:

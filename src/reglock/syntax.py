@@ -8,9 +8,9 @@ re-parsed term compares equal to the original.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 
 # ---------------------------------------------------------------------------
@@ -58,46 +58,22 @@ RegionName = Union[RegionVar, RegionLit]
 HEAP = RegionLit("H")
 
 
-class _Bottom:
-    """Parent of the physical root region."""
+class Root(Enum):
+    """The parents that are not region names."""
 
-    _instance: Optional["_Bottom"] = None
+    BOTTOM = "_"   # parent of the physical root region
+    UNKNOWN = "?"  # abstracted parent: the region is treated as a logical root
 
-    def __new__(cls) -> "_Bottom":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    def __str__(self) -> str:
+        return self.value
 
-    def __repr__(self) -> str:
-        return "_"
+    __repr__ = __str__
 
 
-class _Unknown:
-    """Abstracted parent: the region is treated as a logical root."""
+BOTTOM = Root.BOTTOM
+UNKNOWN = Root.UNKNOWN
 
-    _instance: Optional["_Unknown"] = None
-
-    def __new__(cls) -> "_Unknown":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "?"
-
-
-BOTTOM = _Bottom()
-UNKNOWN = _Unknown()
-
-Parent = Union[RegionVar, RegionLit, _Bottom, _Unknown]
-
-
-def parent_str(p: Parent) -> str:
-    if p is BOTTOM:
-        return "_"
-    if p is UNKNOWN:
-        return "?"
-    return str(p)
+Parent = Union[RegionVar, RegionLit, Root]
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +175,7 @@ class Effect:
 
     def descendants_of(self, r: RegionName) -> set[RegionName]:
         """Regions whose in-effect parent chain reaches `r` (excluding r)."""
-        out: set[RegionName] = set()
-        changed = True
-        while changed:
-            changed = False
-            for k, (_, parent) in self._entries.items():
-                if k in out or k == r:
-                    continue
-                if parent == r or (isinstance(parent, (RegionVar, RegionLit)) and parent in out):
-                    out.add(k)
-                    changed = True
-        return out
+        return {k for k in self._entries if k != r and r in self.ancestors(k)}
 
     def well_formed(self) -> Optional[str]:
         """Return a reason string if ill-formed, else None."""
@@ -237,8 +203,7 @@ class Effect:
         return self._entries == other._entries
 
     def __hash__(self) -> int:
-        return hash(frozenset((r, c, p if not isinstance(p, (_Bottom, _Unknown)) else repr(p))
-                              for r, (c, p) in self._entries.items()))
+        return hash(frozenset((r, c, p) for r, (c, p) in self._entries.items()))
 
     def same_counts(self, other: "Effect") -> bool:
         """Equality that ignores purity flags (counts and parents only)."""
@@ -265,7 +230,7 @@ class Effect:
             if omit_bottom and parent is BOTTOM:
                 continue
             shown = str(cap) if show_purity else f"({cap.rg},{cap.lk})"
-            parts.append(f"{r}^{shown}@{parent_str(parent)}")
+            parts.append(f"{r}^{shown}@{parent}")
         return "{" + ", ".join(parts) + "}"
 
     def __str__(self) -> str:
@@ -346,19 +311,14 @@ UNIT = UnitType()
 # ---------------------------------------------------------------------------
 
 
-class _SeqMode:
-    _instance: Optional["_SeqMode"] = None
-
-    def __new__(cls) -> "_SeqMode":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+class SeqMode(Enum):
+    SEQ = "seq"
 
     def __repr__(self) -> str:
-        return "seq"
+        return self.value
 
 
-SEQ_MODE = _SeqMode()
+SEQ_MODE = SeqMode.SEQ
 
 
 @dataclass(frozen=True)
@@ -371,7 +331,7 @@ class ParMode:
         return f"par[{self.transfer}]"
 
 
-CallingMode = Union[_SeqMode, ParMode]
+CallingMode = Union[SeqMode, ParMode]
 
 
 class CapOp(Enum):
@@ -395,21 +355,16 @@ CAP_KEYWORD = {
 # ---------------------------------------------------------------------------
 
 
-class UnitVal:
+class UnitVal(Enum):
     """The unit constant's payload (distinct from None/False/0)."""
 
-    _instance: Optional["UnitVal"] = None
-
-    def __new__(cls) -> "UnitVal":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    UNIT = "()"
 
     def __repr__(self) -> str:
-        return "()"
+        return self.value
 
 
-UNIT_VALUE = UnitVal()
+UNIT_VALUE = UnitVal.UNIT
 
 
 @dataclass(frozen=True)
@@ -579,43 +534,61 @@ def is_value(e: Expr) -> bool:
     return isinstance(e, (Const, Lambda, RegionLambda, RgnVal, LocVal))
 
 
+def is_let(e: Expr) -> bool:
+    """`let x = e1 in e2`: an unannotated binder lambda applied to e1."""
+    return (isinstance(e, App) and isinstance(e.fn, Lambda)
+            and e.fn.param_type is None and e.mode is SEQ_MODE)
+
+
+# ---------------------------------------------------------------------------
+# The one traversal
+# ---------------------------------------------------------------------------
+
+#: Forms without subterms.
+LEAVES = (Var, Const, RgnVal, LocVal)
+
+#: Rebuilds each form with `f` applied to its subterms, in evaluation order.
+REBUILD: dict[type, Callable[[Expr, Callable[[Expr], Expr]], Expr]] = {
+    **{leaf: lambda e, f: e for leaf in LEAVES},
+    Lambda: lambda e, f: Lambda(e.param, e.param_type, f(e.body), e.effect_in,
+                                e.effect_out, e.loc),
+    RegionLambda: lambda e, f: RegionLambda(e.var, f(e.body), e.loc),
+    App: lambda e, f: App(f(e.fn), f(e.arg), e.mode, e.loc),
+    RegionApp: lambda e, f: RegionApp(f(e.fn), e.region, e.loc),
+    NewRef: lambda e, f: NewRef(f(e.init), f(e.handle), e.loc),
+    Deref: lambda e, f: Deref(f(e.ref), e.loc),
+    Assign: lambda e, f: Assign(f(e.target), f(e.value), e.loc),
+    NewRgn: lambda e, f: NewRgn(e.var, e.handle_name, f(e.parent_handle), f(e.body), e.loc),
+    Cap: lambda e, f: Cap(e.op, f(e.handle), e.loc),
+    If: lambda e, f: If(f(e.cond), f(e.then), f(e.orelse), e.loc),
+    Seq: lambda e, f: Seq(f(e.first), f(e.second), e.loc),
+    While: lambda e, f: While(f(e.cond), f(e.body), e.loc),
+    Prim: lambda e, f: Prim(e.op, tuple(f(a) for a in e.args), e.loc),
+}
+
+
+def map_children(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
+    """The node rebuilt with `f` applied to each immediate subterm."""
+    return REBUILD[type(e)](e, f)
+
+
+def children(e: Expr) -> tuple[Expr, ...]:
+    """The immediate subterms, in evaluation order."""
+    kids: list[Expr] = []
+
+    def keep(c: Expr) -> Expr:
+        kids.append(c)
+        return c
+
+    map_children(e, keep)
+    return tuple(kids)
+
+
 def scan_runtime_forms(e: Expr) -> bool:
     """True if the term contains any runtime-only node (RgnVal/LocVal)."""
     if isinstance(e, (RgnVal, LocVal)):
         return True
     return any(scan_runtime_forms(c) for c in children(e))
-
-
-def children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, (Var, Const, RgnVal, LocVal)):
-        return ()
-    if isinstance(e, Lambda):
-        return (e.body,)
-    if isinstance(e, RegionLambda):
-        return (e.body,)
-    if isinstance(e, App):
-        return (e.fn, e.arg)
-    if isinstance(e, RegionApp):
-        return (e.fn,)
-    if isinstance(e, NewRef):
-        return (e.init, e.handle)
-    if isinstance(e, Deref):
-        return (e.ref,)
-    if isinstance(e, Assign):
-        return (e.target, e.value)
-    if isinstance(e, NewRgn):
-        return (e.parent_handle, e.body)
-    if isinstance(e, Cap):
-        return (e.handle,)
-    if isinstance(e, If):
-        return (e.cond, e.then, e.orelse)
-    if isinstance(e, Seq):
-        return (e.first, e.second)
-    if isinstance(e, While):
-        return (e.cond, e.body)
-    if isinstance(e, Prim):
-        return e.args
-    raise TypeError(f"unknown expression {e!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -631,15 +604,6 @@ def fresh_region_var(base: RegionVar) -> RegionVar:
     return RegionVar(f"{base.name}%{next(_fresh_counter)}")
 
 
-_fresh_region_var = fresh_region_var
-
-
-def subst_region_parent(p: Parent, var: RegionVar, rep: RegionName) -> Parent:
-    if p == var:
-        return rep
-    return p
-
-
 def subst_region_effect(eff: Effect, var: RegionVar, rep: RegionName) -> Effect:
     """Substitute in both domain and parents; aliased entries merge.
 
@@ -649,7 +613,7 @@ def subst_region_effect(eff: Effect, var: RegionVar, rep: RegionName) -> Effect:
     table: dict[RegionName, tuple[Capability, Parent]] = {}
     for r, cap, parent in eff.items():
         nr = rep if r == var else r
-        nparent = subst_region_parent(parent, var, rep)
+        nparent = rep if parent == var else parent
         if nr in table:
             ocap, oparent = table[nr]
             merged = Capability(ocap.rg + cap.rg, ocap.lk + cap.lk, pure=False)
@@ -660,7 +624,7 @@ def subst_region_effect(eff: Effect, var: RegionVar, rep: RegionName) -> Effect:
             else:
                 raise ValueError(
                     f"cannot merge effect entries for {nr} with parents "
-                    f"{parent_str(oparent)} and {parent_str(nparent)}")
+                    f"{oparent} and {nparent}")
             table[nr] = (merged, keep)
         else:
             table[nr] = (cap, nparent)
@@ -679,7 +643,7 @@ def subst_region_type(t: Type, var: RegionVar, rep: RegionName) -> Type:
         if t.var == var:
             return t  # shadowed
         if t.var == rep:
-            fresh = _fresh_region_var(t.var)
+            fresh = fresh_region_var(t.var)
             body = subst_region_type(t.body, t.var, fresh)
             return RegionPolyType(fresh, subst_region_type(body, var, rep))
         return RegionPolyType(t.var, subst_region_type(t.body, var, rep))
@@ -692,111 +656,45 @@ def subst_region_type(t: Type, var: RegionVar, rep: RegionName) -> Type:
 
 
 def subst_region_expr(e: Expr, var: RegionVar, rep: RegionName) -> Expr:
+    """Capture-avoiding substitution of `rep` for the region variable `var`."""
+    def effect(eff: Optional[Effect]) -> Optional[Effect]:
+        return None if eff is None else subst_region_effect(eff, var, rep)
+
     def sub(x: Expr) -> Expr:
-        return subst_region_expr(x, var, rep)
+        if isinstance(x, (RegionLambda, NewRgn)) and x.var in (var, rep):
+            if x.var == var:
+                # Shadowed: only a newrgn's parent handle is outside the binder.
+                if isinstance(x, NewRgn):
+                    return NewRgn(x.var, x.handle_name, sub(x.parent_handle), x.body, x.loc)
+                return x
+            # The binder would capture `rep`: rename it first.
+            fresh = fresh_region_var(x.var)
+            x = replace(x, var=fresh, body=subst_region_expr(x.body, x.var, fresh))
+        elif isinstance(x, Lambda):
+            ptype = None if x.param_type is None else subst_region_type(x.param_type, var, rep)
+            return Lambda(x.param, ptype, sub(x.body), effect(x.effect_in), effect(x.effect_out),
+                          x.loc)
+        elif isinstance(x, App) and isinstance(x.mode, ParMode) and x.mode.transfer is not None:
+            return App(sub(x.fn), sub(x.arg), ParMode(effect(x.mode.transfer)), x.loc)
+        elif isinstance(x, RegionApp):
+            return RegionApp(sub(x.fn), rep if x.region == var else x.region, x.loc)
+        return map_children(x, sub)
 
-    if isinstance(e, (Var, Const, RgnVal, LocVal)):
-        return e
-    if isinstance(e, Lambda):
-        return Lambda(e.param,
-                      None if e.param_type is None else subst_region_type(e.param_type, var, rep),
-                      sub(e.body),
-                      None if e.effect_in is None else subst_region_effect(e.effect_in, var, rep),
-                      None if e.effect_out is None else subst_region_effect(e.effect_out, var, rep),
-                      e.loc)
-    if isinstance(e, RegionLambda):
-        if e.var == var:
-            return e
-        if e.var == rep:
-            fresh = _fresh_region_var(e.var)
-            body = subst_region_expr(e.body, e.var, fresh)
-            return RegionLambda(fresh, subst_region_expr(body, var, rep), e.loc)
-        return RegionLambda(e.var, sub(e.body), e.loc)
-    if isinstance(e, App):
-        mode = e.mode
-        if isinstance(mode, ParMode) and mode.transfer is not None:
-            mode = ParMode(subst_region_effect(mode.transfer, var, rep))
-        return App(sub(e.fn), sub(e.arg), mode, e.loc)
-    if isinstance(e, RegionApp):
-        return RegionApp(sub(e.fn), rep if e.region == var else e.region, e.loc)
-    if isinstance(e, NewRef):
-        return NewRef(sub(e.init), sub(e.handle), e.loc)
-    if isinstance(e, Deref):
-        return Deref(sub(e.ref), e.loc)
-    if isinstance(e, Assign):
-        return Assign(sub(e.target), sub(e.value), e.loc)
-    if isinstance(e, NewRgn):
-        handle = sub(e.parent_handle)
-        if e.var == var:
-            return NewRgn(e.var, e.handle_name, handle, e.body, e.loc)
-        if e.var == rep:
-            fresh = _fresh_region_var(e.var)
-            body = subst_region_expr(e.body, e.var, fresh)
-            return NewRgn(fresh, e.handle_name, handle, subst_region_expr(body, var, rep), e.loc)
-        return NewRgn(e.var, e.handle_name, handle, sub(e.body), e.loc)
-    if isinstance(e, Cap):
-        return Cap(e.op, sub(e.handle), e.loc)
-    if isinstance(e, If):
-        return If(sub(e.cond), sub(e.then), sub(e.orelse), e.loc)
-    if isinstance(e, Seq):
-        return Seq(sub(e.first), sub(e.second), e.loc)
-    if isinstance(e, While):
-        return While(sub(e.cond), sub(e.body), e.loc)
-    if isinstance(e, Prim):
-        return Prim(e.op, tuple(sub(a) for a in e.args), e.loc)
-    raise TypeError(f"unknown expression {e!r}")
-
-
-def subst_region(obj, var: RegionVar, rep: RegionName):
-    """Capture-avoiding region substitution over types, effects or terms."""
-    if isinstance(obj, Effect):
-        return subst_region_effect(obj, var, rep)
-    if isinstance(obj, (BaseType, UnitType, FnType, RegionPolyType, RefType, HandleType)):
-        return subst_region_type(obj, var, rep)
-    return subst_region_expr(obj, var, rep)
+    return sub(e)
 
 
 def subst_var(e: Expr, name: str, value: Expr) -> Expr:
     """Substitute a value for a term variable; binders shadow."""
     def sub(x: Expr) -> Expr:
-        return subst_var(x, name, value)
+        if isinstance(x, Var):
+            return value if x.name == name else x
+        if isinstance(x, Lambda) and x.param == name:
+            return x
+        if isinstance(x, NewRgn) and x.handle_name == name:
+            return NewRgn(x.var, x.handle_name, sub(x.parent_handle), x.body, x.loc)
+        return map_children(x, sub)
 
-    if isinstance(e, Var):
-        return value if e.name == name else e
-    if isinstance(e, (Const, RgnVal, LocVal)):
-        return e
-    if isinstance(e, Lambda):
-        if e.param == name:
-            return e
-        return Lambda(e.param, e.param_type, sub(e.body), e.effect_in, e.effect_out, e.loc)
-    if isinstance(e, RegionLambda):
-        return RegionLambda(e.var, sub(e.body), e.loc)
-    if isinstance(e, App):
-        return App(sub(e.fn), sub(e.arg), e.mode, e.loc)
-    if isinstance(e, RegionApp):
-        return RegionApp(sub(e.fn), e.region, e.loc)
-    if isinstance(e, NewRef):
-        return NewRef(sub(e.init), sub(e.handle), e.loc)
-    if isinstance(e, Deref):
-        return Deref(sub(e.ref), e.loc)
-    if isinstance(e, Assign):
-        return Assign(sub(e.target), sub(e.value), e.loc)
-    if isinstance(e, NewRgn):
-        handle = sub(e.parent_handle)
-        if e.handle_name == name:
-            return NewRgn(e.var, e.handle_name, handle, e.body, e.loc)
-        return NewRgn(e.var, e.handle_name, handle, sub(e.body), e.loc)
-    if isinstance(e, Cap):
-        return Cap(e.op, sub(e.handle), e.loc)
-    if isinstance(e, If):
-        return If(sub(e.cond), sub(e.then), sub(e.orelse), e.loc)
-    if isinstance(e, Seq):
-        return Seq(sub(e.first), sub(e.second), e.loc)
-    if isinstance(e, While):
-        return While(sub(e.cond), sub(e.body), e.loc)
-    if isinstance(e, Prim):
-        return Prim(e.op, tuple(sub(a) for a in e.args), e.loc)
-    raise TypeError(f"unknown expression {e!r}")
+    return sub(e)
 
 
 def free_regions(obj) -> set[RegionName]:
@@ -848,16 +746,14 @@ def free_term_vars(e: Expr, defs: frozenset[str] = frozenset()) -> set[str]:
         if isinstance(x, Var):
             if x.name not in bound and x.name not in defs:
                 out.add(x.name)
-            return
-        if isinstance(x, Lambda):
-            go(x.body, bound | {x.param})
-            return
-        if isinstance(x, NewRgn):
+        elif isinstance(x, NewRgn):
             go(x.parent_handle, bound)
             go(x.body, bound | {x.handle_name})
-            return
-        for c in children(x):
-            go(c, bound)
+        else:
+            if isinstance(x, Lambda):
+                bound = bound | {x.param}
+            for c in children(x):
+                go(c, bound)
 
     go(e, frozenset())
     return out

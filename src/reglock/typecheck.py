@@ -26,7 +26,6 @@ from .syntax import (
     INT,
     PRIM_BINARY,
     PRIM_UNARY,
-    SEQ_MODE,
     UNIT,
     App,
     Assign,
@@ -62,11 +61,12 @@ from .syntax import (
     UnitVal,
     Var,
     While,
-    children,
     free_regions,
     free_term_vars,
     fresh_region_var,
+    is_let,
     is_value,
+    map_children,
     subst_region_expr,
     subst_region_type,
     subst_var,
@@ -197,6 +197,10 @@ class Checker:
         # Par applications get their computed transfer effect stashed here,
         # keyed by node identity, and are rewritten after the def checks out.
         self.spawn_transfers: dict[int, Effect] = {}
+        # Region binders alpha-renamed while checking, keyed by the identity
+        # of the original node: their spawns are annotated in the renamed
+        # copy, which also keeps the copy's nodes (and ids) alive.
+        self.renamed: dict[int, Expr] = {}
 
     # -- helpers ---------------------------------------------------------------
 
@@ -225,6 +229,21 @@ class Checker:
                 raise self.fail("MalformedAnnotation",
                                 f"parent {parent} in effect annotation is not in scope", loc, eff)
 
+    def _require_accessible(self, eff: Effect, r: RegionName, loc: Optional[Loc]) -> None:
+        if not fx.is_accessible_static(eff, r):
+            raise self.fail("InaccessibleRegion", f"region {r} is not accessible (no lock "
+                            f"held on it or an ancestor)", loc, eff)
+
+    def _unshadow(self, e: RegionLambda | NewRgn, env: _Env) -> tuple[RegionVar, Expr]:
+        """Binder and body of a `/\\` or `newrgn`, alpha-renamed if the binder
+        shadows one in scope (linked programs nest definitions)."""
+        if e.var not in env.region_vars:
+            return e.var, e.body
+        fresh = fresh_region_var(e.var)
+        copy = replace(e, var=fresh, body=subst_region_expr(e.body, e.var, fresh))
+        self.renamed[id(e)] = copy
+        return fresh, copy.body
+
     # -- the judgement -----------------------------------------------------------
 
     def check(self, e: Expr, env: _Env, eff: Effect) -> tuple[Type, Effect]:
@@ -236,9 +255,7 @@ class Checker:
         # Sequencing plumbing spans lines and would overwrite the per-line
         # effects of the statements it contains; newrgn records its body's
         # entry effect instead (done in _check).
-        is_let = (isinstance(e, App) and isinstance(e.fn, Lambda)
-                  and e.fn.param_type is None)
-        if not isinstance(e, (NewRgn, Seq)) and not is_let:
+        if self.record is not None and not isinstance(e, (NewRgn, Seq)) and not is_let(e):
             self._note(e, out)
         return t, out
 
@@ -284,13 +301,7 @@ class Checker:
             return FnType(e.param_type, e.effect_in, e.effect_out, t_body), eff
 
         if isinstance(e, RegionLambda):
-            var, body = e.var, e.body
-            if var in env.region_vars:
-                # Linked programs nest definitions, so alpha-rename rather
-                # than reject the shadowing binder.
-                fresh = fresh_region_var(var)
-                body = subst_region_expr(body, var, fresh)
-                var = fresh
+            var, body = self._unshadow(e, env)
             if not is_value(body):
                 raise self.fail("NotAValue",
                                 "the body of a region abstraction must be a value", e.loc, eff)
@@ -329,10 +340,7 @@ class Checker:
             t_ref, out = self.check(e.ref, env, eff)
             if not isinstance(t_ref, RefType):
                 raise self.fail("TypeMismatch", f"deref of non-reference {t_ref}", e.loc, out)
-            if not fx.is_accessible_static(out, t_ref.region):
-                raise self.fail("InaccessibleRegion",
-                                f"region {t_ref.region} is not accessible (no lock held "
-                                f"on it or an ancestor)", e.loc, out)
+            self._require_accessible(out, t_ref.region, e.loc)
             return t_ref.elem, out
 
         if isinstance(e, Assign):
@@ -343,10 +351,7 @@ class Checker:
             if not type_eq(t_val, t_ref.elem, self.lenient):
                 raise self.fail("TypeMismatch",
                                 f"cannot store {t_val} into a cell of {t_ref.elem}", e.loc, out)
-            if not fx.is_accessible_static(out, t_ref.region):
-                raise self.fail("InaccessibleRegion",
-                                f"region {t_ref.region} is not accessible (no lock held "
-                                f"on it or an ancestor)", e.loc, out)
+            self._require_accessible(out, t_ref.region, e.loc)
             return UNIT, out
 
         if isinstance(e, NewRgn):
@@ -357,11 +362,7 @@ class Checker:
             if not fx.is_live_static(out, t_handle.region):
                 raise self.fail("NotLive",
                                 f"parent region {t_handle.region} is not live", e.loc, out)
-            var, body = e.var, e.body
-            if var in env.region_vars:
-                fresh = fresh_region_var(var)
-                body = subst_region_expr(body, var, fresh)
-                var = fresh
+            var, body = self._unshadow(e, env)
             inner = out.with_entry(var, Capability(1, 1, pure=True), t_handle.region)
             if e.loc is not None and self.record is not None:
                 self.record(e.loc.line, inner)
@@ -423,25 +424,21 @@ class Checker:
             return UNIT, eff
 
         if isinstance(e, Prim):
-            if e.op in PRIM_UNARY:
-                want, result = PRIM_UNARY[e.op]
-                t0, out = self.check(e.args[0], env, eff)
-                if not type_eq(t0, want, self.lenient):
-                    raise self.fail("TypeMismatch", f"{e.op} applied to {t0}", e.loc, out)
-                return result, out
-            want, result = PRIM_BINARY[e.op]
-            t0, out = self.check(e.args[0], env, eff)
-            t1, out = self.check(e.args[1], env, out)
-            if not type_eq(t0, want, self.lenient) or not type_eq(t1, want, self.lenient):
-                raise self.fail("TypeMismatch",
-                                f"{e.op} applied to {t0} and {t1}", e.loc, out)
+            want, result = PRIM_UNARY.get(e.op) or PRIM_BINARY[e.op]
+            arg_types, out = [], eff
+            for a in e.args:
+                t, out = self.check(a, env, out)
+                arg_types.append(t)
+            if not all(type_eq(t, want, self.lenient) for t in arg_types):
+                raise self.fail("TypeMismatch", f"{e.op} applied to "
+                                f"{' and '.join(map(str, arg_types))}", e.loc, out)
             return result, out
 
         raise self.fail("UnsupportedForm", f"cannot type {type(e).__name__}", e.loc, eff)
 
     def _check_app(self, e: App, env: _Env, eff: Effect) -> tuple[Type, Effect]:
         # `let x = e1 in e2` is a transparent binder, not a capability split.
-        if isinstance(e.fn, Lambda) and e.fn.param_type is None and e.mode is SEQ_MODE:
+        if is_let(e):
             t_arg, out = self.check(e.arg, env, eff)
             return self.check(e.fn.body, env.bind(e.fn.param, t_arg), out)
 
@@ -481,45 +478,19 @@ def infer_spawn_effect(callee: FnType, eff: Effect) -> Effect:
     return fx.effect_subtract(eff, callee.effect_in).passed
 
 
-def _annotate_spawns(e: Expr, transfers: dict[int, Effect]) -> Expr:
-    """Rebuild a term writing computed transfer effects into Par modes."""
+def _annotate_spawns(e: Expr, checker: Checker) -> Expr:
+    """Rebuild the term the checker checked, writing the computed transfer
+    effects into Par modes."""
+
+    if not checker.spawn_transfers:
+        return e
 
     def go(x: Expr) -> Expr:
-        if isinstance(x, App):
-            fn, arg = go(x.fn), go(x.arg)
-            mode = x.mode
-            if isinstance(mode, ParMode) and id(x) in transfers:
-                mode = ParMode(transfers[id(x)])
-            if fn is x.fn and arg is x.arg and mode is x.mode:
-                return x
-            return App(fn, arg, mode, x.loc)
-        kids = children(x)
-        new_kids = tuple(go(k) for k in kids)
-        if all(a is b for a, b in zip(kids, new_kids)):
-            return x
-        if isinstance(x, Lambda):
-            return replace(x, body=new_kids[0])
-        if isinstance(x, RegionLambda):
-            return replace(x, body=new_kids[0])
-        if isinstance(x, NewRef):
-            return replace(x, init=new_kids[0], handle=new_kids[1])
-        if isinstance(x, Deref):
-            return replace(x, ref=new_kids[0])
-        if isinstance(x, Assign):
-            return replace(x, target=new_kids[0], value=new_kids[1])
-        if isinstance(x, NewRgn):
-            return replace(x, parent_handle=new_kids[0], body=new_kids[1])
-        if isinstance(x, Cap):
-            return replace(x, handle=new_kids[0])
-        if isinstance(x, If):
-            return replace(x, cond=new_kids[0], then=new_kids[1], orelse=new_kids[2])
-        if isinstance(x, Seq):
-            return replace(x, first=new_kids[0], second=new_kids[1])
-        if isinstance(x, While):
-            return replace(x, cond=new_kids[0], body=new_kids[1])
-        if isinstance(x, Prim):
-            return replace(x, args=new_kids)
-        return x
+        x = checker.renamed.get(id(x), x)
+        transfer = checker.spawn_transfers.get(id(x))
+        if transfer is not None:
+            return App(go(x.fn), go(x.arg), ParMode(transfer), x.loc)
+        return map_children(x, go)
 
     return go(e)
 
@@ -537,8 +508,7 @@ def check_program(program: SourceProgram) -> CheckResult:
 
     failed: set[str] = set()
     for d in program.defs:
-        tainted = free_term_vars(d.body) & failed
-        if tainted:
+        if failed and free_term_vars(d.body) & failed:
             # The root cause is already reported; do not pile on.
             failed.add(d.name)
             continue
@@ -556,7 +526,7 @@ def check_program(program: SourceProgram) -> CheckResult:
             failed.add(d.name)
             continue
         def_types[d.name] = t
-        def_bodies[d.name] = _annotate_spawns(d.body, checker.spawn_transfers)
+        def_bodies[d.name] = _annotate_spawns(d.body, checker)
         effect_lines[d.name] = lines
 
     if "main" in def_types:

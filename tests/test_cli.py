@@ -60,6 +60,12 @@ class TestRun:
         monkeypatch.setenv("REGLOCK_SEED", "5")
         assert main(["run", corpus("basic_region.rgn")]) == 0
 
+    def test_malformed_env_seed_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("REGLOCK_SEED", "abc")
+        assert main(["run", corpus("basic_region.rgn")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "REGLOCK_SEED" in err
+
     def test_deadlock_exit_three(self, capsys):
         assert main(["run", corpus("deadlock_forced.rgn"), "--seed", "1",
                      "--unchecked"]) == 3
@@ -126,3 +132,48 @@ def test_run_output_is_byte_identical():
     a = subprocess.run(cmd, capture_output=True, check=True).stdout
     b = subprocess.run(cmd, capture_output=True, check=True).stdout
     assert a == b and a
+
+
+#: A spawn under region binders that shadow each other: the checker renames
+#: the inner `rho`, and the spawn must be annotated in the renamed body.
+SHADOWED_SPAWN = """
+def nop = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^~(1,0)@_} -> {}].
+  free heap
+
+def work = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^~(1,0)@_} -> {rhoH^~(1,0)@_}].
+  newrgn rho, h at heap in
+  newrgn rho, h2 at h in
+  (share heap;
+   spawn nop[rhoH](heap);
+   free h2;
+   free h)
+
+def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].
+  work[rhoH](heap)
+"""
+
+
+def test_spawn_under_shadowing_binder_runs(tmp_path, capsys):
+    path = tmp_path / "shadowed_spawn.rgn"
+    path.write_text(SHADOWED_SPAWN)
+    assert main(["check", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["explore", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["terminals"] == {"all_done": 1}
+    for seed in range(20):
+        assert main(["run", str(path), "--seed", str(seed), "--metatheory"]) == 0
+        out = capsys.readouterr().out
+        assert "terminal all_done" in out and "metatheory: 0 violations" in out
+
+
+def test_internal_error_exits_six_without_traceback(tmp_path, capsys):
+    # Deep enough to exhaust Python's recursion limit in the checker.
+    stmts = "; ".join(["share h; free h"] * 300)
+    path = tmp_path / "flat.rgn"
+    path.write_text("def main = /\\rhoH. \\heap: rgn(rhoH) @ "
+                    "[{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].\n"
+                    f"  newrgn rho, h at heap in ({stmts}; free h)\n")
+    assert main(["check", str(path)]) == 6
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error: RecursionError")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

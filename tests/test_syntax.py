@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import typing
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,14 +15,22 @@ from reglock.syntax import (
     Const,
     Effect,
     FnType,
+    LEAVES,
+    REBUILD,
+    Expr,
     Lambda,
+    NewRgn,
+    RegionApp,
+    RegionLambda,
     RefType,
     RegionLit,
     RegionPolyType,
     RegionVar,
     Var,
     free_regions,
-    subst_region,
+    subst_region_effect,
+    subst_region_expr,
+    subst_region_type,
     subst_var,
 )
 
@@ -32,35 +42,35 @@ IOTA3 = RegionLit("r3")
 
 class TestSubstRegion:
     def test_direct_substitution(self):
-        assert subst_region(RefType(INT, RHO1), RHO1, IOTA3) == RefType(INT, IOTA3)
+        assert subst_region_type(RefType(INT, RHO1), RHO1, IOTA3) == RefType(INT, IOTA3)
 
     def test_non_occurring_variable_is_identity(self):
-        assert subst_region(RefType(INT, RHO2), RHO1, IOTA3) == RefType(INT, RHO2)
+        assert subst_region_type(RefType(INT, RHO2), RHO1, IOTA3) == RefType(INT, RHO2)
 
     def test_shadowing_stops_substitution(self):
         t = RegionPolyType(RHO1, RefType(INT, RHO1))
-        assert subst_region(t, RHO1, IOTA3) == t
+        assert subst_region_type(t, RHO1, IOTA3) == t
 
     def test_capture_is_avoided(self):
         # Substituting rho2 under a binder for rho2 must rename the binder.
         t = RegionPolyType(RHO2, RefType(INT, RHO1))
-        out = subst_region(t, RHO1, RHO2)
+        out = subst_region_type(t, RHO1, RHO2)
         assert isinstance(out, RegionPolyType)
         assert out.var != RHO2
         assert out.body == RefType(INT, RHO2)
 
     def test_effect_domain_and_parents_substituted(self):
         eff = Effect.of((RHO1, Capability(1, 1), RHOH))
-        out = subst_region(eff, RHO1, IOTA3)
+        out = subst_region_effect(eff, RHO1, IOTA3)
         assert out.domain() == (IOTA3,)
-        out2 = subst_region(out, RHOH, IOTA3)  # parent collides with domain
+        out2 = subst_region_effect(out, RHOH, IOTA3)  # parent collides with domain
         assert out2.parent(IOTA3) == IOTA3 or True  # parent substituted
-        assert subst_region(eff, RHOH, IOTA3).parent(RHO1) == IOTA3
+        assert subst_region_effect(eff, RHOH, IOTA3).parent(RHO1) == IOTA3
 
     def test_aliased_entries_merge_impure(self):
         eff = Effect.of((RHO1, Capability(1, 1, pure=False), UNKNOWN),
                         (RHO2, Capability(1, 1, pure=False), UNKNOWN))
-        merged = subst_region(subst_region(eff, RHO1, IOTA3), RHO2, IOTA3)
+        merged = subst_region_effect(subst_region_effect(eff, RHO1, IOTA3), RHO2, IOTA3)
         assert merged.domain() == (IOTA3,)
         cap = merged.cap(IOTA3)
         assert (cap.rg, cap.lk, cap.pure) == (2, 2, False)
@@ -76,6 +86,25 @@ class TestSubstVar:
     def test_shadowing(self):
         lam = Lambda("x", INT, Var("x"), Effect(), Effect())
         assert subst_var(lam, "x", Const(5)) == lam
+
+
+class TestTraversal:
+    def test_table_covers_every_form_once(self):
+        forms = set(typing.get_args(Expr))
+        assert set(REBUILD) == forms and set(LEAVES) <= forms
+        assert len(forms - set(LEAVES)) == 13
+
+    def test_region_binders_shadow_and_avoid_capture(self):
+        # The newrgn binder shadows rho1 in its body, not in its parent handle.
+        inner = RegionApp(Var("f"), RHO1)
+        shadow = NewRgn(RHO1, "h", inner, inner)
+        out = subst_region_expr(shadow, RHO1, IOTA3)
+        assert out == NewRgn(RHO1, "h", RegionApp(Var("f"), IOTA3), inner)
+        # Substituting rho2 for rho1 under a binder for rho2 renames it.
+        lam = RegionLambda(RHO2, RegionApp(RegionApp(Var("f"), RHO1), RHO2))
+        out = subst_region_expr(lam, RHO1, RHO2)
+        assert out.var != RHO2
+        assert out.body == RegionApp(RegionApp(Var("f"), RHO2), out.var)
 
 
 class TestFreeRegions:
@@ -149,4 +178,4 @@ def test_generated_effects_are_well_formed_and_walkable(eff: Effect):
 @given(effect_forests(), st.integers(0, 5))
 def test_substitution_identity_when_absent(eff: Effect, k: int):
     ghost = RegionVar(f"absent{k}")
-    assert subst_region(eff, ghost, RegionLit("zzz")) == eff
+    assert subst_region_effect(eff, ghost, RegionLit("zzz")) == eff
