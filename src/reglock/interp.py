@@ -7,6 +7,12 @@ scheduler picks uniformly among threads that can step, and an exhaustive
 scheduler enumerates every interleaving up to a step bound, deduplicating
 states by a canonical digest.
 
+State digests are Merkle digests: every term node and region node caches a
+hash of its own fields and its children's digests (`syntax.expr_digest`,
+`RegionNode.digest`), so a step pays only for the nodes it rebuilt.  They
+use hashlib, never `hash()`, and are the same across processes and
+`PYTHONHASHSEED` values.
+
 A thread that cannot step is either blocked on a lock (retried every tick)
 or stuck, which aborts the run with a soundness report: well-typed programs
 never get stuck.
@@ -48,6 +54,7 @@ from .syntax import (
     UnitVal,
     Var,
     While,
+    expr_digest,
     is_value,
     subst_region_expr,
     subst_var,
@@ -363,13 +370,14 @@ def _step_expr(config: Config, tid: int, redex: Expr, rebuild: Rebuild) -> StepO
 
 
 def config_digest(config: Config) -> str:
-    payload = {
-        "store": config.store.to_json(pretty),
-        "threads": sorted((t.tid, pretty(t.expr)) for t in config.threads),
-        "counters": [config.next_tid, config.next_loc, config.next_region],
-    }
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+    """16 hex digits of SHA-256 over the root region's digest, each
+    thread's (tid, term digest) in tid order, and the three counters."""
+    root = config.store.root
+    parts = [bytes(16) if root is None else root.digest()]
+    for t in sorted(config.threads, key=lambda t: t.tid):
+        parts += [f"{t.tid}\0".encode(), expr_digest(t.expr)]
+    parts.append(f"{config.next_tid},{config.next_loc},{config.next_region}".encode())
+    return hashlib.sha256(b"".join(parts)).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional
 
-from .syntax import CapOp, Effect, Expr, Location, RegionLit
+from .syntax import CapOp, Effect, Expr, Location, RegionLit, cached_digest, expr_digest
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,22 @@ class RegionNode:
         table = {l: v for l, v in self.heap}
         table[loc] = value
         return replace(self, heap=tuple(sorted(table.items(), key=lambda kv: kv[0].idx)))
+
+    def digest(self) -> bytes:
+        """Merkle digest of the subtree: the region name, the per-thread
+        counts, each heap entry (location, value digest) and the children
+        in name order; cached on the node like a term's digest."""
+        return cached_digest(self, _sorted_children, _encode_region)
+
+
+def _sorted_children(node: RegionNode) -> list[RegionNode]:
+    return sorted(node.children, key=lambda n: n.rid.name)
+
+
+def _encode_region(node: RegionNode, kid_digests: bytes) -> bytes:
+    counts = " ".join(f"{t}:{c.rg},{c.lk}" for t, c in node.threads)
+    heap = b"".join(f"{l}\0".encode() + expr_digest(v) for l, v in node.heap)
+    return f"{node.rid}\0{counts}\0{len(node.heap)}\0".encode() + heap + kid_digests
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,10 @@ re-parsed term compares equal to the original.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Optional, Union
+from hashlib import blake2b
+from typing import Callable, Iterable, Iterator, Optional, Union, get_args
 
 
 # ---------------------------------------------------------------------------
@@ -567,21 +568,21 @@ REBUILD: dict[type, Callable[[Expr, Callable[[Expr], Expr]], Expr]] = {
 }
 
 
-def map_children(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
-    """The node rebuilt with `f` applied to each immediate subterm."""
-    return REBUILD[type(e)](e, f)
+#: Each form's fields, the source location left out, in evaluation order.
+_FIELDS = {form: tuple(f.name for f in fields(form) if f.name != "loc")
+           for form in get_args(Expr)}
 
 
-def children(e: Expr) -> tuple[Expr, ...]:
+def children(e: Expr) -> list[Expr]:
     """The immediate subterms, in evaluation order."""
     kids: list[Expr] = []
-
-    def keep(c: Expr) -> Expr:
-        kids.append(c)
-        return c
-
-    map_children(e, keep)
-    return tuple(kids)
+    for name in _FIELDS[type(e)]:
+        value = getattr(e, name)
+        if type(value) in _FIELDS:
+            kids.append(value)
+        elif type(value) is tuple:  # Prim's operands
+            kids.extend(value)
+    return kids
 
 
 def scan_runtime_forms(e: Expr) -> bool:
@@ -596,6 +597,17 @@ def scan_runtime_forms(e: Expr) -> bool:
 # ---------------------------------------------------------------------------
 
 _fresh_counter = itertools.count(1)
+
+
+def restart_fresh_names() -> None:
+    """Number renamed region variables from 1 again.
+
+    Call it once per loaded program, before it is checked or linked: a
+    parsed program holds no renamed names, and the numbering then depends
+    on the program alone.
+    """
+    global _fresh_counter
+    _fresh_counter = itertools.count(1)
 
 
 def fresh_region_var(base: RegionVar) -> RegionVar:
@@ -678,7 +690,7 @@ def subst_region_expr(e: Expr, var: RegionVar, rep: RegionName) -> Expr:
             return App(sub(x.fn), sub(x.arg), ParMode(effect(x.mode.transfer)), x.loc)
         elif isinstance(x, RegionApp):
             return RegionApp(sub(x.fn), rep if x.region == var else x.region, x.loc)
-        return map_children(x, sub)
+        return REBUILD[type(x)](x, sub)
 
     return sub(e)
 
@@ -692,7 +704,7 @@ def subst_var(e: Expr, name: str, value: Expr) -> Expr:
             return x
         if isinstance(x, NewRgn) and x.handle_name == name:
             return NewRgn(x.var, x.handle_name, sub(x.parent_handle), x.body, x.loc)
-        return map_children(x, sub)
+        return REBUILD[type(x)](x, sub)
 
     return sub(e)
 
@@ -757,3 +769,52 @@ def free_term_vars(e: Expr, defs: frozenset[str] = frozenset()) -> set[str]:
 
     go(e, frozenset())
     return out
+
+
+# ---------------------------------------------------------------------------
+# Merkle digests
+# ---------------------------------------------------------------------------
+
+_DIGEST = "_digest"  # an attribute, not a field: eq, repr and replace ignore it
+
+
+def cached_digest(root, kids: Callable, encode: Callable[[object, bytes], bytes]) -> bytes:
+    """The Merkle digest of `root`, computed once per node and cached on it.
+
+    `kids(n)` lists a node's sub-nodes and `encode(n, kid_digests)` gives the
+    bytes hashed for it.  Nodes without a digest are hashed bottom-up from an
+    explicit stack, so depth costs no recursion.  `dataclasses.replace` makes
+    a new node, so a digest never outlives the fields it was computed from.
+    """
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if getattr(node, _DIGEST, None) is not None:  # done, or shared and done
+            stack.pop()
+            continue
+        subs = kids(node)
+        todo = [k for k in subs if getattr(k, _DIGEST, None) is None]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        data = encode(node, b"".join(getattr(k, _DIGEST) for k in subs))
+        object.__setattr__(node, _DIGEST, blake2b(data, digest_size=16).digest())
+    return getattr(root, _DIGEST)
+
+
+def _encode_expr(e: Expr, kid_digests: bytes) -> bytes:
+    # Non-term fields are tagged with their type, so Const 1 and True differ.
+    texts = [type(e).__name__]
+    for name in _FIELDS[type(e)]:
+        value = getattr(e, name)
+        if type(value) not in _FIELDS and type(value) is not tuple:
+            texts.append(f"{type(value).__name__}:{value}")
+    texts.append("")
+    return "\0".join(texts).encode() + kid_digests
+
+
+def expr_digest(e: Expr) -> bytes:
+    """16-byte Merkle digest of a term; source locations are ignored, and
+    it is the same in every process."""
+    return cached_digest(e, children, _encode_expr)

@@ -47,6 +47,7 @@ from .syntax import (
     NewRgn,
     ParMode,
     Prim,
+    REBUILD,
     RefType,
     RegionApp,
     RegionLambda,
@@ -66,7 +67,6 @@ from .syntax import (
     fresh_region_var,
     is_let,
     is_value,
-    map_children,
     subst_region_expr,
     subst_region_type,
     subst_var,
@@ -490,7 +490,7 @@ def _annotate_spawns(e: Expr, checker: Checker) -> Expr:
         transfer = checker.spawn_transfers.get(id(x))
         if transfer is not None:
             return App(go(x.fn), go(x.arg), ParMode(transfer), x.loc)
-        return map_children(x, go)
+        return REBUILD[type(x)](x, go)
 
     return go(e)
 

@@ -47,3 +47,12 @@ def corpus_dir() -> pathlib.Path:
 
 def corpus_text(name: str) -> str:
     return (CORPUS / name).read_text()
+
+
+def paired_long_seq(n: int) -> str:
+    """One thread sharing and freeing a region n times, nested in pairs:
+    `((share h; free h); …; free h)` runs in 4n+5 steps."""
+    pairs = "; ".join(["(share h; free h)"] * n)
+    return ("def main = /\\rhoH. \\heap: rgn(rhoH) @ "
+            "[{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].\n"
+            f"  newrgn rho, h at heap in\n  ({pairs};\n   free h)\n")

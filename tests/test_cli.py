@@ -3,9 +3,10 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import threading
 
 from reglock.cli import main
-from conftest import CORPUS
+from conftest import CORPUS, paired_long_seq
 
 
 def corpus(name: str) -> str:
@@ -164,6 +165,32 @@ def test_spawn_under_shadowing_binder_runs(tmp_path, capsys):
         assert main(["run", str(path), "--seed", str(seed), "--metatheory"]) == 0
         out = capsys.readouterr().out
         assert "terminal all_done" in out and "metatheory: 0 violations" in out
+
+
+def test_trace_digests_depend_only_on_the_program(tmp_path, capsys):
+    # Renamed region binders are numbered per loaded program.
+    path = tmp_path / "shadowed_spawn.rgn"
+    path.write_text(SHADOWED_SPAWN)
+    outs = []
+    for _ in range(2):
+        assert main(["run", str(path), "--seed", "0", "--trace", "json"]) == 0
+        outs.append(json.loads(capsys.readouterr().out))
+    assert outs[0] == outs[1]
+
+
+def test_long_program_runs_without_recursion_error(tmp_path, capsys):
+    # A new thread's stack starts empty, as in a `reglock` process, so the
+    # test runner's own frames do not count against the recursion limit.
+    path = tmp_path / "long_seq.rgn"
+    path.write_text(paired_long_seq(480))
+    codes = []
+    worker = threading.Thread(target=lambda: codes.append(
+        main(["run", str(path), "--seed", "0"])))
+    worker.start()
+    worker.join(timeout=300)
+    assert not worker.is_alive() and codes == [0]
+    out = capsys.readouterr().out
+    assert 'terminal all_done {"steps": 1925}' in out
 
 
 def test_internal_error_exits_six_without_traceback(tmp_path, capsys):

@@ -1,0 +1,125 @@
+"""State digests: Merkle digests of terms and region trees, combined per
+configuration by `config_digest`."""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+
+import pytest
+
+from reglock import interp, syntax
+from reglock.interp import config_digest, explore, initial_config, run_seeded
+from reglock.parser import parse_program, pretty
+from reglock.store import initial_store
+from reglock.syntax import (
+    HEAP,
+    UNIT_VALUE,
+    Const,
+    Loc,
+    Seq,
+    Var,
+    expr_digest,
+    restart_fresh_names,
+)
+from reglock.typecheck import check_program, link_bodies
+from conftest import CORPUS, RUNNABLE, corpus_text, paired_long_seq
+
+
+def linked_main(text: str, checked: bool = True):
+    restart_fresh_names()
+    program = parse_program(text)
+    return check_program(program).typed.linked_main() if checked else link_bodies(program)
+
+
+def old_payload(config) -> str:
+    """The text the digest hashed before it was a Merkle digest."""
+    return json.dumps({
+        "store": config.store.to_json(pretty),
+        "threads": sorted((t.tid, pretty(t.expr)) for t in config.threads),
+        "counters": [config.next_tid, config.next_loc, config.next_region],
+    }, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("name", RUNNABLE + ["deadlock_forced.rgn", "race_unlocked.rgn"])
+def test_same_partition_as_the_printed_payload(name, monkeypatch):
+    seen = []
+
+    def recording(config):
+        seen.append(config)
+        return config_digest(config)
+
+    monkeypatch.setattr(interp, "config_digest", recording)
+    explore(linked_main(corpus_text(name), checked=name in RUNNABLE), force=True)
+    pairs = {(old_payload(c), config_digest(c)) for c in seen}
+    assert len(pairs) > 1
+    assert len({old for old, _ in pairs}) == len(pairs) == len({new for _, new in pairs})
+
+
+def test_source_locations_are_ignored():
+    text = corpus_text("sharing_once.rgn")
+    a = linked_main(text)
+    b = linked_main("\n\n" + text.replace("\n", "\n  "))
+    assert a.loc != b.loc
+    assert expr_digest(a) == expr_digest(b)
+    assert expr_digest(Var("x", Loc(1, 1))) == expr_digest(Var("x", Loc(7, 3)))
+
+
+def test_replace_never_keeps_a_stale_digest():
+    e = Seq(Const(1), Const(2))
+    before = expr_digest(e)
+    changed = replace(e, second=Const(3))
+    assert expr_digest(changed) != before
+    assert expr_digest(changed) == expr_digest(Seq(Const(1), Const(3)))
+    node = initial_store(HEAP, 1).root
+    node.digest()
+    assert replace(node, threads=()).digest() != node.digest()
+
+
+def test_constants_are_tagged_with_their_type():
+    digests = {expr_digest(Const(v)) for v in (1, True, 0, False, UNIT_VALUE)}
+    assert len(digests) == 5
+
+
+def test_deep_terms_need_no_recursion():
+    e = Const(UNIT_VALUE)
+    for _ in range(5 * sys.getrecursionlimit()):
+        e = Seq(Const(UNIT_VALUE), e)
+    assert len(expr_digest(e)) == 16
+
+
+def test_known_initial_digest():
+    main = linked_main(corpus_text("basic_region.rgn"))
+    assert config_digest(initial_config(main)) == "a97bbcc51430ce50"
+
+
+def test_same_digests_in_every_process():
+    cmd = [sys.executable, "-m", "reglock.cli", "run", str(CORPUS / "many_threads.rgn"),
+           "--seed", "3", "--trace", "json"]
+    outs = [subprocess.run(cmd, capture_output=True, check=True,
+                           env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("1", "2")]
+    assert outs[0] == outs[1] and json.loads(outs[0])["steps"]
+
+
+def test_digest_work_per_step_does_not_grow_with_the_program(monkeypatch):
+    """Nodes hashed per step stay flat from N=50 to N=200 (4x the term)."""
+    hashed = [0]
+    real = syntax.blake2b
+
+    def counting(*args, **kwargs):
+        hashed[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(syntax, "blake2b", counting)
+    per_step = {}
+    for n in (50, 200):
+        main = linked_main(paired_long_seq(n))
+        hashed[0] = 0
+        trace = run_seeded(main, 0)
+        assert trace.terminal.kind == "all_done" and len(trace.steps) == 4 * n + 5
+        per_step[n] = hashed[0] / len(trace.steps)
+    assert per_step[200] <= 1.5 * per_step[50], per_step
