@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from .syntax import (
     BOTTOM,
     UNKNOWN,
+    CapError,
     Capability,
     CapOp,
     Effect,
@@ -23,16 +24,6 @@ from .syntax import (
     RegionVar,
     UnitType,
 )
-
-
-class CapError(Exception):
-    """A capability-algebra failure with a stable machine-readable code."""
-
-    def __init__(self, code: str, message: str, region: RegionName | None = None):
-        super().__init__(message)
-        self.code = code
-        self.message = message
-        self.region = region
 
 
 @dataclass(frozen=True)
@@ -241,7 +232,8 @@ def effect_minus_counts(eff: Effect, taken: Effect) -> Effect:
     """Subtract raw counts region-by-region (used for spawn bookkeeping).
 
     Unlike effect_subtract this performs no purity or parent checks; entries
-    whose region count reaches zero are dropped.
+    whose region count reaches zero are dropped.  Dropping a region that
+    keeps a descendant breaks well-formedness, which raises `NotLive`.
     """
     table: dict[RegionName, tuple[Capability, Parent]] = {
         r: (cap, parent) for r, cap, parent in eff.items()
@@ -258,4 +250,8 @@ def effect_minus_counts(eff: Effect, taken: Effect) -> Effect:
             del table[r]
         else:
             table[r] = (Capability(rg, lk, pure=False), parent)
-    return Effect((r, c, p) for r, (c, p) in table.items())
+    result = Effect((r, c, p) for r, (c, p) in table.items())
+    reason = result.well_formed()
+    if reason is not None:
+        raise CapError("NotLive", f"taking {taken} from {eff} is ill-formed: {reason}")
+    return result

@@ -20,6 +20,21 @@ Effect comparisons here ignore purity flags: beta reduction inlines call
 frames, and it is exactly those frames that restore purity on return.
 Counts and parents, which the store-level invariants depend on, are
 checked exactly.
+
+Re-typing is incremental.  Each harness keeps one memo for its checker:
+every subterm checked under an empty term and region environment is looked
+up by (its Merkle digest, the entries of its input effect), and a success
+stores the (type, output effect) it produced; a failure is never stored.
+A step rebuilds only the path to its redex, and the continuation beyond it
+is re-typed under the same input effect as before (preservation), so
+re-typing costs about the redex path.  An entry stays exact while R and M
+grow, because the checker consults them only by membership (regions) and
+lookup (locations), and a location's type never changes: a success stays a
+success with the same result.  R and M shrink only on a deallocating E-C,
+and that step clears the memo before every thread and stored value is
+re-typed.  The checker leaves out its well-formedness check per node: its
+effects are well-formed by construction from a well-formed input, so the
+harness checks each thread's effect assignment once before re-typing it.
 """
 
 from __future__ import annotations
@@ -60,8 +75,8 @@ class Violation:
 
 
 def _retype(regions: frozenset[RegionLit], locations: dict[Location, Type],
-            expr: Expr, eff: Effect) -> tuple[Type, Effect]:
-    checker = Checker(regions=regions, locations=dict(locations), lenient=True)
+            expr: Expr, eff: Effect, memo: Optional[dict] = None) -> tuple[Type, Effect]:
+    checker = Checker(regions=regions, locations=locations, lenient=True, memo=memo)
     return checker.check(expr, _Env({}, frozenset()), eff)
 
 
@@ -69,7 +84,8 @@ def check_thread_typing(regions: frozenset[RegionLit],
                         locations: dict[Location, Type],
                         threads, delta: dict[int, Effect],
                         obligations: dict[int, Effect],
-                        only: Optional[set[int]] = None) -> list[Violation]:
+                        only: Optional[set[int]] = None,
+                        memo: Optional[dict] = None) -> list[Violation]:
     out: list[Violation] = []
     for thread in threads:
         if only is not None and thread.tid not in only:
@@ -80,8 +96,15 @@ def check_thread_typing(regions: frozenset[RegionLit],
                                  f"thread {thread.tid} has no effect assignment",
                                  thread.tid))
             continue
+        # The checker keeps effects well-formed only from a well-formed start.
+        reason = eff.well_formed()
+        if reason is not None:
+            out.append(Violation("thread-typing",
+                                 f"thread {thread.tid}'s effect {eff.pretty()} is "
+                                 f"ill-formed: {reason}", thread.tid))
+            continue
         try:
-            t, final = _retype(regions, locations, thread.expr, eff)
+            t, final = _retype(regions, locations, thread.expr, eff, memo)
         except CheckFailure as exc:
             out.append(Violation("thread-typing",
                                  f"thread {thread.tid} fails to type: "
@@ -152,7 +175,8 @@ def check_store_consistency(store: Store, delta: dict[int, Effect]) -> list[Viol
 def check_store_typing(regions: frozenset[RegionLit],
                        locations: dict[Location, Type],
                        store: Store,
-                       dirty: Optional[set[Location]] = None) -> list[Violation]:
+                       dirty: Optional[set[Location]] = None,
+                       memo: Optional[dict] = None) -> list[Violation]:
     out: list[Violation] = []
     store_regions = store.region_ids()
     if store_regions != regions:
@@ -174,7 +198,7 @@ def check_store_typing(regions: frozenset[RegionLit],
                                  f"stored value at {loc} is not closed"))
             continue
         try:
-            t, final = _retype(regions, locations, value, EMPTY_EFFECT)
+            t, final = _retype(regions, locations, value, EMPTY_EFFECT, memo)
         except CheckFailure as exc:
             out.append(Violation("store-typing",
                                  f"stored value at {loc} fails to type: "
@@ -218,9 +242,9 @@ class Harness:
         self.delta: dict[int, Effect] = {}
         self.obligations: dict[int, Effect] = {}
         self.violations_seen = 0
-        # tid -> (expr object, effect object) last validated; compared by
-        # identity, so any change to either forces a re-check.
-        self._typed_cache: dict[int, tuple[Expr, Optional[Effect]]] = {}
+        # The checker's memo of closed subterms, shared by every re-typing
+        # of this run (see the module docstring).
+        self.memo: dict = {}
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -229,6 +253,7 @@ class Harness:
         self.locations = {}
         self.delta = {1: self.main_in}
         self.obligations = {1: self.main_out}
+        self.memo.clear()
         violations = self._full_check(config, dirty=None)
         if violations:
             self._raise(0, violations)
@@ -252,7 +277,8 @@ class Harness:
             elif outcome.rule == "E-NR":
                 loc, value = outcome.info
                 try:
-                    t, _ = _retype(self.regions, self.locations, value, EMPTY_EFFECT)
+                    t, _ = _retype(self.regions, self.locations, value, EMPTY_EFFECT,
+                                   self.memo)
                     self.locations[loc] = t
                 except CheckFailure as exc:
                     violations.append(Violation(
@@ -275,6 +301,7 @@ class Harness:
                     self.regions = self.regions - removed
                     self.locations = {l: t for l, t in self.locations.items()
                                       if l.region not in removed}
+                    self.memo.clear()
                     recheck_all = True
         elif isinstance(outcome, Spawned):
             try:
@@ -297,7 +324,6 @@ class Harness:
                     f"thread {tid} finished with effect {final.pretty()}, "
                     f"obligation was {obligation.pretty()}", tid))
             retype.discard(tid)
-            self._typed_cache.pop(tid, None)
 
         # Context monotonicity: R and M only shrink across deallocation steps.
         deallocating = (isinstance(outcome, Stepped) and outcome.rule == "E-C")
@@ -325,24 +351,11 @@ class Harness:
 
     def _full_check(self, config: Config, dirty: Optional[set[Location]],
                     only: Optional[set[int]] = None) -> list[Violation]:
-        out: list[Violation] = []
-        todo = set()
-        for t in config.threads:
-            if only is None or t.tid in only:
-                todo.add(t.tid)
-                continue
-            cached = self._typed_cache.get(t.tid)
-            if cached is None or cached[0] is not t.expr \
-                    or cached[1] is not self.delta.get(t.tid):
-                todo.add(t.tid)
-        out += check_thread_typing(self.regions, self.locations, config.threads,
-                                   self.delta, self.obligations, only=todo)
-        for t in config.threads:
-            if t.tid in todo and not any(v.thread == t.tid for v in out):
-                self._typed_cache[t.tid] = (t.expr, self.delta.get(t.tid))
+        out = check_thread_typing(self.regions, self.locations, config.threads,
+                                  self.delta, self.obligations, only=only, memo=self.memo)
         out += check_store_consistency(config.store, self.delta)
         out += check_store_typing(self.regions, self.locations, config.store,
-                                  dirty=dirty)
+                                  dirty=dirty, memo=self.memo)
         return out
 
     def _raise(self, step: int, violations: list[Violation]) -> None:

@@ -103,6 +103,16 @@ class Capability:
         return f"{bar}({self.rg},{self.lk})"
 
 
+class CapError(Exception):
+    """A capability-algebra failure with a stable machine-readable code."""
+
+    def __init__(self, code: str, message: str, region: RegionName | None = None):
+        super().__init__(message)
+        self.code = code
+        self.message = message
+        self.region = region
+
+
 class Effect:
     """Ordered map from region names to (capability, parent) entries.
 
@@ -620,9 +630,15 @@ def subst_region_effect(eff: Effect, var: RegionVar, rep: RegionName) -> Effect:
     """Substitute in both domain and parents; aliased entries merge.
 
     Merging sums the counts and the merged capability is impure, since it
-    stands for several separately usable fragments.
+    stands for several separately usable fragments.  A merge can tie a
+    parent chain into a loop, so a merged result is checked for
+    well-formedness (CapError `NotLive`); `eff` itself is returned when it
+    does not mention `var`.
     """
+    if not any(r == var or parent == var for r, _, parent in eff.items()):
+        return eff
     table: dict[RegionName, tuple[Capability, Parent]] = {}
+    merged_any = False
     for r, cap, parent in eff.items():
         nr = rep if r == var else r
         nparent = rep if parent == var else parent
@@ -638,9 +654,15 @@ def subst_region_effect(eff: Effect, var: RegionVar, rep: RegionName) -> Effect:
                     f"cannot merge effect entries for {nr} with parents "
                     f"{oparent} and {nparent}")
             table[nr] = (merged, keep)
+            merged_any = True
         else:
             table[nr] = (cap, nparent)
-    return Effect((r, c, p) for r, (c, p) in table.items())
+    result = Effect((r, c, p) for r, (c, p) in table.items())
+    reason = result.well_formed() if merged_any else None
+    if reason is not None:
+        raise CapError("NotLive", f"substituting {rep} for {var} merges {eff} "
+                       f"into an ill-formed effect: {reason}", rep)
+    return result
 
 
 def subst_region_type(t: Type, var: RegionVar, rep: RegionName) -> Type:
@@ -667,8 +689,25 @@ def subst_region_type(t: Type, var: RegionVar, rep: RegionName) -> Type:
     raise TypeError(f"unknown type {t!r}")
 
 
+def _rebuild_changed(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
+    """`REBUILD[type(e)](e, f)`, but `e` itself when `f` returns every
+    subterm unchanged, so a substitution rebuilds (and re-hashes) only the
+    paths to the occurrences it replaces."""
+    kids = children(e)
+    new, same = [], True
+    for k in kids:  # a loop, not a comprehension: one frame less per level
+        n = f(k)
+        new.append(n)
+        same = same and n is k
+    if same:
+        return e
+    it = iter(new)
+    return REBUILD[type(e)](e, lambda _: next(it))
+
+
 def subst_region_expr(e: Expr, var: RegionVar, rep: RegionName) -> Expr:
-    """Capture-avoiding substitution of `rep` for the region variable `var`."""
+    """Capture-avoiding substitution of `rep` for the region variable `var`.
+    Nodes in which `var` does not occur are returned unchanged."""
     def effect(eff: Optional[Effect]) -> Optional[Effect]:
         return None if eff is None else subst_region_effect(eff, var, rep)
 
@@ -677,34 +716,44 @@ def subst_region_expr(e: Expr, var: RegionVar, rep: RegionName) -> Expr:
             if x.var == var:
                 # Shadowed: only a newrgn's parent handle is outside the binder.
                 if isinstance(x, NewRgn):
-                    return NewRgn(x.var, x.handle_name, sub(x.parent_handle), x.body, x.loc)
+                    ph = sub(x.parent_handle)
+                    return x if ph is x.parent_handle else replace(x, parent_handle=ph)
                 return x
             # The binder would capture `rep`: rename it first.
             fresh = fresh_region_var(x.var)
             x = replace(x, var=fresh, body=subst_region_expr(x.body, x.var, fresh))
         elif isinstance(x, Lambda):
-            ptype = None if x.param_type is None else subst_region_type(x.param_type, var, rep)
-            return Lambda(x.param, ptype, sub(x.body), effect(x.effect_in), effect(x.effect_out),
-                          x.loc)
+            ptype = x.param_type
+            if ptype is not None and var in free_regions(ptype):
+                ptype = subst_region_type(ptype, var, rep)
+            body, e_in, e_out = sub(x.body), effect(x.effect_in), effect(x.effect_out)
+            if (ptype is x.param_type and body is x.body and e_in is x.effect_in
+                    and e_out is x.effect_out):
+                return x
+            return Lambda(x.param, ptype, body, e_in, e_out, x.loc)
         elif isinstance(x, App) and isinstance(x.mode, ParMode) and x.mode.transfer is not None:
-            return App(sub(x.fn), sub(x.arg), ParMode(effect(x.mode.transfer)), x.loc)
-        elif isinstance(x, RegionApp):
-            return RegionApp(sub(x.fn), rep if x.region == var else x.region, x.loc)
-        return REBUILD[type(x)](x, sub)
+            transfer = effect(x.mode.transfer)
+            if transfer is not x.mode.transfer:
+                return App(sub(x.fn), sub(x.arg), ParMode(transfer), x.loc)
+        elif isinstance(x, RegionApp) and x.region == var:
+            return RegionApp(sub(x.fn), rep, x.loc)
+        return _rebuild_changed(x, sub)
 
     return sub(e)
 
 
 def subst_var(e: Expr, name: str, value: Expr) -> Expr:
-    """Substitute a value for a term variable; binders shadow."""
+    """Substitute a value for a term variable; binders shadow.  Nodes in
+    which `name` does not occur free are returned unchanged."""
     def sub(x: Expr) -> Expr:
         if isinstance(x, Var):
             return value if x.name == name else x
         if isinstance(x, Lambda) and x.param == name:
             return x
         if isinstance(x, NewRgn) and x.handle_name == name:
-            return NewRgn(x.var, x.handle_name, sub(x.parent_handle), x.body, x.loc)
-        return REBUILD[type(x)](x, sub)
+            ph = sub(x.parent_handle)
+            return x if ph is x.parent_handle else replace(x, parent_handle=ph)
+        return _rebuild_changed(x, sub)
 
     return sub(e)
 

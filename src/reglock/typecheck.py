@@ -62,6 +62,7 @@ from .syntax import (
     UnitVal,
     Var,
     While,
+    expr_digest,
     free_regions,
     free_term_vars,
     fresh_region_var,
@@ -189,11 +190,16 @@ class Checker:
                  regions: frozenset[RegionLit] = frozenset(),
                  locations: Optional[dict[Location, Type]] = None,
                  lenient: bool = False,
-                 record: Optional[Callable[[int, Effect], None]] = None):
+                 record: Optional[Callable[[int, Effect], None]] = None,
+                 memo: Optional[dict] = None):
         self.regions = regions
         self.locations = locations or {}
         self.lenient = lenient
         self.record = record
+        # (term digest, input effect entries) -> (type, output effect) of
+        # closed subterms that checked; owned by the metatheory harness,
+        # whose module docstring says why an entry stays valid.
+        self.memo = memo
         # Par applications get their computed transfer effect stashed here,
         # keyed by node identity, and are rewritten after the def checks out.
         self.spawn_transfers: dict[int, Effect] = {}
@@ -247,11 +253,17 @@ class Checker:
     # -- the judgement -----------------------------------------------------------
 
     def check(self, e: Expr, env: _Env, eff: Effect) -> tuple[Type, Effect]:
+        # Output effects are well-formed by construction when `eff` is: the
+        # effect constructors that can break the invariant check it.
+        key = None
+        if self.memo is not None and not env.vars and not env.region_vars:
+            key = (expr_digest(e), tuple(eff.items()))
+            hit = self.memo.get(key)
+            if hit is not None:
+                return hit
         t, out = self._check(e, env, eff)
-        # Every output effect must satisfy the liveness invariant: present
-        # parents live, chains acyclic, no zero region counts.
-        reason = out.well_formed()
-        assert reason is None, f"checker produced an ill-formed effect: {reason}"
+        if key is not None:
+            self.memo[key] = (t, out)
         # Sequencing plumbing spans lines and would overwrite the per-line
         # effects of the statements it contains; newrgn records its body's
         # entry effect instead (done in _check).
@@ -321,6 +333,8 @@ class Checker:
                                 f"region {e.region} is not in scope", e.loc, out)
             try:
                 inst = subst_region_type(t_fn.body, t_fn.var, e.region)
+            except fx.CapError as exc:
+                raise self.fail(exc.code, exc.message, e.loc, out)
             except ValueError as exc:
                 raise self.fail("MalformedAnnotation", str(exc), e.loc, out)
             return inst, out

@@ -5,8 +5,10 @@ import subprocess
 import sys
 import threading
 
+import pytest
+
 from reglock.cli import main
-from conftest import CORPUS, paired_long_seq
+from conftest import CORPUS, RUNNABLE, paired_long_seq
 
 
 def corpus(name: str) -> str:
@@ -124,6 +126,19 @@ class TestExplore:
         assert main(["explore", corpus("basic_region.rgn"), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["terminals"] == {"all_done": 1}
+
+
+@pytest.mark.parametrize("name", RUNNABLE)
+def test_harness_does_not_change_the_run(name, capsys):
+    """The same steps (thread, rule, state digest) and terminal with and
+    without `--metatheory`."""
+    for seed in range(5):
+        payloads = []
+        for extra in ([], ["--metatheory"]):
+            code = main(["run", corpus(name), "--seed", str(seed), "--trace", "json",
+                         *extra])
+            payloads.append((code, json.loads(capsys.readouterr().out.splitlines()[0])))
+        assert payloads[0] == payloads[1] and payloads[0][1]["steps"]
 
 
 def test_run_output_is_byte_identical():

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from reglock import interp
+from reglock.cli import main as cli_main
 from reglock.interp import initial_config, run_seeded
 from reglock.meta import (
     Harness,
+    _retype,
     check_not_stuck,
     check_store_consistency,
     check_store_typing,
@@ -18,14 +23,17 @@ from reglock.syntax import (
     EMPTY_EFFECT,
     HEAP,
     INT,
+    UNIT_VALUE,
     Capability,
+    CapOp,
     Const,
     Effect,
     FnType,
     RegionLit,
+    restart_fresh_names,
 )
-from reglock.typecheck import check_program
-from conftest import RUNNABLE, corpus_text
+from reglock.typecheck import check_program, type_eq
+from conftest import CORPUS, RUNNABLE, corpus_text, paired_long_seq
 
 A = RegionLit("a")
 
@@ -60,6 +68,14 @@ class TestThreadTyping:
 
     def test_empty_thread_list_is_fine(self):
         assert check_thread_typing(frozenset({HEAP}), {}, [], {}, {}) == []
+
+    def test_ill_formed_effect_assignment_is_flagged(self):
+        # A's parent is missing from the effect; the checker is never asked.
+        threads = [Thread(1, Const(UNIT_VALUE))]
+        delta = {1: Effect.of((A, Capability(1, 0), HEAP))}
+        out = check_thread_typing(frozenset({HEAP, A}), {}, threads, delta, delta)
+        assert [(v.check, v.thread) for v in out] == [("thread-typing", 1)]
+        assert "ill-formed" in out[0].message
 
     def test_non_unit_thread_is_flagged(self):
         threads = [Thread(1, Const(5))]
@@ -197,3 +213,131 @@ class TestPreservationOverRuns:
                 break
         assert tampered and violations_found
         assert any(v.check == "store-consistency" for v in violations_found)
+
+
+def lock_tree(depth: int) -> str:
+    """Main spawns two workers on a region chain heap > r1 > ... > rD:
+    `wa` locks r1 and bumps every counter, `wb` locks rD and bumps its own."""
+    ids = range(1, depth + 1)
+    parent = {i: "rhoH" if i == 1 else f"r{i - 1}" for i in ids}
+    params = ", ".join(["hh: rgn(rhoH)"] + [f"h{i}: rgn(r{i})" for i in ids]
+                       + [f"c{i}: ref(int, r{i})" for i in ids])
+    eff = ", ".join(["rhoH^~(1,0)@_"] + [f"r{i}^~(1,0)@{parent[i]}" for i in ids])
+    frees = "; ".join([f"free h{i}" for i in reversed(ids)] + ["free hh"])
+    head = "/\\rhoH. " + "".join(f"/\\r{i}. " for i in ids)
+    bump = "; ".join(f"c{i} := deref c{i} + 1" for i in ids)
+    worker = f"{head}\\({params})\n    @ [{{{eff}}} -> {{}}].\n  ("
+    args = "[rhoH]" + "".join(f"[r{i}]" for i in ids) + "(heap, " + ", ".join(
+        [f"h{i}" for i in ids] + [f"c{i}" for i in ids]) + ")"
+    body = "".join(f"  newrgn r{i}, h{i} at {'heap' if i == 1 else f'h{i - 1}'} in\n"
+                   for i in ids)
+    body += "".join(f"  let c{i} = new {i} at h{i} in\n" for i in ids)
+    body += ("  (" + "; ".join(f"unlock h{i}" for i in reversed(ids)) + ";\n   "
+             + "; ".join(f"share h{i}; share h{i}" for i in ids)
+             + "; share heap; share heap;\n"
+             f"   spawn wa{args};\n   spawn wb{args};\n   "
+             + "; ".join(f"free h{i}" for i in reversed(ids)) + ")")
+    return (f"def wa = {worker}lock h1; {bump}; unlock h1; {frees})\n\n"
+            f"def wb = {worker}lock h{depth}; c{depth} := deref c{depth} + 1; "
+            f"unlock h{depth}; {frees})\n\n"
+            "def work = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^~(1,0)@_} -> {rhoH^~(1,0)@_}].\n"
+            f"{body}\n\n"
+            "def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].\n"
+            "  work[rhoH](heap)\n")
+
+
+class Differential(Harness):
+    """After every step, re-types each live thread with the run's memo and
+    with a fresh memo-less checker, and records any disagreement."""
+
+    def __init__(self, typed):
+        super().__init__(typed)
+        self.compared = 0
+        self.disagreements: list[str] = []
+
+    def after_step(self, index, before, tid, outcome, after, outcomes):
+        violations = super().after_step(index, before, tid, outcome, after, outcomes)
+        for thread in after.threads:
+            eff = self.delta[thread.tid]
+            t_memo, out_memo = _retype(self.regions, self.locations, thread.expr, eff,
+                                       self.memo)
+            t_fresh, out_fresh = _retype(self.regions, self.locations, thread.expr, eff)
+            # Effect equality compares counts, parents and purity.
+            if not (type_eq(t_memo, t_fresh) and out_memo == out_fresh):
+                self.disagreements.append(f"step {index} thread {thread.tid}")
+            self.compared += 1
+        return violations
+
+
+#: Generated programs and their schedule seeds (long_seq has one thread).
+GENERATED = {"long_seq_30": (paired_long_seq(30), [0]),
+             "lock_tree_3": (lock_tree(3), range(3))}
+
+
+@pytest.mark.parametrize("name", RUNNABLE + list(GENERATED))
+def test_memoised_retyping_agrees_with_a_fresh_checker(name):
+    text, seeds = GENERATED.get(name) or (corpus_text(name), range(10))
+    restart_fresh_names()
+    result = check_program(parse_program(text))
+    assert result.ok, result.diagnostics
+    main = result.typed.linked_main()
+    for seed in seeds:
+        harness = Differential(result.typed)
+        trace = run_seeded(main, seed=seed, harness=harness)
+        assert trace.terminal.kind in ("all_done", "deadlock"), trace.terminal
+        assert harness.compared and not harness.disagreements
+
+
+class TestFaultInjection:
+    """A broken rule of the machine ends a harnessed run in a violation."""
+
+    def run_json(self, capsys, name: str, seed: int):
+        code = cli_main(["run", str(CORPUS / name), "--seed", str(seed),
+                         "--metatheory", "--trace", "json"])
+        payload = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert code == 4 and payload["terminal"]["kind"] == "violation"
+        return payload
+
+    def test_store_rule_that_drops_a_lock(self, capsys, monkeypatch):
+        real = Store.updcap
+        monkeypatch.setattr(Store, "updcap", lambda self, op, rid, tid: self
+                            if op is CapOp.LK_PLUS else real(self, op, rid, tid))
+        payload = self.run_json(capsys, "sharing_once.rgn", 0)
+        checks = {v["check"] for v in payload["terminal"]["violations"]}
+        assert checks == {"store-consistency"}
+
+    def test_term_rule_the_memo_must_not_mask(self, capsys, monkeypatch):
+        # `+` yielding a bool changes the stepped term, so its digest changes.
+        real = interp._prim_eval
+        monkeypatch.setattr(interp, "_prim_eval", lambda op, args: Const(True)
+                            if op == "+" else real(op, args))
+        for seed in range(3):
+            payload = self.run_json(capsys, "sharing_once.rgn", seed)
+            violations = payload["terminal"]["violations"]
+            assert [v["check"] for v in violations] == ["thread-typing"]
+            assert "TypeMismatch" in violations[0]["message"]
+
+    def test_fault_after_deallocation_reaches_an_unchanged_thread(self, capsys,
+                                                                   monkeypatch):
+        # A free deallocates once the freeing thread's own count is gone,
+        # although the other thread still holds the region. That thread
+        # neither stepped nor changed its effect, so only a memo cleared when
+        # R and M shrink re-types it and finds the dead handle or location
+        # in its term.
+        real = Store.updcap
+
+        def eager_free(self, op, rid, tid):
+            store = real(self, op, rid, tid)
+            node = store.find(rid) if op is CapOp.RG_MINUS else None
+            if node is not None and node.counts_for(tid).rg == 0:
+                return store._rebuild(rid, lambda n: None)
+            return store
+
+        monkeypatch.setattr(Store, "updcap", eager_free)
+        for seed in range(3):
+            payload = self.run_json(capsys, "sharing_once.rgn", seed)
+            stepped = payload["steps"][-1]["thread"]
+            assert payload["steps"][-1]["rule"] == "E-C"
+            assert any(v["check"] == "thread-typing" and v["thread"] != stepped
+                       and "is not allocated" in v["message"]
+                       for v in payload["terminal"]["violations"])

@@ -9,9 +9,13 @@ from hypothesis import strategies as st
 from reglock.syntax import (
     BOTTOM,
     INT,
+    UNIT_VALUE,
     UNIT,
     UNKNOWN,
+    CapError,
     Capability,
+    Cap,
+    CapOp,
     Const,
     Effect,
     FnType,
@@ -26,6 +30,7 @@ from reglock.syntax import (
     RegionLit,
     RegionPolyType,
     RegionVar,
+    Seq,
     Var,
     free_regions,
     subst_region_effect,
@@ -67,6 +72,14 @@ class TestSubstRegion:
         assert out2.parent(IOTA3) == IOTA3 or True  # parent substituted
         assert subst_region_effect(eff, RHOH, IOTA3).parent(RHO1) == IOTA3
 
+    def test_merge_into_a_parent_loop_is_not_live(self):
+        # b := a turns a's parent into a itself.
+        eff = Effect.of((RHO2, Capability(1, 0, pure=False), UNKNOWN),
+                        (RHO1, Capability(1, 0, pure=False), RHO2))
+        with pytest.raises(CapError) as exc:
+            subst_region_effect(eff, RHO2, RHO1)
+        assert exc.value.code == "NotLive" and "its own parent" in exc.value.message
+
     def test_aliased_entries_merge_impure(self):
         eff = Effect.of((RHO1, Capability(1, 1, pure=False), UNKNOWN),
                         (RHO2, Capability(1, 1, pure=False), UNKNOWN))
@@ -86,6 +99,29 @@ class TestSubstVar:
     def test_shadowing(self):
         lam = Lambda("x", INT, Var("x"), Effect(), Effect())
         assert subst_var(lam, "x", Const(5)) == lam
+
+
+class TestSubstitutionSharing:
+    """Substitution rebuilds only the paths to what it replaces."""
+
+    BODY = Seq(Cap(CapOp.RG_PLUS, Var("h")),
+               Seq(Lambda("x", RefType(INT, RHO2), Var("x"), Effect(), Effect()),
+                   Const(UNIT_VALUE)))
+
+    def test_absent_names_return_the_same_object(self):
+        assert subst_var(self.BODY, "nowhere", Const(5)) is self.BODY
+        assert subst_region_expr(self.BODY, RHO1, IOTA3) is self.BODY
+        eff = Effect.of((RHO2, Capability(1, 0), BOTTOM))
+        assert subst_region_effect(eff, RHO1, IOTA3) is eff
+
+    def test_only_the_path_to_an_occurrence_is_rebuilt(self):
+        out = subst_var(self.BODY, "h", Const(5))
+        assert out.first == Cap(CapOp.RG_PLUS, Const(5))
+        assert out.second is self.BODY.second
+        out = subst_region_expr(self.BODY, RHO2, IOTA3)
+        assert out.first is self.BODY.first
+        assert out.second.first.param_type == RefType(INT, IOTA3)
+        assert out.second.second is self.BODY.second.second
 
 
 class TestTraversal:

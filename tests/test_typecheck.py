@@ -185,6 +185,15 @@ class TestRuleChecks:
         assert not result.ok
         assert "MalformedAnnotation" in codes(result)
 
+    def test_instantiation_into_a_parent_loop_is_not_live(self):
+        # f[rho][rho] merges b into a, whose parent is b: a loop.
+        src = ("def f = /\\a. /\\b. \\x: int @ [{b^~(1,0)@?, a^~(1,0)@b} -> "
+               "{b^~(1,0)@?, a^~(1,0)@b}]. x\n"
+               + MAIN_WRAP % "newrgn rho, h at heap in (f[rho][rho](1); free h)")
+        result = check_src(src)
+        assert codes(result) == ["NotLive"]
+        assert "its own parent" in result.diagnostics[0].message
+
 
 class TestMainShape:
     def test_wrong_input_effect(self):
