@@ -46,6 +46,9 @@ def _load(path: str, unchecked: bool = False, as_json: bool = False):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None, EXIT_USAGE
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return None, EXIT_USAGE
     restart_fresh_names()
     try:
         program = parse_program(text)
@@ -226,6 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "max_steps", 0) < 0:
+        print(f"error: --max-steps must be at least 0, got {args.max_steps}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.fn(args)
     except Exception as exc:

@@ -1,11 +1,15 @@
 """The small-step machine: evaluation contexts, thread steps, schedulers.
 
-Evaluation is call-by-value, left to right.  Each configuration holds the
-store, the active threads, and the counters that keep fresh names
-deterministic across interleavings.  Scheduling is simulated: a seeded
-scheduler picks uniformly among threads that can step, and an exhaustive
-scheduler enumerates every interleaving up to a step bound, deduplicating
-states by a canonical digest.
+Evaluation is call-by-value, left to right.  An evaluation context is data:
+a list of frames, each a node and the evaluation position that holds the
+hole, found by a loop over the table `EVAL_FIELDS`.  Decomposing a term and
+plugging a reduct back cost no recursion, however deep the context.
+
+Each configuration holds the store, the active threads, and the counters
+that keep fresh names deterministic across interleavings.  Scheduling is
+simulated: a seeded scheduler picks uniformly among threads that can step,
+and an exhaustive scheduler enumerates every interleaving up to a step
+bound, deduplicating states by a canonical digest.
 
 State digests are Merkle digests: every term node and region node caches a
 hash of its own fields and its children's digests (`syntax.expr_digest`,
@@ -100,80 +104,54 @@ def initial_config(main_expr: Expr) -> Config:
 # Decomposition into evaluation context and redex
 # ---------------------------------------------------------------------------
 
-Rebuild = Callable[[Expr], Expr]
+Plug = Callable[[Expr], Expr]
+
+#: Each compound form's evaluation positions, left to right.  The first one
+#: that holds a non-value holds the hole; when all hold values, the form is
+#: the redex.  A `Prim` has one position per operand.
+EVAL_FIELDS: dict[type, tuple[str, ...]] = {
+    App: ("fn", "arg"), RegionApp: ("fn",), NewRef: ("init", "handle"),
+    Deref: ("ref",), Assign: ("target", "value"), NewRgn: ("parent_handle",),
+    Cap: ("handle",), If: ("cond",), Seq: ("first",), While: (),
+}
 
 
-def decompose(e: Expr) -> Optional[tuple[Expr, Rebuild]]:
-    """Unique decomposition of a closed non-value into (redex, rebuild).
+def decompose(e: Expr) -> Optional[tuple[Expr, Plug]]:
+    """Unique decomposition of a closed non-value into (redex, plug).
 
-    Returns None when e is a value.  The rebuild function plugs a reduct
-    back into the hole.
+    Returns None when e is a value.  The context is a list of frames, each
+    a (node, field name or `Prim` operand index) pair from the root down;
+    `plug` puts a reduct into the hole and rebuilds the frames bottom-up.
     """
     if is_value(e):
         return None
+    frames: list[tuple[Expr, Union[str, int]]] = []
 
-    def descend(sub: Expr, rebuild_parent: Rebuild) -> tuple[Expr, Rebuild]:
-        found = decompose(sub)
-        assert found is not None
-        redex, rebuild = found
-        return redex, lambda x: rebuild_parent(rebuild(x))
+    def plug(x: Expr) -> Expr:
+        for node, pos in reversed(frames):
+            if type(pos) is int:
+                x = Prim(node.op, node.args[:pos] + (x,) + node.args[pos + 1:], node.loc)
+            else:
+                x = replace(node, **{pos: x})
+        return x
 
-    if isinstance(e, App):
-        if not is_value(e.fn):
-            return descend(e.fn, lambda x: App(x, e.arg, e.mode, e.loc))
-        if not is_value(e.arg):
-            return descend(e.arg, lambda x: App(e.fn, x, e.mode, e.loc))
-        return e, lambda x: x
-    if isinstance(e, RegionApp):
-        if not is_value(e.fn):
-            return descend(e.fn, lambda x: RegionApp(x, e.region, e.loc))
-        return e, lambda x: x
-    if isinstance(e, NewRef):
-        if not is_value(e.init):
-            return descend(e.init, lambda x: NewRef(x, e.handle, e.loc))
-        if not is_value(e.handle):
-            return descend(e.handle, lambda x: NewRef(e.init, x, e.loc))
-        return e, lambda x: x
-    if isinstance(e, Deref):
-        if not is_value(e.ref):
-            return descend(e.ref, lambda x: Deref(x, e.loc))
-        return e, lambda x: x
-    if isinstance(e, Assign):
-        if not is_value(e.target):
-            return descend(e.target, lambda x: Assign(x, e.value, e.loc))
-        if not is_value(e.value):
-            return descend(e.value, lambda x: Assign(e.target, x, e.loc))
-        return e, lambda x: x
-    if isinstance(e, NewRgn):
-        if not is_value(e.parent_handle):
-            return descend(e.parent_handle,
-                           lambda x: NewRgn(e.var, e.handle_name, x, e.body, e.loc))
-        return e, lambda x: x
-    if isinstance(e, Cap):
-        if not is_value(e.handle):
-            return descend(e.handle, lambda x: Cap(e.op, x, e.loc))
-        return e, lambda x: x
-    if isinstance(e, If):
-        if not is_value(e.cond):
-            return descend(e.cond, lambda x: If(x, e.then, e.orelse, e.loc))
-        return e, lambda x: x
-    if isinstance(e, Seq):
-        if not is_value(e.first):
-            return descend(e.first, lambda x: Seq(x, e.second, e.loc))
-        return e, lambda x: x
-    if isinstance(e, While):
-        return e, lambda x: x
-    if isinstance(e, Prim):
-        for i, a in enumerate(e.args):
-            if not is_value(a):
-                def rebuild(x: Expr, i=i) -> Expr:
-                    args = e.args[:i] + (x,) + e.args[i + 1:]
-                    return Prim(e.op, args, e.loc)
-                return descend(a, rebuild)
-        return e, lambda x: x
-    if isinstance(e, Var):
-        raise MalformedTerm(f"free variable {e.name!r} at runtime")
-    raise MalformedTerm(f"cannot decompose {type(e).__name__}")
+    while True:
+        names = EVAL_FIELDS.get(type(e))
+        if names is not None:
+            positions = zip(names, map(e.__getattribute__, names))
+        elif type(e) is Prim:
+            positions = enumerate(e.args)
+        elif isinstance(e, Var):
+            raise MalformedTerm(f"free variable {e.name!r} at runtime")
+        else:
+            raise MalformedTerm(f"cannot decompose {type(e).__name__}")
+        for pos, sub in positions:
+            if not is_value(sub):
+                frames.append((e, pos))
+                e = sub
+                break
+        else:
+            return e, plug
 
 
 class MalformedTerm(Exception):
@@ -255,7 +233,7 @@ def step_thread(config: Config, tid: int) -> StepOutcome:
     if found is None:
         return Stuck(tid, "NonUnitTerminal",
                      f"thread reduced to a non-unit value {pretty(e)}")
-    redex, rebuild = found
+    redex, plug = found
 
     if isinstance(redex, App) and isinstance(redex.mode, ParMode):
         transfer = redex.mode.transfer
@@ -268,20 +246,20 @@ def step_thread(config: Config, tid: int) -> StepOutcome:
         except StoreFault as exc:
             return Stuck(tid, exc.code, exc.message)
         child = Thread(child_tid, App(redex.fn, redex.arg, SEQ_MODE, redex.loc))
-        parent = config.with_thread_expr(tid, rebuild(Const(UNIT_VALUE)))
+        parent = config.with_thread_expr(tid, plug(Const(UNIT_VALUE)))
         new_config = replace(parent, store=store, threads=parent.threads + (child,),
                              next_tid=child_tid + 1)
         return Spawned(new_config, tid, child_tid, transfer)
 
-    return _step_expr(config, tid, redex, rebuild)
+    return _step_expr(config, tid, redex, plug)
 
 
-def _step_expr(config: Config, tid: int, redex: Expr, rebuild: Rebuild) -> StepOutcome:
+def _step_expr(config: Config, tid: int, redex: Expr, plug: Plug) -> StepOutcome:
     store = config.store
 
     def done(expr: Expr, rule: str, *, new_store: Store = None,
              info: Optional[tuple] = None, **counters) -> Stepped:
-        cfg = config.with_thread_expr(tid, rebuild(expr))
+        cfg = config.with_thread_expr(tid, plug(expr))
         if new_store is not None:
             cfg = replace(cfg, store=new_store)
         if counters:

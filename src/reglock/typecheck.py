@@ -487,11 +487,6 @@ class Checker:
         return t_fn.result, joined
 
 
-def infer_spawn_effect(callee: FnType, eff: Effect) -> Effect:
-    """The effect a spawn at this call site would hand to the new thread."""
-    return fx.effect_subtract(eff, callee.effect_in).passed
-
-
 def _annotate_spawns(e: Expr, checker: Checker) -> Expr:
     """Rebuild the term the checker checked, writing the computed transfer
     effects into Par modes."""

@@ -29,6 +29,13 @@ class TestCheck:
     def test_missing_file(self, capsys):
         assert main(["check", "no_such_file.rgn"]) == 2
 
+    def test_undecodable_file_is_io_error(self, tmp_path, capsys):
+        path = tmp_path / "utf16.rgn"
+        path.write_bytes(b"\xff\xfed\x00e\x00f\x00")
+        assert main(["check", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
     def test_emit_effects_lines(self, capsys):
         assert main(["check", corpus("sharing.rgn"), "--emit-effects"]) == 0
         out = capsys.readouterr().out
@@ -68,6 +75,14 @@ class TestRun:
         assert main(["run", corpus("basic_region.rgn")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "REGLOCK_SEED" in err
+
+    @pytest.mark.parametrize("argv", [["run", "--seed", "0", "--max-steps", "-1"],
+                                      ["explore", "--max-steps", "-3"]])
+    def test_negative_max_steps_is_usage_error(self, argv, capsys):
+        assert main([argv[0], corpus("basic_region.rgn"), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "--max-steps" in captured.err
+        assert not captured.out
 
     def test_deadlock_exit_three(self, capsys):
         assert main(["run", corpus("deadlock_forced.rgn"), "--seed", "1",

@@ -1,16 +1,22 @@
 from __future__ import annotations
 
+from typing import get_args, get_type_hints
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reglock.interp import (
+    EVAL_FIELDS,
     BlockedOn,
+    Config,
     Done,
     Spawned,
     Stepped,
     Stuck,
+    Thread,
     _apply_outcome,
+    classify,
     config_digest,
     decompose,
     detect_deadlock,
@@ -20,17 +26,37 @@ from reglock.interp import (
     step_thread,
 )
 from reglock.parser import parse_program
+from reglock.store import initial_store
 from reglock.syntax import (
+    _FIELDS,
     EMPTY_EFFECT,
+    HEAP,
     INT,
+    LEAVES,
     SEQ_MODE,
     UNIT_VALUE,
     App,
+    Assign,
+    Cap,
+    CapOp,
     Const,
+    Deref,
+    Expr,
+    If,
     Lambda,
+    Location,
+    LocVal,
+    NewRef,
+    NewRgn,
     Prim,
+    RegionApp,
+    RegionLambda,
+    RegionVar,
+    RgnVal,
     Seq,
     Var,
+    While,
+    expr_digest,
     is_value,
 )
 from reglock.typecheck import check_program, link_bodies
@@ -76,21 +102,36 @@ class TestDecompose:
 
 @st.composite
 def closed_exprs(draw, depth: int = 3):
-    if depth == 0:
-        return draw(st.sampled_from([Const(1), Const(True), Const(UNIT_VALUE)]))
-    kind = draw(st.integers(0, 4))
+    leaves = st.sampled_from([Const(2), Const(False), Const(UNIT_VALUE), RgnVal(HEAP),
+                              LocVal(Location(1, HEAP))])
+    if depth == 0 or draw(st.booleans()):
+        return draw(leaves)
     sub = closed_exprs(depth=depth - 1)
-    if kind == 0:
-        return draw(st.sampled_from([Const(2), Const(False), Const(UNIT_VALUE)]))
-    if kind == 1:
-        return Seq(draw(sub), draw(sub))
-    if kind == 2:
-        from reglock.syntax import If
-        return If(draw(sub), draw(sub), draw(sub))
-    if kind == 3:
-        return Prim("+", (draw(sub), draw(sub)))
     lam = Lambda("x", INT, Var("x"), EMPTY_EFFECT, EMPTY_EFFECT)
-    return App(lam, draw(sub), SEQ_MODE)
+    forms = [
+        lambda: Seq(draw(sub), draw(sub)),
+        lambda: If(draw(sub), draw(sub), draw(sub)),
+        lambda: Prim("+", (draw(sub), draw(sub))),
+        lambda: App(lam, draw(sub), SEQ_MODE),
+        lambda: RegionApp(draw(sub), HEAP),
+        lambda: NewRef(draw(sub), draw(sub)),
+        lambda: Deref(draw(sub)),
+        lambda: Assign(draw(sub), draw(sub)),
+        lambda: NewRgn(RegionVar("rho"), "h", draw(sub), Const(UNIT_VALUE)),
+        lambda: Cap(draw(st.sampled_from(CapOp)), draw(sub)),
+        lambda: While(draw(sub), draw(sub)),
+    ]
+    return draw(st.sampled_from(forms))()
+
+
+#: Term positions that reduce only after their form has stepped: the
+#: branches, the rest of a sequence, a loop and a region binder's body.
+DELAYED = {If: {"then", "orelse"}, Seq: {"second"}, While: {"cond", "body"}, NewRgn: {"body"}}
+
+
+def term_fields(form: type) -> tuple[str, ...]:
+    hints = get_type_hints(form)
+    return tuple(name for name in _FIELDS[form] if hints[name] == Expr)
 
 
 @settings(max_examples=300, deadline=None)
@@ -102,9 +143,49 @@ def test_unique_decomposition(e):
     if found is None:
         assert is_value(e)
     else:
-        redex, rebuild = found
+        redex, plug = found
         assert not is_value(redex) or isinstance(redex, (Const,)) is False
-        assert rebuild(redex) == e
+        eager = (redex.args if isinstance(redex, Prim) else
+                 [getattr(redex, name) for name in term_fields(type(redex))
+                  if name not in DELAYED.get(type(redex), ())])
+        assert all(is_value(sub) for sub in eager)
+        assert plug(redex) == e
+
+
+def test_eval_fields_cover_every_compound_non_value():
+    """Every compound form that is not a value has its evaluation positions
+    in EVAL_FIELDS (a Prim has one per operand): a prefix of its term fields
+    in evaluation order, followed only by delayed positions."""
+    values = (Lambda, RegionLambda)
+    compound = {form for form in get_args(Expr) if form not in LEAVES + values}
+    assert set(EVAL_FIELDS) | {Prim} == compound
+    for form, positions in EVAL_FIELDS.items():
+        fields = term_fields(form)
+        assert positions == fields[:len(positions)], form
+        assert set(fields[len(positions):]) == DELAYED.get(form, set()), form
+
+
+def seq_chain(frames: int) -> Expr:
+    """((() ; ()) ; ()) ... : a left-nested Seq chain, `frames` deep."""
+    e = Const(UNIT_VALUE)
+    for _ in range(frames):
+        e = Seq(e, Const(UNIT_VALUE))
+    return e
+
+
+def test_deep_context_steps_without_recursion():
+    # Built directly: the parser and substitution still recurse per level.
+    config = Config(initial_store(HEAP, 1), (Thread(1, seq_chain(10_000)),),
+                    next_tid=2, next_loc=1, next_region=1)
+    rules, digests = [], set()
+    for _ in range(5):
+        outcomes, terminal, steppable = classify(config)
+        assert terminal is None and steppable == [1]
+        config, rule = _apply_outcome(config, outcomes[1])
+        rules.append(rule)
+        digests.add(config_digest(config))
+    assert rules == ["E-SEQ"] * 5 and len(digests) == 5
+    assert expr_digest(config.thread(1).expr) == expr_digest(seq_chain(9_995))
 
 
 class TestStepping:

@@ -16,7 +16,7 @@ from reglock.syntax import (
     RegionVar,
     UnitType,
 )
-from reglock.typecheck import check_program, infer_spawn_effect
+from reglock.typecheck import check_program
 from conftest import WELL_TYPED, corpus_text
 
 RHOH = RegionVar("rhoH")
@@ -111,14 +111,16 @@ class TestSpawnInference:
 
     def test_infer_spawn_effect_matches_subtract(self):
         # The heap piece must be minted first (share), or subtracting the
-        # callee's heap demand would orphan rho's parent link.
+        # callee's heap demand would orphan rho's parent link (a CapError).
         eff = Effect([(RHOH, Capability(2, 0), BOTTOM),
                       (RHO, Capability(2, 0), RHOH)])
         callee = FnType(INT,
                         Effect([(RHOH, Capability(1, 0, pure=False), BOTTOM),
                                 (RHO, Capability(1, 0, pure=False), RHOH)]),
                         EMPTY_EFFECT, UnitType())
-        assert infer_spawn_effect(callee, eff) == effect_subtract(eff, callee.effect_in).passed
+        split = effect_subtract(eff, callee.effect_in)
+        assert split.passed == callee.effect_in
+        assert split.retained.get(RHO)[1] == RHOH
 
     def test_explicit_annotation_must_match(self):
         src = (
