@@ -5,6 +5,9 @@
                 [--trace text|json] [--snapshots] [--unchecked]
     reglock explore FILE [--max-steps N] [--force-threads] [--json]
 
+`--metatheory` re-types a checked program, so `run --unchecked --metatheory`
+is a usage error.  `explore --json` reports a refusal as {"refused": MESSAGE}.
+
 Exit codes: 0 success, 1 rejected by the checker, 2 usage or I/O error,
 3 deadlock detected, 4 stuck state or metatheory violation (a soundness
 fault), 5 exploration budget exceeded or refused, 6 internal error (a fault
@@ -133,6 +136,11 @@ def cmd_run(args) -> int:
             print(f"error: REGLOCK_SEED must be an integer, got {env!r}", file=sys.stderr)
             return EXIT_USAGE
 
+    if args.unchecked and args.metatheory:
+        print("error: --metatheory needs a checked program; it cannot be combined "
+              "with --unchecked", file=sys.stderr)
+        return EXIT_USAGE
+
     loaded, code = _load(args.file, unchecked=args.unchecked)
     if loaded is None:
         return code
@@ -165,7 +173,7 @@ def cmd_explore(args) -> int:
     try:
         report = explore(main_expr, max_steps=args.max_steps, force=args.force_threads)
     except ExploreRefusal as exc:
-        print(f"refused: {exc}")
+        print(json.dumps({"refused": str(exc)}) if args.json else f"refused: {exc}")
         return EXIT_BUDGET
     payload = {
         "states": report.states,

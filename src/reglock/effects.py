@@ -10,6 +10,7 @@ with positive lock counts must never cross a thread boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .syntax import (
     BOTTOM,
@@ -60,6 +61,21 @@ def cap_split(have: Capability, need: Capability) -> tuple[Capability, Capabilit
     return given, kept
 
 
+def missing_parent(eff: Effect) -> Optional[str]:
+    """The one way a split or a join can make an effect ill-formed.
+
+    Their results keep entries of one well-formed effect, with its parents
+    and positive region counts; a subset of an acyclic parent relation is
+    acyclic.  So a kept entry whose parent was dropped is the only problem
+    `Effect.well_formed` could find, and this reports it in the same words,
+    without walking any entry's ancestors.
+    """
+    for r, _, parent in eff.items():
+        if isinstance(parent, (RegionVar, RegionLit)) and parent not in eff:
+            return f"parent {parent} of {r} is not in the effect"
+    return None
+
+
 def effect_subtract(current: Effect, need: Effect) -> SplitResult:
     """Subtract an instantiated callee input effect from `current`.
 
@@ -106,7 +122,7 @@ def effect_subtract(current: Effect, need: Effect) -> SplitResult:
         else:
             del retained[r]
     retained_eff = Effect((r, c, p) for r, (c, p) in retained.items())
-    reason = retained_eff.well_formed()
+    reason = missing_parent(retained_eff)
     if reason is not None:
         raise CapError("NotLive",
                        f"call would break region liveness for the caller: {reason}")
@@ -150,7 +166,7 @@ def effect_join(original: Effect, retained: Effect, out: Effect,
         if p not in result:
             raise CapError("AbstractedParentDead",
                            f"abstracted parent {p} is no longer live after the call", p)
-    reason = result.well_formed()
+    reason = missing_parent(result)
     if reason is not None:
         raise CapError("NotLive", f"post-call effect is ill-formed: {reason}")
     return result

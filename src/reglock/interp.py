@@ -471,7 +471,11 @@ def run_seeded(main_expr: Expr, seed: int, max_steps: int = 10_000,
     config = initial_config(main_expr)
     trace = Trace(seed)
     if harness is not None:
-        harness.observe_init(config)
+        try:
+            harness.observe_init(config)
+        except SoundnessViolation as exc:
+            trace.terminal = Terminal("violation", {**exc.report, "trace_prefix": []})
+            return trace
     for index in range(max_steps):
         outcomes, terminal, steppable = classify(config)
         if terminal is not None:

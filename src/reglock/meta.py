@@ -21,15 +21,32 @@ frames, and it is exactly those frames that restore purity on return.
 Counts and parents, which the store-level invariants depend on, are
 checked exactly.
 
-Re-typing is incremental.  Each harness keeps one memo for its checker:
-every subterm checked under an empty term and region environment is looked
-up by (its Merkle digest, the entries of its input effect), and a success
-stores the (type, output effect) it produced; a failure is never stored.
+Re-typing is incremental.  Each harness keeps one memo for its checker,
+which stores a success only, never a failure, under one of two keys:
+
+  * a subterm is looked up by (its Merkle digest, the entries of its input
+    effect) when it is closed (no free term variables, no free region
+    variables; the sets are cached on each node) or the environment is
+    empty, where a success reads no binding and which is the only place an
+    open subterm is looked up again.  The judgement reads the environment
+    only to look up a free `Var` and to check that a free region variable
+    is in scope, so a closed subterm's result does not depend on it.  A
+    binder that shadows one in scope is renamed, which changes the result
+    type only up to alpha-renaming (`type_eq` and the substitutions respect
+    it), and never the output effect: `newrgn` rejects a region that
+    escapes into it, and a region abstraction returns its input effect;
+  * a function value (a `Lambda` or `RegionLambda`), under the same
+    condition, is looked up by its digest alone, and the hit is (its type,
+    the input effect): a value's output effect is its input effect, a
+    `Lambda` checks its body under its own annotation, and a
+    `RegionLambda` checks its body under the empty effect.
+
 A step rebuilds only the path to its redex, and the continuation beyond it
 is re-typed under the same input effect as before (preservation), so
-re-typing costs about the redex path.  An entry stays exact while R and M
-grow, because the checker consults them only by membership (regions) and
-lookup (locations), and a location's type never changes: a success stays a
+re-typing costs about the redex path, and function values inlined into a
+body are typed once per run.  An entry stays exact while R and M grow,
+because the checker consults them only by membership (regions) and lookup
+(locations), and a location's type never changes: a success stays a
 success with the same result.  R and M shrink only on a deallocating E-C,
 and that step clears the memo before every thread and stored value is
 re-typed.  The checker leaves out its well-formedness check per node: its
@@ -58,7 +75,7 @@ from .syntax import (
     RegionPolyType,
     Type,
     UnitType,
-    free_term_vars,
+    free_names,
     subst_region_effect,
 )
 from .typecheck import CheckFailure, Checker, TypedProgram, _Env, type_eq
@@ -193,7 +210,7 @@ def check_store_typing(regions: frozenset[RegionLit],
         want = locations.get(loc)
         if want is None:
             continue  # reported above
-        if free_term_vars(value):
+        if free_names(value)[0]:
             out.append(Violation("store-typing",
                                  f"stored value at {loc} is not closed"))
             continue

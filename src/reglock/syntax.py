@@ -821,35 +821,48 @@ def free_term_vars(e: Expr, defs: frozenset[str] = frozenset()) -> set[str]:
 
 
 # ---------------------------------------------------------------------------
-# Merkle digests
+# Values cached on nodes: Merkle digests and free names
 # ---------------------------------------------------------------------------
 
-_DIGEST = "_digest"  # an attribute, not a field: eq, repr and replace ignore it
+# Attributes, not fields: eq, repr and replace ignore them, and
+# `dataclasses.replace` makes a new node, so a cached value never outlives
+# the fields it was computed from.
+_DIGEST = "_digest"
+_FREE = "_free"
 
 
-def cached_digest(root, kids: Callable, encode: Callable[[object, bytes], bytes]) -> bytes:
-    """The Merkle digest of `root`, computed once per node and cached on it.
+def cached_attr(root, attr: str, kids: Callable, compute: Callable[[object, list], object]):
+    """`compute(node, kid_values)` for `root`, computed once per node and
+    cached on it as `attr`.
 
-    `kids(n)` lists a node's sub-nodes and `encode(n, kid_digests)` gives the
-    bytes hashed for it.  Nodes without a digest are hashed bottom-up from an
-    explicit stack, so depth costs no recursion.  `dataclasses.replace` makes
-    a new node, so a digest never outlives the fields it was computed from.
+    `kids(n)` lists a node's sub-nodes, and `kid_values` holds their cached
+    values in that order.  Nodes without a value are computed bottom-up from
+    an explicit stack, so depth costs no recursion.
     """
     stack = [root]
     while stack:
         node = stack[-1]
-        if getattr(node, _DIGEST, None) is not None:  # done, or shared and done
+        if getattr(node, attr, None) is not None:  # done, or shared and done
             stack.pop()
             continue
         subs = kids(node)
-        todo = [k for k in subs if getattr(k, _DIGEST, None) is None]
+        todo = [k for k in subs if getattr(k, attr, None) is None]
         if todo:
             stack.extend(todo)
             continue
         stack.pop()
-        data = encode(node, b"".join(getattr(k, _DIGEST) for k in subs))
-        object.__setattr__(node, _DIGEST, blake2b(data, digest_size=16).digest())
-    return getattr(root, _DIGEST)
+        object.__setattr__(node, attr, compute(node, [getattr(k, attr) for k in subs]))
+    return getattr(root, attr)
+
+
+def cached_digest(root, kids: Callable, encode: Callable[[object, bytes], bytes]) -> bytes:
+    """The Merkle digest of `root`: `encode(n, kid_digests)` gives the bytes
+    hashed for a node."""
+    digest = getattr(root, _DIGEST, None)
+    if digest is not None:  # already cached: the common case
+        return digest
+    return cached_attr(root, _DIGEST, kids, lambda n, digests: blake2b(
+        encode(n, b"".join(digests)), digest_size=16).digest())
 
 
 def _encode_expr(e: Expr, kid_digests: bytes) -> bytes:
@@ -867,3 +880,48 @@ def expr_digest(e: Expr) -> bytes:
     """16-byte Merkle digest of a term; source locations are ignored, and
     it is the same in every process."""
     return cached_digest(e, children, _encode_expr)
+
+
+#: The free names of a term with none, shared by every such node.
+CLOSED: tuple[frozenset[str], frozenset[RegionVar]] = (frozenset(), frozenset())
+
+
+def _region_vars(obj) -> frozenset[RegionVar]:
+    return frozenset(r for r in free_regions(obj) if isinstance(r, RegionVar))
+
+
+def _free_of(e: Expr, kid_free: list) -> tuple[frozenset[str], frozenset[RegionVar]]:
+    form = type(e)
+    if form is Var:
+        return frozenset({e.name}), frozenset()
+    if form is NewRgn:  # both names bind in the body, not in the parent handle
+        (ph_terms, ph_regions), (terms, regions) = kid_free
+        terms = ph_terms | (terms - {e.handle_name})
+        regions = ph_regions | (regions - {e.var})
+    else:
+        terms, regions = CLOSED
+        for kid_terms, kid_regions in kid_free:
+            if kid_terms:
+                terms = terms | kid_terms if terms else kid_terms
+            if kid_regions:
+                regions = regions | kid_regions if regions else kid_regions
+        if form is Lambda:
+            terms = terms - {e.param}
+            for note in (e.param_type, e.effect_in, e.effect_out):
+                if note is not None:
+                    regions = regions | _region_vars(note)
+        elif form is RegionLambda:
+            regions = regions - {e.var}
+        elif form is RegionApp and isinstance(e.region, RegionVar):
+            regions = regions | {e.region}
+        elif form is App and isinstance(e.mode, ParMode) and e.mode.transfer is not None:
+            regions = regions | _region_vars(e.mode.transfer)
+    return (terms, regions) if terms or regions else CLOSED
+
+
+def free_names(e: Expr) -> tuple[frozenset[str], frozenset[RegionVar]]:
+    """The free term variables and free region variables of a term, cached
+    on each node like its digest; `CLOSED` itself when there are none.
+    Region literals are not variables and never count."""
+    names = getattr(e, _FREE, None)
+    return names if names is not None else cached_attr(e, _FREE, children, _free_of)

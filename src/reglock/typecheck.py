@@ -22,6 +22,7 @@ from .parser import SourceProgram
 from .syntax import (
     BOOL,
     BOTTOM,
+    CLOSED,
     EMPTY_EFFECT,
     INT,
     PRIM_BINARY,
@@ -63,6 +64,7 @@ from .syntax import (
     Var,
     While,
     expr_digest,
+    free_names,
     free_regions,
     free_term_vars,
     fresh_region_var,
@@ -196,9 +198,10 @@ class Checker:
         self.locations = locations or {}
         self.lenient = lenient
         self.record = record
-        # (term digest, input effect entries) -> (type, output effect) of
-        # closed subterms that checked; owned by the metatheory harness,
-        # whose module docstring says why an entry stays valid.
+        # Subterms that checked: (term digest, input effect entries) ->
+        # (type, output effect), and a function value's digest -> its type.
+        # Owned by the metatheory harness, whose module docstring says why
+        # an entry stays valid.
         self.memo = memo
         # Par applications get their computed transfer effect stashed here,
         # keyed by node identity, and are rewritten after the def checks out.
@@ -256,14 +259,20 @@ class Checker:
         # Output effects are well-formed by construction when `eff` is: the
         # effect constructors that can break the invariant check it.
         key = None
-        if self.memo is not None and not env.vars and not env.region_vars:
-            key = (expr_digest(e), tuple(eff.items()))
+        if self.memo is not None and (not env.vars and not env.region_vars
+                                      or free_names(e) is CLOSED):
+            # The environment is empty or the term never reads it.  A
+            # function value's type does not depend on `eff`, and its output
+            # effect is `eff` itself.
+            key = expr_digest(e)
+            if not isinstance(e, (Lambda, RegionLambda)):
+                key = (key, tuple(eff.items()))
             hit = self.memo.get(key)
             if hit is not None:
-                return hit
+                return hit if type(key) is tuple else (hit, eff)
         t, out = self._check(e, env, eff)
         if key is not None:
-            self.memo[key] = (t, out)
+            self.memo[key] = (t, out) if type(key) is tuple else t
         # Sequencing plumbing spans lines and would overwrite the per-line
         # effects of the statements it contains; newrgn records its body's
         # entry effect instead (done in _check).

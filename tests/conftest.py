@@ -56,3 +56,22 @@ def paired_long_seq(n: int) -> str:
     return ("def main = /\\rhoH. \\heap: rgn(rhoH) @ "
             "[{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].\n"
             f"  newrgn rho, h at heap in\n  ({pairs};\n   free h)\n")
+
+
+#: A spawn under region binders that shadow each other: the checker renames
+#: the inner `rho`, and the spawn must be annotated in the renamed body.
+SHADOWED_SPAWN = """
+def nop = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^~(1,0)@_} -> {}].
+  free heap
+
+def work = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^~(1,0)@_} -> {rhoH^~(1,0)@_}].
+  newrgn rho, h at heap in
+  newrgn rho, h2 at h in
+  (share heap;
+   spawn nop[rhoH](heap);
+   free h2;
+   free h)
+
+def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].
+  work[rhoH](heap)
+"""

@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from reglock.cli import main
-from conftest import CORPUS, RUNNABLE, paired_long_seq
+from conftest import CORPUS, RUNNABLE, SHADOWED_SPAWN, paired_long_seq
 
 
 def corpus(name: str) -> str:
@@ -84,6 +84,15 @@ class TestRun:
         assert captured.err.count("\n") == 1 and "--max-steps" in captured.err
         assert not captured.out
 
+    def test_unchecked_metatheory_is_usage_error(self, capsys):
+        # The harness re-types against the checker's types, which an
+        # unchecked run does not have; it must not be dropped silently.
+        assert main(["run", corpus("race_unlocked.rgn"), "--seed", "1",
+                     "--unchecked", "--metatheory"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "--unchecked" in captured.err
+        assert not captured.out
+
     def test_deadlock_exit_three(self, capsys):
         assert main(["run", corpus("deadlock_forced.rgn"), "--seed", "1",
                      "--unchecked"]) == 3
@@ -134,6 +143,11 @@ class TestExplore:
         assert main(["explore", corpus("many_threads.rgn")]) == 5
         assert "refused" in capsys.readouterr().out
 
+    def test_json_refusal(self, capsys):
+        assert main(["explore", corpus("many_threads.rgn"), "--json"]) == 5
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["refused"] and "threads" in payload["refused"]
+
     def test_forced_exploration(self, capsys):
         assert main(["explore", corpus("many_threads.rgn"), "--force-threads"]) == 0
 
@@ -163,25 +177,6 @@ def test_run_output_is_byte_identical():
     a = subprocess.run(cmd, capture_output=True, check=True).stdout
     b = subprocess.run(cmd, capture_output=True, check=True).stdout
     assert a == b and a
-
-
-#: A spawn under region binders that shadow each other: the checker renames
-#: the inner `rho`, and the spawn must be annotated in the renamed body.
-SHADOWED_SPAWN = """
-def nop = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^~(1,0)@_} -> {}].
-  free heap
-
-def work = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^~(1,0)@_} -> {rhoH^~(1,0)@_}].
-  newrgn rho, h at heap in
-  newrgn rho, h2 at h in
-  (share heap;
-   spawn nop[rhoH](heap);
-   free h2;
-   free h)
-
-def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].
-  work[rhoH](heap)
-"""
 
 
 def test_spawn_under_shadowing_binder_runs(tmp_path, capsys):

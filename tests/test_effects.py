@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reglock import effects
 from reglock.effects import (
     CapError,
     apply_cap_op,
@@ -368,3 +371,72 @@ def test_share_then_free_is_identity_without_removal(effect):
     eff = heap_rooted((RHO, Capability(rg, lk, True), RHOH))
     out = apply_cap_op(apply_cap_op(eff, RHO, CapOp.RG_PLUS), RHO, CapOp.RG_MINUS)
     assert out == eff
+
+
+@st.composite
+def split_and_join(draw):
+    """A well-formed effect in any entry order, a demand on any of its
+    regions (parents included, so a kept child may lose its parent), and a
+    callee output over some of the demanded regions, well-formed itself."""
+    n = draw(st.integers(1, 6))
+    names = [RegionVar(f"q{i}") for i in range(n)]
+    entries = []
+    for i, r in enumerate(names):
+        parent = draw(st.sampled_from([BOTTOM, UNKNOWN, *names[:i]]))
+        entries.append((r, Capability(draw(st.integers(1, 3)), draw(st.integers(0, 2)),
+                                      draw(st.booleans())), parent))
+    eff = Effect(draw(st.permutations(entries)))
+    need_entries = []
+    for r in draw(st.lists(st.sampled_from(names), unique=True, min_size=1)):
+        have = eff.cap(r)
+        if draw(st.booleans()):
+            need_entries.append((r, have, draw(st.sampled_from([UNKNOWN, eff.parent(r)]))))
+        else:
+            rg = draw(st.integers(1, have.rg))
+            lk = have.lk if rg == have.rg else draw(st.integers(0, have.lk))
+            need_entries.append((r, Capability(rg, lk, False), UNKNOWN))
+    need = Effect(need_entries)
+    returned = draw(st.lists(st.sampled_from(need.domain()), unique=True))
+    out = Effect((r, Capability(draw(st.integers(1, 3)), draw(st.integers(0, 2)), False),
+                  eff.parent(r) if eff.parent(r) in returned else UNKNOWN)
+                 for r in returned)
+    return eff, need, out
+
+
+@settings(max_examples=500, deadline=None)
+@given(split_and_join())
+def test_split_and_join_check_only_what_they_can_break(data):
+    """From well-formed inputs, `effect_subtract` and `effect_join` raise
+    `NotLive` exactly when their unchecked result is ill-formed, with the
+    message `Effect.well_formed` gives, and otherwise return a well-formed
+    effect: checking parent membership alone loses nothing."""
+    eff, need, out = data
+
+    def unchecked(fn, *args):
+        with patch.object(effects, "missing_parent", lambda _: None):
+            return fn(*args)
+
+    def agree(fn, args, result_of, prefix):
+        try:
+            loose = unchecked(fn, *args)
+        except CapError as exc:  # raised before the check, so by both
+            with pytest.raises(CapError) as again:
+                fn(*args)
+            assert (again.value.code, again.value.message) == (exc.code, exc.message)
+            return None
+        reason = result_of(loose).well_formed()
+        if reason is not None:
+            with pytest.raises(CapError) as exc:
+                fn(*args)
+            assert exc.value.code == "NotLive"
+            assert exc.value.message == f"{prefix}: {reason}"
+            return None
+        result = fn(*args)
+        assert result == loose and result_of(result).well_formed() is None
+        return result
+
+    split = agree(effect_subtract, (eff, need), lambda res: res.retained,
+                  "call would break region liveness for the caller")
+    if split is not None:
+        agree(effect_join, (eff, split.retained, out, split.abstracted, False),
+              lambda res: res, "post-call effect is ill-formed")

@@ -32,8 +32,8 @@ from reglock.syntax import (
     RegionLit,
     restart_fresh_names,
 )
-from reglock.typecheck import check_program, type_eq
-from conftest import CORPUS, RUNNABLE, corpus_text, paired_long_seq
+from reglock.typecheck import Checker, check_program, type_eq
+from conftest import CORPUS, RUNNABLE, SHADOWED_SPAWN, corpus_text, paired_long_seq
 
 A = RegionLit("a")
 
@@ -246,6 +246,45 @@ def lock_tree(depth: int) -> str:
             "  work[rhoH](heap)\n")
 
 
+def count_checks(monkeypatch) -> dict[str, int]:
+    """Counts, from now on, the nodes that checkers with a memo type in
+    full (`_check` calls) and the memo hits under a non-empty environment
+    (a `check` that returns without entering `_check` for its node)."""
+    real_check, real_inner = Checker.check, Checker._check
+    counts = {"typed": 0, "open_hits": 0}
+
+    def inner(self, e, env, eff):
+        if self.memo is not None:
+            counts["typed"] += 1
+        return real_inner(self, e, env, eff)
+
+    def check(self, e, env, eff):
+        before = counts["typed"]
+        result = real_check(self, e, env, eff)
+        if (self.memo is not None and (env.vars or env.region_vars)
+                and counts["typed"] == before):
+            counts["open_hits"] += 1
+        return result
+
+    monkeypatch.setattr(Checker, "_check", inner)
+    monkeypatch.setattr(Checker, "check", check)
+    return counts
+
+
+def test_harness_types_few_nodes_per_step(monkeypatch):
+    """Timer-free shape guard: closed subterms and closed function values
+    come from the memo under any environment, so a step of lock_tree(4)
+    types about 18 nodes in full (40.7 when only subterms under an empty
+    environment were served)."""
+    restart_fresh_names()
+    result = check_program(parse_program(lock_tree(4)))
+    main = result.typed.linked_main()
+    counts = count_checks(monkeypatch)
+    trace = run_seeded(main, seed=1, harness=Harness(result.typed))
+    assert trace.terminal.kind == "all_done" and trace.steps
+    assert counts["typed"] <= 24 * len(trace.steps)
+
+
 class Differential(Harness):
     """After every step, re-types each live thread with the run's memo and
     with a fresh memo-less checker, and records any disagreement."""
@@ -271,21 +310,26 @@ class Differential(Harness):
 
 #: Generated programs and their schedule seeds (long_seq has one thread).
 GENERATED = {"long_seq_30": (paired_long_seq(30), [0]),
-             "lock_tree_3": (lock_tree(3), range(3))}
+             "lock_tree_3": (lock_tree(3), range(3)),
+             "shadowed_spawn": (SHADOWED_SPAWN, range(3))}
 
 
 @pytest.mark.parametrize("name", RUNNABLE + list(GENERATED))
-def test_memoised_retyping_agrees_with_a_fresh_checker(name):
+def test_memoised_retyping_agrees_with_a_fresh_checker(name, monkeypatch):
     text, seeds = GENERATED.get(name) or (corpus_text(name), range(10))
     restart_fresh_names()
     result = check_program(parse_program(text))
     assert result.ok, result.diagnostics
     main = result.typed.linked_main()
+    counts = count_checks(monkeypatch)
     for seed in seeds:
         harness = Differential(result.typed)
         trace = run_seeded(main, seed=seed, harness=harness)
         assert trace.terminal.kind in ("all_done", "deadlock"), trace.terminal
         assert harness.compared and not harness.disagreements
+    if name == "lock_tree_3":
+        # The workers inlined into `work` are closed values under its binders.
+        assert counts["open_hits"] > 0
 
 
 class TestFaultInjection:
@@ -297,6 +341,23 @@ class TestFaultInjection:
         payload = json.loads(capsys.readouterr().out.splitlines()[0])
         assert code == 4 and payload["terminal"]["kind"] == "violation"
         return payload
+
+    def test_violation_in_the_initial_state(self, capsys, monkeypatch):
+        # Main starts without its heap capability: the initial check fails,
+        # and the run must end in a violation at step 0, not an internal error.
+        real = Harness.observe_init
+
+        def no_heap(self, config):
+            self.main_in = EMPTY_EFFECT
+            real(self, config)
+
+        monkeypatch.setattr(Harness, "observe_init", no_heap)
+        payload = self.run_json(capsys, "sharing_once.rgn", 0)
+        terminal = payload["terminal"]
+        assert payload["steps"] == [] and terminal["step"] == 0
+        assert terminal["trace_prefix"] == []
+        assert any(v["check"] == "thread-typing" and v["thread"] == 1
+                   for v in terminal["violations"])
 
     def test_store_rule_that_drops_a_lock(self, capsys, monkeypatch):
         real = Store.updcap

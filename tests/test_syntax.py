@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reglock.parser import parse_expr, parse_program
 from reglock.syntax import (
     BOTTOM,
+    CLOSED,
     INT,
     UNIT_VALUE,
     UNIT,
     UNKNOWN,
+    App,
     CapError,
     Capability,
     Cap,
@@ -30,9 +33,12 @@ from reglock.syntax import (
     RegionLit,
     RegionPolyType,
     RegionVar,
+    ParMode,
     Seq,
     Var,
+    free_names,
     free_regions,
+    free_term_vars,
     subst_region_effect,
     subst_region_expr,
     subst_region_type,
@@ -158,6 +164,35 @@ class TestFreeRegions:
     def test_poly_binds(self):
         t = RegionPolyType(RHO1, RefType(INT, RHO1))
         assert free_regions(t) == set()
+
+
+class TestFreeNames:
+    def test_binders_annotations_and_region_arguments(self):
+        # Term binders: the lambda's x and newrgn's h; region binders: the
+        # abstraction's rho and newrgn's r.  sigma is free in the annotation,
+        # tau in the region argument.
+        e = parse_expr("/\\rho. \\x: ref(int, rho) @ [{sigma^(1,0)@_, rho^(1,0)@sigma} "
+                       "-> {sigma^(1,0)@_, rho^(1,0)@sigma}]. "
+                       "(f[tau]; newrgn r, h at y in (free h; r_use[r]; x; z))")
+        assert free_names(e) == ({"f", "y", "r_use", "z"},
+                                 {RegionVar("sigma"), RegionVar("tau")})
+        assert free_names(e) is free_names(e)  # cached on the node
+
+    def test_closed_terms_share_one_value(self):
+        e = parse_expr("/\\rho. \\x: rgn(rho) @ [{rho^(1,0)@_} -> {rho^(1,0)@_}]. free x")
+        assert free_names(e) is CLOSED and free_names(Const(1)) is CLOSED
+        # The newrgn binder does not scope over its parent handle.
+        assert free_names(NewRgn(RHO1, "h", RegionApp(Var("h"), RHO1), Var("h"))) == (
+            {"h"}, {RHO1})
+
+    def test_spawn_transfer_regions_are_free(self):
+        spawn = App(Var("f"), Const(1), ParMode(Effect.of((RHO1, Capability(1, 0), BOTTOM))))
+        assert free_names(spawn) == ({"f"}, {RHO1})
+
+    def test_term_part_agrees_with_free_term_vars(self, corpus_dir):
+        for path in sorted(corpus_dir.glob("*.rgn")):
+            for d in parse_program(path.read_text()).defs:
+                assert free_names(d.body)[0] == free_term_vars(d.body), (path.name, d.name)
 
 
 class TestEffectInvariants:
