@@ -7,6 +7,9 @@
 
 `--metatheory` re-types a checked program, so `run --unchecked --metatheory`
 is a usage error.  `explore --json` reports a refusal as {"refused": MESSAGE}.
+A program that does not parse or is rejected prints the diagnostics payload
+of `check --json`, {"ok": false, "diagnostics": [...]}, under `check --json`,
+`run --trace json` and `explore --json`, and text otherwise.
 
 Exit codes: 0 success, 1 rejected by the checker, 2 usage or I/O error,
 3 deadlock detected, 4 stuck state or metatheory violation (a soundness
@@ -141,7 +144,7 @@ def cmd_run(args) -> int:
               "with --unchecked", file=sys.stderr)
         return EXIT_USAGE
 
-    loaded, code = _load(args.file, unchecked=args.unchecked)
+    loaded, code = _load(args.file, unchecked=args.unchecked, as_json=args.trace == "json")
     if loaded is None:
         return code
     if args.unchecked:
@@ -166,7 +169,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    typed, code = _load(args.file)
+    typed, code = _load(args.file, as_json=args.json)
     if typed is None:
         return code
     main_expr = typed.linked_main()

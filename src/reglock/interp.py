@@ -17,6 +17,19 @@ hash of its own fields and its children's digests (`syntax.expr_digest`,
 use hashlib, never `hash()`, and are the same across processes and
 `PYTHONHASHSEED` values.
 
+Each distinct thread term is stepped once.  `step_thread` caches a term's
+decomposition on its root node, outside the dataclass fields like the
+digest.  A rule whose reduct reads only the term (E-A, E-RP, E-IF, E-SEQ,
+E-WHILE, E-OP) replaces it with the rule and successor term; E-C and E-AS
+add the term with `()` in the hole and still run their store operation,
+with its blocking and faults.  E-NG, E-NR, E-D (store or counters) and E-SN
+(a new thread) keep the decomposition only.  The cache is exact: these read
+nothing but the term, and substitution's one hidden input, the counter that
+names a renamed binder, is never read at run time, since E-RP and E-NG
+substitute region literals, which no binder can capture.  A successor
+points forward, so a live term keeps every later term built from it alive;
+`explore` does not hold its initial configuration.
+
 A thread that cannot step is either blocked on a lock (retried every tick)
 or stuck, which aborts the run with a soundness report: well-typed programs
 never get stuck.
@@ -27,12 +40,13 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .parser import pretty
 from .store import Blocked, Store, StoreFault, initial_store
 from .syntax import (
+    _FIELDS,
     HEAP,
     SEQ_MODE,
     UNIT_VALUE,
@@ -85,12 +99,18 @@ class Config:
                 return t
         raise KeyError(tid)
 
-    def with_thread_expr(self, tid: int, expr: Expr) -> "Config":
-        threads = tuple(Thread(t.tid, expr) if t.tid == tid else t for t in self.threads)
-        return replace(self, threads=threads)
+    def with_thread_expr(self, tid: int, expr: Expr, store: Optional[Store] = None,
+                         next_loc: Optional[int] = None,
+                         next_region: Optional[int] = None) -> "Config":
+        """Thread `tid` running `expr`, with any store or counter given."""
+        threads = tuple(Thread(tid, expr) if t.tid == tid else t for t in self.threads)
+        return Config(self.store if store is None else store, threads, self.next_tid,
+                      self.next_loc if next_loc is None else next_loc,
+                      self.next_region if next_region is None else next_region)
 
     def without_thread(self, tid: int) -> "Config":
-        return replace(self, threads=tuple(t for t in self.threads if t.tid != tid))
+        return Config(self.store, tuple(t for t in self.threads if t.tid != tid),
+                      self.next_tid, self.next_loc, self.next_region)
 
 
 def initial_config(main_expr: Expr) -> Config:
@@ -119,35 +139,42 @@ EVAL_FIELDS: dict[type, tuple[str, ...]] = {
 def decompose(e: Expr) -> Optional[tuple[Expr, Plug]]:
     """Unique decomposition of a closed non-value into (redex, plug).
 
-    Returns None when e is a value.  The context is a list of frames, each
-    a (node, field name or `Prim` operand index) pair from the root down;
-    `plug` puts a reduct into the hole and rebuilds the frames bottom-up.
+    Returns None when e is a value.  The context is a list of frames from
+    the root down, each (form, its node's constructor arguments, the hole's
+    index): `Prim`'s operands are one argument, the hole an index into it.
+    `plug` puts a reduct into the hole and rebuilds the frames bottom-up,
+    positionally, as `dataclasses.replace` costs twice as much.  A frame
+    holds no node, so a plug cached on a term does not point back at it.
     """
     if is_value(e):
         return None
-    frames: list[tuple[Expr, Union[str, int]]] = []
+    frames: list[tuple[type, tuple, int]] = []
 
     def plug(x: Expr) -> Expr:
-        for node, pos in reversed(frames):
-            if type(pos) is int:
-                x = Prim(node.op, node.args[:pos] + (x,) + node.args[pos + 1:], node.loc)
+        for form, args, i in reversed(frames):
+            if form is Prim:
+                op, operands, loc = args
+                x = Prim(op, operands[:i] + (x,) + operands[i + 1:], loc)
             else:
-                x = replace(node, **{pos: x})
+                x = form(*args[:i], x, *args[i + 1:])
         return x
 
     while True:
-        names = EVAL_FIELDS.get(type(e))
+        form = type(e)
+        names = EVAL_FIELDS.get(form)
         if names is not None:
             positions = zip(names, map(e.__getattribute__, names))
-        elif type(e) is Prim:
+        elif form is Prim:
             positions = enumerate(e.args)
         elif isinstance(e, Var):
             raise MalformedTerm(f"free variable {e.name!r} at runtime")
         else:
-            raise MalformedTerm(f"cannot decompose {type(e).__name__}")
+            raise MalformedTerm(f"cannot decompose {form.__name__}")
         for pos, sub in positions:
             if not is_value(sub):
-                frames.append((e, pos))
+                fields = _FIELDS[form]
+                args = tuple(map(e.__getattribute__, fields)) + (e.loc,)
+                frames.append((form, args, pos if form is Prim else fields.index(pos)))
                 e = sub
                 break
         else:
@@ -220,20 +247,43 @@ def _prim_eval(op: str, args: tuple[Expr, ...]) -> Expr:
     return Const(table[op]())
 
 
+_STEP = "_step"
+
+
+class _Stepping:
+    """What stepping a thread term found, cached on it as `_step`: its redex
+    (None for the term itself) and plug, then, once a term-only rule has
+    run, the rule and successor instead.  E-C and E-AS keep the redex, and
+    their successor is the term with `()` in the hole.  Not a field: eq,
+    repr and `replace` ignore it."""
+
+    __slots__ = ("redex", "plug", "rule", "successor")
+
+    def __init__(self, redex: Expr, plug: Plug) -> None:
+        self.redex, self.plug, self.rule, self.successor = redex, plug, None, None
+
+
 def step_thread(config: Config, tid: int) -> StepOutcome:
     """One thread-level step: finish (E-T), spawn (E-SN) or reduce (E-S)."""
-    thread = config.thread(tid)
-    e = thread.expr
-    if isinstance(e, Const) and isinstance(e.value, UnitVal):
-        return Done(tid)
-    try:
-        found = decompose(e)
-    except MalformedTerm as exc:
-        return Stuck(tid, "MalformedTerm", str(exc))
-    if found is None:
-        return Stuck(tid, "NonUnitTerminal",
-                     f"thread reduced to a non-unit value {pretty(e)}")
-    redex, plug = found
+    e = config.thread(tid).expr
+    memo = getattr(e, _STEP, None)
+    if memo is None:
+        if isinstance(e, Const) and isinstance(e.value, UnitVal):
+            return Done(tid)
+        try:
+            found = decompose(e)
+        except MalformedTerm as exc:
+            return Stuck(tid, "MalformedTerm", str(exc))
+        if found is None:
+            return Stuck(tid, "NonUnitTerminal",
+                         f"thread reduced to a non-unit value {pretty(e)}")
+        redex, plug = found
+        # A term that held itself would be freed by the cycle collector only.
+        memo = _Stepping(None if redex is e else redex, plug)
+        object.__setattr__(e, _STEP, memo)
+    elif memo.rule is not None:
+        return Stepped(config.with_thread_expr(tid, memo.successor), memo.rule)
+    redex = memo.redex or e
 
     if isinstance(redex, App) and isinstance(redex.mode, ParMode):
         transfer = redex.mode.transfer
@@ -246,25 +296,28 @@ def step_thread(config: Config, tid: int) -> StepOutcome:
         except StoreFault as exc:
             return Stuck(tid, exc.code, exc.message)
         child = Thread(child_tid, App(redex.fn, redex.arg, SEQ_MODE, redex.loc))
-        parent = config.with_thread_expr(tid, plug(Const(UNIT_VALUE)))
-        new_config = replace(parent, store=store, threads=parent.threads + (child,),
-                             next_tid=child_tid + 1)
+        parent = memo.plug(Const(UNIT_VALUE))
+        threads = tuple(Thread(tid, parent) if t.tid == tid else t for t in config.threads)
+        new_config = Config(store, threads + (child,), child_tid + 1, config.next_loc,
+                            config.next_region)
         return Spawned(new_config, tid, child_tid, transfer)
 
-    return _step_expr(config, tid, redex, plug)
+    return _step_expr(config, tid, memo, redex)
 
 
-def _step_expr(config: Config, tid: int, redex: Expr, plug: Plug) -> StepOutcome:
-    store = config.store
+def _step_expr(config: Config, tid: int, memo: _Stepping, redex: Expr) -> StepOutcome:
+    plug, store = memo.plug, config.store
 
-    def done(expr: Expr, rule: str, *, new_store: Store = None,
-             info: Optional[tuple] = None, **counters) -> Stepped:
-        cfg = config.with_thread_expr(tid, plug(expr))
-        if new_store is not None:
-            cfg = replace(cfg, store=new_store)
-        if counters:
-            cfg = replace(cfg, **counters)
-        return Stepped(cfg, rule, info)
+    def term_only(reduct: Expr, rule: str) -> Stepped:
+        memo.rule, memo.successor = rule, plug(reduct)
+        memo.redex = memo.plug = None
+        return Stepped(config.with_thread_expr(tid, memo.successor), rule)
+
+    def unit_in_hole() -> Expr:
+        if memo.successor is None:
+            memo.successor = plug(Const(UNIT_VALUE))
+            memo.plug = None
+        return memo.successor
 
     try:
         if isinstance(redex, App):
@@ -272,7 +325,7 @@ def _step_expr(config: Config, tid: int, redex: Expr, plug: Plug) -> StepOutcome
             if not isinstance(fn, Lambda):
                 return Stuck(tid, "BadApplication",
                              f"application of non-function {pretty(fn)}")
-            return done(subst_var(fn.body, fn.param, redex.arg), "E-A")
+            return term_only(subst_var(fn.body, fn.param, redex.arg), "E-A")
         if isinstance(redex, RegionApp):
             fn = redex.fn
             if not isinstance(fn, RegionLambda):
@@ -280,7 +333,7 @@ def _step_expr(config: Config, tid: int, redex: Expr, plug: Plug) -> StepOutcome
                              f"region application of {pretty(fn)}")
             assert isinstance(redex.region, RegionLit), \
                 "region application must be instantiated at runtime"
-            return done(subst_region_expr(fn.body, fn.var, redex.region), "E-RP")
+            return term_only(subst_region_expr(fn.body, fn.var, redex.region), "E-RP")
         if isinstance(redex, NewRgn):
             handle = redex.parent_handle
             if not isinstance(handle, RgnVal):
@@ -289,28 +342,30 @@ def _step_expr(config: Config, tid: int, redex: Expr, plug: Plug) -> StepOutcome
             new_store, rid = store.newrgn(handle.region, tid, name)
             body = subst_region_expr(redex.body, redex.var, rid)
             body = subst_var(body, redex.handle_name, RgnVal(rid))
-            return done(body, "E-NG", new_store=new_store,
-                        info=(handle.region, rid), next_region=config.next_region + 1)
+            return Stepped(config.with_thread_expr(
+                tid, plug(body), new_store, next_region=config.next_region + 1),
+                "E-NG", (handle.region, rid))
         if isinstance(redex, NewRef):
             handle = redex.handle
             if not isinstance(handle, RgnVal):
                 return Stuck(tid, "BadHandle", f"new at non-handle {pretty(handle)}")
             new_store, loc = store.alloc(handle.region, config.next_loc, redex.init)
-            return done(LocVal(loc), "E-NR", new_store=new_store,
-                        info=(loc, redex.init), next_loc=config.next_loc + 1)
+            return Stepped(config.with_thread_expr(
+                tid, plug(LocVal(loc)), new_store, next_loc=config.next_loc + 1),
+                "E-NR", (loc, redex.init))
         if isinstance(redex, Deref):
             ref = redex.ref
             if not isinstance(ref, LocVal):
                 return Stuck(tid, "BadDeref", f"deref of non-location {pretty(ref)}")
             value = store.lookup(ref.location, tid)
-            return done(value, "E-D")
+            return Stepped(config.with_thread_expr(tid, plug(value)), "E-D")
         if isinstance(redex, Assign):
             ref = redex.target
             if not isinstance(ref, LocVal):
                 return Stuck(tid, "BadAssign", f"assignment to non-location {pretty(ref)}")
             new_store = store.update(ref.location, redex.value, tid)
-            return done(Const(UNIT_VALUE), "E-AS", new_store=new_store,
-                        info=(ref.location, redex.value))
+            return Stepped(config.with_thread_expr(tid, unit_in_hole(), new_store),
+                           "E-AS", (ref.location, redex.value))
         if isinstance(redex, Cap):
             handle = redex.handle
             if not isinstance(handle, RgnVal):
@@ -319,22 +374,22 @@ def _step_expr(config: Config, tid: int, redex: Expr, plug: Plug) -> StepOutcome
             result = store.updcap(redex.op, handle.region, tid)
             if isinstance(result, Blocked):
                 return BlockedOn(tid, result.region, result.holders)
-            return done(Const(UNIT_VALUE), "E-C", new_store=result,
-                        info=(redex.op, handle.region))
+            return Stepped(config.with_thread_expr(tid, unit_in_hole(), result),
+                           "E-C", (redex.op, handle.region))
         if isinstance(redex, If):
             cond = redex.cond
             if not (isinstance(cond, Const) and isinstance(cond.value, bool)):
                 return Stuck(tid, "BadCondition", f"if on non-boolean {pretty(cond)}")
-            return done(redex.then if cond.value else redex.orelse, "E-IF")
+            return term_only(redex.then if cond.value else redex.orelse, "E-IF")
         if isinstance(redex, Seq):
-            return done(redex.second, "E-SEQ")
+            return term_only(redex.second, "E-SEQ")
         if isinstance(redex, While):
             unrolled = If(redex.cond, Seq(redex.body, redex, redex.loc),
                           Const(UNIT_VALUE), redex.loc)
-            return done(unrolled, "E-WHILE")
+            return term_only(unrolled, "E-WHILE")
         if isinstance(redex, Prim):
             try:
-                return done(_prim_eval(redex.op, redex.args), "E-OP")
+                return term_only(_prim_eval(redex.op, redex.args), "E-OP")
             except (AssertionError, KeyError, TypeError):
                 return Stuck(tid, "BadPrimitive", f"cannot evaluate {pretty(redex)}")
     except StoreFault as exc:
@@ -525,14 +580,14 @@ def explore(main_expr: Expr, max_steps: int = 2_000, max_threads: int = 3,
     States are deduplicated by canonical digest.  Refuses configurations
     with more than `max_threads` live threads unless forced.
     """
-    start = initial_config(main_expr)
-    seen: set[str] = set()
+    # The initial configuration is not kept: a stepped term holds its
+    # successor, so it would keep every term the search reaches alive.
+    frontier: list[tuple[Config, int]] = [(initial_config(main_expr), 0)]
+    seen: set[str] = {config_digest(frontier[0][0])}
     terminals: dict[str, int] = {}
     stuck_reports: list[dict] = []
     cycles: list[list[int]] = []
     budget_hits = 0
-    frontier: list[tuple[Config, int]] = [(start, 0)]
-    seen.add(config_digest(start))
     states = 0
 
     while frontier:

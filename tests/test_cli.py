@@ -157,6 +157,22 @@ class TestExplore:
         assert payload["terminals"] == {"all_done": 1}
 
 
+@pytest.mark.parametrize("argv", [["run", "--seed", "0", "--trace", "json"],
+                                  ["explore", "--json"]], ids=["run", "explore"])
+@pytest.mark.parametrize("source, code", [
+    ((CORPUS / "race_unlocked.rgn").read_text(), "InaccessibleRegion"),
+    ("def main = (", "SyntaxError"),
+], ids=["rejected", "unparsable"])
+def test_json_commands_print_a_rejection_as_json(argv, source, code, tmp_path, capsys):
+    """A rejected or unparsable program gets the payload of `check --json`
+    from every command that prints JSON, and still exits 1."""
+    path = tmp_path / "rejected.rgn"
+    path.write_text(source)
+    assert main([argv[0], str(path), *argv[1:]]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is False and payload["diagnostics"][0]["code"] == code
+
+
 @pytest.mark.parametrize("name", RUNNABLE)
 def test_harness_does_not_change_the_run(name, capsys):
     """The same steps (thread, rule, state digest) and terminal with and

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import get_args, get_type_hints
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reglock import interp
 from reglock.interp import (
     EVAL_FIELDS,
     BlockedOn,
@@ -58,13 +60,20 @@ from reglock.syntax import (
     While,
     expr_digest,
     is_value,
+    restart_fresh_names,
 )
 from reglock.typecheck import check_program, link_bodies
-from conftest import corpus_text
+from conftest import RUNNABLE, corpus_text
+from test_meta import lock_tree
 
 
 def typed_main(name: str):
-    result = check_program(parse_program(corpus_text(name)))
+    return checked_main(corpus_text(name))
+
+
+def checked_main(text: str):
+    restart_fresh_names()
+    result = check_program(parse_program(text))
     assert result.ok, [d.render() for d in result.diagnostics]
     return result.typed.linked_main()
 
@@ -310,3 +319,82 @@ class TestExplore:
     def test_digests_are_stable(self):
         main = typed_main("basic_region.rgn")
         assert config_digest(initial_config(main)) == config_digest(initial_config(main))
+
+
+def step_uncached(config: Config, tid: int):
+    """`step_thread` on a copy of the thread's root term: `replace` drops
+    the cached step, and only a thread's root term carries one."""
+    threads = tuple(Thread(t.tid, replace(t.expr)) if t.tid == tid else t
+                    for t in config.threads)
+    return step_thread(Config(config.store, threads, config.next_tid, config.next_loc,
+                              config.next_region), tid)
+
+
+def assert_same_outcome(cached, fresh, tid: int) -> None:
+    assert type(cached) is type(fresh)
+    if isinstance(cached, (Stepped, Spawned)):
+        assert getattr(cached, "rule", None) == getattr(fresh, "rule", None)
+        assert (expr_digest(cached.config.thread(tid).expr)
+                == expr_digest(fresh.config.thread(tid).expr))
+        assert config_digest(cached.config) == config_digest(fresh.config)
+    elif isinstance(cached, BlockedOn):
+        assert (cached.region, cached.holders) == (fresh.region, fresh.holders)
+    elif isinstance(cached, Stuck):
+        assert (cached.code, cached.detail) == (fresh.code, fresh.detail)
+
+
+@pytest.mark.parametrize("name", RUNNABLE + ["lock_tree_2"])
+def test_cached_steps_agree_with_uncached_steps(name, monkeypatch):
+    """In every state `explore` visits, each thread's outcome, served from
+    the step cached on its term where there is one, equals the outcome of
+    stepping a copy of the term with nothing cached."""
+    main = checked_main(lock_tree(2)) if name == "lock_tree_2" else typed_main(name)
+    real = interp.classify
+    compared = []
+
+    def classify(config):
+        found = real(config)
+        for tid, outcome in found[0].items():
+            assert_same_outcome(outcome, step_uncached(config, tid), tid)
+            compared.append(tid)
+        return found
+
+    monkeypatch.setattr(interp, "classify", classify)
+    report = explore(main, force=True)
+    # Every state but the final ones, which have no threads left.
+    assert len(compared) >= report.states - report.terminals.get("all_done", 0) > 0
+
+
+def count_calls(monkeypatch, names) -> dict[str, int]:
+    """Counts, from now on, the calls the step path makes to `interp`'s
+    functions of these names."""
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in names:
+        monkeypatch.setattr(interp, name, counted(name, getattr(interp, name)))
+    return counts
+
+
+def test_each_thread_term_is_stepped_once(monkeypatch):
+    """Timer-free shape guard: a thread term is decomposed and substituted
+    into once, not once per state that holds it (explore) or per tick its
+    thread is not chosen (run).  Without the cache, explore of lock_tree(2)
+    makes 4,104 decompose and 382 substitution calls, and run 135 decompose
+    calls for 82 steps."""
+    names = ["decompose", "subst_var", "subst_region_expr"]
+    main = checked_main(lock_tree(2))
+    counts = count_calls(monkeypatch, names)
+    assert explore(main).states == 1774
+    assert counts["subst_var"] + counts["subst_region_expr"] <= 60
+    assert counts["decompose"] <= 300
+    main = checked_main(lock_tree(2))
+    counts.update(dict.fromkeys(names, 0))
+    trace = run_seeded(main, seed=1)
+    assert trace.terminal.kind == "all_done"
+    assert counts["decompose"] <= len(trace.steps)

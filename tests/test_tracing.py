@@ -1,0 +1,41 @@
+"""The benchmark's traced run still finds the functions it wraps.
+
+`perfbench/tracing.py` wraps reglock's functions by name, so renaming one
+breaks `perfbench/run.py --trace 1`; this test notices it first.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import pathlib
+
+from reglock import interp
+from reglock.cli import main
+from conftest import CORPUS
+
+TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracing_wraps_the_step_path(capsys):
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    real = interp.step_thread
+    remove = tracing.install(tracer)
+    try:
+        program = str(CORPUS / "sharing_once.rgn")
+        assert main(["run", program, "--seed", "0"]) == 0
+        assert main(["explore", program, "--json"]) == 0
+    finally:
+        remove()
+    capsys.readouterr()
+    assert interp.step_thread is real
+    for name in ("step_thread", "decompose", "_apply_outcome", "config_digest",
+                 "run_seeded", "explore"):
+        assert tracer.calls[f"interp.{name}"] > 0, name
