@@ -8,11 +8,12 @@ and spawns update delta constructively) and re-validates:
 
   * thread typing  - every thread's expression types at unit under delta,
     with an output effect matching the thread's standing obligation;
-  * store consistency - delta's regions exist, dynamic counts dominate
-    static counts, and lock ownership is exclusive down each subtree;
-  * store typing   - the store's regions equal R, its locations equal M's
-    domain, and every stored value is closed and types at M's entry under
-    empty effects;
+  * store consistency - delta's regions exist in the store, each thread's
+    dynamic counts on them equal its static counts, and lock ownership is
+    exclusive down each subtree;
+  * store typing   - the store's regions are a subset of R, its locations a
+    subset of M's domain, and every stored value types at M's entry under
+    the empty environment and empty effects;
   * not-stuck      - every thread can step, finish, spawn, or is waiting
     for a lock that a live thread actually holds.
 
@@ -44,14 +45,28 @@ which stores a success only, never a failure, under one of two keys:
 A step rebuilds only the path to its redex, and the continuation beyond it
 is re-typed under the same input effect as before (preservation), so
 re-typing costs about the redex path, and function values inlined into a
-body are typed once per run.  An entry stays exact while R and M grow,
-because the checker consults them only by membership (regions) and lookup
-(locations), and a location's type never changes: a success stays a
-success with the same result.  R and M shrink only on a deallocating E-C,
-and that step clears the memo before every thread and stored value is
-re-typed.  The checker leaves out its well-formedness check per node: its
-effects are well-formed by construction from a well-formed input, so the
-harness checks each thread's effect assignment once before re-typing it.
+body are typed once per run.
+
+R and M only grow: they hold every region and location ever allocated,
+freed or not.  This is the calculus's rule, not a relaxation: the static
+judgement types a handle or a reference whatever its region's liveness,
+and only an access or a capability operation asks the effect for a
+capability, so a checked program may keep a dead handle where it is never
+used.  Preservation across a free therefore needs the run-time typing of a
+`RgnVal` or `LocVal` to accept a freed name, and liveness is checked
+through delta: store consistency flags any effect entry whose region has
+left the store.  Names are never reused, and the checker consults R and M
+only by membership and lookup, where a location's type never changes, so
+a memo entry stays exact as they grow; the memo is cleared only when a run
+starts.
+
+Consistency compares counts for equality: every rule that changes a
+thread's counts (a capability step, a spawn's transfer, `newrgn`) changes
+its static effect by the same amount.
+
+The checker leaves out its well-formedness check per node: its effects are
+well-formed by construction from a well-formed input, so the harness checks
+each thread's effect assignment once before re-typing it.
 """
 
 from __future__ import annotations
@@ -75,7 +90,6 @@ from .syntax import (
     RegionPolyType,
     Type,
     UnitType,
-    free_names,
     subst_region_effect,
 )
 from .typecheck import CheckFailure, Checker, TypedProgram, _Env, type_eq
@@ -142,27 +156,23 @@ def check_thread_typing(regions: frozenset[RegionLit],
 
 def check_store_consistency(store: Store, delta: dict[int, Effect]) -> list[Violation]:
     out: list[Violation] = []
-    store_regions = store.region_ids()
+    nodes = {node.rid: node for node in store.regions()}
 
-    # Region consistency: every region named by delta exists in the store.
+    # Region consistency: every region named by delta exists in the store,
+    # and the thread's dynamic counts on it equal its static ones.
     for tid, eff in delta.items():
-        for r, _, parent in eff.items():
-            named = [r] + ([parent] if isinstance(parent, RegionLit) else [])
-            for x in named:
-                if isinstance(x, RegionLit) and x not in store_regions:
+        for r, cap, parent in eff.items():
+            for x in (r, parent):
+                if isinstance(x, RegionLit) and x not in nodes:
                     out.append(Violation(
                         "store-consistency",
                         f"thread {tid}'s effect names region {x}, absent from the store",
                         tid))
-
-    # Static-dynamic count consistency: dynamic counts dominate static ones.
-    for tid, eff in delta.items():
-        for r, cap, _ in eff.items():
-            node = store.find(r) if isinstance(r, RegionLit) else None
+            node = nodes.get(r)
             if node is None:
-                continue  # reported above
+                continue
             dyn = node.counts_for(tid)
-            if dyn.rg < cap.rg or dyn.lk < cap.lk:
+            if dyn.rg != cap.rg or dyn.lk != cap.lk:
                 out.append(Violation(
                     "store-consistency",
                     f"thread {tid} statically holds {cap} of {r} but dynamically "
@@ -195,25 +205,23 @@ def check_store_typing(regions: frozenset[RegionLit],
                        dirty: Optional[set[Location]] = None,
                        memo: Optional[dict] = None) -> list[Violation]:
     out: list[Violation] = []
-    store_regions = store.region_ids()
-    if store_regions != regions:
+    missing = store.region_ids() - regions
+    if missing:
         out.append(Violation("store-typing",
-                             f"store regions {sorted(map(str, store_regions))} differ "
-                             f"from R {sorted(map(str, regions))}"))
+                             f"store regions {sorted(map(str, missing))} are missing "
+                             f"from R"))
     stored = store.locations()
-    if set(stored) != set(locations):
+    unknown = stored.keys() - locations.keys()
+    if unknown:
         out.append(Violation("store-typing",
-                             "locations in the store differ from the domain of M"))
+                             f"store locations {sorted(map(str, unknown))} are missing "
+                             f"from the domain of M"))
     for loc, value in stored.items():
         if dirty is not None and loc not in dirty:
             continue
         want = locations.get(loc)
         if want is None:
             continue  # reported above
-        if free_names(value)[0]:
-            out.append(Violation("store-typing",
-                                 f"stored value at {loc} is not closed"))
-            continue
         try:
             t, final = _retype(regions, locations, value, EMPTY_EFFECT, memo)
         except CheckFailure as exc:
@@ -279,10 +287,7 @@ class Harness:
                    outcome: StepOutcome, after: Config,
                    outcomes: dict[int, StepOutcome]) -> list[Violation]:
         violations: list[Violation] = []
-        prev_regions = self.regions
-        prev_locations = set(self.locations)
         dirty: set[Location] = set()
-        recheck_all = False
         retype: set[int] = {tid}
 
         if isinstance(outcome, Stepped):
@@ -313,13 +318,6 @@ class Harness:
                     violations.append(Violation(
                         "thread-typing",
                         f"capability step not reflected statically: {exc.message}", tid))
-                removed = prev_regions - after.store.region_ids()
-                if removed:
-                    self.regions = self.regions - removed
-                    self.locations = {l: t for l, t in self.locations.items()
-                                      if l.region not in removed}
-                    self.memo.clear()
-                    recheck_all = True
         elif isinstance(outcome, Spawned):
             try:
                 self.delta[outcome.parent] = fx.effect_minus_counts(
@@ -342,24 +340,12 @@ class Harness:
                     f"obligation was {obligation.pretty()}", tid))
             retype.discard(tid)
 
-        # Context monotonicity: R and M only shrink across deallocation steps.
-        deallocating = (isinstance(outcome, Stepped) and outcome.rule == "E-C")
-        if not deallocating:
-            if not (prev_regions <= self.regions):
-                violations.append(Violation(
-                    "store-typing", "R shrank on a non-deallocating step"))
-            if not (prev_locations <= set(self.locations)):
-                violations.append(Violation(
-                    "store-typing", "M shrank on a non-deallocating step"))
-
         # Not-stuck is evaluated on the pre-step configuration, whose
         # outcomes the scheduler already computed.
         active = frozenset(t.tid for t in before.threads)
         violations += check_not_stuck(outcomes, active)
 
-        violations += self._full_check(
-            after, dirty=None if recheck_all else dirty,
-            only=None if recheck_all else retype)
+        violations += self._full_check(after, dirty=dirty, only=retype)
         if violations:
             self.violations_seen += len(violations)
         return violations

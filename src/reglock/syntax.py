@@ -689,14 +689,19 @@ def subst_region_type(t: Type, var: RegionVar, rep: RegionName) -> Type:
     raise TypeError(f"unknown type {t!r}")
 
 
-def _rebuild_changed(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
-    """`REBUILD[type(e)](e, f)`, but `e` itself when `f` returns every
-    subterm unchanged, so a substitution rebuilds (and re-hashes) only the
-    paths to the occurrences it replaces."""
+def _rebuild_changed(e: Expr, walk: Callable[..., Expr], *args) -> Expr:
+    """`e` rebuilt with `walk(k, *args)` in place of each subterm `k`, but `e`
+    itself when every subterm comes back unchanged, so a substitution
+    rebuilds (and re-hashes) only the paths to the occurrences it replaces.
+
+    `walk` is a module-level function, not a closure over itself, so a call
+    leaves no reference cycle for the collector, and a Python-to-Python call
+    costs one level of the recursion limit where a `functools.partial`,
+    entered through C, would cost two."""
     kids = children(e)
     new, same = [], True
     for k in kids:  # a loop, not a comprehension: one frame less per level
-        n = f(k)
+        n = walk(k, *args)
         new.append(n)
         same = same and n is k
     if same:
@@ -708,116 +713,114 @@ def _rebuild_changed(e: Expr, f: Callable[[Expr], Expr]) -> Expr:
 def subst_region_expr(e: Expr, var: RegionVar, rep: RegionName) -> Expr:
     """Capture-avoiding substitution of `rep` for the region variable `var`.
     Nodes in which `var` does not occur are returned unchanged."""
-    def effect(eff: Optional[Effect]) -> Optional[Effect]:
-        return None if eff is None else subst_region_effect(eff, var, rep)
-
-    def sub(x: Expr) -> Expr:
-        if isinstance(x, (RegionLambda, NewRgn)) and x.var in (var, rep):
-            if x.var == var:
-                # Shadowed: only a newrgn's parent handle is outside the binder.
-                if isinstance(x, NewRgn):
-                    ph = sub(x.parent_handle)
-                    return x if ph is x.parent_handle else replace(x, parent_handle=ph)
-                return x
-            # The binder would capture `rep`: rename it first.
-            fresh = fresh_region_var(x.var)
-            x = replace(x, var=fresh, body=subst_region_expr(x.body, x.var, fresh))
-        elif isinstance(x, Lambda):
-            ptype = x.param_type
-            if ptype is not None and var in free_regions(ptype):
-                ptype = subst_region_type(ptype, var, rep)
-            body, e_in, e_out = sub(x.body), effect(x.effect_in), effect(x.effect_out)
-            if (ptype is x.param_type and body is x.body and e_in is x.effect_in
-                    and e_out is x.effect_out):
-                return x
-            return Lambda(x.param, ptype, body, e_in, e_out, x.loc)
-        elif isinstance(x, App) and isinstance(x.mode, ParMode) and x.mode.transfer is not None:
-            transfer = effect(x.mode.transfer)
-            if transfer is not x.mode.transfer:
-                return App(sub(x.fn), sub(x.arg), ParMode(transfer), x.loc)
-        elif isinstance(x, RegionApp) and x.region == var:
-            return RegionApp(sub(x.fn), rep, x.loc)
-        return _rebuild_changed(x, sub)
-
-    return sub(e)
+    if type(e) in LEAVES:
+        return e
+    if isinstance(e, (RegionLambda, NewRgn)) and e.var in (var, rep):
+        if e.var == var:
+            # Shadowed: only a newrgn's parent handle is outside the binder.
+            if isinstance(e, NewRgn):
+                ph = subst_region_expr(e.parent_handle, var, rep)
+                return e if ph is e.parent_handle else replace(e, parent_handle=ph)
+            return e
+        # The binder would capture `rep`: rename it first.
+        fresh = fresh_region_var(e.var)
+        e = replace(e, var=fresh, body=subst_region_expr(e.body, e.var, fresh))
+    elif isinstance(e, Lambda):
+        ptype = e.param_type
+        if ptype is not None and var in free_regions(ptype):
+            ptype = subst_region_type(ptype, var, rep)
+        body = subst_region_expr(e.body, var, rep)
+        e_in, e_out = (None if eff is None else subst_region_effect(eff, var, rep)
+                       for eff in (e.effect_in, e.effect_out))
+        if (ptype is e.param_type and body is e.body and e_in is e.effect_in
+                and e_out is e.effect_out):
+            return e
+        return Lambda(e.param, ptype, body, e_in, e_out, e.loc)
+    elif isinstance(e, App) and isinstance(e.mode, ParMode) and e.mode.transfer is not None:
+        transfer = subst_region_effect(e.mode.transfer, var, rep)
+        if transfer is not e.mode.transfer:
+            return App(subst_region_expr(e.fn, var, rep), subst_region_expr(e.arg, var, rep),
+                       ParMode(transfer), e.loc)
+    elif isinstance(e, RegionApp) and e.region == var:
+        return RegionApp(subst_region_expr(e.fn, var, rep), rep, e.loc)
+    return _rebuild_changed(e, subst_region_expr, var, rep)
 
 
 def subst_var(e: Expr, name: str, value: Expr) -> Expr:
     """Substitute a value for a term variable; binders shadow.  Nodes in
     which `name` does not occur free are returned unchanged."""
-    def sub(x: Expr) -> Expr:
-        if isinstance(x, Var):
-            return value if x.name == name else x
-        if isinstance(x, Lambda) and x.param == name:
-            return x
-        if isinstance(x, NewRgn) and x.handle_name == name:
-            ph = sub(x.parent_handle)
-            return x if ph is x.parent_handle else replace(x, parent_handle=ph)
-        return _rebuild_changed(x, sub)
-
-    return sub(e)
+    if isinstance(e, Var):
+        return value if e.name == name else e
+    if type(e) in LEAVES or (isinstance(e, Lambda) and e.param == name):
+        return e
+    if isinstance(e, NewRgn) and e.handle_name == name:
+        ph = subst_var(e.parent_handle, name, value)
+        return e if ph is e.parent_handle else replace(e, parent_handle=ph)
+    return _rebuild_changed(e, subst_var, name, value)
 
 
 def free_regions(obj) -> set[RegionName]:
     """Free region names of a type or effect (effect parents included)."""
     out: set[RegionName] = set()
-
-    def go_effect(eff: Effect, bound: frozenset[RegionName]) -> None:
-        for r, _, parent in eff.items():
-            if r not in bound:
-                out.add(r)
-            if isinstance(parent, (RegionVar, RegionLit)) and parent not in bound:
-                out.add(parent)
-
-    def go_type(t: Type, bound: frozenset[RegionName]) -> None:
-        if isinstance(t, (BaseType, UnitType)):
-            return
-        if isinstance(t, FnType):
-            go_type(t.param, bound)
-            go_effect(t.effect_in, bound)
-            go_effect(t.effect_out, bound)
-            go_type(t.result, bound)
-            return
-        if isinstance(t, RegionPolyType):
-            go_type(t.body, bound | {t.var})
-            return
-        if isinstance(t, RefType):
-            if t.region not in bound:
-                out.add(t.region)
-            go_type(t.elem, bound)
-            return
-        if isinstance(t, HandleType):
-            if t.region not in bound:
-                out.add(t.region)
-            return
-        raise TypeError(f"unknown type {t!r}")
-
     if isinstance(obj, Effect):
-        go_effect(obj, frozenset())
+        _free_regions_effect(obj, frozenset(), out)
     else:
-        go_type(obj, frozenset())
+        _free_regions_type(obj, frozenset(), out)
     return out
 
 
-def free_term_vars(e: Expr, defs: frozenset[str] = frozenset()) -> set[str]:
-    """Free term variables of an expression, excluding the given def names."""
+def _free_regions_effect(eff: Effect, bound: frozenset[RegionName],
+                         out: set[RegionName]) -> None:
+    for r, _, parent in eff.items():
+        if r not in bound:
+            out.add(r)
+        if isinstance(parent, (RegionVar, RegionLit)) and parent not in bound:
+            out.add(parent)
+
+
+def _free_regions_type(t: Type, bound: frozenset[RegionName], out: set[RegionName]) -> None:
+    if isinstance(t, (BaseType, UnitType)):
+        return
+    if isinstance(t, FnType):
+        _free_regions_type(t.param, bound, out)
+        _free_regions_effect(t.effect_in, bound, out)
+        _free_regions_effect(t.effect_out, bound, out)
+        _free_regions_type(t.result, bound, out)
+        return
+    if isinstance(t, RegionPolyType):
+        _free_regions_type(t.body, bound | {t.var}, out)
+        return
+    if isinstance(t, RefType):
+        if t.region not in bound:
+            out.add(t.region)
+        _free_regions_type(t.elem, bound, out)
+        return
+    if isinstance(t, HandleType):
+        if t.region not in bound:
+            out.add(t.region)
+        return
+    raise TypeError(f"unknown type {t!r}")
+
+
+def free_term_vars(e: Expr) -> set[str]:
+    """Free term variables of an expression."""
     out: set[str] = set()
-
-    def go(x: Expr, bound: frozenset[str]) -> None:
-        if isinstance(x, Var):
-            if x.name not in bound and x.name not in defs:
-                out.add(x.name)
-        elif isinstance(x, NewRgn):
-            go(x.parent_handle, bound)
-            go(x.body, bound | {x.handle_name})
-        else:
-            if isinstance(x, Lambda):
-                bound = bound | {x.param}
-            for c in children(x):
-                go(c, bound)
-
-    go(e, frozenset())
+    _free_term_vars(e, frozenset(), out)
     return out
+
+
+def _free_term_vars(x: Expr, bound: frozenset[str], out: set[str]) -> None:
+    if isinstance(x, Var):
+        if x.name not in bound:
+            out.add(x.name)
+    elif isinstance(x, NewRgn):
+        _free_term_vars(x.parent_handle, bound, out)
+        _free_term_vars(x.body, bound | {x.handle_name}, out)
+    else:
+        if isinstance(x, Lambda):
+            bound = bound | {x.param}
+        for c in children(x):
+            _free_term_vars(c, bound, out)
 
 
 # ---------------------------------------------------------------------------

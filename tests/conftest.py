@@ -75,3 +75,13 @@ def work = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^~(1,0)@_} -> {rhoH^~(1,0)@_}].
 def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].
   work[rhoH](heap)
 """
+
+#: A handle left in a dead position after its region is freed: `work` frees
+#: `h` while `idle` still holds it, and `idle` only evaluates it.
+DEAD_HANDLE = """
+def idle = /\\rhoH. /\\rho. \\(hh: rgn(rhoH), h: rgn(rho)) @ [{rhoH^~(1,0)@_} -> {}]. (h; free hh)
+def work = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^~(1,0)@_}].
+  newrgn rho, h at heap in (share heap; spawn idle[rhoH][rho](heap, h); free h)
+def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].
+  work[rhoH](heap)
+"""

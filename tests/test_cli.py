@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from reglock.cli import main
-from conftest import CORPUS, RUNNABLE, SHADOWED_SPAWN, paired_long_seq
+from conftest import CORPUS, DEAD_HANDLE, RUNNABLE, SHADOWED_SPAWN, paired_long_seq
 
 
 def corpus(name: str) -> str:
@@ -195,17 +195,34 @@ def test_run_output_is_byte_identical():
     assert a == b and a
 
 
-def test_spawn_under_shadowing_binder_runs(tmp_path, capsys):
-    path = tmp_path / "shadowed_spawn.rgn"
-    path.write_text(SHADOWED_SPAWN)
+def checks_explores_and_runs_clean(path, capsys) -> dict:
+    """Asserts that the program checks, that `explore` reaches only
+    `all_done`, and that `run --metatheory` over seeds 0..19 ends `all_done`
+    with no violation; returns the `explore --json` report."""
     assert main(["check", str(path)]) == 0
     capsys.readouterr()
     assert main(["explore", str(path), "--json"]) == 0
-    assert json.loads(capsys.readouterr().out)["terminals"] == {"all_done": 1}
+    report = json.loads(capsys.readouterr().out)
+    assert report["terminals"] == {"all_done": 1}
     for seed in range(20):
         assert main(["run", str(path), "--seed", str(seed), "--metatheory"]) == 0
         out = capsys.readouterr().out
         assert "terminal all_done" in out and "metatheory: 0 violations" in out
+    return report
+
+
+def test_spawn_under_shadowing_binder_runs(tmp_path, capsys):
+    path = tmp_path / "shadowed_spawn.rgn"
+    path.write_text(SHADOWED_SPAWN)
+    checks_explores_and_runs_clean(path, capsys)
+
+
+def test_dead_handle_after_free_runs_clean(tmp_path, capsys):
+    # A freed region's name still types; only its capability is gone.
+    path = tmp_path / "dead_handle.rgn"
+    path.write_text(DEAD_HANDLE)
+    report = checks_explores_and_runs_clean(path, capsys)
+    assert report["states"] == 31 and not report["stuck"]
 
 
 def test_trace_digests_depend_only_on_the_program(tmp_path, capsys):

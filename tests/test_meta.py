@@ -30,6 +30,7 @@ from reglock.syntax import (
     Effect,
     FnType,
     RegionLit,
+    Var,
     restart_fresh_names,
 )
 from reglock.typecheck import Checker, check_program, type_eq
@@ -123,12 +124,23 @@ class TestStoreTyping:
     def test_location_missing_from_m(self):
         store, loc = initial_store(HEAP, 1).alloc(HEAP, 1, Const(3))
         out = check_store_typing(frozenset({HEAP}), {}, store)
-        assert any("differ from the domain of M" in v.message for v in out)
+        assert any("missing from the domain of M" in v.message for v in out)
 
     def test_region_set_mismatch(self):
-        store = initial_store(HEAP, 1)
-        out = check_store_typing(frozenset({HEAP, A}), {}, store)
-        assert any("differ from R" in v.message for v in out)
+        # A store region must be in R; a freed region stays in R, so R may
+        # be larger than the store.
+        store = Store(node(HEAP, {1: Counts(1, 0)}, children=(node(A, {1: Counts(1, 0)}),)))
+        out = check_store_typing(frozenset({HEAP}), {}, store)
+        assert [v.check for v in out] == ["store-typing"]
+        assert "missing from R" in out[0].message
+        assert check_store_typing(frozenset({HEAP, A}), {}, initial_store(HEAP, 1)) == []
+
+    def test_open_stored_value_flagged(self):
+        # Re-typing under the empty environment rejects the free variable.
+        store, loc = initial_store(HEAP, 1).alloc(HEAP, 1, Var("x"))
+        out = check_store_typing(frozenset({HEAP}), {loc: INT}, store)
+        assert [v.check for v in out] == ["store-typing"]
+        assert "UnboundVariable" in out[0].message
 
     def test_int_cell_ok(self):
         store, loc = initial_store(HEAP, 1).alloc(HEAP, 1, Const(3))
@@ -332,6 +344,47 @@ def test_memoised_retyping_agrees_with_a_fresh_checker(name, monkeypatch):
         assert counts["open_hits"] > 0
 
 
+class CountingMemo(dict):
+    def __init__(self):
+        super().__init__()
+        self.clears = 0
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+class Monotone(Harness):
+    """Checks after every step that R is the heap and every region the run
+    has allocated, and that M covers every location it has allocated, freed
+    or not."""
+
+    def __init__(self, typed):
+        super().__init__(typed)
+        self.memo = CountingMemo()
+        self.steps = 0
+
+    def after_step(self, index, before, tid, outcome, after, outcomes):
+        violations = super().after_step(index, before, tid, outcome, after, outcomes)
+        assert self.regions == {HEAP} | {RegionLit(f"r{i}")
+                                         for i in range(1, after.next_region)}
+        assert {loc.idx for loc in self.locations} == set(range(1, after.next_loc))
+        self.steps += 1
+        return violations
+
+
+@pytest.mark.parametrize("name", RUNNABLE)
+def test_contexts_only_grow(name):
+    t = typed(name)
+    main = t.linked_main()
+    for seed in range(10):
+        harness = Monotone(t)
+        run_seeded(main, seed=seed, harness=harness)
+        assert harness.steps and harness.violations_seen == 0
+        # Cleared once, when the run starts, and never after.
+        assert harness.memo.clears == 1
+
+
 class TestFaultInjection:
     """A broken rule of the machine ends a harnessed run in a violation."""
 
@@ -359,13 +412,26 @@ class TestFaultInjection:
         assert any(v["check"] == "thread-typing" and v["thread"] == 1
                    for v in terminal["violations"])
 
-    def test_store_rule_that_drops_a_lock(self, capsys, monkeypatch):
+    def ignore(self, monkeypatch, op: CapOp) -> None:
         real = Store.updcap
-        monkeypatch.setattr(Store, "updcap", lambda self, op, rid, tid: self
-                            if op is CapOp.LK_PLUS else real(self, op, rid, tid))
+        monkeypatch.setattr(Store, "updcap", lambda self, o, rid, tid: self
+                            if o is op else real(self, o, rid, tid))
+
+    def test_store_rule_that_drops_a_lock(self, capsys, monkeypatch):
+        self.ignore(monkeypatch, CapOp.LK_PLUS)
         payload = self.run_json(capsys, "sharing_once.rgn", 0)
         checks = {v["check"] for v in payload["terminal"]["violations"]}
         assert checks == {"store-consistency"}
+
+    def test_store_rule_that_keeps_a_lock(self, capsys, monkeypatch):
+        # More dynamic counts than static ones: consistency wants them equal.
+        self.ignore(monkeypatch, CapOp.LK_MINUS)
+        for seed in range(3):
+            violations = self.run_json(capsys, "sharing_once.rgn", seed)[
+                "terminal"]["violations"]
+            assert {v["check"] for v in violations} == {"store-consistency"}
+            assert any("statically holds (2,0) of #r1 but dynamically has (2,1)"
+                       in v["message"] for v in violations)
 
     def test_term_rule_the_memo_must_not_mask(self, capsys, monkeypatch):
         # `+` yielding a bool changes the stepped term, so its digest changes.
@@ -382,9 +448,8 @@ class TestFaultInjection:
                                                                    monkeypatch):
         # A free deallocates once the freeing thread's own count is gone,
         # although the other thread still holds the region. That thread
-        # neither stepped nor changed its effect, so only a memo cleared when
-        # R and M shrink re-types it and finds the dead handle or location
-        # in its term.
+        # neither stepped nor changed its effect, but its effect still names
+        # the region, which store consistency finds absent from the store.
         real = Store.updcap
 
         def eager_free(self, op, rid, tid):
@@ -399,6 +464,6 @@ class TestFaultInjection:
             payload = self.run_json(capsys, "sharing_once.rgn", seed)
             stepped = payload["steps"][-1]["thread"]
             assert payload["steps"][-1]["rule"] == "E-C"
-            assert any(v["check"] == "thread-typing" and v["thread"] != stepped
-                       and "is not allocated" in v["message"]
+            assert any(v["check"] == "store-consistency" and v["thread"] != stepped
+                       and "absent from the store" in v["message"]
                        for v in payload["terminal"]["violations"])

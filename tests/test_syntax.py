@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import typing
 
 import pytest
@@ -128,6 +129,24 @@ class TestSubstitutionSharing:
         assert out.first is self.BODY.first
         assert out.second.first.param_type == RefType(INT, IOTA3)
         assert out.second.second is self.BODY.second.second
+
+    def test_walks_leave_no_reference_cycles(self):
+        # The collector finds nothing: every object a call made was freed by
+        # reference counting as soon as it was dropped.
+        seq = Seq(Var("x"), Var("y"))
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for _ in range(100):
+                subst_var(seq, "x", Const(5))
+                subst_region_expr(self.BODY, RHO2, IOTA3)
+                free_term_vars(self.BODY)
+                free_regions(self.BODY.second.first.param_type)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestTraversal:
