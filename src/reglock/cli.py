@@ -28,7 +28,6 @@ from typing import Optional
 from .interp import ExploreRefusal, Trace, explore, run_seeded
 from .meta import Harness
 from .parser import ParseError, parse_program
-from .syntax import restart_fresh_names
 from .typecheck import CheckFailure, check_program, link_bodies
 
 EXIT_OK = 0
@@ -55,7 +54,6 @@ def _load(path: str, unchecked: bool = False, as_json: bool = False):
     except UnicodeDecodeError as exc:
         print(f"error: {path}: {exc}", file=sys.stderr)
         return None, EXIT_USAGE
-    restart_fresh_names()
     try:
         program = parse_program(text)
     except ParseError as exc:

@@ -23,10 +23,11 @@ digest.  A rule whose reduct reads only the term (E-A, E-RP, E-IF, E-SEQ,
 E-WHILE, E-OP) replaces it with the rule and successor term; E-C and E-AS
 add the term with `()` in the hole and still run their store operation,
 with its blocking and faults.  E-NG, E-NR, E-D (store or counters) and E-SN
-(a new thread) keep the decomposition only.  The cache is exact: these read
-nothing but the term, and substitution's one hidden input, the counter that
-names a renamed binder, is never read at run time, since E-RP and E-NG
-substitute region literals, which no binder can capture.  A successor
+(a new thread) keep the decomposition only.  The cache is exact: these
+rules read nothing but the term, and substitution is a function of its
+arguments alone: a binder it renames to avoid capture gets the first
+`base%n` that does not occur free in the binder's body
+(`syntax.fresh_region_var`).  A successor
 points forward, so a live term keeps every later term built from it alive;
 `explore` does not hold its initial configuration.
 
@@ -286,10 +287,14 @@ def step_thread(config: Config, tid: int) -> StepOutcome:
     redex = memo.redex or e
 
     if isinstance(redex, App) and isinstance(redex.mode, ParMode):
+        # A spawn moves the callee's input effect, or the annotation the
+        # checker required to equal it.
         transfer = redex.mode.transfer
         if transfer is None:
-            return Stuck(tid, "MissingSpawnAnnotation",
-                         "spawn reached without a transfer annotation")
+            if not isinstance(redex.fn, Lambda):
+                return Stuck(tid, "BadApplication",
+                             f"spawn of non-function {pretty(redex.fn)}")
+            transfer = redex.fn.effect_in
         child_tid = config.next_tid
         try:
             store = config.store.transfer(tid, child_tid, transfer)

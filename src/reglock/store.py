@@ -108,33 +108,27 @@ class Store:
     # -- traversal ---------------------------------------------------------------
 
     def path_to(self, rid: RegionLit) -> Optional[tuple[RegionNode, ...]]:
-        """Root-to-node path, or None when the region does not exist."""
-        def walk(node: RegionNode, trail: tuple[RegionNode, ...]):
-            trail = trail + (node,)
-            if node.rid == rid:
-                return trail
-            for child in node.children:
-                found = walk(child, trail)
-                if found is not None:
-                    return found
-            return None
-
-        if self.root is None:
-            return None
-        return walk(self.root, ())
+        """Root-to-node path, or None when the region does not exist.
+        Depth first and in child order, from an explicit stack of paths."""
+        stack = [(self.root,)] if self.root is not None else []
+        while stack:
+            path = stack.pop()
+            if path[-1].rid == rid:
+                return path
+            stack.extend(path + (child,) for child in reversed(path[-1].children))
+        return None
 
     def find(self, rid: RegionLit) -> Optional[RegionNode]:
         path = self.path_to(rid)
         return path[-1] if path else None
 
     def regions(self) -> Iterator[RegionNode]:
-        def walk(node: RegionNode) -> Iterator[RegionNode]:
+        """Every region node, parents before children, in child order."""
+        stack = [self.root] if self.root is not None else []
+        while stack:
+            node = stack.pop()
             yield node
-            for child in node.children:
-                yield from walk(child)
-
-        if self.root is not None:
-            yield from walk(self.root)
+            stack.extend(reversed(node.children))
 
     def region_ids(self) -> frozenset[RegionLit]:
         return frozenset(n.rid for n in self.regions())
@@ -164,82 +158,78 @@ class Store:
             return frozenset()
         return Store(node).region_ids()
 
-    def _rebuild(self, rid: RegionLit, fn: Callable[[RegionNode], Optional[RegionNode]]) -> "Store":
-        """Apply fn to the named node; returning None deletes its subtree."""
-        def walk(node: RegionNode) -> Optional[RegionNode]:
-            if node.rid == rid:
-                return fn(node)
-            kids = []
-            hit = False
-            for child in node.children:
-                res = walk(child)
-                if res is not child:
-                    hit = True
-                if res is not None:
-                    kids.append(res)
-            if not hit:
-                return node
-            return replace(node, children=tuple(kids))
-
-        assert self.root is not None
-        return Store(walk(self.root))
+    @staticmethod
+    def _rebuild(path: tuple[RegionNode, ...], node: Optional[RegionNode]) -> "Store":
+        """The store with `node` in place of the last node of `path`, a
+        root-to-node path; None deletes that subtree.  Only the nodes on
+        the path are rebuilt."""
+        old = path[-1]
+        for parent in reversed(path[:-1]):
+            kids = (tuple(k for k in parent.children if k is not old) if node is None
+                    else tuple(node if k is old else k for k in parent.children))
+            old, node = parent, replace(parent, children=kids)
+        return Store(node)
 
     # -- liveness and accessibility -----------------------------------------------
 
+    def _live_path(self, rid: RegionLit) -> Optional[tuple[RegionNode, ...]]:
+        """The path to `rid` when it and all its ancestors have a positive
+        total region count, else None."""
+        path = self.path_to(rid)
+        if path is None or not all(n.total_rg() > 0 for n in path):
+            return None
+        return path
+
     def is_live(self, rid: RegionLit) -> bool:
         """Positive total region count, and all ancestors live too."""
-        path = self.path_to(rid)
-        if path is None:
-            return False
-        return all(node.total_rg() > 0 for node in path)
+        return self._live_path(rid) is not None
 
     def is_accessible(self, rid: RegionLit, tid: int) -> bool:
         """Live, and this thread holds a lock on the region or an ancestor."""
-        path = self.path_to(rid)
-        if path is None or not all(n.total_rg() > 0 for n in path):
-            return False
-        return any(n.counts_for(tid).lk > 0 for n in path)
+        path = self._live_path(rid)
+        return path is not None and any(n.counts_for(tid).lk > 0 for n in path)
 
     # -- the five partial functions plus transfer ----------------------------------
 
     def alloc(self, rid: RegionLit, loc_idx: int, value: Expr) -> tuple["Store", Location]:
-        if not self.is_live(rid):
+        path = self._live_path(rid)
+        if path is None:
             raise StoreFault("NotLive", f"allocation into dead region {rid}")
         loc = Location(loc_idx, rid)
-        return self._rebuild(rid, lambda n: n.heap_set(loc, value)), loc
+        return self._rebuild(path, path[-1].heap_set(loc, value)), loc
 
-    def _accessible_region(self, loc: Location, tid: int, verb: str) -> RegionLit:
+    def _accessible_path(self, loc: Location, tid: int, verb: str) -> tuple[RegionNode, ...]:
         rid = self.region_of_location(loc)
         if rid is None:
             raise StoreFault("UnknownLocation", f"location {loc} does not exist")
-        if not self.is_accessible(rid, tid):
+        path = self._live_path(rid)
+        if path is None or not any(n.counts_for(tid).lk > 0 for n in path):
             raise StoreFault("Inaccessible",
                              f"thread {tid} {verb} {loc} without holding a lock on "
                              f"{rid} or an ancestor")
-        return rid
+        return path
 
     def lookup(self, loc: Location, tid: int) -> Expr:
-        node = self.find(self._accessible_region(loc, tid, "reads"))
-        assert node is not None
-        value = node.heap_get(loc)
+        value = self._accessible_path(loc, tid, "reads")[-1].heap_get(loc)
         assert value is not None
         return value
 
     def update(self, loc: Location, value: Expr, tid: int) -> "Store":
-        rid = self._accessible_region(loc, tid, "writes")
-        return self._rebuild(rid, lambda n: n.heap_set(loc, value))
+        path = self._accessible_path(loc, tid, "writes")
+        return self._rebuild(path, path[-1].heap_set(loc, value))
 
     def newrgn(self, parent: RegionLit, tid: int, name: str) -> tuple["Store", RegionLit]:
-        if not self.is_live(parent):
+        path = self._live_path(parent)
+        if path is None:
             raise StoreFault("NotLive", f"new region under dead region {parent}")
         rid = RegionLit(name)
         child = RegionNode(rid, ((tid, Counts(1, 1)),), (), ())
-        return self._rebuild(parent, lambda n: replace(n, children=n.children + (child,))), rid
+        return self._rebuild(path, replace(path[-1], children=path[-1].children + (child,))), rid
 
     def updcap(self, op: CapOp, rid: RegionLit, tid: int):
         """Returns a new Store, or Blocked when a lock must be waited for."""
-        path = self.path_to(rid)
-        if path is None or not all(n.total_rg() > 0 for n in path):
+        path = self._live_path(rid)
+        if path is None:
             raise StoreFault("NotLive", f"capability update on dead region {rid}")
         node = path[-1]
         mine = node.counts_for(tid)
@@ -247,40 +237,34 @@ class Store:
             if mine.rg < 1:
                 raise StoreFault("CountUnderflow",
                                  f"thread {tid} shares {rid} without holding a region count")
-            return self._rebuild(rid, lambda n: n.with_counts(tid, Counts(mine.rg + 1, mine.lk)))
+            return self._rebuild(path, node.with_counts(tid, Counts(mine.rg + 1, mine.lk)))
         if op is CapOp.RG_MINUS:
             if mine.rg < 1:
                 raise StoreFault("CountUnderflow",
                                  f"thread {tid} frees {rid} without holding a region count")
-            new_counts = Counts(mine.rg - 1, mine.lk)
-            updated = self._rebuild(rid, lambda n: n.with_counts(tid, new_counts))
-            survivor = updated.find(rid)
-            assert survivor is not None
-            if survivor.total_rg() == 0:
-                # Bulk deallocation: the whole subtree goes at once.
-                return updated._rebuild(rid, lambda n: None)
-            return updated
+            node = node.with_counts(tid, Counts(mine.rg - 1, mine.lk))
+            # Bulk deallocation: at a zero total the whole subtree goes at once.
+            return self._rebuild(path, node if node.total_rg() > 0 else None)
         if op is CapOp.LK_PLUS:
-            blockers = self._lock_blockers(rid, tid)
+            blockers = self._lock_blockers(path, tid)
             if blockers:
                 return Blocked(rid, blockers)
-            return self._rebuild(rid, lambda n: n.with_counts(tid, Counts(mine.rg, mine.lk + 1)))
+            return self._rebuild(path, node.with_counts(tid, Counts(mine.rg, mine.lk + 1)))
         if op is CapOp.LK_MINUS:
             if mine.lk < 1:
                 raise StoreFault("CountUnderflow",
                                  f"thread {tid} unlocks {rid} without holding its lock")
-            return self._rebuild(rid, lambda n: n.with_counts(tid, Counts(mine.rg, mine.lk - 1)))
+            return self._rebuild(path, node.with_counts(tid, Counts(mine.rg, mine.lk - 1)))
         raise TypeError(f"unknown capability operator {op!r}")
 
-    def _lock_blockers(self, rid: RegionLit, tid: int) -> frozenset[int]:
-        """Threads preventing `tid` from locking `rid`.
+    @staticmethod
+    def _lock_blockers(path: tuple[RegionNode, ...], tid: int) -> frozenset[int]:
+        """Threads preventing `tid` from locking the last region of `path`.
 
         A lock on a region atomically covers its subtree, so acquisition must
         wait while any other thread holds a lock on the region itself, on an
         ancestor, or anywhere inside its subtree.
         """
-        path = self.path_to(rid)
-        assert path is not None
         holders: set[int] = set()
         for node in path:  # region itself and its ancestors
             holders |= node.lock_holders()
@@ -294,25 +278,21 @@ class Store:
         out = self
         for r, cap, _ in eff.items():
             assert isinstance(r, RegionLit), f"transfer of non-literal region {r}"
-            node = out.find(r)
-            if node is None:
+            path = out.path_to(r)
+            if path is None:
                 raise StoreFault("InsufficientDynamicCounts",
                                  f"transfer names missing region {r}")
-            have = node.counts_for(giver)
+            have = path[-1].counts_for(giver)
             if have.rg < cap.rg or have.lk < cap.lk:
                 raise StoreFault("InsufficientDynamicCounts",
                                  f"thread {giver} holds {have} of {r}, cannot "
                                  f"transfer ({cap.rg},{cap.lk})")
             if giver == taker:
                 continue
-
-            def move(n: RegionNode, c=cap) -> RegionNode:
-                h = n.counts_for(giver)
-                n = n.with_counts(giver, Counts(h.rg - c.rg, h.lk - c.lk))
-                t = n.counts_for(taker)
-                return n.with_counts(taker, Counts(t.rg + c.rg, t.lk + c.lk))
-
-            out = out._rebuild(r, move)
+            node = path[-1].with_counts(giver, Counts(have.rg - cap.rg, have.lk - cap.lk))
+            got = node.counts_for(taker)
+            node = node.with_counts(taker, Counts(got.rg + cap.rg, got.lk + cap.lk))
+            out = out._rebuild(path, node)
         return out
 
     # -- invariants and serialization ----------------------------------------------
@@ -334,15 +314,16 @@ class Store:
         return True
 
     def to_json(self, value_str: Callable[[Expr], str]) -> Optional[dict]:
-        def conv(node: RegionNode) -> dict:
-            return {
-                "region": str(node.rid),
-                "threads": {str(t): [c.rg, c.lk] for t, c in node.threads},
-                "heap": {str(l): value_str(v) for l, v in node.heap},
-                "children": [conv(c) for c in sorted(node.children, key=lambda n: n.rid.name)],
-            }
+        return _region_json(self.root, value_str) if self.root is not None else None
 
-        return conv(self.root) if self.root is not None else None
+
+def _region_json(node: RegionNode, value_str: Callable[[Expr], str]) -> dict:
+    return {
+        "region": str(node.rid),
+        "threads": {str(t): [c.rg, c.lk] for t, c in node.threads},
+        "heap": {str(l): value_str(v) for l, v in node.heap},
+        "children": [_region_json(c, value_str) for c in _sorted_children(node)],
+    }
 
 
 def initial_store(heap: RegionLit, tid: int) -> Store:

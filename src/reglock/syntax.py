@@ -7,11 +7,10 @@ re-parsed term compares equal to the original.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from hashlib import blake2b
-from typing import Callable, Iterable, Iterator, Optional, Union, get_args
+from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Union, get_args
 
 
 # ---------------------------------------------------------------------------
@@ -606,24 +605,14 @@ def scan_runtime_forms(e: Expr) -> bool:
 # Substitution
 # ---------------------------------------------------------------------------
 
-_fresh_counter = itertools.count(1)
-
-
-def restart_fresh_names() -> None:
-    """Number renamed region variables from 1 again.
-
-    Call it once per loaded program, before it is checked or linked: a
-    parsed program holds no renamed names, and the numbering then depends
-    on the program alone.
-    """
-    global _fresh_counter
-    _fresh_counter = itertools.count(1)
-
-
-def fresh_region_var(base: RegionVar) -> RegionVar:
-    # '%' is not a lexable name character, so renamed variables cannot
-    # collide with source names.
-    return RegionVar(f"{base.name}%{next(_fresh_counter)}")
+def fresh_region_var(base: RegionVar, avoid: AbstractSet[RegionName]) -> RegionVar:
+    """The first `base%n` (n = 1, 2, ...) not in `avoid`.  '%' is not a
+    lexable name character, so a renamed variable cannot collide with a
+    source name, and the name depends on its arguments alone."""
+    n = 1
+    while RegionVar(f"{base.name}%{n}") in avoid:
+        n += 1
+    return RegionVar(f"{base.name}%{n}")
 
 
 def subst_region_effect(eff: Effect, var: RegionVar, rep: RegionName) -> Effect:
@@ -677,7 +666,7 @@ def subst_region_type(t: Type, var: RegionVar, rep: RegionName) -> Type:
         if t.var == var:
             return t  # shadowed
         if t.var == rep:
-            fresh = fresh_region_var(t.var)
+            fresh = fresh_region_var(t.var, free_regions(t.body) | {var, rep})
             body = subst_region_type(t.body, t.var, fresh)
             return RegionPolyType(fresh, subst_region_type(body, var, rep))
         return RegionPolyType(t.var, subst_region_type(t.body, var, rep))
@@ -723,7 +712,7 @@ def subst_region_expr(e: Expr, var: RegionVar, rep: RegionName) -> Expr:
                 return e if ph is e.parent_handle else replace(e, parent_handle=ph)
             return e
         # The binder would capture `rep`: rename it first.
-        fresh = fresh_region_var(e.var)
+        fresh = fresh_region_var(e.var, free_names(e.body)[1] | {var, rep})
         e = replace(e, var=fresh, body=subst_region_expr(e.body, e.var, fresh))
     elif isinstance(e, Lambda):
         ptype = e.param_type

@@ -7,6 +7,11 @@ input effect is split out of the caller's, and the callee's output effect is
 joined back (for spawns nothing returns and the transferred effect must be
 hierarchy-complete, lock-safe and fully consumed by the new thread).
 
+A spawn transfers exactly the callee's instantiated input effect (the
+split passes that effect on whole), so the checker rewrites nothing: a
+written `spawn[{...}]` annotation must equal it, and for an unannotated
+spawn the interpreter moves the spawned function's own `effect_in`.
+
 Definitions are non-recursive and may only reference earlier definitions;
 loops are expressed with `while`, which requires its body to preserve the
 effect exactly.
@@ -14,7 +19,7 @@ effect exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import effects as fx
@@ -48,7 +53,6 @@ from .syntax import (
     NewRgn,
     ParMode,
     Prim,
-    REBUILD,
     RefType,
     RegionApp,
     RegionLambda,
@@ -84,7 +88,7 @@ DIAG_CODES = frozenset({
     "ConsistencyViolation", "ImpureLockEscape", "HierarchyAbstractionInPar",
     "NonEmptyThreadOutput", "NonUnitThreadResult", "MalformedMain",
     "MalformedAnnotation", "SpawnAnnotationMismatch", "UnknownLocation",
-    "RegionShadowing", "NotAValue", "UnsupportedForm", "DefinitionCycle",
+    "NotAValue", "UnsupportedForm", "DefinitionCycle",
 })
 
 
@@ -120,15 +124,15 @@ class CheckFailure(Exception):
 
 @dataclass
 class TypedProgram:
-    """A successfully checked program with resolved spawn annotations."""
+    """A successfully checked program, with each definition's type and the
+    effect after each of its source lines."""
 
     program: SourceProgram
     def_types: dict[str, Type]
-    def_bodies: dict[str, Expr]       # spawn annotations filled in
     effect_lines: dict[str, dict[int, Effect]]
 
     def linked_main(self) -> Expr:
-        return link_bodies(self.program, self.def_bodies)
+        return link_bodies(self.program)
 
 
 @dataclass
@@ -203,13 +207,6 @@ class Checker:
         # Owned by the metatheory harness, whose module docstring says why
         # an entry stays valid.
         self.memo = memo
-        # Par applications get their computed transfer effect stashed here,
-        # keyed by node identity, and are rewritten after the def checks out.
-        self.spawn_transfers: dict[int, Effect] = {}
-        # Region binders alpha-renamed while checking, keyed by the identity
-        # of the original node: their spawns are annotated in the renamed
-        # copy, which also keeps the copy's nodes (and ids) alive.
-        self.renamed: dict[int, Expr] = {}
 
     # -- helpers ---------------------------------------------------------------
 
@@ -245,13 +242,12 @@ class Checker:
 
     def _unshadow(self, e: RegionLambda | NewRgn, env: _Env) -> tuple[RegionVar, Expr]:
         """Binder and body of a `/\\` or `newrgn`, alpha-renamed if the binder
-        shadows one in scope (linked programs nest definitions)."""
+        shadows one in scope (linked programs nest definitions).  The new
+        name is the first one not in scope, so it depends on the term alone."""
         if e.var not in env.region_vars:
             return e.var, e.body
-        fresh = fresh_region_var(e.var)
-        copy = replace(e, var=fresh, body=subst_region_expr(e.body, e.var, fresh))
-        self.renamed[id(e)] = copy
-        return fresh, copy.body
+        fresh = fresh_region_var(e.var, env.region_vars)
+        return fresh, subst_region_expr(e.body, e.var, fresh)
 
     # -- the judgement -----------------------------------------------------------
 
@@ -491,26 +487,8 @@ class Checker:
                 raise self.fail("SpawnAnnotationMismatch",
                                 f"spawn annotation {declared.pretty()} does not match the "
                                 f"inferred transfer {split.passed.pretty()}", e.loc, out)
-            self.spawn_transfers[id(e)] = split.passed
             return UNIT, joined
         return t_fn.result, joined
-
-
-def _annotate_spawns(e: Expr, checker: Checker) -> Expr:
-    """Rebuild the term the checker checked, writing the computed transfer
-    effects into Par modes."""
-
-    if not checker.spawn_transfers:
-        return e
-
-    def go(x: Expr) -> Expr:
-        x = checker.renamed.get(id(x), x)
-        transfer = checker.spawn_transfers.get(id(x))
-        if transfer is not None:
-            return App(go(x.fn), go(x.arg), ParMode(transfer), x.loc)
-        return REBUILD[type(x)](x, go)
-
-    return go(e)
 
 
 def main_input_effect(var: RegionVar) -> Effect:
@@ -521,7 +499,6 @@ def check_program(program: SourceProgram) -> CheckResult:
     """Check every definition in order; definitions see earlier ones only."""
     diagnostics: list[Diagnostic] = []
     def_types: dict[str, Type] = {}
-    def_bodies: dict[str, Expr] = {}
     effect_lines: dict[str, dict[int, Effect]] = {}
 
     failed: set[str] = set()
@@ -544,7 +521,6 @@ def check_program(program: SourceProgram) -> CheckResult:
             failed.add(d.name)
             continue
         def_types[d.name] = t
-        def_bodies[d.name] = _annotate_spawns(d.body, checker)
         effect_lines[d.name] = lines
 
     if "main" in def_types:
@@ -555,7 +531,7 @@ def check_program(program: SourceProgram) -> CheckResult:
 
     if diagnostics:
         return CheckResult(False, diagnostics)
-    typed = TypedProgram(program, def_types, def_bodies, effect_lines)
+    typed = TypedProgram(program, def_types, effect_lines)
     return CheckResult(True, [], typed)
 
 
@@ -578,17 +554,16 @@ def _validate_main(t: Type) -> Optional[str]:
     return None
 
 
-def link_bodies(program: SourceProgram, bodies: Optional[dict[str, Expr]] = None) -> Expr:
+def link_bodies(program: SourceProgram) -> Expr:
     """Substitute definitions into `main`, producing one closed expression.
 
     Later definitions may reference earlier ones; cycles are impossible by
     construction.  Raises CheckFailure on references to missing or
     not-yet-defined names.
     """
-    table = bodies if bodies is not None else {d.name: d.body for d in program.defs}
     linked: dict[str, Expr] = {}
     for d in program.defs:
-        body = table[d.name]
+        body = d.body
         for name in sorted(free_term_vars(body)):
             if name in linked:
                 body = subst_var(body, name, linked[name])

@@ -59,7 +59,7 @@ def paired_long_seq(n: int) -> str:
 
 
 #: A spawn under region binders that shadow each other: the checker renames
-#: the inner `rho`, and the spawn must be annotated in the renamed body.
+#: the inner `rho` while it checks the body that holds the spawn.
 SHADOWED_SPAWN = """
 def nop = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^~(1,0)@_} -> {}].
   free heap

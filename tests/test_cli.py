@@ -93,6 +93,21 @@ class TestRun:
         assert captured.err.count("\n") == 1 and "--unchecked" in captured.err
         assert not captured.out
 
+    def test_unchecked_spawn_moves_the_callee_input_effect(self, tmp_path, capsys):
+        # No transfer is written, so the spawn moves `nop`'s input effect,
+        # the heap's (1,0), from thread 1 to thread 2.
+        path = tmp_path / "undeclared_spawn.rgn"
+        path.write_text(
+            "def nop = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^~(1,0)@_} -> {}]. free heap\n"
+            "def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].\n"
+            "  (share heap; spawn nop[rhoH](heap))\n")
+        assert main(["run", str(path), "--seed", "0", "--unchecked", "--trace", "json",
+                     "--snapshots"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        [spawn] = [s for s in payload["steps"] if s["rule"] == "E-SN"]
+        assert spawn["store"]["threads"] == {"1": [1, 0], "2": [1, 0]}
+        assert payload["terminal"]["kind"] == "all_done"
+
     def test_deadlock_exit_three(self, capsys):
         assert main(["run", corpus("deadlock_forced.rgn"), "--seed", "1",
                      "--unchecked"]) == 3
@@ -226,7 +241,7 @@ def test_dead_handle_after_free_runs_clean(tmp_path, capsys):
 
 
 def test_trace_digests_depend_only_on_the_program(tmp_path, capsys):
-    # Renamed region binders are numbered per loaded program.
+    # A renamed region binder's name depends on the term alone.
     path = tmp_path / "shadowed_spawn.rgn"
     path.write_text(SHADOWED_SPAWN)
     outs = []

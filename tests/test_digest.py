@@ -23,14 +23,12 @@ from reglock.syntax import (
     Seq,
     Var,
     expr_digest,
-    restart_fresh_names,
 )
 from reglock.typecheck import check_program, link_bodies
 from conftest import CORPUS, RUNNABLE, corpus_text, paired_long_seq
 
 
 def linked_main(text: str, checked: bool = True):
-    restart_fresh_names()
     program = parse_program(text)
     return check_program(program).typed.linked_main() if checked else link_bodies(program)
 

@@ -50,6 +50,7 @@ from reglock.syntax import (
     LocVal,
     NewRef,
     NewRgn,
+    ParMode,
     Prim,
     RegionApp,
     RegionLambda,
@@ -60,7 +61,6 @@ from reglock.syntax import (
     While,
     expr_digest,
     is_value,
-    restart_fresh_names,
 )
 from reglock.typecheck import check_program, link_bodies
 from conftest import RUNNABLE, corpus_text
@@ -72,7 +72,6 @@ def typed_main(name: str):
 
 
 def checked_main(text: str):
-    restart_fresh_names()
     result = check_program(parse_program(text))
     assert result.ok, [d.render() for d in result.diagnostics]
     return result.typed.linked_main()
@@ -258,6 +257,13 @@ class TestStepping:
                 return
             assert isinstance(outcome, Stepped)
             config = outcome.config
+
+    def test_unannotated_spawn_of_a_non_function_is_stuck(self):
+        # Only a function has an input effect to transfer.
+        spawn = App(Const(5), Const(UNIT_VALUE), ParMode(None))
+        config = replace(initial_config(Const(UNIT_VALUE)), threads=(Thread(1, spawn),))
+        outcome = step_thread(config, 1)
+        assert isinstance(outcome, Stuck) and outcome.code == "BadApplication"
 
 
 class TestDeterminism:

@@ -31,7 +31,6 @@ from reglock.syntax import (
     FnType,
     RegionLit,
     Var,
-    restart_fresh_names,
 )
 from reglock.typecheck import Checker, check_program, type_eq
 from conftest import CORPUS, RUNNABLE, SHADOWED_SPAWN, corpus_text, paired_long_seq
@@ -214,8 +213,8 @@ class TestPreservationOverRuns:
             if rule == "E-NG" and not tampered:
                 # zero out the creating thread's lock count on the new region
                 new_rid = outcomes[tid].info[1]
-                store = config.store._rebuild(
-                    new_rid, lambda n: n.with_counts(1, Counts(1, 0)))
+                path = config.store.path_to(new_rid)
+                store = config.store._rebuild(path, path[-1].with_counts(1, Counts(1, 0)))
                 config = dc_replace(config, store=store)
                 tampered = True
             violations = harness.after_step(index, before, tid, outcomes[tid],
@@ -288,7 +287,6 @@ def test_harness_types_few_nodes_per_step(monkeypatch):
     come from the memo under any environment, so a step of lock_tree(4)
     types about 18 nodes in full (40.7 when only subterms under an empty
     environment were served)."""
-    restart_fresh_names()
     result = check_program(parse_program(lock_tree(4)))
     main = result.typed.linked_main()
     counts = count_checks(monkeypatch)
@@ -329,7 +327,6 @@ GENERATED = {"long_seq_30": (paired_long_seq(30), [0]),
 @pytest.mark.parametrize("name", RUNNABLE + list(GENERATED))
 def test_memoised_retyping_agrees_with_a_fresh_checker(name, monkeypatch):
     text, seeds = GENERATED.get(name) or (corpus_text(name), range(10))
-    restart_fresh_names()
     result = check_program(parse_program(text))
     assert result.ok, result.diagnostics
     main = result.typed.linked_main()
@@ -456,7 +453,7 @@ class TestFaultInjection:
             store = real(self, op, rid, tid)
             node = store.find(rid) if op is CapOp.RG_MINUS else None
             if node is not None and node.counts_for(tid).rg == 0:
-                return store._rebuild(rid, lambda n: None)
+                return store._rebuild(store.path_to(rid), None)
             return store
 
         monkeypatch.setattr(Store, "updcap", eager_free)

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from reglock.parser import parse_expr, parse_program
+from reglock.store import initial_store
 from reglock.syntax import (
     BOTTOM,
     CLOSED,
@@ -134,6 +135,9 @@ class TestSubstitutionSharing:
         # The collector finds nothing: every object a call made was freed by
         # reference counting as soon as it was dropped.
         seq = Seq(Var("x"), Var("y"))
+        heap, a = RegionLit("H"), RegionLit("a")
+        store, b = initial_store(heap, 1).newrgn(heap, 1, "b")
+        store = store.updcap(CapOp.RG_PLUS, heap, 1)
         enabled = gc.isenabled()
         gc.disable()
         try:
@@ -143,6 +147,17 @@ class TestSubstitutionSharing:
                 subst_region_expr(self.BODY, RHO2, IOTA3)
                 free_term_vars(self.BODY)
                 free_regions(self.BODY.second.first.param_type)
+                # The store's walks and every operation that rebuilds a path.
+                grown, _ = store.newrgn(b, 1, "a")
+                grown, loc = grown.alloc(a, 1, Const(1))
+                grown = grown.update(loc, grown.lookup(loc, 1), 1)
+                grown = grown.transfer(1, 2, Effect([(heap, Capability(1, 0), BOTTOM)]))
+                for op in (CapOp.LK_MINUS, CapOp.LK_PLUS, CapOp.RG_PLUS, CapOp.RG_MINUS,
+                           CapOp.RG_MINUS):
+                    grown = grown.updcap(op, a, 1)
+                list(grown.regions())
+                grown.to_json(str)
+                grown.mutual_exclusion_ok()
             assert gc.collect() == 0
         finally:
             if enabled:

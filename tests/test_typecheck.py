@@ -3,10 +3,12 @@ from __future__ import annotations
 import pytest
 
 from reglock.effects import effect_subtract
+from reglock.interp import Spawned, run_seeded
 from reglock.parser import parse_program
 from reglock.syntax import (
     BOTTOM,
     EMPTY_EFFECT,
+    HEAP,
     INT,
     Capability,
     Effect,
@@ -84,29 +86,28 @@ class TestExampleFlows:
 
 
 class TestSpawnInference:
+    # What a spawn transfers is read off the `Spawned` outcomes of a run:
+    # the callee's input effect, with its region variables instantiated.
+
     def test_migration_transfer(self):
-        result = check_src(corpus_text("migration.rgn"))
-        assert result.ok
-        transfers = _spawn_transfers(result.typed.def_bodies["serve"])
-        assert len(transfers) == 1
-        eff = transfers[0]
-        assert eff.cap(RHO) == Capability(1, 1, pure=True)  # whole, still locked
-        assert eff.cap(RHOH) == Capability(1, 0, pure=False)
+        transfers = _performed_transfers(corpus_text("migration.rgn"), max_steps=80)
+        assert len(transfers) >= 2  # the loop spawns once per region
+        for eff in transfers:
+            [rho] = [r for r in eff.domain() if r != HEAP]
+            assert eff.cap(rho) == Capability(1, 1, pure=True)  # whole, still locked
+            assert eff.cap(HEAP) == Capability(1, 0, pure=False)
 
     def test_sharing_transfer(self):
-        result = check_src(corpus_text("sharing.rgn"))
-        assert result.ok
-        [eff] = _spawn_transfers(result.typed.def_bodies["serve"])
-        assert eff.cap(RHO) == Capability(1, 0, pure=False)  # half of (2,0)
+        [eff, *_] = _performed_transfers(corpus_text("sharing.rgn"), max_steps=80)
+        [rho] = [r for r in eff.domain() if r != HEAP]
+        assert eff.cap(rho) == Capability(1, 0, pure=False)  # half of (2,0)
 
     def test_closed_function_transfers_nothing(self):
         src = (
             "def noop = \\u: unit @ [{} -> {}]. ()\n"
             + MAIN_WRAP % "spawn noop(())"
         )
-        result = check_src(src)
-        assert result.ok
-        [eff] = _spawn_transfers(result.typed.def_bodies["main"])
+        [eff] = _performed_transfers(src)
         assert eff.is_empty()
 
     def test_infer_spawn_effect_matches_subtract(self):
@@ -227,6 +228,13 @@ class TestStability:
         assert first.typed.def_types == second.typed.def_types
         assert first.typed.effect_lines == second.typed.effect_lines
 
+    def test_renamed_binders_do_not_depend_on_earlier_checks(self):
+        # The inner binder shadows the outer one, so the type shows it renamed;
+        # the new name is a function of the term, not of a global counter.
+        text = "def f = /\\rho. /\\rho. \\u: unit @ [{} -> {}]. ()\n" + MAIN_WRAP % "()"
+        first, second = (str(check_src(text).typed.def_types["f"]) for _ in range(2))
+        assert first == second == "forall rho. forall rho%1. fn(unit) @ [{} -> {}] -> unit"
+
     @pytest.mark.parametrize("name", WELL_TYPED)
     def test_accepted_defs_have_region_poly_types(self, name):
         result = check_program(parse_program(corpus_text(name)))
@@ -236,17 +244,25 @@ class TestStability:
         assert isinstance(main_t.body.param, HandleType)
 
 
-def _spawn_transfers(body) -> list[Effect]:
-    from reglock.syntax import App, ParMode, children
+class _SpawnRecorder:
+    """Stands in for the metatheory harness and records each spawn's
+    transfer as the run performs it."""
 
-    found: list[Effect] = []
+    def __init__(self) -> None:
+        self.transfers: list[Effect] = []
 
-    def walk(e):
-        if isinstance(e, App) and isinstance(e.mode, ParMode):
-            assert e.mode.transfer is not None, "annotation not resolved"
-            found.append(e.mode.transfer)
-        for c in children(e):
-            walk(c)
+    def observe_init(self, config) -> None:
+        pass
 
-    walk(body)
-    return found
+    def after_step(self, index, before, tid, outcome, after, outcomes) -> list:
+        if isinstance(outcome, Spawned):
+            self.transfers.append(outcome.transferred)
+        return []
+
+
+def _performed_transfers(src: str, max_steps: int = 10_000) -> list[Effect]:
+    result = check_src(src)
+    assert result.ok, [d.render() for d in result.diagnostics]
+    recorder = _SpawnRecorder()
+    run_seeded(result.typed.linked_main(), 0, max_steps, harness=recorder)
+    return recorder.transfers
