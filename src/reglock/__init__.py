@@ -1,6 +1,6 @@
 """A hierarchical region/lock language: checker, interpreter, harness."""
 
-from .parser import ParseError, parse_program, pretty, pretty_program
+from .parser import ParseError, parse_expr, parse_program, pretty, pretty_program
 from .typecheck import CheckResult, Diagnostic, TypedProgram, check_program
 
 __all__ = [
@@ -9,6 +9,7 @@ __all__ = [
     "ParseError",
     "TypedProgram",
     "check_program",
+    "parse_expr",
     "parse_program",
     "pretty",
     "pretty_program",

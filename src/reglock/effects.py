@@ -23,6 +23,7 @@ from .syntax import (
     RegionLit,
     RegionName,
     RegionVar,
+    Type,
     UnitType,
 )
 
@@ -130,18 +131,13 @@ def effect_subtract(current: Effect, need: Effect) -> SplitResult:
 
 
 def effect_join(original: Effect, retained: Effect, out: Effect,
-                abstracted: frozenset[RegionName], par: bool) -> Effect:
+                abstracted: frozenset[RegionName]) -> Effect:
     """Join a callee output effect back into the retained effect.
 
     The result domain stays inside the pre-call domain, regions keep their
     pre-call parents, and a capability turns pure again exactly when the
     rejoined counts reconstruct the pre-call counts of a pure capability.
     """
-    if par:
-        if not out.is_empty():
-            raise CapError("NonEmptyThreadOutput",
-                           "a spawned thread must finish with an empty effect")
-        return retained
     table: dict[RegionName, tuple[Capability, Parent]] = {
         r: (cap, parent) for r, cap, parent in retained.items()
     }
@@ -172,7 +168,7 @@ def effect_join(original: Effect, retained: Effect, out: Effect,
     return result
 
 
-def check_par_constraints(passed: Effect, out: Effect, result_type=None) -> None:
+def check_par_constraints(passed: Effect, out: Effect, result_type: Type) -> None:
     """Validate the effect a new thread receives.
 
     Checked in order of importance: no divided lock may cross the thread
@@ -197,7 +193,7 @@ def check_par_constraints(passed: Effect, out: Effect, result_type=None) -> None
     if not out.is_empty():
         raise CapError("NonEmptyThreadOutput",
                        "a spawned thread's declared output effect must be empty")
-    if result_type is not None and not isinstance(result_type, UnitType):
+    if not isinstance(result_type, UnitType):
         raise CapError("NonUnitThreadResult",
                        f"a spawned thread must return unit, not {result_type}")
 

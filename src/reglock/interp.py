@@ -31,9 +31,12 @@ arguments alone: a binder it renames to avoid capture gets the first
 points forward, so a live term keeps every later term built from it alive;
 `explore` does not hold its initial configuration.
 
-A thread that cannot step is either blocked on a lock (retried every tick)
-or stuck, which aborts the run with a soundness report: well-typed programs
-never get stuck.
+Polling a thread has three outcomes.  `Stepped` is one step of the thread
+relation, whatever its rule: finishing (E-T), spawning (E-SN) or reducing
+(E-S, by one of the expression rules); it carries the successor
+configuration, the rule and the rule's payload.  A thread that cannot step
+is either `BlockedOn` a lock (retried every tick) or `Stuck`, which aborts
+the run with a soundness report: well-typed programs never get stuck.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from .syntax import (
     Cap,
     Const,
     Deref,
-    Effect,
     Expr,
     If,
     Lambda,
@@ -193,25 +195,16 @@ class MalformedTerm(Exception):
 
 @dataclass(frozen=True)
 class Stepped:
+    """A thread moved: the successor configuration and the rule that made it.
+
+    `info` is the rule's payload for the metatheory harness:
+    E-NG -> (parent_lit, new_lit); E-NR -> (location, value);
+    E-AS -> (location, value); E-C -> (op, region_lit);
+    E-SN -> (child tid, transferred effect); else None.
+    """
     config: Config
     rule: str
-    # Rule-specific payload for the metatheory harness:
-    #  E-NG -> (parent_lit, new_lit); E-NR -> (location, value);
-    #  E-AS -> (location, value); E-C -> (op, region_lit); else None.
     info: Optional[tuple] = None
-
-
-@dataclass(frozen=True)
-class Done:
-    tid: int
-
-
-@dataclass(frozen=True)
-class Spawned:
-    config: Config
-    parent: int
-    child: int
-    transferred: Effect
 
 
 @dataclass(frozen=True)
@@ -228,7 +221,7 @@ class Stuck:
     detail: str
 
 
-StepOutcome = Union[Stepped, Done, Spawned, BlockedOn, Stuck]
+StepOutcome = Union[Stepped, BlockedOn, Stuck]
 
 
 def _prim_eval(op: str, args: tuple[Expr, ...]) -> Expr:
@@ -270,7 +263,7 @@ def step_thread(config: Config, tid: int) -> StepOutcome:
     memo = getattr(e, _STEP, None)
     if memo is None:
         if isinstance(e, Const) and isinstance(e.value, UnitVal):
-            return Done(tid)
+            return Stepped(config.without_thread(tid), "E-T")
         try:
             found = decompose(e)
         except MalformedTerm as exc:
@@ -305,7 +298,7 @@ def step_thread(config: Config, tid: int) -> StepOutcome:
         threads = tuple(Thread(tid, parent) if t.tid == tid else t for t in config.threads)
         new_config = Config(store, threads + (child,), child_tid + 1, config.next_loc,
                             config.next_region)
-        return Spawned(new_config, tid, child_tid, transfer)
+        return Stepped(new_config, "E-SN", (child_tid, transfer))
 
     return _step_expr(config, tid, memo, redex)
 
@@ -446,17 +439,18 @@ class Trace:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def detect_deadlock(outcomes: dict[int, StepOutcome], active: frozenset[int]) -> list[int]:
+def detect_deadlock(outcomes: dict[int, StepOutcome]) -> list[int]:
     """Cycle of thread ids in the wait-for graph, or [] when there is none.
 
-    Blocked threads point at the active holders of the lock they wait for;
-    edges to finished threads are dropped (their locks can never be
-    released, but that is a hang, not a cycle).
+    Blocked threads point at the holders of the lock they wait for.  Only
+    blocked threads are followed, so an edge to a thread that runs or has
+    finished ends the path: a finished holder's locks can never be
+    released, but that is a hang, not a cycle.
     """
     edges: dict[int, frozenset[int]] = {}
     for tid, outcome in outcomes.items():
         if isinstance(outcome, BlockedOn):
-            edges[tid] = outcome.holders & active
+            edges[tid] = outcome.holders
 
     state: dict[int, int] = {}  # 0 visiting, 1 done
     stack: list[int] = []
@@ -500,64 +494,50 @@ def classify(config: Config) -> tuple[dict[int, StepOutcome], Optional[Terminal]
                                             "detail": worst.detail}), []
     steppable = sorted(tid for tid, o in outcomes.items() if not isinstance(o, BlockedOn))
     if not steppable:
-        cycle = detect_deadlock(outcomes, frozenset(outcomes))
+        cycle = detect_deadlock(outcomes)
         waits = {str(tid): sorted(o.holders) for tid, o in outcomes.items()}
         return outcomes, Terminal("deadlock", {"cycle": cycle, "waiting": waits}), []
     return outcomes, None, steppable
 
 
-def _apply_outcome(config: Config, outcome: StepOutcome) -> tuple[Config, str]:
-    if isinstance(outcome, Stepped):
-        return outcome.config, outcome.rule
-    if isinstance(outcome, Done):
-        return config.without_thread(outcome.tid), "E-T"
-    if isinstance(outcome, Spawned):
-        return outcome.config, "E-SN"
-    raise TypeError(f"cannot apply {outcome!r}")
-
-
-class SoundnessViolation(Exception):
-    """Raised when a run reaches a state the type system should forbid."""
-
-    def __init__(self, report: dict):
-        super().__init__(json.dumps(report, indent=2, default=str))
-        self.report = report
+def _apply_outcome(outcome: Stepped) -> tuple[Config, str]:
+    """The chosen step's successor and rule; called once per applied step."""
+    return outcome.config, outcome.rule
 
 
 def run_seeded(main_expr: Expr, seed: int, max_steps: int = 10_000,
                harness=None, snapshots: bool = False) -> Trace:
-    """Seeded-random scheduling; bit-reproducible for a given (expr, seed)."""
+    """Seeded-random scheduling; bit-reproducible for a given (expr, seed).
+
+    A harness checks the initial configuration and every step; the run ends
+    at its first violation, at step 0 when the initial check fails.
+    """
     rng = random.Random(seed)
     config = initial_config(main_expr)
     trace = Trace(seed)
-    if harness is not None:
-        try:
-            harness.observe_init(config)
-        except SoundnessViolation as exc:
-            trace.terminal = Terminal("violation", {**exc.report, "trace_prefix": []})
-            return trace
-    for index in range(max_steps):
+    violations = [] if harness is None else harness.observe_init(config)
+    index = 0
+    while not violations and index < max_steps:
         outcomes, terminal, steppable = classify(config)
         if terminal is not None:
             at = "steps" if terminal.kind == "all_done" else "step"
             trace.terminal = Terminal(terminal.kind, {**terminal.detail, at: index})
             return trace
         tid = rng.choice(steppable)
-        before = config
-        config, rule = _apply_outcome(config, outcomes[tid])
+        config, rule = _apply_outcome(outcomes[tid])
         snap = config.store.to_json(pretty) if snapshots else None
         trace.steps.append(TraceStep(index, tid, rule, config_digest(config), snap))
         if harness is not None:
-            violations = harness.after_step(index, before, tid, outcomes[tid],
-                                            config, outcomes)
-            if violations:
-                trace.terminal = Terminal("violation", {
-                    "step": index,
-                    "violations": [v.to_json() for v in violations],
-                    "trace_prefix": [(s.index, s.tid, s.rule) for s in trace.steps],
-                })
-                return trace
-    trace.terminal = Terminal("budget", {"max_steps": max_steps})
+            violations = harness.after_step(tid, outcomes[tid], outcomes)
+        index += 1
+    if violations:
+        trace.terminal = Terminal("violation", {
+            "step": trace.steps[-1].index if trace.steps else 0,
+            "violations": [v.to_json() for v in violations],
+            "trace_prefix": [(s.index, s.tid, s.rule) for s in trace.steps],
+        })
+    else:
+        trace.terminal = Terminal("budget", {"max_steps": max_steps})
     return trace
 
 
@@ -573,17 +553,16 @@ class ExploreResult:
     deadlock_cycles: list[list[int]]
     budget_hits: int
 
-    @property
-    def clean(self) -> bool:
-        return not self.stuck_reports and self.budget_hits == 0
+
+#: `explore` refuses a state with more live threads than this unless forced.
+MAX_THREADS = 3
 
 
-def explore(main_expr: Expr, max_steps: int = 2_000, max_threads: int = 3,
-            force: bool = False) -> ExploreResult:
+def explore(main_expr: Expr, max_steps: int = 2_000, force: bool = False) -> ExploreResult:
     """Enumerate all interleavings up to a depth bound.
 
     States are deduplicated by canonical digest.  Refuses configurations
-    with more than `max_threads` live threads unless forced.
+    with more than `MAX_THREADS` live threads unless forced.
     """
     # The initial configuration is not kept: a stepped term holds its
     # successor, so it would keep every term the search reaches alive.
@@ -598,10 +577,10 @@ def explore(main_expr: Expr, max_steps: int = 2_000, max_threads: int = 3,
     while frontier:
         config, depth = frontier.pop()
         states += 1
-        if len(config.threads) > max_threads and not force:
+        if len(config.threads) > MAX_THREADS and not force:
             raise ExploreRefusal(
                 f"state with {len(config.threads)} threads exceeds the limit of "
-                f"{max_threads}; re-run with force to override")
+                f"{MAX_THREADS}; re-run with force to override")
         outcomes, terminal, steppable = classify(config)
         if terminal is not None:
             terminals[terminal.kind] = terminals.get(terminal.kind, 0) + 1
@@ -616,7 +595,7 @@ def explore(main_expr: Expr, max_steps: int = 2_000, max_threads: int = 3,
             budget_hits += 1
             continue
         for tid in steppable:
-            nxt, _ = _apply_outcome(config, outcomes[tid])
+            nxt, _ = _apply_outcome(outcomes[tid])
             digest = config_digest(nxt)
             if digest not in seen:
                 seen.add(digest)

@@ -2,9 +2,10 @@
 
 The harness maintains the metatheoretic contexts alongside execution: the
 region set R, the location typing M, and a per-thread effect assignment
-delta.  After every step it re-derives the contexts from the step rule
-(fresh regions extend R, fresh locations extend M, capability operations
-and spawns update delta constructively) and re-validates:
+delta.  After every step it re-derives the contexts from the step's rule
+(`Stepped.rule` and its payload: fresh regions extend R, fresh locations
+extend M, capability operations, spawns and finished threads update delta
+constructively) and re-validates:
 
   * thread typing  - every thread's expression types at unit under delta,
     with an output effect matching the thread's standing obligation;
@@ -14,8 +15,10 @@ and spawns update delta constructively) and re-validates:
   * store typing   - the store's regions are a subset of R, its locations a
     subset of M's domain, and every stored value types at M's entry under
     the empty environment and empty effects;
-  * not-stuck      - every thread can step, finish, spawn, or is waiting
-    for a lock that a live thread actually holds.
+  * not-stuck      - every thread that waits for a lock waits for a live
+    thread, one the scheduler polled.  A stuck thread ends the run before
+    the harness sees a step, and so does a violation in the initial
+    configuration, which `observe_init` returns as `after_step` does.
 
 Effect comparisons here ignore purity flags: beta reduction inlines call
 frames, and it is exactly those frames that restore purity on return.
@@ -75,8 +78,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import effects as fx
-from .interp import (BlockedOn, Config, Done, SoundnessViolation, Spawned, Stepped,
-                     StepOutcome, Stuck)
+from .interp import BlockedOn, Config, Stepped, StepOutcome
 from .store import Store
 from .syntax import (
     EMPTY_EFFECT,
@@ -238,19 +240,15 @@ def check_store_typing(regions: frozenset[RegionLit],
     return out
 
 
-def check_not_stuck(outcomes: dict[int, StepOutcome],
-                    active: frozenset[int]) -> list[Violation]:
+def check_not_stuck(outcomes: dict[int, StepOutcome]) -> list[Violation]:
+    """A thread that waits must wait for a live thread: one with an outcome.
+    A stuck thread never reaches here, as it ends the run first."""
     out: list[Violation] = []
     for tid, outcome in outcomes.items():
-        if isinstance(outcome, Stuck):
+        if isinstance(outcome, BlockedOn) and outcome.holders.isdisjoint(outcomes):
             out.append(Violation("not-stuck",
-                                 f"thread {tid} is stuck: {outcome.code}: "
-                                 f"{outcome.detail}", tid))
-        elif isinstance(outcome, BlockedOn):
-            if not (outcome.holders & active):
-                out.append(Violation("not-stuck",
-                                     f"thread {tid} waits on {outcome.region} whose "
-                                     f"lock holder has terminated", tid))
+                                 f"thread {tid} waits on {outcome.region} whose "
+                                 f"lock holder has terminated", tid))
     return out
 
 
@@ -266,71 +264,69 @@ class Harness:
         self.locations: dict[Location, Type] = {}
         self.delta: dict[int, Effect] = {}
         self.obligations: dict[int, Effect] = {}
-        self.violations_seen = 0
         # The checker's memo of closed subterms, shared by every re-typing
         # of this run (see the module docstring).
         self.memo: dict = {}
 
-    # -- lifecycle ---------------------------------------------------------------
-
-    def observe_init(self, config: Config) -> None:
+    def observe_init(self, config: Config) -> list[Violation]:
         self.regions = frozenset({HEAP})
         self.locations = {}
         self.delta = {1: self.main_in}
         self.obligations = {1: self.main_out}
         self.memo.clear()
-        violations = self._full_check(config, dirty=None)
-        if violations:
-            self._raise(0, violations)
+        return self._full_check(config, dirty=None)
 
-    def after_step(self, index: int, before: Config, tid: int,
-                   outcome: StepOutcome, after: Config,
+    def after_step(self, tid: int, outcome: Stepped,
                    outcomes: dict[int, StepOutcome]) -> list[Violation]:
+        """Updates the contexts by `tid`'s step and re-checks its successor.
+
+        `outcomes` are every thread's outcomes before the step, which the
+        scheduler already computed; the not-stuck check reads them.
+        """
         violations: list[Violation] = []
         dirty: set[Location] = set()
         retype: set[int] = {tid}
+        rule, info = outcome.rule, outcome.info
 
-        if isinstance(outcome, Stepped):
-            if outcome.rule == "E-NG":
-                parent, new = outcome.info
-                self.regions = self.regions | {new}
-                self.delta[tid] = self.delta[tid].with_entry(
-                    new, Capability(1, 1, pure=True), parent)
-            elif outcome.rule == "E-NR":
-                loc, value = outcome.info
-                try:
-                    t, _ = _retype(self.regions, self.locations, value, EMPTY_EFFECT,
-                                   self.memo)
-                    self.locations[loc] = t
-                except CheckFailure as exc:
-                    violations.append(Violation(
-                        "store-typing",
-                        f"allocated value fails to type: {exc.diagnostic.render()}", tid))
-                dirty.add(loc)
-            elif outcome.rule == "E-AS":
-                loc, _ = outcome.info
-                dirty.add(loc)
-            elif outcome.rule == "E-C":
-                op, region = outcome.info
-                try:
-                    self.delta[tid] = fx.apply_cap_op(self.delta[tid], region, op)
-                except fx.CapError as exc:
-                    violations.append(Violation(
-                        "thread-typing",
-                        f"capability step not reflected statically: {exc.message}", tid))
-        elif isinstance(outcome, Spawned):
+        if rule == "E-NG":
+            parent, new = info
+            self.regions = self.regions | {new}
+            self.delta[tid] = self.delta[tid].with_entry(
+                new, Capability(1, 1, pure=True), parent)
+        elif rule == "E-NR":
+            loc, value = info
             try:
-                self.delta[outcome.parent] = fx.effect_minus_counts(
-                    self.delta[outcome.parent], outcome.transferred)
+                t, _ = _retype(self.regions, self.locations, value, EMPTY_EFFECT,
+                               self.memo)
+                self.locations[loc] = t
+            except CheckFailure as exc:
+                violations.append(Violation(
+                    "store-typing",
+                    f"allocated value fails to type: {exc.diagnostic.render()}", tid))
+            dirty.add(loc)
+        elif rule == "E-AS":
+            loc, _ = info
+            dirty.add(loc)
+        elif rule == "E-C":
+            op, region = info
+            try:
+                self.delta[tid] = fx.apply_cap_op(self.delta[tid], region, op)
             except fx.CapError as exc:
                 violations.append(Violation(
                     "thread-typing",
-                    f"spawn transfer not covered statically: {exc.message}",
-                    outcome.parent))
-            self.delta[outcome.child] = outcome.transferred
-            self.obligations[outcome.child] = EMPTY_EFFECT
-            retype.add(outcome.child)
-        elif isinstance(outcome, Done):
+                    f"capability step not reflected statically: {exc.message}", tid))
+        elif rule == "E-SN":
+            child, transferred = info
+            try:
+                self.delta[tid] = fx.effect_minus_counts(self.delta[tid], transferred)
+            except fx.CapError as exc:
+                violations.append(Violation(
+                    "thread-typing",
+                    f"spawn transfer not covered statically: {exc.message}", tid))
+            self.delta[child] = transferred
+            self.obligations[child] = EMPTY_EFFECT
+            retype.add(child)
+        elif rule == "E-T":
             final = self.delta.pop(tid, EMPTY_EFFECT)
             obligation = self.obligations.pop(tid, EMPTY_EFFECT)
             if not final.same_counts(obligation):
@@ -340,17 +336,9 @@ class Harness:
                     f"obligation was {obligation.pretty()}", tid))
             retype.discard(tid)
 
-        # Not-stuck is evaluated on the pre-step configuration, whose
-        # outcomes the scheduler already computed.
-        active = frozenset(t.tid for t in before.threads)
-        violations += check_not_stuck(outcomes, active)
-
-        violations += self._full_check(after, dirty=dirty, only=retype)
-        if violations:
-            self.violations_seen += len(violations)
+        violations += check_not_stuck(outcomes)
+        violations += self._full_check(outcome.config, dirty=dirty, only=retype)
         return violations
-
-    # -- internals ----------------------------------------------------------------
 
     def _full_check(self, config: Config, dirty: Optional[set[Location]],
                     only: Optional[set[int]] = None) -> list[Violation]:
@@ -360,9 +348,3 @@ class Harness:
         out += check_store_typing(self.regions, self.locations, config.store,
                                   dirty=dirty, memo=self.memo)
         return out
-
-    def _raise(self, step: int, violations: list[Violation]) -> None:
-        raise SoundnessViolation({
-            "step": step,
-            "violations": [v.to_json() for v in violations],
-        })

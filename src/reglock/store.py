@@ -133,24 +133,12 @@ class Store:
     def region_ids(self) -> frozenset[RegionLit]:
         return frozenset(n.rid for n in self.regions())
 
-    def parent_of(self, rid: RegionLit) -> Optional[RegionLit]:
-        path = self.path_to(rid)
-        if path is None or len(path) < 2:
-            return None
-        return path[-2].rid
-
     def locations(self) -> dict[Location, Expr]:
         out: dict[Location, Expr] = {}
         for node in self.regions():
             for loc, v in node.heap:
                 out[loc] = v
         return out
-
-    def region_of_location(self, loc: Location) -> Optional[RegionLit]:
-        for node in self.regions():
-            if node.heap_get(loc) is not None:
-                return node.rid
-        return None
 
     def subtree_ids(self, rid: RegionLit) -> frozenset[RegionLit]:
         node = self.find(rid)
@@ -180,15 +168,6 @@ class Store:
             return None
         return path
 
-    def is_live(self, rid: RegionLit) -> bool:
-        """Positive total region count, and all ancestors live too."""
-        return self._live_path(rid) is not None
-
-    def is_accessible(self, rid: RegionLit, tid: int) -> bool:
-        """Live, and this thread holds a lock on the region or an ancestor."""
-        path = self._live_path(rid)
-        return path is not None and any(n.counts_for(tid).lk > 0 for n in path)
-
     # -- the five partial functions plus transfer ----------------------------------
 
     def alloc(self, rid: RegionLit, loc_idx: int, value: Expr) -> tuple["Store", Location]:
@@ -199,20 +178,20 @@ class Store:
         return self._rebuild(path, path[-1].heap_set(loc, value)), loc
 
     def _accessible_path(self, loc: Location, tid: int, verb: str) -> tuple[RegionNode, ...]:
-        rid = self.region_of_location(loc)
-        if rid is None:
+        """The path to `loc`'s region, which must hold `loc`, be live and be
+        locked by `tid` there or at an ancestor."""
+        path = self.path_to(loc.region)
+        if path is None or path[-1].heap_get(loc) is None:
             raise StoreFault("UnknownLocation", f"location {loc} does not exist")
-        path = self._live_path(rid)
-        if path is None or not any(n.counts_for(tid).lk > 0 for n in path):
+        if not (all(n.total_rg() > 0 for n in path)  # live
+                and any(n.counts_for(tid).lk > 0 for n in path)):
             raise StoreFault("Inaccessible",
                              f"thread {tid} {verb} {loc} without holding a lock on "
-                             f"{rid} or an ancestor")
+                             f"{loc.region} or an ancestor")
         return path
 
     def lookup(self, loc: Location, tid: int) -> Expr:
-        value = self._accessible_path(loc, tid, "reads")[-1].heap_get(loc)
-        assert value is not None
-        return value
+        return self._accessible_path(loc, tid, "reads")[-1].heap_get(loc)
 
     def update(self, loc: Location, value: Expr, tid: int) -> "Store":
         path = self._accessible_path(loc, tid, "writes")
@@ -295,23 +274,7 @@ class Store:
             out = out._rebuild(path, node)
         return out
 
-    # -- invariants and serialization ----------------------------------------------
-
-    def mutual_exclusion_ok(self) -> bool:
-        """At most one lock holder per region, and no foreign locks inside
-        any held subtree."""
-        for node in self.regions():
-            holders = node.lock_holders()
-            if len(holders) > 1:
-                return False
-            if holders:
-                holder = next(iter(holders))
-                for sub in Store(node).regions():
-                    if sub is node:
-                        continue
-                    if any(t != holder for t in sub.lock_holders()):
-                        return False
-        return True
+    # -- serialization ---------------------------------------------------------------
 
     def to_json(self, value_str: Callable[[Expr], str]) -> Optional[dict]:
         return _region_json(self.root, value_str) if self.root is not None else None

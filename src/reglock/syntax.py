@@ -594,13 +594,6 @@ def children(e: Expr) -> list[Expr]:
     return kids
 
 
-def scan_runtime_forms(e: Expr) -> bool:
-    """True if the term contains any runtime-only node (RgnVal/LocVal)."""
-    if isinstance(e, (RgnVal, LocVal)):
-        return True
-    return any(scan_runtime_forms(c) for c in children(e))
-
-
 # ---------------------------------------------------------------------------
 # Substitution
 # ---------------------------------------------------------------------------

@@ -478,7 +478,7 @@ class Checker:
                 joined = split.retained
             else:
                 joined = fx.effect_join(out, split.retained, t_fn.effect_out,
-                                        split.abstracted, par=False)
+                                        split.abstracted)
         except fx.CapError as exc:
             raise self.fail(exc.code, exc.message, e.loc, out)
         if par:

@@ -85,3 +85,25 @@ def work = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^~(1,0)@_}].
 def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].
   work[rhoH](heap)
 """
+
+#: Accepted programs for checks no corpus program reaches: a parameter of
+#: function type and an `if` (TWICE), and a cell of region-polymorphic type
+#: assigned an alpha-equivalent value (POLY_CELL).
+TWICE = """
+def inc = \\x: int @ [{} -> {}]. x + 1
+def twice = \\(f: fn(int) @ [{} -> {}] -> int, x: int) @ [{} -> {}].
+  if x < 0 then 0 else f(f(x))
+def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].
+  newrgn rho, h at heap in
+  let z = new 1 at h in
+  (z := twice(inc, deref z);
+   free h)
+"""
+
+POLY_CELL = """
+def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].
+  newrgn rho, h at heap in
+  let z = new (/\\a. \\x: int @ [{} -> {}]. x) at h in
+  (z := (/\\b. \\y: int @ [{} -> {}]. y + 1);
+   free h)
+"""

@@ -8,7 +8,8 @@ import threading
 import pytest
 
 from reglock.cli import main
-from conftest import CORPUS, DEAD_HANDLE, RUNNABLE, SHADOWED_SPAWN, paired_long_seq
+from conftest import (CORPUS, DEAD_HANDLE, POLY_CELL, RUNNABLE, SHADOWED_SPAWN, TWICE,
+                      paired_long_seq)
 
 
 def corpus(name: str) -> str:
@@ -238,6 +239,14 @@ def test_dead_handle_after_free_runs_clean(tmp_path, capsys):
     path.write_text(DEAD_HANDLE)
     report = checks_explores_and_runs_clean(path, capsys)
     assert report["states"] == 31 and not report["stuck"]
+
+
+@pytest.mark.parametrize("name, text", [("twice", TWICE), ("poly_cell", POLY_CELL)])
+def test_function_typed_parameter_and_polymorphic_cell_run_clean(name, text, tmp_path,
+                                                                  capsys):
+    path = tmp_path / f"{name}.rgn"
+    path.write_text(text)
+    checks_explores_and_runs_clean(path, capsys)
 
 
 def test_trace_digests_depend_only_on_the_program(tmp_path, capsys):

@@ -138,28 +138,24 @@ class TestEffectJoin:
         original = heap_rooted((RHO, cap(2, 2), RHOH))
         retained = Effect.of((RHOH, cap(1, 0), BOTTOM))
         out = Effect.of((RHO, cap(2, 2, pure=False), UNKNOWN))
-        joined = effect_join(original, retained, out, frozenset({RHOH}), par=False)
+        joined = effect_join(original, retained, out, frozenset({RHOH}))
         assert joined.cap(RHO) == cap(2, 2, pure=True)
         assert joined.parent(RHO) == RHOH
 
-    def test_par_join_is_retained(self):
-        retained = heap_rooted((RHO, cap(1, 0, pure=False), RHOH))
-        assert effect_join(retained, retained, Effect(), frozenset(), par=True) == retained
-
     def test_empty_join(self):
-        assert effect_join(Effect(), Effect(), Effect(), frozenset(), par=False) == Effect()
+        assert effect_join(Effect(), Effect(), Effect(), frozenset()) == Effect()
 
     def test_domain_violation(self):
         with pytest.raises(CapError) as exc:
             effect_join(Effect(), Effect(), Effect.of((RHO, cap(1, 0), UNKNOWN)),
-                        frozenset(), par=False)
+                        frozenset())
         assert exc.value.code == "DomainViolation"
 
     def test_abstracted_parent_must_survive(self):
         original = heap_rooted((RHO, cap(1, 1), RHOH))
         # Callee consumed rho entirely and the heap was somehow dropped too.
         with pytest.raises(CapError) as exc:
-            effect_join(original, Effect(), Effect(), frozenset({RHOH}), par=False)
+            effect_join(original, Effect(), Effect(), frozenset({RHOH}))
         assert exc.value.code == "AbstractedParentDead"
 
     def test_parent_change_rejected(self):
@@ -167,7 +163,7 @@ class TestEffectJoin:
         retained = Effect.of((RHOH, cap(1, 0), BOTTOM))
         out = Effect.of((RHO, cap(1, 1, pure=False), R1))
         with pytest.raises(CapError) as exc:
-            effect_join(original, retained, out, frozenset(), par=False)
+            effect_join(original, retained, out, frozenset())
         assert exc.value.code == "ConsistencyViolation"
 
 
@@ -325,7 +321,7 @@ def test_split_join_round_trip(data):
     """Splitting and rejoining the same pieces reconstructs the original."""
     eff, need = data
     res = effect_subtract(eff, need)
-    joined = effect_join(eff, res.retained, res.passed, res.abstracted, par=False)
+    joined = effect_join(eff, res.retained, res.passed, res.abstracted)
     assert joined == eff
 
 
@@ -438,5 +434,5 @@ def test_split_and_join_check_only_what_they_can_break(data):
     split = agree(effect_subtract, (eff, need), lambda res: res.retained,
                   "call would break region liveness for the caller")
     if split is not None:
-        agree(effect_join, (eff, split.retained, out, split.abstracted, False),
+        agree(effect_join, (eff, split.retained, out, split.abstracted),
               lambda res: res, "post-call effect is ill-formed")

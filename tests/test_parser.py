@@ -17,14 +17,16 @@ from reglock.syntax import (
     Const,
     Deref,
     Lambda,
+    LocVal,
     NewRgn,
     ParMode,
     Prim,
     RegionVar,
+    RgnVal,
     Seq,
     Var,
     While,
-    scan_runtime_forms,
+    children,
 )
 from conftest import WELL_TYPED, ILL_TYPED, corpus_text
 
@@ -134,9 +136,13 @@ def test_round_trip_on_corpus(name):
 
 @pytest.mark.parametrize("name", WELL_TYPED + ILL_TYPED)
 def test_parser_never_emits_runtime_forms(name):
+    """No definition body holds a runtime-only node (RgnVal or LocVal)."""
     program = parse_program(corpus_text(name))
-    for d in program.defs:
-        assert not scan_runtime_forms(d.body)
+    stack = [d.body for d in program.defs]
+    while stack:
+        e = stack.pop()
+        assert not isinstance(e, (RgnVal, LocVal)), f"{name}: {e}"
+        stack.extend(children(e))
 
 
 def test_pretty_expr_round_trips():

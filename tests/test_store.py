@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reglock.store import Blocked, Counts, RegionNode, Store, StoreFault, initial_store
-from reglock.syntax import Capability, CapOp, Const, Effect, RegionLit, BOTTOM
+from reglock.syntax import Capability, CapOp, Const, Effect, Location, RegionLit, BOTTOM
 
 H = RegionLit("H")
 A = RegionLit("a")
@@ -23,6 +23,44 @@ def three_level(mid_counts: dict[int, Counts]) -> Store:
     return Store(node(A, {1: Counts(1, 0)}, children=(mid,)))
 
 
+def is_live(store: Store, rid: RegionLit) -> bool:
+    """Whether `alloc`, which faults NotLive on a dead region, accepts `rid`."""
+    try:
+        store.alloc(rid, 0, Const(0))
+    except StoreFault as exc:
+        assert exc.code == "NotLive"
+        return False
+    return True
+
+
+def is_accessible(store: Store, rid: RegionLit, tid: int) -> bool:
+    """Whether `tid` may read a cell allocated in the live region `rid`."""
+    store, loc = store.alloc(rid, 0, Const(0))
+    try:
+        store.lookup(loc, tid)
+    except StoreFault as exc:
+        assert exc.code == "Inaccessible"
+        return False
+    return True
+
+
+def parent_of(store: Store, rid: RegionLit) -> RegionLit:
+    return store.path_to(rid)[-2].rid
+
+
+def mutual_exclusion_ok(store: Store) -> bool:
+    """At most one lock holder per region, and no foreign locks inside any
+    held subtree."""
+    for node in store.regions():
+        holders = node.lock_holders()
+        if len(holders) > 1:
+            return False
+        if holders and any(sub.lock_holders() - holders
+                           for sub in Store(node).regions() if sub is not node):
+            return False
+    return True
+
+
 def live_oracle(store: Store, rid: RegionLit) -> bool:
     """Independent recursive definition: positive count sum and live ancestors."""
     path = store.path_to(rid)
@@ -38,21 +76,21 @@ def live_oracle(store: Store, rid: RegionLit) -> bool:
 class TestLiveness:
     def test_fresh_region_under_live_parent(self):
         store, rid = initial_store(H, 1).newrgn(H, 1, "a")
-        assert store.is_live(rid) is live_oracle(store, rid) is True
+        assert is_live(store, rid) is live_oracle(store, rid) is True
 
     def test_zero_sum_region_is_dead(self):
         store = Store(node(A, {1: Counts(0, 0)}))
-        assert store.is_live(A) is live_oracle(store, A) is False
+        assert is_live(store, A) is live_oracle(store, A) is False
 
     def test_dead_ancestor_kills_descendants(self):
         # Hand-built three-level store whose middle region has count sum 0.
         store = three_level({1: Counts(0, 1)})
         assert live_oracle(store, C) is False
-        assert store.is_live(C) is False
-        assert store.is_live(A) is True
+        assert is_live(store, C) is False
+        assert is_live(store, A) is True
 
     def test_unknown_region(self):
-        assert initial_store(H, 1).is_live(A) is False
+        assert is_live(initial_store(H, 1), A) is False
 
 
 class TestAccessibility:
@@ -60,16 +98,16 @@ class TestAccessibility:
         leaf = node(C, {1: Counts(1, 0)})
         mid = node(B, {1: Counts(1, 0)}, children=(leaf,))
         store = Store(node(A, {1: Counts(1, 1)}, children=(mid,)))
-        assert store.is_accessible(C, 1)
+        assert is_accessible(store, C, 1)
 
     def test_no_lock_anywhere(self):
         store = three_level({1: Counts(1, 0)})
-        assert not store.is_accessible(B, 1)
+        assert not is_accessible(store, B, 1)
 
     def test_other_threads_lock_does_not_help(self):
         store = Store(node(A, {1: Counts(1, 1), 2: Counts(1, 0)}))
-        assert store.is_accessible(A, 1)
-        assert not store.is_accessible(A, 2)
+        assert is_accessible(store, A, 1)
+        assert not is_accessible(store, A, 2)
 
 
 class TestHeapOps:
@@ -102,10 +140,27 @@ class TestHeapOps:
         assert exc.value.code == "Inaccessible"
 
     def test_lookup_unknown_location(self):
-        from reglock.syntax import Location
+        # A location is looked up in the region it names: a missing region,
+        # or a region without that cell, is an unknown location.
+        store, rid = initial_store(H, 1).newrgn(H, 1, "a")
+        store, loc = store.alloc(rid, 1, Const(10))
+        freed = store.updcap(CapOp.LK_MINUS, rid, 1).updcap(CapOp.RG_MINUS, rid, 1)
+        for store, loc in ((store, Location(99, H)), (store, Location(loc.idx, H)),
+                           (freed, loc)):
+            with pytest.raises(StoreFault) as exc:
+                store.lookup(loc, 1)
+            assert exc.value.code == "UnknownLocation"
+
+    def test_lookup_under_a_dead_ancestor_is_inaccessible(self):
+        # The middle region's total is 0, so the leaf is dead although its
+        # own count and lock are positive.
+        loc = Location(1, C)
+        leaf = node(C, {1: Counts(1, 1)}, heap=((loc, Const(3)),))
+        mid = node(B, {1: Counts(0, 1)}, children=(leaf,))
+        store = Store(node(A, {1: Counts(1, 0)}, children=(mid,)))
         with pytest.raises(StoreFault) as exc:
-            initial_store(H, 1).lookup(Location(99, H), 1)
-        assert exc.value.code == "UnknownLocation"
+            store.lookup(loc, 1)
+        assert exc.value.code == "Inaccessible"
 
     def test_update_then_lookup(self):
         store, rid = initial_store(H, 1).newrgn(H, 1, "a")
@@ -127,7 +182,7 @@ class TestNewRegion:
     def test_child_starts_one_one(self):
         store, rid = initial_store(H, 1).newrgn(H, 1, "a")
         assert store.find(rid).counts_for(1) == Counts(1, 1)
-        assert store.parent_of(rid) == H
+        assert parent_of(store, rid) == H
 
     def test_under_dead_region_faults(self):
         store, rid = initial_store(H, 1).newrgn(H, 1, "a")
@@ -141,7 +196,7 @@ class TestNewRegion:
         store, r1 = initial_store(H, 1).newrgn(H, 1, "a")
         store, r2 = store.newrgn(r1, 1, "b")
         store, r3 = store.newrgn(r2, 1, "c")
-        assert store.parent_of(r3) == r2 and store.parent_of(r2) == r1
+        assert parent_of(store, r3) == r2 and parent_of(store, r2) == r1
 
 
 class TestUpdcap:
@@ -152,7 +207,7 @@ class TestUpdcap:
         assert store.find(A).counts_for(1) == Counts(1, 2)
         store = store.updcap(CapOp.LK_MINUS, A, 1)
         assert store.find(A).counts_for(1) == Counts(1, 1)  # still held
-        assert store.is_accessible(A, 1)
+        assert is_accessible(store, A, 1)
 
     def test_lock_blocked_by_other_holder(self):
         store = Store(node(A, {1: Counts(1, 1), 2: Counts(1, 0)}))
@@ -192,7 +247,7 @@ class TestUpdcap:
     def test_shared_region_survives_one_free(self):
         store = Store(node(A, {1: Counts(1, 0), 2: Counts(1, 0)}))
         store = store.updcap(CapOp.RG_MINUS, A, 1)
-        assert store.is_live(A)
+        assert is_live(store, A)
         store = store.updcap(CapOp.RG_MINUS, A, 2)
         assert store.root is None
 
@@ -294,7 +349,7 @@ def test_transfer_conserves_per_region_totals(store: Store, data):
 @settings(max_examples=1000, deadline=None)
 @given(stores(), st.data())
 def test_mutual_exclusion_preserved_by_random_ops(store: Store, data):
-    assert store.mutual_exclusion_ok()
+    assert mutual_exclusion_ok(store)
     for _ in range(data.draw(st.integers(1, 8))):
         regions = sorted(store.region_ids(), key=str)
         if not regions:
@@ -308,7 +363,7 @@ def test_mutual_exclusion_preserved_by_random_ops(store: Store, data):
             continue
         if isinstance(out, Store):
             store = out
-        assert store.mutual_exclusion_ok()
+        assert mutual_exclusion_ok(store)
 
 
 @settings(max_examples=1000, deadline=None)

@@ -157,7 +157,6 @@ class TestSubstitutionSharing:
                     grown = grown.updcap(op, a, 1)
                 list(grown.regions())
                 grown.to_json(str)
-                grown.mutual_exclusion_ok()
             assert gc.collect() == 0
         finally:
             if enabled:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
+from reglock.cli import main as cli_main
 from reglock.effects import effect_subtract
-from reglock.interp import Spawned, run_seeded
+from reglock.interp import run_seeded
 from reglock.parser import parse_program
 from reglock.syntax import (
     BOTTOM,
@@ -86,7 +89,7 @@ class TestExampleFlows:
 
 
 class TestSpawnInference:
-    # What a spawn transfers is read off the `Spawned` outcomes of a run:
+    # What a spawn transfers is read off the E-SN steps of a run:
     # the callee's input effect, with its region variables instantiated.
 
     def test_migration_transfer(self):
@@ -251,12 +254,12 @@ class _SpawnRecorder:
     def __init__(self) -> None:
         self.transfers: list[Effect] = []
 
-    def observe_init(self, config) -> None:
-        pass
+    def observe_init(self, config) -> list:
+        return []
 
-    def after_step(self, index, before, tid, outcome, after, outcomes) -> list:
-        if isinstance(outcome, Spawned):
-            self.transfers.append(outcome.transferred)
+    def after_step(self, tid, outcome, outcomes) -> list:
+        if outcome.rule == "E-SN":
+            self.transfers.append(outcome.info[1])
         return []
 
 
@@ -266,3 +269,80 @@ def _performed_transfers(src: str, max_steps: int = 10_000) -> list[Effect]:
     recorder = _SpawnRecorder()
     run_seeded(result.typed.linked_main(), 0, max_steps, harness=recorder)
     return recorder.transfers
+
+
+def _def(name: str, body: str) -> str:
+    return f"def {name} = {body}\n"
+
+
+#: A program, the code of the one diagnostic `check --json` reports for it,
+#: and the line of that diagnostic.  Each reaches a distinct check.
+DIAGNOSED = [
+    pytest.param(_def("k", "(5; ())") + MAIN_WRAP % "()", "NotAValue", 1,
+                 id="definition-not-a-value"),
+    pytest.param(_def("k", "/\\r. (5; ())") + MAIN_WRAP % "()", "NotAValue", 1,
+                 id="region-abstraction-body-not-a-value"),
+    pytest.param(MAIN_WRAP % "5[rhoH]", "TypeMismatch", 2, id="region-app-of-int"),
+    pytest.param(MAIN_WRAP % "(();\n   let z = new 1 at 5 in ())", "TypeMismatch", 3,
+                 id="new-at-int"),
+    pytest.param(MAIN_WRAP % "deref 5", "TypeMismatch", 2, id="deref-int"),
+    pytest.param(MAIN_WRAP % "5 := 1", "TypeMismatch", 2, id="assign-to-int"),
+    pytest.param(MAIN_WRAP % "newrgn rho, h at 5 in free h", "TypeMismatch", 2,
+                 id="newrgn-at-int"),
+    pytest.param(MAIN_WRAP % "free 5", "TypeMismatch", 2, id="free-int"),
+    pytest.param(MAIN_WRAP % "if 5 then () else ()", "TypeMismatch", 2, id="if-on-int"),
+    pytest.param(MAIN_WRAP % "while (5) do ()", "TypeMismatch", 2, id="while-on-int"),
+    pytest.param(MAIN_WRAP % "(();\n   (1 + true; ()))", "TypeMismatch", 3,
+                 id="int-plus-bool"),
+    pytest.param(MAIN_WRAP % "5(1)", "TypeMismatch", 2, id="apply-int"),
+    pytest.param(MAIN_WRAP % "(\\x: int @ [{} -> {}]. x)(true)", "TypeMismatch", 2,
+                 id="argument-mismatch"),
+    pytest.param(MAIN_WRAP % "((\\x: int @ [{rhoH^(1,0)@_} -> {}]. ()); ())",
+                 "EffectMismatch", 2, id="lambda-body-effect"),
+    pytest.param(MAIN_WRAP % "while (free heap; true) do ()", "EffectMismatch", 2,
+                 id="while-condition-effect"),
+    pytest.param(MAIN_WRAP % "((\\x: int @ [{rhoH^(1,0)@sigma} -> {}]. ()); ())",
+                 "MalformedAnnotation", 2, id="ill-formed-annotation"),
+    pytest.param(MAIN_WRAP % "((\\x: int @ [{rhoH^(1,0)@sigma, sigma^(1,0)@_} -> {}]. ()); ())",
+                 "MalformedAnnotation", 2, id="annotation-parent-out-of-scope"),
+    pytest.param(MAIN_WRAP % "(free heap;\n   newrgn rho, h at heap in free h)", "NotLive", 3,
+                 id="newrgn-under-freed-parent"),
+    pytest.param(_def("f", "/\\r. \\x: int @ [{} -> {}]. x")
+                 + MAIN_WRAP % "(();\n   f[sigma](1); ())", "UnknownRegion", 4,
+                 id="region-argument-out-of-scope"),
+    pytest.param(_def("k", "5") + "def main = /\\rhoH. \\x: int @ "
+                 "[{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}]. ()\n", "MalformedMain", 2,
+                 id="main-without-handle"),
+    pytest.param("def main = /\\rhoH. \\heap: rgn(rhoH) @ "
+                 "[{rhoH^(1,0)@_} -> {rhoH^(2,0)@_}]. share heap\n", "MalformedMain", 1,
+                 id="main-output-effect"),
+    pytest.param(MAIN_WRAP % "5", "MalformedMain", 1, id="main-result-not-unit"),
+]
+
+
+@pytest.mark.parametrize("program, code, line", DIAGNOSED)
+def test_check_json_reports_the_diagnostic(program, code, line, tmp_path, capsys):
+    path = tmp_path / "rejected.rgn"
+    path.write_text(program)
+    assert cli_main(["check", str(path), "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    [diagnostic] = payload["diagnostics"]
+    assert (diagnostic["code"], int(diagnostic["loc"].split(":")[0])) == (code, line)
+
+
+INC = _def("inc", "\\x: int @ [{} -> {}]. x + 1")
+
+
+@pytest.mark.parametrize("program, code, line", [
+    pytest.param(MAIN_WRAP % "(inc(1); ())" + INC, "DefinitionCycle", 1,
+                 id="forward-reference"),
+    pytest.param(INC + MAIN_WRAP % "(dec(1); ())", "UnboundVariable", 2,
+                 id="unknown-name"),
+])
+def test_unchecked_run_reports_the_link_diagnostic(program, code, line, tmp_path, capsys):
+    path = tmp_path / "unlinked.rgn"
+    path.write_text(program)
+    argv = ["run", str(path), "--seed", "0", "--unchecked", "--trace", "json"]
+    assert cli_main(argv) == 1
+    [diagnostic] = json.loads(capsys.readouterr().out)["diagnostics"]
+    assert (diagnostic["code"], int(diagnostic["loc"].split(":")[0])) == (code, line)
