@@ -24,10 +24,8 @@ E-WHILE, E-OP) replaces it with the rule and successor term; E-C and E-AS
 add the term with `()` in the hole and still run their store operation,
 with its blocking and faults.  E-NG, E-NR, E-D (store or counters) and E-SN
 (a new thread) keep the decomposition only.  The cache is exact: these
-rules read nothing but the term, and substitution is a function of its
-arguments alone: a binder it renames to avoid capture gets the first
-`base%n` that does not occur free in the binder's body
-(`syntax.fresh_region_var`).  A successor
+rules read nothing but the term, and substitution (`syntax.subst_expr`) is
+a function of its arguments alone, since it renames no binder.  A successor
 points forward, so a live term keeps every later term built from it alive;
 `explore` does not hold its initial configuration.
 
@@ -77,8 +75,7 @@ from .syntax import (
     While,
     expr_digest,
     is_value,
-    subst_region_expr,
-    subst_var,
+    subst_expr,
 )
 
 
@@ -227,7 +224,8 @@ StepOutcome = Union[Stepped, BlockedOn, Stuck]
 def _prim_eval(op: str, args: tuple[Expr, ...]) -> Expr:
     vals = []
     for a in args:
-        assert isinstance(a, Const)
+        if not isinstance(a, Const):
+            raise TypeError(f"operand {type(a).__name__} is not a constant")
         vals.append(a.value)
     if op == "!":
         return Const(not vals[0])
@@ -323,23 +321,23 @@ def _step_expr(config: Config, tid: int, memo: _Stepping, redex: Expr) -> StepOu
             if not isinstance(fn, Lambda):
                 return Stuck(tid, "BadApplication",
                              f"application of non-function {pretty(fn)}")
-            return term_only(subst_var(fn.body, fn.param, redex.arg), "E-A")
+            return term_only(subst_expr(fn.body, {fn.param: redex.arg}), "E-A")
         if isinstance(redex, RegionApp):
             fn = redex.fn
             if not isinstance(fn, RegionLambda):
                 return Stuck(tid, "BadRegionApplication",
                              f"region application of {pretty(fn)}")
-            assert isinstance(redex.region, RegionLit), \
-                "region application must be instantiated at runtime"
-            return term_only(subst_region_expr(fn.body, fn.var, redex.region), "E-RP")
+            if not isinstance(redex.region, RegionLit):
+                return Stuck(tid, "MalformedTerm",
+                             f"region application at the variable {redex.region}")
+            return term_only(subst_expr(fn.body, {fn.var: redex.region}), "E-RP")
         if isinstance(redex, NewRgn):
             handle = redex.parent_handle
             if not isinstance(handle, RgnVal):
                 return Stuck(tid, "BadHandle", f"newrgn at non-handle {pretty(handle)}")
             name = f"r{config.next_region}"
             new_store, rid = store.newrgn(handle.region, tid, name)
-            body = subst_region_expr(redex.body, redex.var, rid)
-            body = subst_var(body, redex.handle_name, RgnVal(rid))
+            body = subst_expr(redex.body, {redex.var: rid, redex.handle_name: RgnVal(rid)})
             return Stepped(config.with_thread_expr(
                 tid, plug(body), new_store, next_region=config.next_region + 1),
                 "E-NG", (handle.region, rid))
@@ -388,7 +386,7 @@ def _step_expr(config: Config, tid: int, memo: _Stepping, redex: Expr) -> StepOu
         if isinstance(redex, Prim):
             try:
                 return term_only(_prim_eval(redex.op, redex.args), "E-OP")
-            except (AssertionError, KeyError, TypeError):
+            except (KeyError, TypeError):
                 return Stuck(tid, "BadPrimitive", f"cannot evaluate {pretty(redex)}")
     except StoreFault as exc:
         return Stuck(tid, exc.code, exc.message)

@@ -292,12 +292,7 @@ class _Parser:
             self.eat(",")
         if parens:
             self.eat(")")
-        self.eat("@")
-        self.eat("[")
-        eff_in = self.effect()
-        self.eat("->")
-        eff_out = self.effect()
-        self.eat("]")
+        eff_in, eff_out = self.annotation()
         self.eat(".")
         body = self.stmt()
         # Outer binders of a multi-parameter lambda are effect-neutral; the
@@ -450,16 +445,21 @@ class _Parser:
             self.eat("(")
             param = self.type_expr()
             self.eat(")")
-            self.eat("@")
-            self.eat("[")
-            eff_in = self.effect()
-            self.eat("->")
-            eff_out = self.effect()
-            self.eat("]")
+            eff_in, eff_out = self.annotation()
             self.eat("->")
             result = self.type_expr()
             return FnType(param, eff_in, eff_out, result)
         raise ParseError("SyntaxError", f"expected a type, found {tok.text!r}", tok.loc)
+
+    def annotation(self) -> tuple[Effect, Effect]:
+        """`@ [e1 -> e2]`: a function's input and output effects."""
+        self.eat("@")
+        self.eat("[")
+        eff_in = self.effect()
+        self.eat("->")
+        eff_out = self.effect()
+        self.eat("]")
+        return eff_in, eff_out
 
     def effect(self) -> Effect:
         self.eat("{")

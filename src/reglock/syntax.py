@@ -7,7 +7,7 @@ re-parsed term compares equal to the original.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from hashlib import blake2b
 from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Union, get_args
@@ -155,9 +155,6 @@ class Effect:
 
     def is_empty(self) -> bool:
         return not self._entries
-
-    def domain(self) -> tuple[RegionName, ...]:
-        return tuple(self._entries)
 
     def items(self) -> Iterator[tuple[RegionName, Capability, Parent]]:
         for r, (cap, parent) in self._entries.items():
@@ -553,29 +550,16 @@ def is_let(e: Expr) -> bool:
 # ---------------------------------------------------------------------------
 # The one traversal
 # ---------------------------------------------------------------------------
+# The generic walks over terms loop over `_FIELDS`: `children`,
+# `subst_expr`, the cached digests and free names, and the interpreter's
+# contexts.  `BINDERS` is the only statement of which names a form binds.
 
 #: Forms without subterms.
 LEAVES = (Var, Const, RgnVal, LocVal)
 
-#: Rebuilds each form with `f` applied to its subterms, in evaluation order.
-REBUILD: dict[type, Callable[[Expr, Callable[[Expr], Expr]], Expr]] = {
-    **{leaf: lambda e, f: e for leaf in LEAVES},
-    Lambda: lambda e, f: Lambda(e.param, e.param_type, f(e.body), e.effect_in,
-                                e.effect_out, e.loc),
-    RegionLambda: lambda e, f: RegionLambda(e.var, f(e.body), e.loc),
-    App: lambda e, f: App(f(e.fn), f(e.arg), e.mode, e.loc),
-    RegionApp: lambda e, f: RegionApp(f(e.fn), e.region, e.loc),
-    NewRef: lambda e, f: NewRef(f(e.init), f(e.handle), e.loc),
-    Deref: lambda e, f: Deref(f(e.ref), e.loc),
-    Assign: lambda e, f: Assign(f(e.target), f(e.value), e.loc),
-    NewRgn: lambda e, f: NewRgn(e.var, e.handle_name, f(e.parent_handle), f(e.body), e.loc),
-    Cap: lambda e, f: Cap(e.op, f(e.handle), e.loc),
-    If: lambda e, f: If(f(e.cond), f(e.then), f(e.orelse), e.loc),
-    Seq: lambda e, f: Seq(f(e.first), f(e.second), e.loc),
-    While: lambda e, f: While(f(e.cond), f(e.body), e.loc),
-    Prim: lambda e, f: Prim(e.op, tuple(f(a) for a in e.args), e.loc),
-}
-
+#: The names each binding form binds in its `body`; a `newrgn`'s parent
+#: handle is outside them.
+BINDERS = {Lambda: ("param",), RegionLambda: ("var",), NewRgn: ("var", "handle_name")}
 
 #: Each form's fields, the source location left out, in evaluation order.
 _FIELDS = {form: tuple(f.name for f in fields(form) if f.name != "loc")
@@ -671,74 +655,69 @@ def subst_region_type(t: Type, var: RegionVar, rep: RegionName) -> Type:
     raise TypeError(f"unknown type {t!r}")
 
 
-def _rebuild_changed(e: Expr, walk: Callable[..., Expr], *args) -> Expr:
-    """`e` rebuilt with `walk(k, *args)` in place of each subterm `k`, but `e`
-    itself when every subterm comes back unchanged, so a substitution
-    rebuilds (and re-hashes) only the paths to the occurrences it replaces.
+_TYPES = get_args(Type)
 
-    `walk` is a module-level function, not a closure over itself, so a call
-    leaves no reference cycle for the collector, and a Python-to-Python call
-    costs one level of the recursion limit where a `functools.partial`,
-    entered through C, would cost two."""
-    kids = children(e)
-    new, same = [], True
-    for k in kids:  # a loop, not a comprehension: one frame less per level
-        n = walk(k, *args)
-        new.append(n)
-        same = same and n is k
-    if same:
+
+def _subst_regions(note, sigma: dict):
+    """A region-naming field (a type, an effect, a region name or a calling
+    mode) with the region entries of `sigma` substituted; `note` itself
+    when none occurs in it."""
+    for var, rep in sigma.items():
+        if type(var) is not RegionVar:
+            continue
+        kind = type(note)
+        if kind is RegionVar:
+            note = rep if note == var else note
+        elif kind is Effect:
+            note = subst_region_effect(note, var, rep)
+        elif kind is ParMode and note.transfer is not None:
+            transfer = subst_region_effect(note.transfer, var, rep)
+            note = note if transfer is note.transfer else ParMode(transfer)
+        elif kind in _TYPES and var in free_regions(note):
+            note = subst_region_type(note, var, rep)
+    return note
+
+
+def subst_expr(e: Expr, sigma: dict) -> Expr:
+    """Simultaneous substitution: `sigma` maps term names (`str`) to values
+    and region variables to region names.  Binders shadow (`BINDERS`), and
+    a node in which nothing is replaced is returned itself, so only the
+    paths to the occurrences are rebuilt (and re-hashed).
+
+    No binder is renamed: every caller keeps the variable convention, so no
+    replacement names a binder it passes under.  A value substituted by
+    E-A or by linking is closed; E-RP and E-NG substitute region literals,
+    and the checker's `_unshadow` a `%` name, which no term binds."""
+    form = type(e)
+    if form is Var:
+        return sigma.get(e.name, e)
+    if not sigma or form in LEAVES:
         return e
-    it = iter(new)
-    return REBUILD[type(e)](e, lambda _: next(it))
-
-
-def subst_region_expr(e: Expr, var: RegionVar, rep: RegionName) -> Expr:
-    """Capture-avoiding substitution of `rep` for the region variable `var`.
-    Nodes in which `var` does not occur are returned unchanged."""
-    if type(e) in LEAVES:
-        return e
-    if isinstance(e, (RegionLambda, NewRgn)) and e.var in (var, rep):
-        if e.var == var:
-            # Shadowed: only a newrgn's parent handle is outside the binder.
-            if isinstance(e, NewRgn):
-                ph = subst_region_expr(e.parent_handle, var, rep)
-                return e if ph is e.parent_handle else replace(e, parent_handle=ph)
-            return e
-        # The binder would capture `rep`: rename it first.
-        fresh = fresh_region_var(e.var, free_names(e.body)[1] | {var, rep})
-        e = replace(e, var=fresh, body=subst_region_expr(e.body, e.var, fresh))
-    elif isinstance(e, Lambda):
-        ptype = e.param_type
-        if ptype is not None and var in free_regions(ptype):
-            ptype = subst_region_type(ptype, var, rep)
-        body = subst_region_expr(e.body, var, rep)
-        e_in, e_out = (None if eff is None else subst_region_effect(eff, var, rep)
-                       for eff in (e.effect_in, e.effect_out))
-        if (ptype is e.param_type and body is e.body and e_in is e.effect_in
-                and e_out is e.effect_out):
-            return e
-        return Lambda(e.param, ptype, body, e_in, e_out, e.loc)
-    elif isinstance(e, App) and isinstance(e.mode, ParMode) and e.mode.transfer is not None:
-        transfer = subst_region_effect(e.mode.transfer, var, rep)
-        if transfer is not e.mode.transfer:
-            return App(subst_region_expr(e.fn, var, rep), subst_region_expr(e.arg, var, rep),
-                       ParMode(transfer), e.loc)
-    elif isinstance(e, RegionApp) and e.region == var:
-        return RegionApp(subst_region_expr(e.fn, var, rep), rep, e.loc)
-    return _rebuild_changed(e, subst_region_expr, var, rep)
-
-
-def subst_var(e: Expr, name: str, value: Expr) -> Expr:
-    """Substitute a value for a term variable; binders shadow.  Nodes in
-    which `name` does not occur free are returned unchanged."""
-    if isinstance(e, Var):
-        return value if e.name == name else e
-    if type(e) in LEAVES or (isinstance(e, Lambda) and e.param == name):
-        return e
-    if isinstance(e, NewRgn) and e.handle_name == name:
-        ph = subst_var(e.parent_handle, name, value)
-        return e if ph is e.parent_handle else replace(e, parent_handle=ph)
-    return _rebuild_changed(e, subst_var, name, value)
+    bound = BINDERS.get(form, ())
+    inner = sigma
+    for name in bound:
+        binder = getattr(e, name)
+        if binder in inner:
+            inner = {k: v for k, v in inner.items() if k != binder}
+    values, same = [], True
+    for name in _FIELDS[form]:
+        old = getattr(e, name)
+        kind = type(old)
+        if kind in _FIELDS:  # a loop, not a comprehension: one frame per level
+            new = subst_expr(old, inner if name == "body" else sigma)
+        elif kind is tuple:  # Prim's operands
+            new = old
+            for i, arg in enumerate(old):
+                sub = subst_expr(arg, sigma)
+                if sub is not arg:
+                    new = new[:i] + (sub,) + new[i + 1:]
+        elif name in bound:
+            new = old
+        else:
+            new = _subst_regions(old, sigma)
+        values.append(new)
+        same = same and new is old
+    return e if same else form(*values, e.loc)
 
 
 def free_regions(obj) -> set[RegionName]:
@@ -782,27 +761,6 @@ def _free_regions_type(t: Type, bound: frozenset[RegionName], out: set[RegionNam
             out.add(t.region)
         return
     raise TypeError(f"unknown type {t!r}")
-
-
-def free_term_vars(e: Expr) -> set[str]:
-    """Free term variables of an expression."""
-    out: set[str] = set()
-    _free_term_vars(e, frozenset(), out)
-    return out
-
-
-def _free_term_vars(x: Expr, bound: frozenset[str], out: set[str]) -> None:
-    if isinstance(x, Var):
-        if x.name not in bound:
-            out.add(x.name)
-    elif isinstance(x, NewRgn):
-        _free_term_vars(x.parent_handle, bound, out)
-        _free_term_vars(x.body, bound | {x.handle_name}, out)
-    else:
-        if isinstance(x, Lambda):
-            bound = bound | {x.param}
-        for c in children(x):
-            _free_term_vars(c, bound, out)
 
 
 # ---------------------------------------------------------------------------
@@ -879,28 +837,25 @@ def _free_of(e: Expr, kid_free: list) -> tuple[frozenset[str], frozenset[RegionV
     form = type(e)
     if form is Var:
         return frozenset({e.name}), frozenset()
-    if form is NewRgn:  # both names bind in the body, not in the parent handle
-        (ph_terms, ph_regions), (terms, regions) = kid_free
-        terms = ph_terms | (terms - {e.handle_name})
-        regions = ph_regions | (regions - {e.var})
-    else:
-        terms, regions = CLOSED
-        for kid_terms, kid_regions in kid_free:
-            if kid_terms:
-                terms = terms | kid_terms if terms else kid_terms
-            if kid_regions:
-                regions = regions | kid_regions if regions else kid_regions
-        if form is Lambda:
-            terms = terms - {e.param}
-            for note in (e.param_type, e.effect_in, e.effect_out):
-                if note is not None:
-                    regions = regions | _region_vars(note)
-        elif form is RegionLambda:
-            regions = regions - {e.var}
-        elif form is RegionApp and isinstance(e.region, RegionVar):
-            regions = regions | {e.region}
-        elif form is App and isinstance(e.mode, ParMode) and e.mode.transfer is not None:
-            regions = regions | _region_vars(e.mode.transfer)
+    bound = BINDERS.get(form)
+    if bound:  # the body is the last subterm, and the only one under the binders
+        names = {getattr(e, name) for name in bound}
+        body_terms, body_regions = kid_free[-1]
+        kid_free = kid_free[:-1] + [(body_terms - names, body_regions - names)]
+    terms, regions = CLOSED
+    for kid_terms, kid_regions in kid_free:
+        if kid_terms:
+            terms = terms | kid_terms if terms else kid_terms
+        if kid_regions:
+            regions = regions | kid_regions if regions else kid_regions
+    if form is Lambda:
+        for note in (e.param_type, e.effect_in, e.effect_out):
+            if note is not None:
+                regions = regions | _region_vars(note)
+    elif form is RegionApp and isinstance(e.region, RegionVar):
+        regions = regions | {e.region}
+    elif form is App and isinstance(e.mode, ParMode) and e.mode.transfer is not None:
+        regions = regions | _region_vars(e.mode.transfer)
     return (terms, regions) if terms or regions else CLOSED
 
 

@@ -70,13 +70,11 @@ from .syntax import (
     expr_digest,
     free_names,
     free_regions,
-    free_term_vars,
     fresh_region_var,
     is_let,
     is_value,
-    subst_region_expr,
+    subst_expr,
     subst_region_type,
-    subst_var,
 )
 
 #: Closed enumeration of diagnostic codes.
@@ -247,7 +245,7 @@ class Checker:
         if e.var not in env.region_vars:
             return e.var, e.body
         fresh = fresh_region_var(e.var, env.region_vars)
-        return fresh, subst_region_expr(e.body, e.var, fresh)
+        return fresh, subst_expr(e.body, {e.var: fresh})
 
     # -- the judgement -----------------------------------------------------------
 
@@ -503,7 +501,7 @@ def check_program(program: SourceProgram) -> CheckResult:
 
     failed: set[str] = set()
     for d in program.defs:
-        if failed and free_term_vars(d.body) & failed:
+        if failed and free_names(d.body)[0] & failed:
             # The root cause is already reported; do not pile on.
             failed.add(d.name)
             continue
@@ -563,18 +561,17 @@ def link_bodies(program: SourceProgram) -> Expr:
     """
     linked: dict[str, Expr] = {}
     for d in program.defs:
-        body = d.body
-        for name in sorted(free_term_vars(body)):
+        names = sorted(free_names(d.body)[0])
+        for name in names:
             if name in linked:
-                body = subst_var(body, name, linked[name])
-            elif any(other.name == name for other in program.defs):
+                continue
+            if any(other.name == name for other in program.defs):
                 raise CheckFailure(Diagnostic(
                     "DefinitionCycle",
                     f"definition {d.name!r} references {name!r} before it is defined",
                     d.loc))
-            else:
-                raise CheckFailure(Diagnostic(
-                    "UnboundVariable",
-                    f"definition {d.name!r} references unknown name {name!r}", d.loc))
-        linked[d.name] = body
+            raise CheckFailure(Diagnostic(
+                "UnboundVariable",
+                f"definition {d.name!r} references unknown name {name!r}", d.loc))
+        linked[d.name] = subst_expr(d.body, {name: linked[name] for name in names})
     return linked["main"]

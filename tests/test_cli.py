@@ -263,16 +263,47 @@ def test_trace_digests_depend_only_on_the_program(tmp_path, capsys):
 def test_long_program_runs_without_recursion_error(tmp_path, capsys):
     # A new thread's stack starts empty, as in a `reglock` process, so the
     # test runner's own frames do not count against the recursion limit.
-    path = tmp_path / "long_seq.rgn"
-    path.write_text(paired_long_seq(480))
-    codes = []
-    worker = threading.Thread(target=lambda: codes.append(
-        main(["run", str(path), "--seed", "0"])))
-    worker.start()
-    worker.join(timeout=300)
-    assert not worker.is_alive() and codes == [0]
-    out = capsys.readouterr().out
-    assert 'terminal all_done {"steps": 1925}' in out
+    # Substitution recurses once per term level, and a `let` is two levels.
+    lets = "".join(f"let x{i} = {i} in " for i in range(300))
+    nested = f"{MAIN_HEADER}  {lets}()\n"
+    for source, steps in ((paired_long_seq(480), 1925), (nested, 303)):
+        path = tmp_path / "long.rgn"
+        path.write_text(source)
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(
+            main(["run", str(path), "--seed", "0"])))
+        worker.start()
+        worker.join(timeout=300)
+        assert not worker.is_alive() and codes == [0]
+        out = capsys.readouterr().out
+        assert f'terminal all_done {{"steps": {steps}}}' in out
+
+
+MAIN_HEADER = ("def main = /\\rhoH. \\heap: rgn(rhoH) @ "
+               "[{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].\n")
+
+
+@pytest.mark.parametrize("source, fault", [
+    (MAIN_HEADER + "  ((/\\a. \\(x: int) @ [{} -> {}]. ())[zz](1); ())\n", "MalformedTerm"),
+    (MAIN_HEADER + "  ((\\x: int @ [{} -> {}]. x) + 1; ())\n", "BadPrimitive"),
+    ("def nop = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^~(1,0)@_} -> {}]. free heap\n"
+     + MAIN_HEADER + "  (share heap; spawn[{zz^(1,0)@_}] nop[rhoH](heap))\n",
+     "InsufficientDynamicCounts"),
+], ids=["region-variable-argument", "lambda-operand", "transfer-of-variable"])
+def test_malformed_unchecked_terms_get_stuck_with_and_without_asserts(source, fault,
+                                                                      tmp_path, capsys):
+    # A run-time check is not an `assert`, which `python -O` strips.
+    path = tmp_path / "malformed.rgn"
+    path.write_text(source)
+    argv = ["run", str(path), "--seed", "0", "--unchecked"]
+    assert main(argv) == 4
+    outs = [capsys.readouterr().out]
+    optimized = subprocess.run([sys.executable, "-O", "-m", "reglock.cli", *argv],
+                               capture_output=True, text=True)
+    assert optimized.returncode == 4 and not optimized.stderr
+    outs.append(optimized.stdout)
+    for out in outs:
+        assert f'"fault": "{fault}"' in out and "terminal stuck" in out
 
 
 def test_internal_error_exits_six_without_traceback(tmp_path, capsys):

@@ -244,7 +244,7 @@ class TestApplyCapOp:
                       (R1, cap(1, 1), RHOH), (R2, cap(1, 1), R1),
                       (R3, cap(1, 1), R2), (R4, cap(1, 1), R2)])
         out = apply_cap_op(eff, R2, CapOp.RG_MINUS)
-        assert set(out.domain()) == {RHOH, R1}
+        assert {r for r, _, _ in out.items()} == {RHOH, R1}
 
     def test_lock_twice(self):
         eff = heap_rooted((RHO, cap(2, 0), RHOH))
@@ -356,7 +356,7 @@ def test_bulk_removal_completeness(effects):
     doomed = {r for r, _, _ in entries if r == victim or reaches(r)}
 
     out = apply_cap_op(eff, victim, CapOp.RG_MINUS)
-    assert set(out.domain()) == set(eff.domain()) - doomed
+    assert {r for r, _, _ in out.items()} == {r for r, _, _ in eff.items()} - doomed
     assert out.well_formed() is None
 
 
@@ -392,7 +392,7 @@ def split_and_join(draw):
             lk = have.lk if rg == have.rg else draw(st.integers(0, have.lk))
             need_entries.append((r, Capability(rg, lk, False), UNKNOWN))
     need = Effect(need_entries)
-    returned = draw(st.lists(st.sampled_from(need.domain()), unique=True))
+    returned = draw(st.lists(st.sampled_from([r for r, _, _ in need.items()]), unique=True))
     out = Effect((r, Capability(draw(st.integers(1, 3)), draw(st.integers(0, 2)), False),
                   eff.parent(r) if eff.parent(r) in returned else UNKNOWN)
                  for r in returned)

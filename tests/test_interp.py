@@ -391,11 +391,11 @@ def test_each_thread_term_is_stepped_once(monkeypatch):
     thread is not chosen (run).  Without the cache, explore of lock_tree(2)
     makes 4,104 decompose and 382 substitution calls, and run 135 decompose
     calls for 82 steps."""
-    names = ["decompose", "subst_var", "subst_region_expr"]
+    names = ["decompose", "subst_expr"]
     main = checked_main(lock_tree(2))
     counts = count_calls(monkeypatch, names)
     assert explore(main).states == 1774
-    assert counts["subst_var"] + counts["subst_region_expr"] <= 60
+    assert counts["subst_expr"] <= 60
     assert counts["decompose"] <= 300
     main = checked_main(lock_tree(2))
     counts.update(dict.fromkeys(names, 0))

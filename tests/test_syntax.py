@@ -24,8 +24,9 @@ from reglock.syntax import (
     Const,
     Effect,
     FnType,
+    BINDERS,
     LEAVES,
-    REBUILD,
+    _FIELDS,
     Expr,
     Lambda,
     NewRgn,
@@ -35,17 +36,19 @@ from reglock.syntax import (
     RegionLit,
     RegionPolyType,
     RegionVar,
+    RgnVal,
     ParMode,
     Seq,
     Var,
     free_names,
+    children,
     free_regions,
-    free_term_vars,
+    subst_expr,
     subst_region_effect,
-    subst_region_expr,
     subst_region_type,
-    subst_var,
 )
+
+from conftest import CORPUS
 
 RHO1 = RegionVar("rho1")
 RHO2 = RegionVar("rho2")
@@ -75,7 +78,7 @@ class TestSubstRegion:
     def test_effect_domain_and_parents_substituted(self):
         eff = Effect.of((RHO1, Capability(1, 1), RHOH))
         out = subst_region_effect(eff, RHO1, IOTA3)
-        assert out.domain() == (IOTA3,)
+        assert [r for r, _, _ in out.items()] == [IOTA3]
         out2 = subst_region_effect(out, RHOH, IOTA3)  # parent collides with domain
         assert out2.parent(IOTA3) == IOTA3 or True  # parent substituted
         assert subst_region_effect(eff, RHOH, IOTA3).parent(RHO1) == IOTA3
@@ -92,21 +95,24 @@ class TestSubstRegion:
         eff = Effect.of((RHO1, Capability(1, 1, pure=False), UNKNOWN),
                         (RHO2, Capability(1, 1, pure=False), UNKNOWN))
         merged = subst_region_effect(subst_region_effect(eff, RHO1, IOTA3), RHO2, IOTA3)
-        assert merged.domain() == (IOTA3,)
+        assert [r for r, _, _ in merged.items()] == [IOTA3]
         cap = merged.cap(IOTA3)
         assert (cap.rg, cap.lk, cap.pure) == (2, 2, False)
 
 
 class TestSubstVar:
     def test_hit(self):
-        assert subst_var(Var("x"), "x", Const(5)) == Const(5)
+        assert subst_expr(Var("x"), {"x": Const(5)}) == Const(5)
 
     def test_miss(self):
-        assert subst_var(Var("y"), "x", Const(5)) == Var("y")
+        assert subst_expr(Var("y"), {"x": Const(5)}) == Var("y")
 
     def test_shadowing(self):
         lam = Lambda("x", INT, Var("x"), Effect(), Effect())
-        assert subst_var(lam, "x", Const(5)) == lam
+        assert subst_expr(lam, {"x": Const(5)}) is lam
+        # Only the shadowed name stops at the binder.
+        lam = Lambda("x", INT, Seq(Var("x"), Var("y")), Effect(), Effect())
+        assert subst_expr(lam, {"x": Const(5), "y": Const(6)}).body == Seq(Var("x"), Const(6))
 
 
 class TestSubstitutionSharing:
@@ -117,16 +123,16 @@ class TestSubstitutionSharing:
                    Const(UNIT_VALUE)))
 
     def test_absent_names_return_the_same_object(self):
-        assert subst_var(self.BODY, "nowhere", Const(5)) is self.BODY
-        assert subst_region_expr(self.BODY, RHO1, IOTA3) is self.BODY
+        assert subst_expr(self.BODY, {"nowhere": Const(5)}) is self.BODY
+        assert subst_expr(self.BODY, {RHO1: IOTA3}) is self.BODY
         eff = Effect.of((RHO2, Capability(1, 0), BOTTOM))
         assert subst_region_effect(eff, RHO1, IOTA3) is eff
 
     def test_only_the_path_to_an_occurrence_is_rebuilt(self):
-        out = subst_var(self.BODY, "h", Const(5))
+        out = subst_expr(self.BODY, {"h": Const(5)})
         assert out.first == Cap(CapOp.RG_PLUS, Const(5))
         assert out.second is self.BODY.second
-        out = subst_region_expr(self.BODY, RHO2, IOTA3)
+        out = subst_expr(self.BODY, {RHO2: IOTA3})
         assert out.first is self.BODY.first
         assert out.second.first.param_type == RefType(INT, IOTA3)
         assert out.second.second is self.BODY.second.second
@@ -143,9 +149,9 @@ class TestSubstitutionSharing:
         try:
             gc.collect()
             for _ in range(100):
-                subst_var(seq, "x", Const(5))
-                subst_region_expr(self.BODY, RHO2, IOTA3)
-                free_term_vars(self.BODY)
+                subst_expr(seq, {"x": Const(5)})
+                subst_expr(self.BODY, {RHO2: IOTA3, "h": Const(5)})
+                free_names(Seq(Var("x"), self.BODY))
                 free_regions(self.BODY.second.first.param_type)
                 # The store's walks and every operation that rebuilds a path.
                 grown, _ = store.newrgn(b, 1, "a")
@@ -166,20 +172,25 @@ class TestSubstitutionSharing:
 class TestTraversal:
     def test_table_covers_every_form_once(self):
         forms = set(typing.get_args(Expr))
-        assert set(REBUILD) == forms and set(LEAVES) <= forms
+        assert set(_FIELDS) == forms and set(LEAVES) <= forms
         assert len(forms - set(LEAVES)) == 13
+        # Each binding form binds names in its body, its last subterm.
+        binding = [parse_expr(text) for text in (
+            "\\x: int @ [{} -> {}]. x", "/\\r. y", "newrgn r, h at y in z")]
+        assert set(BINDERS) == {type(e) for e in binding}
+        for e in binding:
+            assert children(e)[-1] is e.body
+            assert set(BINDERS[type(e)]) <= set(_FIELDS[type(e)])
 
-    def test_region_binders_shadow_and_avoid_capture(self):
-        # The newrgn binder shadows rho1 in its body, not in its parent handle.
-        inner = RegionApp(Var("f"), RHO1)
+    def test_region_binders_shadow(self):
+        # The newrgn binder shadows rho1 and h in its body, not in its parent handle.
+        inner = Seq(RegionApp(Var("f"), RHO1), Var("h"))
         shadow = NewRgn(RHO1, "h", inner, inner)
-        out = subst_region_expr(shadow, RHO1, IOTA3)
-        assert out == NewRgn(RHO1, "h", RegionApp(Var("f"), IOTA3), inner)
-        # Substituting rho2 for rho1 under a binder for rho2 renames it.
-        lam = RegionLambda(RHO2, RegionApp(RegionApp(Var("f"), RHO1), RHO2))
-        out = subst_region_expr(lam, RHO1, RHO2)
-        assert out.var != RHO2
-        assert out.body == RegionApp(RegionApp(Var("f"), RHO2), out.var)
+        out = subst_expr(shadow, {RHO1: IOTA3, "h": Const(5)})
+        assert out == NewRgn(RHO1, "h", Seq(RegionApp(Var("f"), IOTA3), Const(5)), inner)
+        assert out.body is inner
+        lam = RegionLambda(RHO1, inner)
+        assert subst_expr(lam, {RHO1: IOTA3}) is lam
 
 
 class TestFreeRegions:
@@ -228,6 +239,19 @@ class TestFreeNames:
                 assert free_names(d.body)[0] == free_term_vars(d.body), (path.name, d.name)
 
 
+def free_term_vars(e: Expr, bound: frozenset[str] = frozenset()) -> set[str]:
+    """A reference walk: the free term variables of `e`, from the binding
+    rules spelled out by hand."""
+    if isinstance(e, Var):
+        return set() if e.name in bound else {e.name}
+    if isinstance(e, NewRgn):
+        return free_term_vars(e.parent_handle, bound) | free_term_vars(
+            e.body, bound | {e.handle_name})
+    if isinstance(e, Lambda):
+        bound = bound | {e.param}
+    return set().union(*(free_term_vars(c, bound) for c in children(e)))
+
+
 class TestEffectInvariants:
     def test_duplicate_regions_rejected(self):
         with pytest.raises(ValueError):
@@ -273,7 +297,7 @@ def effect_forests(draw, max_regions: int = 6) -> Effect:
 @given(effect_forests())
 def test_generated_effects_are_well_formed_and_walkable(eff: Effect):
     assert eff.well_formed() is None
-    for r in eff.domain():
+    for r, _, _ in eff.items():
         # liveness closure walk terminates (acyclic parent chains)
         chain = list(eff.ancestors(r))
         assert r not in chain
@@ -283,3 +307,36 @@ def test_generated_effects_are_well_formed_and_walkable(eff: Effect):
 def test_substitution_identity_when_absent(eff: Effect, k: int):
     ghost = RegionVar(f"absent{k}")
     assert subst_region_effect(eff, ghost, RegionLit("zzz")) == eff
+
+
+def _corpus_subterms() -> list[Expr]:
+    out: list[Expr] = []
+    for path in sorted(CORPUS.glob("*.rgn")):
+        stack = [d.body for d in parse_program(path.read_text()).defs]
+        while stack:
+            e = stack.pop()
+            if any(free_names(e)):
+                out.append(e)
+            stack.extend(children(e))
+    return out
+
+
+CORPUS_SUBTERMS = _corpus_subterms()
+CLOSED_VALUES = [Const(7), Const(True), RgnVal(RegionLit("r9")),
+                 parse_expr("/\\a. \\x: ref(int, a) @ [{a^(1,1)@?} -> {a^(1,1)@?}]. deref x")]
+
+
+@given(st.sampled_from(CORPUS_SUBTERMS), st.data())
+def test_simultaneous_substitution_is_sequential_for_closed_replacements(e: Expr, data):
+    terms, regions = free_names(e)
+    sigma = {}
+    for name in data.draw(st.sets(st.sampled_from(sorted(terms))) if terms else st.just(set())):
+        sigma[name] = data.draw(st.sampled_from(CLOSED_VALUES))
+    for var in data.draw(st.sets(st.sampled_from(sorted(regions, key=str)))
+                         if regions else st.just(set())):
+        sigma[var] = RegionLit(f"r{len(sigma)}")
+    sequential = e
+    for key, rep in sigma.items():
+        sequential = subst_expr(sequential, {key: rep})
+    assert subst_expr(e, sigma) == sequential
+    assert free_names(sequential) == (terms - set(sigma), regions - set(sigma))

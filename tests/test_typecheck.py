@@ -54,7 +54,7 @@ class TestExampleFlows:
         assert entry.parent(RHO) == RHOH
         # after `free h` only the ambient heap capability remains
         final = lines[8]
-        assert final.domain() == (RHOH,)
+        assert [r for r, _, _ in final.items()] == [RHOH]
 
     def test_const_is_effect_preserving(self):
         result = check_main("let k = 5 in (free_it; ())" .replace("free_it", "()"))
@@ -96,13 +96,13 @@ class TestSpawnInference:
         transfers = _performed_transfers(corpus_text("migration.rgn"), max_steps=80)
         assert len(transfers) >= 2  # the loop spawns once per region
         for eff in transfers:
-            [rho] = [r for r in eff.domain() if r != HEAP]
+            [rho] = [r for r, _, _ in eff.items() if r != HEAP]
             assert eff.cap(rho) == Capability(1, 1, pure=True)  # whole, still locked
             assert eff.cap(HEAP) == Capability(1, 0, pure=False)
 
     def test_sharing_transfer(self):
         [eff, *_] = _performed_transfers(corpus_text("sharing.rgn"), max_steps=80)
-        [rho] = [r for r in eff.domain() if r != HEAP]
+        [rho] = [r for r, _, _ in eff.items() if r != HEAP]
         assert eff.cap(rho) == Capability(1, 0, pure=False)  # half of (2,0)
 
     def test_closed_function_transfers_nothing(self):
