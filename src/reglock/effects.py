@@ -198,10 +198,6 @@ def check_par_constraints(passed: Effect, out: Effect, result_type: Type) -> Non
                        f"a spawned thread must return unit, not {result_type}")
 
 
-def is_live_static(eff: Effect, r: RegionName) -> bool:
-    return r in eff
-
-
 def is_accessible_static(eff: Effect, r: RegionName) -> bool:
     """True when r's own entry, or an ancestor entry within the effect,
     holds a positive lock count."""

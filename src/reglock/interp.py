@@ -50,6 +50,8 @@ from .store import Blocked, Store, StoreFault, initial_store
 from .syntax import (
     _FIELDS,
     HEAP,
+    PRIM_BINARY,
+    PRIM_UNARY,
     SEQ_MODE,
     UNIT_VALUE,
     App,
@@ -227,16 +229,7 @@ def _prim_eval(op: str, args: tuple[Expr, ...]) -> Expr:
         if not isinstance(a, Const):
             raise TypeError(f"operand {type(a).__name__} is not a constant")
         vals.append(a.value)
-    if op == "!":
-        return Const(not vals[0])
-    a, b = vals
-    table = {
-        "+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
-        "<": lambda: a < b, "<=": lambda: a <= b,
-        "==": lambda: a == b, "!=": lambda: a != b,
-        "&&": lambda: a and b, "||": lambda: a or b,
-    }
-    return Const(table[op]())
+    return Const((PRIM_UNARY.get(op) or PRIM_BINARY[op])[-1](*vals))
 
 
 _STEP = "_step"
@@ -450,30 +443,28 @@ def detect_deadlock(outcomes: dict[int, StepOutcome]) -> list[int]:
         if isinstance(outcome, BlockedOn):
             edges[tid] = outcome.holders
 
-    state: dict[int, int] = {}  # 0 visiting, 1 done
-    stack: list[int] = []
-
-    def visit(node: int) -> Optional[list[int]]:
-        state[node] = 0
-        stack.append(node)
-        for target in sorted(edges.get(node, ())):
-            if target not in edges:
-                continue
-            if state.get(target) == 0:
-                return stack[stack.index(target):]
-            if target not in state:
-                cycle = visit(target)
-                if cycle is not None:
-                    return cycle
-        stack.pop()
-        state[node] = 1
-        return None
-
-    for node in sorted(edges):
-        if node not in state:
-            cycle = visit(node)
-            if cycle is not None:
-                return cycle
+    # A depth-first search on an explicit stack: `path` is the walk from the
+    # root, and `todo` holds each path node's targets not yet tried.
+    state: dict[int, int] = {}  # 0 on the path, 1 done
+    for root in sorted(edges):
+        if root in state:
+            continue
+        state[root] = 0
+        path, todo = [root], [iter(sorted(edges[root]))]
+        while todo:
+            for target in todo[-1]:
+                if target not in edges:
+                    continue
+                if state.get(target) == 0:
+                    return path[path.index(target):]
+                if target not in state:
+                    state[target] = 0
+                    path.append(target)
+                    todo.append(iter(sorted(edges[target])))
+                    break
+            else:
+                state[path.pop()] = 1
+                todo.pop()
     return []
 
 

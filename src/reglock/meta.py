@@ -34,11 +34,7 @@ which stores a success only, never a failure, under one of two keys:
     empty, where a success reads no binding and which is the only place an
     open subterm is looked up again.  The judgement reads the environment
     only to look up a free `Var` and to check that a free region variable
-    is in scope, so a closed subterm's result does not depend on it.  A
-    binder that shadows one in scope is renamed, which changes the result
-    type only up to alpha-renaming (`type_eq` and the substitutions respect
-    it), and never the output effect: `newrgn` rejects a region that
-    escapes into it, and a region abstraction returns its input effect;
+    is in scope, so a closed subterm's result does not depend on it;
   * a function value (a `Lambda` or `RegionLambda`), under the same
     condition, is looked up by its digest alone, and the hit is (its type,
     the input effect): a value's output effect is its input effect, a
@@ -92,7 +88,7 @@ from .syntax import (
     RegionPolyType,
     Type,
     UnitType,
-    subst_region_effect,
+    subst_regions,
 )
 from .typecheck import CheckFailure, Checker, TypedProgram, _Env, type_eq
 
@@ -258,8 +254,8 @@ class Harness:
     def __init__(self, typed: TypedProgram):
         main_t = typed.def_types["main"]
         assert isinstance(main_t, RegionPolyType) and isinstance(main_t.body, FnType)
-        self.main_in = subst_region_effect(main_t.body.effect_in, main_t.var, HEAP)
-        self.main_out = subst_region_effect(main_t.body.effect_out, main_t.var, HEAP)
+        self.main_in = subst_regions(main_t.body.effect_in, {main_t.var: HEAP})
+        self.main_out = subst_regions(main_t.body.effect_out, {main_t.var: HEAP})
         self.regions: frozenset[RegionLit] = frozenset()
         self.locations: dict[Location, Type] = {}
         self.delta: dict[int, Effect] = {}

@@ -16,6 +16,12 @@ verbatim.  Sugar handled here:
   f(a, b)                 curried application
 
 The parser can never produce runtime-only forms (region or location values).
+
+Region binders (`/\\rho` and `newrgn rho`) follow the variable convention:
+a binder that shadows one in scope is named by the first `rho%n` (n = 1,
+2, ...) not in scope, and every reference reads its binder's name.  No
+binder of a definition then shadows another, so no later pass renames one.
+A renamed binder prints as `rho%n`, which the lexer rejects, like `rgn<..>`.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .syntax import (
     CAP_KEYWORD,
     EMPTY_EFFECT,
     INT,
+    PRIM_BINARY,
     SEQ_MODE,
     UNIT,
     UNIT_VALUE,
@@ -62,6 +69,7 @@ from .syntax import (
     UnitVal,
     Var,
     While,
+    fresh_region_var,
     is_let,
 )
 
@@ -133,9 +141,9 @@ def lex(source: str) -> list[Token]:
                 i += 1
             continue
         loc = Loc(line, col)
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and "0" <= source[j] <= "9":
                 j += 1
             tokens.append(Token("int", source[i:j], loc))
             col += j - i
@@ -165,6 +173,8 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        # The region binders in scope, innermost last: (source name, name).
+        self.regions: list[tuple[str, RegionVar]] = []
 
     # -- token plumbing --------------------------------------------------------
 
@@ -192,6 +202,22 @@ class _Parser:
         if tok.kind != "name" or tok.text in KEYWORDS:
             raise ParseError("SyntaxError", f"expected {what}, found {tok.text!r}", tok.loc)
         return self.next()
+
+    def region_binder(self, source: str, sep: str) -> tuple[RegionVar, Expr]:
+        """The name of a region binder written `source`, and its body after
+        `sep`, where a reference to `source` reads that name."""
+        var = fresh_region_var(RegionVar(source), {var for _, var in self.regions})
+        self.regions.append((source, var))
+        self.eat(sep)
+        body = self.stmt()
+        self.regions.pop()
+        return var, body
+
+    def region(self, what: str) -> RegionVar:
+        """A region reference: the name of the innermost binder it names."""
+        source = self.eat_name(what).text
+        return next((var for name, var in reversed(self.regions) if name == source),
+                    RegionVar(source))
 
     # -- program ----------------------------------------------------------------
 
@@ -243,19 +269,16 @@ class _Parser:
             return While(cond, body, loc)
         if tok.text == "newrgn":
             loc = self.next().loc
-            rvar = RegionVar(self.eat_name("region variable").text)
+            source = self.eat_name("region variable").text
             self.eat(",")
             handle = self.eat_name("handle name").text
             self.eat("at")
-            parent = self.postfix()
-            self.eat("in")
-            body = self.stmt()
+            parent = self.postfix()  # outside the binder's scope
+            rvar, body = self.region_binder(source, "in")
             return NewRgn(rvar, handle, parent, body, loc)
         if tok.text == "/\\":
             loc = self.next().loc
-            rvar = RegionVar(self.eat_name("region variable").text)
-            self.eat(".")
-            body = self.stmt()
+            rvar, body = self.region_binder(self.eat_name("region variable").text, ".")
             return RegionLambda(rvar, body, loc)
         if tok.text == "\\":
             return self.lambda_expr()
@@ -316,35 +339,24 @@ class _Parser:
         return App(call.fn, call.arg, ParMode(transfer), call.loc or loc)
 
     def assign(self) -> Expr:
-        lhs = self.disj()
+        lhs = self.binary()
         if self.at(":="):
             loc = self.eat(":=").loc
             rhs = self.assign()
             return Assign(lhs, rhs, loc)
         return lhs
 
-    def _binop_chain(self, sub, ops) -> Expr:
-        e = sub()
-        while self.peek().text in ops and self.peek().kind == "punct":
-            tok = self.next()
-            rhs = sub()
-            e = Prim(tok.text, (e, rhs), tok.loc)
-        return e
-
-    def disj(self) -> Expr:
-        return self._binop_chain(self.conj, {"||"})
-
-    def conj(self) -> Expr:
-        return self._binop_chain(self.cmp, {"&&"})
-
-    def cmp(self) -> Expr:
-        return self._binop_chain(self.sum, {"<", "<=", "==", "!="})
-
-    def sum(self) -> Expr:
-        return self._binop_chain(self.term, {"+", "-"})
-
-    def term(self) -> Expr:
-        return self._binop_chain(self.unary, {"*"})
+    def binary(self, floor: int = 0) -> Expr:
+        """A chain of binary operators that bind at least as strongly as
+        `floor`, by precedence climbing (`PRIM_BINARY`), each to the left."""
+        e = self.unary()
+        while True:
+            tok = self.peek()
+            op = PRIM_BINARY.get(tok.text)
+            if op is None or op[2] < floor:
+                return e
+            self.next()
+            e = Prim(tok.text, (e, self.binary(op[2] + 1)), tok.loc)
 
     def unary(self) -> Expr:
         tok = self.peek()
@@ -360,7 +372,7 @@ class _Parser:
             return Cap(op, self.unary(), tok.loc)
         if tok.text == "new":
             loc = self.next().loc
-            init = self.sum()
+            init = self.binary(PRIM_BINARY["+"][2])
             self.eat("at")
             handle = self.unary()
             return NewRef(init, handle, loc)
@@ -371,7 +383,7 @@ class _Parser:
         while True:
             if self.at("["):
                 loc = self.eat("[").loc
-                rvar = RegionVar(self.eat_name("region name").text)
+                rvar = self.region("region name")
                 self.eat("]")
                 e = RegionApp(e, rvar, loc)
             elif self.at("("):
@@ -429,7 +441,7 @@ class _Parser:
         if tok.text == "rgn":
             self.next()
             self.eat("(")
-            r = RegionVar(self.eat_name("region name").text)
+            r = self.region("region name")
             self.eat(")")
             return HandleType(r)
         if tok.text == "ref":
@@ -437,7 +449,7 @@ class _Parser:
             self.eat("(")
             elem = self.type_expr()
             self.eat(",")
-            r = RegionVar(self.eat_name("region name").text)
+            r = self.region("region name")
             self.eat(")")
             return RefType(elem, r)
         if tok.text == "fn":
@@ -467,7 +479,7 @@ class _Parser:
         if not self.at("}"):
             while True:
                 loc = self.peek().loc
-                r = RegionVar(self.eat_name("region name").text)
+                r = self.region("region name")
                 self.eat("^")
                 pure = True
                 if self.at("~"):
@@ -509,7 +521,7 @@ class _Parser:
         if tok.text == "_":
             self.next()
             return BOTTOM
-        return RegionVar(self.eat_name("parent region").text)
+        return self.region("parent region")
 
 
 def parse_program(text: str) -> SourceProgram:
@@ -542,14 +554,14 @@ def pretty(e: Expr) -> str:
     """Render an expression in re-parseable surface syntax.
 
     Runtime-only values print in a bracketed form that the parser rejects,
-    keeping the source/runtime distinction visible in traces.
+    keeping the source/runtime distinction visible in traces; a region
+    binder the parser renamed prints as `rho%n`, which the lexer rejects.
     """
     return _pp(e, 0)
 
 
-# precedence levels: 0 seq, 1 stmt-forms, 2 assign, 3 or, 4 and, 5 cmp,
-# 6 add, 7 mul, 8 unary, 9 postfix/atom
-_CMP = {"<", "<=", "==", "!="}
+# precedence levels: 0 seq, 1 stmt-forms, 2 assign, then the binary
+# operators' strengths from `PRIM_BINARY` (3 to 7), 8 unary, 9 postfix/atom
 
 
 def _pp(e: Expr, level: int) -> str:
@@ -597,7 +609,7 @@ def _pp(e: Expr, level: int) -> str:
     if isinstance(e, Prim):
         if e.op == "!":
             return wrap(f"!{_pp(e.args[0], 8)}", 8)
-        mine = {"||": 3, "&&": 4, "+": 6, "-": 6, "*": 7}.get(e.op, 5)
+        mine = PRIM_BINARY[e.op][2]
         left = _pp(e.args[0], mine)
         right = _pp(e.args[1], mine + 1)
         return wrap(f"{left} {e.op} {right}", mine)
@@ -606,7 +618,7 @@ def _pp(e: Expr, level: int) -> str:
     if isinstance(e, Cap):
         return wrap(f"{CAP_KEYWORD[e.op]} {_pp(e.handle, 8)}", 8)
     if isinstance(e, NewRef):
-        return wrap(f"new {_pp(e.init, 6)} at {_pp(e.handle, 8)}", 8)
+        return wrap(f"new {_pp(e.init, PRIM_BINARY['+'][2])} at {_pp(e.handle, 8)}", 8)
     if isinstance(e, App):
         if isinstance(e.mode, ParMode):
             head, args = _app_spine(e.fn)

@@ -7,6 +7,7 @@ re-parsed term compares equal to the original.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from hashlib import blake2b
@@ -522,19 +523,20 @@ class Prim:
 Expr = Union[Var, Const, Lambda, RegionLambda, App, RegionApp, NewRef, Deref,
              Assign, NewRgn, Cap, RgnVal, LocVal, If, Seq, While, Prim]
 
-#: Binary primitive signatures: op -> (operand base type, result type).
+#: Binary primitives: op -> (operand base type, result type, binding
+#: strength, meaning).  The parser and the printer read precedence here.
 PRIM_BINARY = {
-    "+": (INT, INT),
-    "-": (INT, INT),
-    "*": (INT, INT),
-    "<": (INT, BOOL),
-    "<=": (INT, BOOL),
-    "==": (INT, BOOL),
-    "!=": (INT, BOOL),
-    "&&": (BOOL, BOOL),
-    "||": (BOOL, BOOL),
+    "||": (BOOL, BOOL, 3, lambda a, b: a or b),
+    "&&": (BOOL, BOOL, 4, lambda a, b: a and b),
+    "<": (INT, BOOL, 5, operator.lt),
+    "<=": (INT, BOOL, 5, operator.le),
+    "==": (INT, BOOL, 5, operator.eq),
+    "!=": (INT, BOOL, 5, operator.ne),
+    "+": (INT, INT, 6, operator.add),
+    "-": (INT, INT, 6, operator.sub),
+    "*": (INT, INT, 7, operator.mul),
 }
-PRIM_UNARY = {"!": (BOOL, BOOL)}
+PRIM_UNARY = {"!": (BOOL, BOOL, operator.not_)}
 
 
 def is_value(e: Expr) -> bool:
@@ -552,7 +554,8 @@ def is_let(e: Expr) -> bool:
 # ---------------------------------------------------------------------------
 # The generic walks over terms loop over `_FIELDS`: `children`,
 # `subst_expr`, the cached digests and free names, and the interpreter's
-# contexts.  `BINDERS` is the only statement of which names a form binds.
+# contexts.  `BINDERS` is the only statement of which names a form binds,
+# and `REGION_FIELDS` of where a term names regions outside its subterms.
 
 #: Forms without subterms.
 LEAVES = (Var, Const, RgnVal, LocVal)
@@ -560,6 +563,11 @@ LEAVES = (Var, Const, RgnVal, LocVal)
 #: The names each binding form binds in its `body`; a `newrgn`'s parent
 #: handle is outside them.
 BINDERS = {Lambda: ("param",), RegionLambda: ("var",), NewRgn: ("var", "handle_name")}
+
+#: The fields, binders aside, in which a form names regions: each holds a
+#: type, an effect, a region name or a calling mode (`subst_regions`).
+REGION_FIELDS = {Lambda: ("param_type", "effect_in", "effect_out"), RegionApp: ("region",),
+                 App: ("mode",)}
 
 #: Each form's fields, the source location left out, in evaluation order.
 _FIELDS = {form: tuple(f.name for f in fields(form) if f.name != "loc")
@@ -583,34 +591,70 @@ def children(e: Expr) -> list[Expr]:
 # ---------------------------------------------------------------------------
 
 def fresh_region_var(base: RegionVar, avoid: AbstractSet[RegionName]) -> RegionVar:
-    """The first `base%n` (n = 1, 2, ...) not in `avoid`.  '%' is not a
-    lexable name character, so a renamed variable cannot collide with a
-    source name, and the name depends on its arguments alone."""
-    n = 1
-    while RegionVar(f"{base.name}%{n}") in avoid:
+    """The first of `base`, `base%1`, `base%2`, ... not in `avoid`.  '%' is
+    not a lexable name character, so a renamed variable cannot collide with
+    a source name, and the name depends on its arguments alone."""
+    var, n = base, 0
+    while var in avoid:
         n += 1
-    return RegionVar(f"{base.name}%{n}")
+        var = RegionVar(f"{base.name}%{n}")
+    return var
 
 
-def subst_region_effect(eff: Effect, var: RegionVar, rep: RegionName) -> Effect:
-    """Substitute in both domain and parents; aliased entries merge.
+def subst_regions(x, rho: dict):
+    """`x` (a type, an effect, a region name or a calling mode) with the
+    region variables in `rho` replaced at once; `x` itself when none occurs.
 
-    Merging sums the counts and the merged capability is impure, since it
-    stands for several separately usable fragments.  A merge can tie a
-    parent chain into a loop, so a merged result is checked for
-    well-formedness (CapError `NotLive`); `eff` itself is returned when it
-    does not mention `var`.
-    """
-    if not any(r == var or parent == var for r, _, parent in eff.items()):
+    In an effect, both domain and parents are replaced, and aliased entries
+    merge: the counts add up, and the merged capability is impure, since it
+    stands for several separately usable fragments.  Parents that disagree
+    cannot merge (ValueError).  A merge can tie a parent chain into a loop,
+    so a merged result is checked for well-formedness (CapError `NotLive`).
+
+    A `forall` binder that a replacement would capture is renamed: the
+    checker instantiates one definition's type with a region bound by
+    another (`g[b]` under `/\\b`)."""
+    kind = type(x)
+    if kind is RegionVar:
+        return rho.get(x, x)
+    if kind is Effect:
+        return _subst_effect(x, rho)
+    if kind is FnType:
+        parts = (x.param, x.effect_in, x.effect_out, x.result)
+        new = tuple(subst_regions(part, rho) for part in parts)
+        return x if all(a is b for a, b in zip(new, parts)) else FnType(*new)
+    if kind is RefType:
+        elem = subst_regions(x.elem, rho)
+        region = rho.get(x.region, x.region)
+        return x if elem is x.elem and region is x.region else RefType(elem, region)
+    if kind is HandleType:
+        region = rho.get(x.region, x.region)
+        return x if region is x.region else HandleType(region)
+    if kind is ParMode:
+        transfer = subst_regions(x.transfer, rho)
+        return x if transfer is x.transfer else ParMode(transfer)
+    if kind is RegionPolyType:
+        inner = {var: rep for var, rep in rho.items() if var != x.var}
+        var, body = x.var, x.body
+        if var in inner.values() and not inner.keys().isdisjoint(free_regions(body)):
+            var = fresh_region_var(var, free_regions(body) | inner.keys() | set(inner.values()))
+            body = subst_regions(body, {x.var: var})
+        body = subst_regions(body, inner) if inner else body
+        return x if body is x.body else RegionPolyType(var, body)
+    return x  # base types, unit, region literals, the sequential mode, None
+
+
+def _subst_effect(eff: Effect, rho: dict) -> Effect:
+    if not any(r in rho or parent in rho for r, _, parent in eff.items()):
         return eff
     table: dict[RegionName, tuple[Capability, Parent]] = {}
-    merged_any = False
+    merged: Optional[RegionName] = None
     for r, cap, parent in eff.items():
-        nr = rep if r == var else r
-        nparent = rep if parent == var else parent
+        nr = rho.get(r, r)
+        nparent = rho.get(parent, parent)
         if nr in table:
             ocap, oparent = table[nr]
-            merged = Capability(ocap.rg + cap.rg, ocap.lk + cap.lk, pure=False)
+            both = Capability(ocap.rg + cap.rg, ocap.lk + cap.lk, pure=False)
             if oparent is UNKNOWN:
                 keep = nparent
             elif nparent is UNKNOWN or nparent == oparent:
@@ -619,63 +663,39 @@ def subst_region_effect(eff: Effect, var: RegionVar, rep: RegionName) -> Effect:
                 raise ValueError(
                     f"cannot merge effect entries for {nr} with parents "
                     f"{oparent} and {nparent}")
-            table[nr] = (merged, keep)
-            merged_any = True
+            table[nr] = (both, keep)
+            merged = nr
         else:
             table[nr] = (cap, nparent)
     result = Effect((r, c, p) for r, (c, p) in table.items())
-    reason = result.well_formed() if merged_any else None
+    reason = result.well_formed() if merged is not None else None
     if reason is not None:
-        raise CapError("NotLive", f"substituting {rep} for {var} merges {eff} "
-                       f"into an ill-formed effect: {reason}", rep)
+        pairs = ", ".join(f"{rep} for {var}" for var, rep in rho.items())
+        raise CapError("NotLive", f"substituting {pairs} merges {eff} "
+                       f"into an ill-formed effect: {reason}", merged)
     return result
 
 
-def subst_region_type(t: Type, var: RegionVar, rep: RegionName) -> Type:
-    if isinstance(t, (BaseType, UnitType)):
-        return t
-    if isinstance(t, FnType):
-        return FnType(subst_region_type(t.param, var, rep),
-                      subst_region_effect(t.effect_in, var, rep),
-                      subst_region_effect(t.effect_out, var, rep),
-                      subst_region_type(t.result, var, rep))
-    if isinstance(t, RegionPolyType):
-        if t.var == var:
-            return t  # shadowed
-        if t.var == rep:
-            fresh = fresh_region_var(t.var, free_regions(t.body) | {var, rep})
-            body = subst_region_type(t.body, t.var, fresh)
-            return RegionPolyType(fresh, subst_region_type(body, var, rep))
-        return RegionPolyType(t.var, subst_region_type(t.body, var, rep))
-    if isinstance(t, RefType):
-        return RefType(subst_region_type(t.elem, var, rep),
-                       rep if t.region == var else t.region)
-    if isinstance(t, HandleType):
-        return HandleType(rep if t.region == var else t.region)
-    raise TypeError(f"unknown type {t!r}")
-
-
-_TYPES = get_args(Type)
-
-
-def _subst_regions(note, sigma: dict):
-    """A region-naming field (a type, an effect, a region name or a calling
-    mode) with the region entries of `sigma` substituted; `note` itself
-    when none occurs in it."""
-    for var, rep in sigma.items():
-        if type(var) is not RegionVar:
-            continue
-        kind = type(note)
-        if kind is RegionVar:
-            note = rep if note == var else note
-        elif kind is Effect:
-            note = subst_region_effect(note, var, rep)
-        elif kind is ParMode and note.transfer is not None:
-            transfer = subst_region_effect(note.transfer, var, rep)
-            note = note if transfer is note.transfer else ParMode(transfer)
-        elif kind in _TYPES and var in free_regions(note):
-            note = subst_region_type(note, var, rep)
-    return note
+def free_regions(x) -> set[RegionName]:
+    """The free region names, literals included, of whatever `subst_regions`
+    takes (effect parents included)."""
+    kind = type(x)
+    if kind is RegionVar or kind is RegionLit:
+        return {x}
+    if kind is Effect:
+        return {name for r, _, parent in x.items() for name in (r, parent)
+                if type(name) is not Root}
+    if kind is FnType:
+        return set().union(*map(free_regions, (x.param, x.effect_in, x.effect_out, x.result)))
+    if kind is RefType:
+        return free_regions(x.elem) | {x.region}
+    if kind is HandleType:
+        return {x.region}
+    if kind is ParMode:
+        return free_regions(x.transfer)
+    if kind is RegionPolyType:
+        return free_regions(x.body) - {x.var}
+    return set()
 
 
 def subst_expr(e: Expr, sigma: dict) -> Expr:
@@ -684,83 +704,49 @@ def subst_expr(e: Expr, sigma: dict) -> Expr:
     a node in which nothing is replaced is returned itself, so only the
     paths to the occurrences are rebuilt (and re-hashed).
 
-    No binder is renamed: every caller keeps the variable convention, so no
-    replacement names a binder it passes under.  A value substituted by
-    E-A or by linking is closed; E-RP and E-NG substitute region literals,
-    and the checker's `_unshadow` a `%` name, which no term binds."""
+    No binder is renamed: the parser gives every region binder a name no
+    enclosing binder of its definition has, a value substituted by E-A or
+    by linking is closed, and E-RP and E-NG substitute region literals.  So
+    no replacement names a binder it passes under."""
+    rho = {var: rep for var, rep in sigma.items() if type(var) is RegionVar}
+    return _subst(e, sigma, rho)
+
+
+def _subst(e: Expr, sigma: dict, rho: dict) -> Expr:
+    # `rho` is the region part of `sigma`; only it reaches `REGION_FIELDS`,
+    # so E-A and linking never look at an annotation.
     form = type(e)
     if form is Var:
         return sigma.get(e.name, e)
     if not sigma or form in LEAVES:
         return e
-    bound = BINDERS.get(form, ())
-    inner = sigma
-    for name in bound:
+    inner, inner_rho = sigma, rho
+    for name in BINDERS.get(form, ()):
         binder = getattr(e, name)
         if binder in inner:
             inner = {k: v for k, v in inner.items() if k != binder}
+        if binder in inner_rho:
+            inner_rho = {k: v for k, v in inner_rho.items() if k != binder}
+    regional = REGION_FIELDS.get(form, ()) if rho else ()
     values, same = [], True
     for name in _FIELDS[form]:
         old = getattr(e, name)
         kind = type(old)
         if kind in _FIELDS:  # a loop, not a comprehension: one frame per level
-            new = subst_expr(old, inner if name == "body" else sigma)
+            new = _subst(old, inner, inner_rho) if name == "body" else _subst(old, sigma, rho)
         elif kind is tuple:  # Prim's operands
             new = old
             for i, arg in enumerate(old):
-                sub = subst_expr(arg, sigma)
+                sub = _subst(arg, sigma, rho)
                 if sub is not arg:
                     new = new[:i] + (sub,) + new[i + 1:]
-        elif name in bound:
-            new = old
+        elif name in regional:
+            new = subst_regions(old, rho)
         else:
-            new = _subst_regions(old, sigma)
+            new = old
         values.append(new)
         same = same and new is old
     return e if same else form(*values, e.loc)
-
-
-def free_regions(obj) -> set[RegionName]:
-    """Free region names of a type or effect (effect parents included)."""
-    out: set[RegionName] = set()
-    if isinstance(obj, Effect):
-        _free_regions_effect(obj, frozenset(), out)
-    else:
-        _free_regions_type(obj, frozenset(), out)
-    return out
-
-
-def _free_regions_effect(eff: Effect, bound: frozenset[RegionName],
-                         out: set[RegionName]) -> None:
-    for r, _, parent in eff.items():
-        if r not in bound:
-            out.add(r)
-        if isinstance(parent, (RegionVar, RegionLit)) and parent not in bound:
-            out.add(parent)
-
-
-def _free_regions_type(t: Type, bound: frozenset[RegionName], out: set[RegionName]) -> None:
-    if isinstance(t, (BaseType, UnitType)):
-        return
-    if isinstance(t, FnType):
-        _free_regions_type(t.param, bound, out)
-        _free_regions_effect(t.effect_in, bound, out)
-        _free_regions_effect(t.effect_out, bound, out)
-        _free_regions_type(t.result, bound, out)
-        return
-    if isinstance(t, RegionPolyType):
-        _free_regions_type(t.body, bound | {t.var}, out)
-        return
-    if isinstance(t, RefType):
-        if t.region not in bound:
-            out.add(t.region)
-        _free_regions_type(t.elem, bound, out)
-        return
-    if isinstance(t, HandleType):
-        if t.region not in bound:
-            out.add(t.region)
-        return
-    raise TypeError(f"unknown type {t!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -829,10 +815,6 @@ def expr_digest(e: Expr) -> bytes:
 CLOSED: tuple[frozenset[str], frozenset[RegionVar]] = (frozenset(), frozenset())
 
 
-def _region_vars(obj) -> frozenset[RegionVar]:
-    return frozenset(r for r in free_regions(obj) if isinstance(r, RegionVar))
-
-
 def _free_of(e: Expr, kid_free: list) -> tuple[frozenset[str], frozenset[RegionVar]]:
     form = type(e)
     if form is Var:
@@ -848,14 +830,10 @@ def _free_of(e: Expr, kid_free: list) -> tuple[frozenset[str], frozenset[RegionV
             terms = terms | kid_terms if terms else kid_terms
         if kid_regions:
             regions = regions | kid_regions if regions else kid_regions
-    if form is Lambda:
-        for note in (e.param_type, e.effect_in, e.effect_out):
-            if note is not None:
-                regions = regions | _region_vars(note)
-    elif form is RegionApp and isinstance(e.region, RegionVar):
-        regions = regions | {e.region}
-    elif form is App and isinstance(e.mode, ParMode) and e.mode.transfer is not None:
-        regions = regions | _region_vars(e.mode.transfer)
+    for name in REGION_FIELDS.get(form, ()):
+        named = {r for r in free_regions(getattr(e, name)) if type(r) is RegionVar}
+        if named:
+            regions = regions | named
     return (terms, regions) if terms or regions else CLOSED
 
 

@@ -15,6 +15,13 @@ spawn the interpreter moves the spawned function's own `effect_in`.
 Definitions are non-recursive and may only reference earlier definitions;
 loops are expressed with `while`, which requires its body to preserve the
 effect exactly.
+
+`/\\` and `newrgn` bind their region variable as written, with no renaming.
+This is exact: the parser names each binder apart from those around it in
+its definition, and at run time only closed values (definitions by linking,
+arguments by E-A) are placed under a binder.  A closed term's judgement
+reads nothing from the environment, so it never consults an outer binder of
+the same name, and a `newrgn` inside it extends the value's own annotation.
 """
 
 from __future__ import annotations
@@ -70,11 +77,10 @@ from .syntax import (
     expr_digest,
     free_names,
     free_regions,
-    fresh_region_var,
     is_let,
     is_value,
     subst_expr,
-    subst_region_type,
+    subst_regions,
 )
 
 #: Closed enumeration of diagnostic codes.
@@ -164,8 +170,8 @@ def type_eq(a: Type, b: Type, lenient: bool = False) -> bool:
         if a.var == b.var:
             return type_eq(a.body, b.body, lenient)
         fresh = RegionVar(f"{a.var.name}%eq")
-        return type_eq(subst_region_type(a.body, a.var, fresh),
-                       subst_region_type(b.body, b.var, fresh), lenient)
+        return type_eq(subst_regions(a.body, {a.var: fresh}),
+                       subst_regions(b.body, {b.var: fresh}), lenient)
     return False
 
 
@@ -238,15 +244,6 @@ class Checker:
             raise self.fail("InaccessibleRegion", f"region {r} is not accessible (no lock "
                             f"held on it or an ancestor)", loc, eff)
 
-    def _unshadow(self, e: RegionLambda | NewRgn, env: _Env) -> tuple[RegionVar, Expr]:
-        """Binder and body of a `/\\` or `newrgn`, alpha-renamed if the binder
-        shadows one in scope (linked programs nest definitions).  The new
-        name is the first one not in scope, so it depends on the term alone."""
-        if e.var not in env.region_vars:
-            return e.var, e.body
-        fresh = fresh_region_var(e.var, env.region_vars)
-        return fresh, subst_expr(e.body, {e.var: fresh})
-
     # -- the judgement -----------------------------------------------------------
 
     def check(self, e: Expr, env: _Env, eff: Effect) -> tuple[Type, Effect]:
@@ -316,12 +313,11 @@ class Checker:
             return FnType(e.param_type, e.effect_in, e.effect_out, t_body), eff
 
         if isinstance(e, RegionLambda):
-            var, body = self._unshadow(e, env)
-            if not is_value(body):
+            if not is_value(e.body):
                 raise self.fail("NotAValue",
                                 "the body of a region abstraction must be a value", e.loc, eff)
-            t_body, _ = self.check(body, env.bind_region(var), EMPTY_EFFECT)
-            return RegionPolyType(var, t_body), eff
+            t_body, _ = self.check(e.body, env.bind_region(e.var), EMPTY_EFFECT)
+            return RegionPolyType(e.var, t_body), eff
 
         if isinstance(e, App):
             return self._check_app(e, env, eff)
@@ -335,7 +331,7 @@ class Checker:
                 raise self.fail("UnknownRegion",
                                 f"region {e.region} is not in scope", e.loc, out)
             try:
-                inst = subst_region_type(t_fn.body, t_fn.var, e.region)
+                inst = subst_regions(t_fn.body, {t_fn.var: e.region})
             except fx.CapError as exc:
                 raise self.fail(exc.code, exc.message, e.loc, out)
             except ValueError as exc:
@@ -348,7 +344,7 @@ class Checker:
             if not isinstance(t_handle, HandleType):
                 raise self.fail("TypeMismatch",
                                 f"`new .. at` needs a region handle, got {t_handle}", e.loc, out)
-            if not fx.is_live_static(out, t_handle.region):
+            if t_handle.region not in out:
                 raise self.fail("NotLive",
                                 f"region {t_handle.region} is not live", e.loc, out)
             return RefType(t_init, t_handle.region), out
@@ -376,19 +372,18 @@ class Checker:
             if not isinstance(t_handle, HandleType):
                 raise self.fail("TypeMismatch",
                                 f"newrgn needs a parent region handle, got {t_handle}", e.loc, out)
-            if not fx.is_live_static(out, t_handle.region):
+            if t_handle.region not in out:
                 raise self.fail("NotLive",
                                 f"parent region {t_handle.region} is not live", e.loc, out)
-            var, body = self._unshadow(e, env)
-            inner = out.with_entry(var, Capability(1, 1, pure=True), t_handle.region)
+            inner = out.with_entry(e.var, Capability(1, 1, pure=True), t_handle.region)
             if e.loc is not None and self.record is not None:
                 self.record(e.loc.line, inner)
-            body_env = env.bind(e.handle_name, HandleType(var)).bind_region(var)
-            t_body, body_out = self.check(body, body_env, inner)
+            body_env = env.bind(e.handle_name, HandleType(e.var)).bind_region(e.var)
+            t_body, body_out = self.check(e.body, body_env, inner)
             escaped = free_regions(t_body) | free_regions(body_out)
-            if var in escaped:
+            if e.var in escaped:
                 raise self.fail("RegionEscapes",
-                                f"region {var} escapes its scope (it must be freed or "
+                                f"region {e.var} escapes its scope (it must be freed or "
                                 f"transferred before the end of the newrgn body)",
                                 e.loc, body_out)
             return t_body, body_out
@@ -441,7 +436,7 @@ class Checker:
             return UNIT, eff
 
         if isinstance(e, Prim):
-            want, result = PRIM_UNARY.get(e.op) or PRIM_BINARY[e.op]
+            want, result = (PRIM_UNARY.get(e.op) or PRIM_BINARY[e.op])[:2]
             arg_types, out = [], eff
             for a in e.args:
                 t, out = self.check(a, env, out)

@@ -58,8 +58,8 @@ def paired_long_seq(n: int) -> str:
             f"  newrgn rho, h at heap in\n  ({pairs};\n   free h)\n")
 
 
-#: A spawn under region binders that shadow each other: the checker renames
-#: the inner `rho` while it checks the body that holds the spawn.
+#: A spawn under region binders that shadow each other: the parser names the
+#: inner `rho` `rho%1`, in the body that holds the spawn.
 SHADOWED_SPAWN = """
 def nop = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^~(1,0)@_} -> {}].
   free heap

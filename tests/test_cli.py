@@ -289,7 +289,20 @@ MAIN_HEADER = ("def main = /\\rhoH. \\heap: rgn(rhoH) @ "
     ("def nop = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^~(1,0)@_} -> {}]. free heap\n"
      + MAIN_HEADER + "  (share heap; spawn[{zz^(1,0)@_}] nop[rhoH](heap))\n",
      "InsufficientDynamicCounts"),
-], ids=["region-variable-argument", "lambda-operand", "transfer-of-variable"])
+    (MAIN_HEADER + "  (newrgn r, h at 1 in (); ())\n", "BadHandle"),
+    (MAIN_HEADER + "  (new 1 at 2; ())\n", "BadHandle"),
+    (MAIN_HEADER + "  (lock 1; ())\n", "BadHandle"),
+    (MAIN_HEADER + "  (deref 1; ())\n", "BadDeref"),
+    (MAIN_HEADER + "  (1 := 2; ())\n", "BadAssign"),
+    (MAIN_HEADER + "  if 1 then () else ()\n", "BadCondition"),
+    (MAIN_HEADER + "  (1(2); ())\n", "BadApplication"),
+    (MAIN_HEADER + "  (spawn 1(2); ())\n", "BadApplication"),
+    (MAIN_HEADER + "  (1[rhoH]; ())\n", "BadRegionApplication"),
+    (MAIN_HEADER + "  1\n", "NonUnitTerminal"),
+], ids=["region-variable-argument", "lambda-operand", "transfer-of-variable",
+        "newrgn-at-non-handle", "new-at-non-handle", "lock-of-non-handle", "deref-of-int",
+        "assign-to-int", "if-on-int", "call-of-int", "spawn-of-int", "region-app-of-int",
+        "int-result"])
 def test_malformed_unchecked_terms_get_stuck_with_and_without_asserts(source, fault,
                                                                       tmp_path, capsys):
     # A run-time check is not an `assert`, which `python -O` strips.
@@ -304,6 +317,35 @@ def test_malformed_unchecked_terms_get_stuck_with_and_without_asserts(source, fa
     outs.append(optimized.stdout)
     for out in outs:
         assert f'"fault": "{fault}"' in out and "terminal stuck" in out
+
+
+def test_negation_is_evaluated_under_the_harness(tmp_path, capsys):
+    # The loop ends only if `!` negates: 4 tests of `!`, each after an `==`,
+    # and 3 increments.
+    path = tmp_path / "count_to_three.rgn"
+    path.write_text(MAIN_HEADER + "  newrgn rho, h at heap in\n  let z = new 0 at h in\n"
+                    "  (while (!(deref z == 3)) do z := deref z + 1;\n   free h)\n")
+    argv = ["run", str(path), "--seed", "0", "--metatheory", "--snapshots", "--trace", "json"]
+    assert main(argv) == 0
+    report, verdict = capsys.readouterr().out.splitlines()
+    steps = json.loads(report)["steps"]
+    assert [s["rule"] for s in steps].count("E-OP") == 11
+    assert steps[-3]["store"]["children"][0]["heap"] == {"loc1@#r1": "3"}
+    assert verdict == "metatheory: 0 violations"
+
+
+@pytest.mark.parametrize("source", [
+    MAIN_HEADER + "  (1 + \u00b2; ())\n",   # a superscript two
+    MAIN_HEADER + "  (\u0661; ())\n",       # an Arabic-Indic one, in a term
+    MAIN_HEADER.replace("(1,0)", "(\u0661,0)", 1) + "  ()\n",  # and in an effect count
+], ids=["superscript", "arabic-indic-term", "arabic-indic-count"])
+def test_only_ascii_digits_are_numbers(source, tmp_path, capsys):
+    path = tmp_path / "digits.rgn"
+    path.write_text(source, encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("parse error: SyntaxError") and out.count("\n") == 1
+    assert "unexpected character" in out
 
 
 def test_internal_error_exits_six_without_traceback(tmp_path, capsys):

@@ -16,7 +16,6 @@ from reglock.effects import (
     effect_minus_counts,
     effect_subtract,
     is_accessible_static,
-    is_live_static,
 )
 from reglock.syntax import (
     BOTTOM,
@@ -209,9 +208,9 @@ class TestParConstraints:
 class TestLivenessAccessibility:
     def test_live_iff_in_domain(self):
         eff = heap_rooted((RHO, cap(1, 1), RHOH))
-        assert is_live_static(eff, RHO)
-        assert not is_live_static(Effect(), RHO)
-        assert not is_live_static(heap_rooted((R1, cap(1, 1), RHOH)), R2)
+        assert RHO in eff
+        assert RHO not in Effect()
+        assert R2 not in heap_rooted((R1, cap(1, 1), RHOH))
 
     def test_ancestor_lock_grants_access(self):
         eff = Effect([(R1, cap(1, 1), UNKNOWN), (R2, cap(1, 0), R1)])
@@ -229,7 +228,7 @@ class TestLivenessAccessibility:
         eff = Effect([(R1, cap(1, 1), UNKNOWN), (R2, cap(1, 0), R1)])
         for r in (R1, R2):
             if is_accessible_static(eff, r):
-                assert is_live_static(eff, r)
+                assert r in eff
 
 
 class TestApplyCapOp:

@@ -28,7 +28,7 @@ from reglock.syntax import (
     While,
     children,
 )
-from conftest import WELL_TYPED, ILL_TYPED, corpus_text
+from conftest import SHADOWED_SPAWN, WELL_TYPED, ILL_TYPED, corpus_text
 
 
 class TestSurfaceForms:
@@ -146,6 +146,39 @@ def test_parser_never_emits_runtime_forms(name):
 
 
 def test_pretty_expr_round_trips():
-    src = "newrgn rho, h at heap in (share h; unlock h; free h)"
-    e = parse_expr(src)
-    assert parse_expr(pretty(e)) == e
+    for src in ("newrgn rho, h at heap in (share h; unlock h; free h)",
+                "!x", "!(a < b) && !!c", "if !(x == 1) then () else ()",
+                "!deref r || x", "x := !(y && z)"):
+        e = parse_expr(src)
+        assert parse_expr(pretty(e)) == e, src
+    assert parse_expr("!!c && d") == Prim("&&", (Prim("!", (Prim("!", (Var("c"),)),)),
+                                                 Var("d")))
+
+
+def test_shadowing_region_binders_are_renamed_with_their_references():
+    # A binder that shadows one in scope takes the first `rho%n` not in
+    # scope, and so does every reference it binds: in a region argument, a
+    # type, an effect and a spawn transfer.  A newrgn's parent handle and the
+    # code after a binder's scope read the outer name.
+    e = parse_expr("/\\rho. \\u: unit @ [{} -> {}]. ("
+                   "newrgn rho, h at f[rho] in ("
+                   "spawn[{rho^(1,0)@_}] g[rho](h); "
+                   "/\\rho. \\x: ref(int, rho) @ [{rho^(1,1)@?} -> {rho^(1,1)@?}]. k[rho]); "
+                   "m[rho])")
+    assert pretty(e) == (
+        "/\\rho. \\u: unit @ [{} -> {}]. ("
+        "newrgn rho%1, h at f[rho] in ("
+        "spawn[{rho%1^(1,0)@_}] g[rho%1](h); "
+        "/\\rho%2. \\x: ref(int, rho%2) @ [{rho%2^(1,1)@?} -> {rho%2^(1,1)@?}]. k[rho%2]); "
+        "m[rho])")
+    # A renamed binder prints in a form the lexer rejects.
+    with pytest.raises(ParseError):
+        parse_expr(pretty(e))
+
+
+def test_region_scope_is_per_definition():
+    program = parse_program(SHADOWED_SPAWN)
+    assert [d.body.var for d in program.defs] == [RegionVar("rhoH")] * 3
+    outer = program.get("work").body.body.body
+    assert isinstance(outer, NewRgn) and outer.var == RegionVar("rho")
+    assert outer.body.var == RegionVar("rho%1") and outer.body.parent_handle == Var("h")

@@ -21,8 +21,9 @@ from reglock.syntax import (
     RegionVar,
     UnitType,
 )
+from reglock import typecheck
 from reglock.typecheck import check_program
-from conftest import WELL_TYPED, corpus_text
+from conftest import SHADOWED_SPAWN, WELL_TYPED, corpus_text
 
 RHOH = RegionVar("rhoH")
 RHO = RegionVar("rho")
@@ -237,6 +238,15 @@ class TestStability:
         text = "def f = /\\rho. /\\rho. \\u: unit @ [{} -> {}]. ()\n" + MAIN_WRAP % "()"
         first, second = (str(check_src(text).typed.def_types["f"]) for _ in range(2))
         assert first == second == "forall rho. forall rho%1. fn(unit) @ [{} -> {}] -> unit"
+
+    def test_checking_substitutes_into_no_term(self, monkeypatch):
+        # The parser named the shadowing binder apart, so the checker renames
+        # nothing.
+        calls = []
+        substitute = typecheck.subst_expr
+        monkeypatch.setattr(typecheck, "subst_expr",
+                            lambda *args: calls.append(args) or substitute(*args))
+        assert check_src(SHADOWED_SPAWN).ok and calls == []
 
     @pytest.mark.parametrize("name", WELL_TYPED)
     def test_accepted_defs_have_region_poly_types(self, name):
