@@ -6,7 +6,9 @@
     reglock explore FILE [--max-steps N] [--force-threads] [--json]
 
 `--metatheory` re-types a checked program, so `run --unchecked --metatheory`
-is a usage error.  `explore --json` reports a refusal as {"refused": MESSAGE}.
+is a usage error, and `--snapshots` adds the store to each step of a JSON
+trace, so it needs `--trace json`.  `explore --json` reports a refusal as
+{"refused": MESSAGE}.
 A program that does not parse or is rejected prints the diagnostics payload
 of `check --json`, {"ok": false, "diagnostics": [...]}, under `check --json`,
 `run --trace json` and `explore --json`, and text otherwise.
@@ -141,6 +143,10 @@ def cmd_run(args) -> int:
         print("error: --metatheory needs a checked program; it cannot be combined "
               "with --unchecked", file=sys.stderr)
         return EXIT_USAGE
+    if args.snapshots and args.trace != "json":
+        print("error: --snapshots adds store snapshots to a JSON trace; it needs "
+              "--trace json", file=sys.stderr)
+        return EXIT_USAGE
 
     loaded, code = _load(args.file, unchecked=args.unchecked, as_json=args.trace == "json")
     if loaded is None:
@@ -221,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="validate typing and store invariants after every step")
     p_run.add_argument("--trace", choices=("text", "json"), default="text")
     p_run.add_argument("--snapshots", action="store_true",
-                       help="embed store snapshots in the trace (json)")
+                       help="embed store snapshots in the trace (needs --trace json)")
     p_run.add_argument("--unchecked", action="store_true",
                        help="skip the typechecker (testing hook; runs may fault)")
     p_run.set_defaults(fn=cmd_run)

@@ -234,32 +234,3 @@ def apply_cap_op(eff: Effect, r: RegionName, op) -> Effect:
             return eff.without(*doomed)
         return eff.with_entry(r, Capability(cap.rg - 1, cap.lk, cap.pure), parent)
     raise TypeError(f"unknown capability operator {op!r}")
-
-
-def effect_minus_counts(eff: Effect, taken: Effect) -> Effect:
-    """Subtract raw counts region-by-region (used for spawn bookkeeping).
-
-    Unlike effect_subtract this performs no purity or parent checks; entries
-    whose region count reaches zero are dropped.  Dropping a region that
-    keeps a descendant breaks well-formedness, which raises `NotLive`.
-    """
-    table: dict[RegionName, tuple[Capability, Parent]] = {
-        r: (cap, parent) for r, cap, parent in eff.items()
-    }
-    for r, cap_t, _ in taken.items():
-        if r not in table:
-            raise CapError("UnknownRegion", f"cannot take {r}: not held", r)
-        cap, parent = table[r]
-        rg, lk = cap.rg - cap_t.rg, cap.lk - cap_t.lk
-        if rg < 0 or lk < 0:
-            raise CapError("InsufficientCapability",
-                           f"cannot take {cap_t} of {r} from {cap}", r)
-        if rg == 0:
-            del table[r]
-        else:
-            table[r] = (Capability(rg, lk, pure=False), parent)
-    result = Effect((r, c, p) for r, (c, p) in table.items())
-    reason = result.well_formed()
-    if reason is not None:
-        raise CapError("NotLive", f"taking {taken} from {eff} is ill-formed: {reason}")
-    return result

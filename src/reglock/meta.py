@@ -314,7 +314,7 @@ class Harness:
         elif rule == "E-SN":
             child, transferred = info
             try:
-                self.delta[tid] = fx.effect_minus_counts(self.delta[tid], transferred)
+                self.delta[tid] = fx.effect_subtract(self.delta[tid], transferred).retained
             except fx.CapError as exc:
                 violations.append(Violation(
                     "thread-typing",

@@ -26,6 +26,7 @@ A renamed binder prints as `rho%n`, which the lexer rejects, like `rgn<..>`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -107,11 +108,28 @@ KEYWORDS = {
     "spawn", "true", "false", "int", "bool", "unit", "rgn", "ref", "fn",
 }
 
+_BASE_TYPES = {"int": INT, "bool": BOOL, "unit": UNIT}
+
+_CAP_OP = {keyword: op for op, keyword in CAP_KEYWORD.items()}
+
 _PUNCT = [
     "/\\", ":=", "->", "<=", "==", "!=", "&&", "||",
     "(", ")", "{", "}", "[", "]", ",", ".", ";", ":", "@", "^", "~", "?",
     "+", "-", "*", "<", "!", "\\", "=",
 ]
+
+# The token grammar, first alternative first.  `\w+` also admits a name
+# that starts with a non-ASCII digit or a character such as `²`, which `lex`
+# rejects: a name starts with a letter or `_`.
+_TOKEN = re.compile("|".join([
+    r"(?P<blank>[ \t\r]+)",
+    r"(?P<comment>//[^\n]*)",
+    r"(?P<newline>\n)",
+    r"(?P<int>[0-9]+)",
+    r"(?P<name>\w+)",
+    "(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + ")",
+    r"(?P<error>.)",
+]))
 
 
 @dataclass(frozen=True)
@@ -122,50 +140,25 @@ class Token:
 
 
 def lex(source: str) -> list[Token]:
+    """The tokens of `source`.  A column counts characters, a tab as one; the
+    end of input sits after the last character outside a comment."""
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start, end = 1, 0, 0
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind == "comment":
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        end = m.end()
+        if kind == "newline":
+            line, line_start = line + 1, end
             continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
+        if kind == "blank":
             continue
-        loc = Loc(line, col)
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= source[j] <= "9":
-                j += 1
-            tokens.append(Token("int", source[i:j], loc))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(Token("name", source[i:j], loc))
-            col += j - i
-            i = j
-            continue
-        for p in _PUNCT:
-            if source.startswith(p, i):
-                tokens.append(Token("punct", p, loc))
-                i += len(p)
-                col += len(p)
-                break
-        else:
-            raise ParseError("SyntaxError", f"unexpected character {ch!r}", loc)
-    tokens.append(Token("eof", "", Loc(line, col)))
+        text, loc = m.group(), Loc(line, m.start() - line_start + 1)
+        if kind == "error" or (kind == "name" and not (text[0].isalpha() or text[0] == "_")):
+            raise ParseError("SyntaxError", f"unexpected character {text[0]!r}", loc)
+        tokens.append(Token(kind, text, loc))
+    tokens.append(Token("eof", "", Loc(line, end - line_start + 1)))
     return tokens
 
 
@@ -178,8 +171,8 @@ class _Parser:
 
     # -- token plumbing --------------------------------------------------------
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -187,9 +180,9 @@ class _Parser:
             self.pos += 1
         return tok
 
-    def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok.text == text and tok.kind in ("punct", "name")
+    def accept(self, text: str) -> Optional[Token]:
+        """The next token, consumed, if it reads `text`."""
+        return self.next() if self.tokens[self.pos].text == text else None
 
     def eat(self, text: str) -> Token:
         tok = self.peek()
@@ -224,7 +217,7 @@ class _Parser:
     def program(self) -> SourceProgram:
         defs: list[Definition] = []
         names: set[str] = set()
-        while not self.at("eof") and self.peek().kind != "eof":
+        while self.peek().kind != "eof":
             loc = self.eat("def").loc
             name = self.eat_name("definition name").text
             if name in names:
@@ -240,12 +233,15 @@ class _Parser:
     # -- expressions ------------------------------------------------------------
 
     def expr(self) -> Expr:
-        first = self.stmt()
-        if self.at(";"):
-            loc = self.eat(";").loc
-            rest = self.expr()
-            return Seq(first, rest, loc)
-        return first
+        """`s1; …; sn`, nested to the right; each `Seq` is at its `;`."""
+        heads: list[tuple[Expr, Loc]] = []
+        e = self.stmt()
+        while semi := self.accept(";"):
+            heads.append((e, semi.loc))
+            e = self.stmt()
+        for first, loc in reversed(heads):
+            e = Seq(first, e, loc)
+        return e
 
     def stmt(self) -> Expr:
         tok = self.peek()
@@ -287,32 +283,29 @@ class _Parser:
         return self.assign()
 
     def let_expr(self) -> Expr:
-        loc = self.eat("let").loc
-        name = self.peek()
-        if name.text == "_" or (name.kind == "name" and name.text not in KEYWORDS):
-            self.next()
-        else:
-            raise ParseError("SyntaxError", f"expected binder name, found {name.text!r}", name.loc)
-        self.eat("=")
-        bound = self.stmt()
-        self.eat("in")
-        body = self.stmt()
-        binder = Lambda(name.text, None, body, None, None, loc)
-        return App(binder, bound, SEQ_MODE, loc)
+        """`let x1 = e1 in … let xn = en in e`, nested to the right."""
+        binders: list[tuple[str, Expr, Loc]] = []
+        while tok := self.accept("let"):
+            name = self.eat_name("binder name").text
+            self.eat("=")
+            bound = self.stmt()
+            self.eat("in")
+            binders.append((name, bound, tok.loc))
+        e = self.stmt()
+        for name, bound, loc in reversed(binders):
+            e = App(Lambda(name, None, e, None, None, loc), bound, SEQ_MODE, loc)
+        return e
 
     def lambda_expr(self) -> Expr:
         loc = self.eat("\\").loc
         params: list[tuple[str, Type]] = []
-        parens = self.at("(")
-        if parens:
-            self.eat("(")
+        parens = self.accept("(")
         while True:
             pname = self.eat_name("parameter name").text
             self.eat(":")
             params.append((pname, self.type_expr()))
-            if not (parens and self.at(",")):
+            if not (parens and self.accept(",")):
                 break
-            self.eat(",")
         if parens:
             self.eat(")")
         eff_in, eff_out = self.annotation()
@@ -329,8 +322,7 @@ class _Parser:
     def spawn_expr(self) -> Expr:
         loc = self.eat("spawn").loc
         transfer: Optional[Effect] = None
-        if self.at("["):
-            self.eat("[")
+        if self.accept("["):
             transfer = self.effect()
             self.eat("]")
         call = self.postfix()
@@ -340,11 +332,8 @@ class _Parser:
 
     def assign(self) -> Expr:
         lhs = self.binary()
-        if self.at(":="):
-            loc = self.eat(":=").loc
-            rhs = self.assign()
-            return Assign(lhs, rhs, loc)
-        return lhs
+        tok = self.accept(":=")
+        return Assign(lhs, self.assign(), tok.loc) if tok else lhs
 
     def binary(self, floor: int = 0) -> Expr:
         """A chain of binary operators that bind at least as strongly as
@@ -366,10 +355,9 @@ class _Parser:
         if tok.text == "deref":
             loc = self.next().loc
             return Deref(self.unary(), loc)
-        if tok.text in ("share", "lock", "unlock", "free"):
+        if tok.text in _CAP_OP:
             self.next()
-            op = {v: k for k, v in CAP_KEYWORD.items()}[tok.text]
-            return Cap(op, self.unary(), tok.loc)
+            return Cap(_CAP_OP[tok.text], self.unary(), tok.loc)
         if tok.text == "new":
             loc = self.next().loc
             init = self.binary(PRIM_BINARY["+"][2])
@@ -381,26 +369,21 @@ class _Parser:
     def postfix(self) -> Expr:
         e = self.atom()
         while True:
-            if self.at("["):
-                loc = self.eat("[").loc
-                rvar = self.region("region name")
+            if tok := self.accept("["):
+                e = RegionApp(e, self.region("region name"), tok.loc)
                 self.eat("]")
-                e = RegionApp(e, rvar, loc)
-            elif self.at("("):
+            elif tok := self.accept("("):
                 # Application; `()` directly after an expression is a
                 # unit-argument call.
-                loc = self.eat("(").loc
-                if self.at(")"):
-                    self.eat(")")
-                    e = App(e, Const(UNIT_VALUE, loc), SEQ_MODE, loc)
+                if self.accept(")"):
+                    e = App(e, Const(UNIT_VALUE, tok.loc), SEQ_MODE, tok.loc)
                     continue
                 args = [self.stmt()]
-                while self.at(","):
-                    self.eat(",")
+                while self.accept(","):
                     args.append(self.stmt())
                 self.eat(")")
                 for a in args:
-                    e = App(e, a, SEQ_MODE, loc)
+                    e = App(e, a, SEQ_MODE, tok.loc)
             else:
                 return e
 
@@ -412,10 +395,8 @@ class _Parser:
         if tok.text in ("true", "false"):
             self.next()
             return Const(tok.text == "true", tok.loc)
-        if tok.text == "(":
-            self.next()
-            if self.at(")"):
-                self.eat(")")
+        if self.accept("("):
+            if self.accept(")"):
                 return Const(UNIT_VALUE, tok.loc)
             inner = self.expr()
             self.eat(")")
@@ -429,31 +410,22 @@ class _Parser:
 
     def type_expr(self) -> Type:
         tok = self.peek()
-        if tok.text == "int":
+        if tok.text in _BASE_TYPES:
             self.next()
-            return INT
-        if tok.text == "bool":
-            self.next()
-            return BOOL
-        if tok.text == "unit":
-            self.next()
-            return UNIT
-        if tok.text == "rgn":
-            self.next()
+            return _BASE_TYPES[tok.text]
+        if self.accept("rgn"):
             self.eat("(")
             r = self.region("region name")
             self.eat(")")
             return HandleType(r)
-        if tok.text == "ref":
-            self.next()
+        if self.accept("ref"):
             self.eat("(")
             elem = self.type_expr()
             self.eat(",")
             r = self.region("region name")
             self.eat(")")
             return RefType(elem, r)
-        if tok.text == "fn":
-            self.next()
+        if self.accept("fn"):
             self.eat("(")
             param = self.type_expr()
             self.eat(")")
@@ -476,31 +448,20 @@ class _Parser:
     def effect(self) -> Effect:
         self.eat("{")
         entries: list[tuple[RegionVar, Capability, Parent]] = []
-        if not self.at("}"):
+        if self.peek().text != "}":
             while True:
-                loc = self.peek().loc
                 r = self.region("region name")
                 self.eat("^")
-                pure = True
-                if self.at("~"):
-                    self.eat("~")
-                    pure = False
+                pure = not self.accept("~")
                 self.eat("(")
                 rg = int(self.eat_int().text)
                 self.eat(",")
                 lk = int(self.eat_int().text)
                 self.eat(")")
                 self.eat("@")
-                parent = self.parent()
-                try:
-                    cap = Capability(rg, lk, pure)
-                except ValueError as exc:
-                    raise ParseError("SyntaxError", str(exc), loc)
-                entries.append((r, cap, parent))
-                if self.at(","):
-                    self.eat(",")
-                    continue
-                break
+                entries.append((r, Capability(rg, lk, pure), self.parent()))
+                if not self.accept(","):
+                    break
         self.eat("}")
         try:
             return Effect(entries)
@@ -514,12 +475,9 @@ class _Parser:
         return self.next()
 
     def parent(self) -> Parent:
-        tok = self.peek()
-        if tok.text == "?":
-            self.next()
+        if self.accept("?"):
             return UNKNOWN
-        if tok.text == "_":
-            self.next()
+        if self.accept("_"):
             return BOTTOM
         return self.region("parent region")
 
@@ -581,11 +539,17 @@ def _pp(e: Expr, level: int) -> str:
     if isinstance(e, LocVal):
         return f"loc<{e.location.idx}@{e.location.region}>"
     if isinstance(e, Seq):
-        return wrap(f"{_pp(e.first, 1)}; {_pp(e.second, 0)}", 0)
+        heads = []
+        while isinstance(e, Seq):
+            heads.append(f"{_pp(e.first, 1)}; ")
+            e = e.second
+        return wrap("".join(heads) + _pp(e, 0), 0)
     if is_let(e):
-        lam = e.fn
-        assert isinstance(lam, Lambda)
-        return wrap(f"let {lam.param} = {_pp(e.arg, 1)} in {_pp(lam.body, 1)}", 1)
+        heads = []
+        while is_let(e):
+            heads.append(f"let {e.fn.param} = {_pp(e.arg, 1)} in ")
+            e = e.fn.body
+        return wrap("".join(heads) + _pp(e, 1), 1)
     if isinstance(e, If):
         return wrap(f"if {_pp(e.cond, 2)} then {_pp(e.then, 1)} else {_pp(e.orelse, 1)}", 1)
     if isinstance(e, While):

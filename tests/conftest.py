@@ -86,6 +86,19 @@ def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].
   work[rhoH](heap)
 """
 
+#: A call the machine inlines before a call it keeps.  Checked as written,
+#: the call `f[r](h)` splits `r`'s capability and leaves it impure.  Once E-A
+#: inlines it, `free h` acts on the whole, pure capability, so the re-typed
+#: `if` ends with `r` pure after `free h` but impure after the call `g[r](h)`.
+#: The harness compares counts and parents only (see the `meta` docstring);
+#: comparing purity too would report an EffectMismatch at step 8.
+INLINED_PURITY = """
+def f = /\\rho. \\h: rgn(rho) @ [{rho^~(1,0)@?} -> {}]. free h
+def g = /\\rho. \\h: rgn(rho) @ [{rho^~(1,0)@?} -> {}]. free h
+def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].
+  newrgn r, h at heap in (share h; share h; f[r](h); if true then g[r](h) else free h; free h)
+"""
+
 #: Accepted programs for checks no corpus program reaches: a parameter of
 #: function type and an `if` (TWICE), and a cell of region-polymorphic type
 #: assigned an alpha-equivalent value (POLY_CELL).

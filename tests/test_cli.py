@@ -27,6 +27,15 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "ImpureLockEscape" in out
 
+    def test_a_name_eof_does_not_end_the_program(self, tmp_path, capsys):
+        path = tmp_path / "eof.rgn"
+        path.write_text("def main = /\\rhoH. \\heap: rgn(rhoH) @ "
+                        "[{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].\n  ()\n"
+                        "eof this is not a program ((((\n")
+        assert main(["check", str(path)]) == 1
+        assert capsys.readouterr().out == (
+            "parse error: SyntaxError at 3:1: expected 'def', found 'eof'\n")
+
     def test_missing_file(self, capsys):
         assert main(["check", "no_such_file.rgn"]) == 2
 
@@ -92,6 +101,13 @@ class TestRun:
                      "--unchecked", "--metatheory"]) == 2
         captured = capsys.readouterr()
         assert captured.err.count("\n") == 1 and "--unchecked" in captured.err
+        assert not captured.out
+
+    def test_snapshots_without_json_trace_is_usage_error(self, capsys):
+        # A text trace prints no snapshot, so none may be built.
+        assert main(["run", corpus("basic_region.rgn"), "--seed", "1", "--snapshots"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and "--trace json" in captured.err
         assert not captured.out
 
     def test_unchecked_spawn_moves_the_callee_input_effect(self, tmp_path, capsys):

@@ -13,7 +13,6 @@ from reglock.effects import (
     cap_split,
     check_par_constraints,
     effect_join,
-    effect_minus_counts,
     effect_subtract,
     is_accessible_static,
 )
@@ -116,19 +115,6 @@ class TestEffectSubtract:
         need = Effect.of((RHO, cap(1, 1), UNKNOWN))
         with pytest.raises(CapError) as exc:
             effect_subtract(current, need)
-        assert exc.value.code == "NotLive"
-
-
-class TestEffectMinusCounts:
-    def test_counts_are_subtracted_impurely(self):
-        out = effect_minus_counts(heap_rooted((RHO, cap(2, 1), RHOH)),
-                                  Effect.of((RHO, cap(1, 1), RHOH)))
-        assert out.cap(RHO) == cap(1, 0, pure=False)
-
-    def test_taking_a_parent_away_from_its_child_is_not_live(self):
-        with pytest.raises(CapError) as exc:
-            effect_minus_counts(heap_rooted((RHO, cap(1, 0), RHOH)),
-                                Effect.of((RHOH, cap(1, 0), BOTTOM)))
         assert exc.value.code == "NotLive"
 
 

@@ -15,7 +15,7 @@ from reglock.meta import (
     check_store_typing,
     check_thread_typing,
 )
-from reglock.interp import BlockedOn, Stuck, Thread
+from reglock.interp import BlockedOn, Stepped, Stuck, Thread
 from reglock.parser import parse_expr, parse_program
 from reglock.store import Counts, RegionNode, Store, initial_store
 from reglock.syntax import (
@@ -33,7 +33,14 @@ from reglock.syntax import (
     Var,
 )
 from reglock.typecheck import Checker, check_program, type_eq
-from conftest import CORPUS, RUNNABLE, SHADOWED_SPAWN, corpus_text, paired_long_seq
+from conftest import (
+    CORPUS,
+    INLINED_PURITY,
+    RUNNABLE,
+    SHADOWED_SPAWN,
+    corpus_text,
+    paired_long_seq,
+)
 
 A = RegionLit("a")
 
@@ -181,6 +188,12 @@ class TestPreservationOverRuns:
             trace = run_seeded(main, seed=seed, harness=harness)
             assert trace.terminal.kind in ("all_done", "deadlock"), \
                 f"{name} seed {seed}: {trace.terminal}"
+
+    def test_purity_lost_by_inlining_is_no_violation(self, tmp_path, capsys):
+        path = tmp_path / "inlined_purity.rgn"
+        path.write_text(INLINED_PURITY)
+        assert cli_main(["run", str(path), "--seed", "0", "--metatheory"]) == 0
+        assert capsys.readouterr().out.endswith("metatheory: 0 violations\n")
 
     def test_fault_injection_is_caught_mid_run(self):
         # Drop a dynamic lock count behind the harness's back: static-dynamic
@@ -425,6 +438,26 @@ class TestFaultInjection:
             assert {v["check"] for v in violations} == {"store-consistency"}
             assert any("statically holds (2,0) of #r1 but dynamically has (2,1)"
                        in v["message"] for v in violations)
+
+    def test_spawn_that_moves_more_than_the_spawner_holds(self, capsys, monkeypatch):
+        # Every E-SN payload transfers double counts, more than the static
+        # effect of `migration_once`'s spawner holds.
+        real = interp.step_thread
+
+        def doubled(config, tid):
+            out = real(config, tid)
+            if isinstance(out, Stepped) and out.rule == "E-SN":
+                child, moved = out.info
+                moved = Effect((r, Capability(2 * c.rg, 2 * c.lk, c.pure), p)
+                               for r, c, p in moved.items())
+                out = Stepped(out.config, out.rule, (child, moved))
+            return out
+
+        monkeypatch.setattr(interp, "step_thread", doubled)
+        payload = self.run_json(capsys, "migration_once.rgn", 0)
+        assert any(v["check"] == "thread-typing"
+                   and v["message"].startswith("spawn transfer not covered statically")
+                   for v in payload["terminal"]["violations"])
 
     def test_term_rule_the_memo_must_not_mask(self, capsys, monkeypatch):
         # `+` yielding a bool changes the stepped term, so its digest changes.

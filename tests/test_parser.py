@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from reglock.parser import (
@@ -122,6 +125,103 @@ class TestProgramLevel:
         with pytest.raises(ParseError) as exc:
             parse_program("def main = (")
         assert exc.value.loc is not None
+
+
+MAIN = ("def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].\n"
+        "  %s\n")
+
+
+def _fn(effect: str) -> str:
+    return f"def f = \\x: int @ [{effect} -> {{}}]. x\n"
+
+
+#: An input of `parse_program`, and the code, message and location of its
+#: `ParseError`: at least one row for each place the parser raises one.
+PARSE_ERRORS = [
+    pytest.param(MAIN % "(();\n  # ())", "SyntaxError", "unexpected character '#'", "3:3",
+                 id="character"),
+    pytest.param("def main = \t\tx #", "SyntaxError", "unexpected character '#'", "1:16",
+                 id="tab-is-one-column"),
+    pytest.param("def main = ²", "SyntaxError", "unexpected character '²'", "1:12",
+                 id="name-starts-with-a-digit-sign"),
+    pytest.param("def main = é²(1١)", "SyntaxError", "unexpected character '١'", "1:16",
+                 id="digits-are-ascii"),
+    pytest.param("def main = ( // c", "SyntaxError", "unexpected token ''", "1:14",
+                 id="end-of-input-before-a-comment"),
+    pytest.param("def main = if true ()", "SyntaxError", "expected 'then', found ''", "1:22",
+                 id="eat"),
+    pytest.param("def 5 = ()", "SyntaxError", "expected definition name, found '5'", "1:5",
+                 id="eat-name"),
+    pytest.param("def f = ()\ndef f = ()\ndef main = ()", "DuplicateDefinition",
+                 "definition 'f' repeated", "2:1", id="duplicate-definition"),
+    pytest.param("def f = ()", "MissingMain", "program has no `main` definition", None,
+                 id="missing-main"),
+    pytest.param(MAIN % "let in = () in ()", "SyntaxError", "expected binder name, found 'in'",
+                 "2:7", id="let-binder"),
+    pytest.param(MAIN % "spawn f", "SyntaxError", "spawn must be followed by an application",
+                 "2:3", id="spawn-without-call"),
+    pytest.param(MAIN % "(();\n   )", "SyntaxError", "unexpected token ')'", "3:4",
+                 id="atom"),
+    pytest.param("def f = \\x: 5 @ [{} -> {}]. x\n", "SyntaxError",
+                 "expected a type, found '5'", "1:13", id="type"),
+    pytest.param(_fn("{a^(1,0)@_, a^(1,1)@_}"), "SyntaxError", "duplicate region a in effect",
+                 "1:43", id="duplicate-region-in-effect"),
+    pytest.param(_fn("{a^(x,0)@_}"), "SyntaxError", "expected a number, found 'x'", "1:24",
+                 id="count"),
+]
+
+
+@pytest.mark.parametrize("text, code, message, loc", PARSE_ERRORS)
+def test_parse_error(text, code, message, loc):
+    with pytest.raises(ParseError) as exc:
+        parse_program(text)
+    got = exc.value
+    assert (got.code, got.message, str(got.loc) if got.loc else None) == (code, message, loc)
+
+
+def test_parse_expr_rejects_trailing_input():
+    with pytest.raises(ParseError) as exc:
+        parse_expr("free h )")
+    assert (exc.value.code, exc.value.message, str(exc.value.loc)) == (
+        "SyntaxError", "trailing input ')'", "1:8")
+
+
+def _in_fresh_thread(fn):
+    """Runs `fn` on a new thread's stack, at the default recursion limit."""
+    outcome: dict = {}
+
+    def target():
+        try:
+            outcome["value"] = fn()
+        except Exception as exc:
+            outcome["error"] = exc
+
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        worker = threading.Thread(target=target)
+        worker.start()
+        worker.join(timeout=120)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert not worker.is_alive()
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+@pytest.mark.parametrize("body", [
+    pytest.param("newrgn rho, h at heap in (" + "; ".join(["share h", "free h"] * 2500) + ")",
+                 id="5000-statements"),
+    pytest.param("let x = () in " * 1000 + "()", id="1000-lets"),
+])
+def test_long_chains_parse_and_print_without_recursion(body):
+    def round_trip():
+        printed = pretty_program(parse_program(MAIN % body))
+        return printed, pretty_program(parse_program(printed))
+
+    printed, again = _in_fresh_thread(round_trip)
+    assert body in printed and printed == again
 
 
 @pytest.mark.parametrize("name", WELL_TYPED + ILL_TYPED)

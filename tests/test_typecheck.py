@@ -286,58 +286,65 @@ def _def(name: str, body: str) -> str:
 
 
 #: A program, the code of the one diagnostic `check --json` reports for it,
-#: and the line of that diagnostic.  Each reaches a distinct check.
+#: and the location of that diagnostic.  Each reaches a distinct check.
 DIAGNOSED = [
-    pytest.param(_def("k", "(5; ())") + MAIN_WRAP % "()", "NotAValue", 1,
+    pytest.param(_def("k", "(5; ())") + MAIN_WRAP % "()", "NotAValue", "1:1",
                  id="definition-not-a-value"),
-    pytest.param(_def("k", "/\\r. (5; ())") + MAIN_WRAP % "()", "NotAValue", 1,
+    pytest.param(_def("k", "/\\r. (5; ())") + MAIN_WRAP % "()", "NotAValue", "1:9",
                  id="region-abstraction-body-not-a-value"),
-    pytest.param(MAIN_WRAP % "5[rhoH]", "TypeMismatch", 2, id="region-app-of-int"),
-    pytest.param(MAIN_WRAP % "(();\n   let z = new 1 at 5 in ())", "TypeMismatch", 3,
+    pytest.param(MAIN_WRAP % "5[rhoH]", "TypeMismatch", "2:4", id="region-app-of-int"),
+    pytest.param(MAIN_WRAP % "(();\n   let z = new 1 at 5 in ())", "TypeMismatch", "3:12",
                  id="new-at-int"),
-    pytest.param(MAIN_WRAP % "deref 5", "TypeMismatch", 2, id="deref-int"),
-    pytest.param(MAIN_WRAP % "5 := 1", "TypeMismatch", 2, id="assign-to-int"),
-    pytest.param(MAIN_WRAP % "newrgn rho, h at 5 in free h", "TypeMismatch", 2,
+    pytest.param(MAIN_WRAP % "deref 5", "TypeMismatch", "2:3", id="deref-int"),
+    pytest.param(MAIN_WRAP % "5 := 1", "TypeMismatch", "2:5", id="assign-to-int"),
+    pytest.param(MAIN_WRAP % "newrgn rho, h at 5 in free h", "TypeMismatch", "2:3",
                  id="newrgn-at-int"),
-    pytest.param(MAIN_WRAP % "free 5", "TypeMismatch", 2, id="free-int"),
-    pytest.param(MAIN_WRAP % "if 5 then () else ()", "TypeMismatch", 2, id="if-on-int"),
-    pytest.param(MAIN_WRAP % "while (5) do ()", "TypeMismatch", 2, id="while-on-int"),
-    pytest.param(MAIN_WRAP % "(();\n   (1 + true; ()))", "TypeMismatch", 3,
+    pytest.param(MAIN_WRAP % "free 5", "TypeMismatch", "2:3", id="free-int"),
+    pytest.param(MAIN_WRAP % "if 5 then () else ()", "TypeMismatch", "2:3", id="if-on-int"),
+    pytest.param(MAIN_WRAP % "while (5) do ()", "TypeMismatch", "2:3", id="while-on-int"),
+    pytest.param(MAIN_WRAP % "(();\n   (1 + true; ()))", "TypeMismatch", "3:7",
                  id="int-plus-bool"),
-    pytest.param(MAIN_WRAP % "5(1)", "TypeMismatch", 2, id="apply-int"),
-    pytest.param(MAIN_WRAP % "(\\x: int @ [{} -> {}]. x)(true)", "TypeMismatch", 2,
+    pytest.param(MAIN_WRAP % "5(1)", "TypeMismatch", "2:4", id="apply-int"),
+    pytest.param(MAIN_WRAP % "(\\x: int @ [{} -> {}]. x)(true)", "TypeMismatch", "2:28",
                  id="argument-mismatch"),
     pytest.param(MAIN_WRAP % "((\\x: int @ [{rhoH^(1,0)@_} -> {}]. ()); ())",
-                 "EffectMismatch", 2, id="lambda-body-effect"),
-    pytest.param(MAIN_WRAP % "while (free heap; true) do ()", "EffectMismatch", 2,
+                 "EffectMismatch", "2:5", id="lambda-body-effect"),
+    pytest.param(MAIN_WRAP % "while (free heap; true) do ()", "EffectMismatch", "2:3",
                  id="while-condition-effect"),
     pytest.param(MAIN_WRAP % "((\\x: int @ [{rhoH^(1,0)@sigma} -> {}]. ()); ())",
-                 "MalformedAnnotation", 2, id="ill-formed-annotation"),
+                 "MalformedAnnotation", "2:5", id="ill-formed-annotation"),
     pytest.param(MAIN_WRAP % "((\\x: int @ [{rhoH^(1,0)@sigma, sigma^(1,0)@_} -> {}]. ()); ())",
-                 "MalformedAnnotation", 2, id="annotation-parent-out-of-scope"),
-    pytest.param(MAIN_WRAP % "(free heap;\n   newrgn rho, h at heap in free h)", "NotLive", 3,
+                 "MalformedAnnotation", "2:5", id="annotation-parent-out-of-scope"),
+    pytest.param(MAIN_WRAP % "(free heap;\n   newrgn rho, h at heap in free h)", "NotLive", "3:4",
                  id="newrgn-under-freed-parent"),
     pytest.param(_def("f", "/\\r. \\x: int @ [{} -> {}]. x")
-                 + MAIN_WRAP % "(();\n   f[sigma](1); ())", "UnknownRegion", 4,
+                 + MAIN_WRAP % "(();\n   f[sigma](1); ())", "UnknownRegion", "4:5",
                  id="region-argument-out-of-scope"),
     pytest.param(_def("k", "5") + "def main = /\\rhoH. \\x: int @ "
-                 "[{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}]. ()\n", "MalformedMain", 2,
+                 "[{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}]. ()\n", "MalformedMain", "2:1",
                  id="main-without-handle"),
     pytest.param("def main = /\\rhoH. \\heap: rgn(rhoH) @ "
-                 "[{rhoH^(1,0)@_} -> {rhoH^(2,0)@_}]. share heap\n", "MalformedMain", 1,
+                 "[{rhoH^(1,0)@_} -> {rhoH^(2,0)@_}]. share heap\n", "MalformedMain", "1:1",
                  id="main-output-effect"),
-    pytest.param(MAIN_WRAP % "5", "MalformedMain", 1, id="main-result-not-unit"),
+    pytest.param(MAIN_WRAP % "5", "MalformedMain", "1:1", id="main-result-not-unit"),
+    pytest.param(_def("f", "/\\a. /\\b. \\x: int @ [{a^(1,0)@_, b^(1,0)@a} -> "
+                      "{a^(1,0)@_, b^(1,0)@a}]. x")
+                 + MAIN_WRAP % "(();\n   f[rhoH][rhoH](1); ())", "MalformedAnnotation", "4:11",
+                 id="instantiation-merges-regions"),
+    pytest.param(_def("f", "/\\a. \\h: rgn(a) @ [{a^~(1,0)@_} -> {}]. free h")
+                 + MAIN_WRAP % "newrgn r, h at heap in\n  (share h;\n   f[r](h); free h)",
+                 "ParentMismatch", "5:8", id="root-demand-at-a-child-region"),
 ]
 
 
-@pytest.mark.parametrize("program, code, line", DIAGNOSED)
-def test_check_json_reports_the_diagnostic(program, code, line, tmp_path, capsys):
+@pytest.mark.parametrize("program, code, loc", DIAGNOSED)
+def test_check_json_reports_the_diagnostic(program, code, loc, tmp_path, capsys):
     path = tmp_path / "rejected.rgn"
     path.write_text(program)
     assert cli_main(["check", str(path), "--json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     [diagnostic] = payload["diagnostics"]
-    assert (diagnostic["code"], int(diagnostic["loc"].split(":")[0])) == (code, line)
+    assert (diagnostic["code"], diagnostic["loc"]) == (code, loc)
 
 
 INC = _def("inc", "\\x: int @ [{} -> {}]. x + 1")
