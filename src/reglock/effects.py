@@ -62,6 +62,16 @@ def cap_split(have: Capability, need: Capability) -> tuple[Capability, Capabilit
     return given, kept
 
 
+def fragments(eff: Effect) -> Effect:
+    """`eff` with every capability impure: the same counts and parents.
+
+    Subtracted as a demand, it asks for counts alone: `cap_split` meets it
+    from any capability that holds at least as much, pure or not.
+    """
+    return Effect((r, Capability(cap.rg, cap.lk, pure=False), parent)
+                  for r, cap, parent in eff.items())
+
+
 def missing_parent(eff: Effect) -> Optional[str]:
     """The one way a split or a join can make an effect ill-formed.
 

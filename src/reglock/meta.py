@@ -21,7 +21,10 @@ constructively) and re-validates:
     configuration, which `observe_init` returns as `after_step` does.
 
 Effect comparisons here ignore purity flags: beta reduction inlines call
-frames, and it is exactly those frames that restore purity on return.
+frames, and it is exactly those frames that restore purity on return.  So
+do splits: a call or spawn in a re-typed term, and an E-SN step on delta,
+subtract the demand as `effects.fragments`, by counts alone, since a pure,
+whole demand may meet a capability that an inlined call left impure.
 Counts and parents, which the store-level invariants depend on, are
 checked exactly.
 
@@ -314,7 +317,8 @@ class Harness:
         elif rule == "E-SN":
             child, transferred = info
             try:
-                self.delta[tid] = fx.effect_subtract(self.delta[tid], transferred).retained
+                self.delta[tid] = fx.effect_subtract(
+                    self.delta[tid], fx.fragments(transferred)).retained
             except fx.CapError as exc:
                 violations.append(Violation(
                     "thread-typing",

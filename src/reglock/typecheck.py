@@ -464,7 +464,8 @@ class Checker:
                             f"{t_fn.param}", e.loc, out)
         par = isinstance(e.mode, ParMode)
         try:
-            split = fx.effect_subtract(out, t_fn.effect_in)
+            need = fx.fragments(t_fn.effect_in) if self.lenient else t_fn.effect_in
+            split = fx.effect_subtract(out, need)
             if par:
                 if not self.lenient:
                     fx.check_par_constraints(split.passed, t_fn.effect_out, t_fn.result)

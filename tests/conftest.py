@@ -99,6 +99,29 @@ def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].
   newrgn r, h at heap in (share h; share h; f[r](h); if true then g[r](h) else free h; free h)
 """
 
+#: A call that splits a capability and puts it back whole.  `split` shares
+#: `h` and spawns one piece away; the checker joins `split`'s output back into
+#: `work`'s effect and finds `r`'s counts restored, so `r` is pure again and
+#: the pure, whole spawn of `whole` type-checks.  Once E-A inlines `split`, no
+#: join restores purity, and only a split by counts alone (as the harness
+#: makes, re-typing and at E-SN) lets `whole` take `r`.
+SPLIT_THEN_WHOLE = """
+def away = /\\rhoH. /\\rho. \\(hh: rgn(rhoH), h: rgn(rho))
+    @ [{rhoH^~(1,0)@_, rho^~(1,0)@rhoH} -> {}].
+  (free h; free hh)
+def split = /\\rhoH. /\\rho. \\(hh: rgn(rhoH), h: rgn(rho))
+    @ [{rhoH^~(1,0)@_, rho^~(1,0)@rhoH} -> {rhoH^~(1,0)@_, rho^~(1,0)@rhoH}].
+  (share hh; share h; spawn away[rhoH][rho](hh, h))
+def whole = /\\rhoH. /\\rho. \\(hh: rgn(rhoH), h: rgn(rho))
+    @ [{rhoH^~(1,0)@_, rho^(2,0)@rhoH} -> {}].
+  (free h; free h; free hh)
+def work = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^~(1,0)@_} -> {rhoH^~(1,0)@_}].
+  newrgn r, h at heap in
+  (unlock h; share h; share heap; split[rhoH][r](heap, h); spawn whole[rhoH][r](heap, h))
+def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].
+  work[rhoH](heap)
+"""
+
 #: Accepted programs for checks no corpus program reaches: a parameter of
 #: function type and an `if` (TWICE), and a cell of region-polymorphic type
 #: assigned an alpha-equivalent value (POLY_CELL).

@@ -38,6 +38,7 @@ from conftest import (
     INLINED_PURITY,
     RUNNABLE,
     SHADOWED_SPAWN,
+    SPLIT_THEN_WHOLE,
     corpus_text,
     paired_long_seq,
 )
@@ -189,10 +190,16 @@ class TestPreservationOverRuns:
             assert trace.terminal.kind in ("all_done", "deadlock"), \
                 f"{name} seed {seed}: {trace.terminal}"
 
-    def test_purity_lost_by_inlining_is_no_violation(self, tmp_path, capsys):
+    @pytest.mark.parametrize("source, seed", [
+        pytest.param(INLINED_PURITY, 0, id="if-branches"),
+        *(pytest.param(SPLIT_THEN_WHOLE, seed, id=f"whole-spawn-{seed}")
+          for seed in range(4)),
+    ])
+    def test_purity_lost_by_inlining_is_no_violation(self, source, seed, tmp_path,
+                                                     capsys):
         path = tmp_path / "inlined_purity.rgn"
-        path.write_text(INLINED_PURITY)
-        assert cli_main(["run", str(path), "--seed", "0", "--metatheory"]) == 0
+        path.write_text(source)
+        assert cli_main(["run", str(path), "--seed", str(seed), "--metatheory"]) == 0
         assert capsys.readouterr().out.endswith("metatheory: 0 violations\n")
 
     def test_fault_injection_is_caught_mid_run(self):
