@@ -6,9 +6,10 @@
     reglock explore FILE [--max-steps N] [--force-threads] [--json]
 
 `--metatheory` re-types a checked program, so `run --unchecked --metatheory`
-is a usage error, and `--snapshots` adds the store to each step of a JSON
-trace, so it needs `--trace json`.  `explore --json` reports a refusal as
-{"refused": MESSAGE}.
+is a usage error.  A JSON trace gives each step's state digest, and
+`--snapshots` adds its store, so it needs `--trace json`; a text trace ends
+with one digest of the steps, the terminal and the final state.
+`explore --json` reports a refusal as {"refused": MESSAGE}.
 A program that does not parse or is rejected prints the diagnostics payload
 of `check --json`, {"ok": false, "diagnostics": [...]}, under `check --json`,
 `run --trace json` and `explore --json`, and text otherwise.
@@ -27,7 +28,7 @@ import os
 import sys
 from typing import Optional
 
-from .interp import ExploreRefusal, Trace, explore, run_seeded
+from .interp import ExploreRefusal, Trace, explore, rows_digest, run_seeded, step_record
 from .meta import Harness
 from .parser import ParseError, parse_program
 from .typecheck import CheckFailure, check_program, link_bodies
@@ -105,17 +106,16 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _print_trace(trace: Trace, fmt: str, snapshots: bool) -> None:
+def _print_trace(trace: Trace, fmt: str) -> None:
     if fmt == "json":
         payload = {
             "seed": trace.seed,
-            "steps": [
-                {"step": s.index, "thread": s.tid, "rule": s.rule,
-                 "digest": s.digest, **({"store": s.snapshot} if snapshots else {})}
-                for s in trace.steps
-            ],
+            "steps": [{"step": s.index, "thread": s.tid, "rule": s.rule, **s.record}
+                      for s in trace.steps],
             "terminal": {"kind": trace.terminal.kind, **trace.terminal.detail},
-            "trace_digest": trace.digest(),
+            "trace_digest": rows_digest(
+                [(s.index, s.tid, s.rule, s.record["digest"]) for s in trace.steps]
+                + [trace.terminal.kind]),
         }
         print(json.dumps(payload, default=str))
         return
@@ -157,9 +157,10 @@ def cmd_run(args) -> int:
         main_expr = loaded.linked_main()
         harness = Harness(loaded) if args.metatheory else None
 
+    record = (lambda c: step_record(c, args.snapshots)) if args.trace == "json" else None
     trace = run_seeded(main_expr, seed, max_steps=args.max_steps, harness=harness,
-                       snapshots=args.snapshots)
-    _print_trace(trace, args.trace, args.snapshots)
+                       record=record)
+    _print_trace(trace, args.trace)
     kind = trace.terminal.kind
     if kind == "all_done":
         if harness is not None:

@@ -13,9 +13,10 @@ bound, deduplicating states by a canonical digest.
 
 State digests are Merkle digests: every term node and region node caches a
 hash of its own fields and its children's digests (`syntax.expr_digest`,
-`RegionNode.digest`), so a step pays only for the nodes it rebuilt.  They
-use hashlib, never `hash()`, and are the same across processes and
-`PYTHONHASHSEED` values.
+`RegionNode.digest`), so a digest pays only for the nodes rebuilt since the
+last one.  They use hashlib, never `hash()`, and are the same across
+processes and `PYTHONHASHSEED` values.  `explore` digests every state; a
+seeded run digests its final state, and each step's only for a `record`.
 
 Each distinct thread term is stepped once.  `step_thread` caches a term's
 decomposition on its root node, outside the dataclass fields like the
@@ -407,8 +408,7 @@ class TraceStep:
     index: int
     tid: int
     rule: str
-    digest: str
-    snapshot: Optional[dict] = None
+    record: Optional[dict] = None
 
 
 @dataclass(frozen=True)
@@ -417,17 +417,28 @@ class Terminal:
     detail: dict
 
 
+def rows_digest(rows: list) -> str:
+    """16 hex digits of SHA-256 over the compact JSON of `rows`."""
+    return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()[:16]
+
+
 @dataclass
 class Trace:
     seed: Optional[int]
+    config: Config  # the latest configuration, the final one once there is a terminal
     steps: list[TraceStep] = field(default_factory=list)
     terminal: Optional[Terminal] = None
 
     def digest(self) -> str:
-        blob = json.dumps([(s.index, s.tid, s.rule, s.digest) for s in self.steps]
-                          + [self.terminal.kind if self.terminal else None],
-                          separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        """Over each step's (index, tid, rule), the terminal kind and final state."""
+        return rows_digest([(s.index, s.tid, s.rule) for s in self.steps]
+                           + [self.terminal.kind, config_digest(self.config)])
+
+
+def step_record(config: Config, snapshots: bool = False) -> dict:
+    """A JSON trace's record of a step: the state digest, and the store with `snapshots`."""
+    digest = {"digest": config_digest(config)}
+    return {**digest, "store": config.store.to_json(pretty)} if snapshots else digest
 
 
 def detect_deadlock(outcomes: dict[int, StepOutcome]) -> list[int]:
@@ -494,31 +505,29 @@ def _apply_outcome(outcome: Stepped) -> tuple[Config, str]:
     return outcome.config, outcome.rule
 
 
-def run_seeded(main_expr: Expr, seed: int, max_steps: int = 10_000,
-               harness=None, snapshots: bool = False) -> Trace:
+def run_seeded(main_expr: Expr, seed: int, max_steps: int = 10_000, harness=None,
+               record: Optional[Callable[[Config], dict]] = None) -> Trace:
     """Seeded-random scheduling; bit-reproducible for a given (expr, seed).
 
     A harness checks the initial configuration and every step; the run ends
-    at its first violation, at step 0 when the initial check fails.
+    at its first violation, at step 0 when the initial check fails.  Each
+    step keeps `record(successor configuration)` when `record` is given.
     """
     rng = random.Random(seed)
-    config = initial_config(main_expr)
-    trace = Trace(seed)
-    violations = [] if harness is None else harness.observe_init(config)
-    index = 0
-    while not violations and index < max_steps:
-        outcomes, terminal, steppable = classify(config)
+    trace = Trace(seed, initial_config(main_expr))
+    violations = [] if harness is None else harness.observe_init(trace.config)
+    while not violations and len(trace.steps) < max_steps:
+        outcomes, terminal, steppable = classify(trace.config)
         if terminal is not None:
             at = "steps" if terminal.kind == "all_done" else "step"
-            trace.terminal = Terminal(terminal.kind, {**terminal.detail, at: index})
+            trace.terminal = Terminal(terminal.kind, {**terminal.detail, at: len(trace.steps)})
             return trace
         tid = rng.choice(steppable)
-        config, rule = _apply_outcome(outcomes[tid])
-        snap = config.store.to_json(pretty) if snapshots else None
-        trace.steps.append(TraceStep(index, tid, rule, config_digest(config), snap))
+        trace.config, rule = _apply_outcome(outcomes[tid])
+        trace.steps.append(TraceStep(len(trace.steps), tid, rule,
+                                     record(trace.config) if record else None))
         if harness is not None:
             violations = harness.after_step(tid, outcomes[tid], outcomes)
-        index += 1
     if violations:
         trace.terminal = Terminal("violation", {
             "step": trace.steps[-1].index if trace.steps else 0,

@@ -12,7 +12,8 @@ from dataclasses import replace
 import pytest
 
 from reglock import interp, syntax
-from reglock.interp import config_digest, explore, initial_config, run_seeded
+from reglock.cli import main as cli_main
+from reglock.interp import config_digest, explore, initial_config, run_seeded, step_record
 from reglock.parser import parse_program, pretty
 from reglock.store import initial_store
 from reglock.syntax import (
@@ -26,6 +27,7 @@ from reglock.syntax import (
 )
 from reglock.typecheck import check_program, link_bodies
 from conftest import CORPUS, RUNNABLE, corpus_text, paired_long_seq
+from test_meta import lock_tree
 
 
 def linked_main(text: str, checked: bool = True):
@@ -104,7 +106,10 @@ def test_same_digests_in_every_process():
 
 
 def test_digest_work_per_step_does_not_grow_with_the_program(monkeypatch):
-    """Nodes hashed per step stay flat from N=50 to N=200 (4x the term)."""
+    """Nodes hashed per step stay flat from N=50 to N=200 (4x the term).
+
+    A bare run hashes only its final state, so each step records its digest
+    here, as a JSON trace does."""
     hashed = [0]
     real = syntax.blake2b
 
@@ -117,7 +122,34 @@ def test_digest_work_per_step_does_not_grow_with_the_program(monkeypatch):
     for n in (50, 200):
         main = linked_main(paired_long_seq(n))
         hashed[0] = 0
-        trace = run_seeded(main, 0)
+        trace = run_seeded(main, 0, record=step_record)
         assert trace.terminal.kind == "all_done" and len(trace.steps) == 4 * n + 5
         per_step[n] = hashed[0] / len(trace.steps)
-    assert per_step[200] <= 1.5 * per_step[50], per_step
+    assert 1 <= per_step[50] and per_step[200] <= 1.5 * per_step[50], per_step
+
+
+@pytest.mark.parametrize("source", [lock_tree(4), paired_long_seq(120)],
+                         ids=["lock_tree_4", "long_seq_120"])
+def test_only_a_json_trace_hashes_every_step(source, tmp_path, monkeypatch, capsys):
+    """A text run hashes its final state once, with or without the harness;
+    `--trace json` hashes each step's successor, which it prints."""
+    calls = [0]
+    real = interp.config_digest
+
+    def counting(config):
+        calls[0] += 1
+        return real(config)
+
+    monkeypatch.setattr(interp, "config_digest", counting)
+    path = tmp_path / "program.rgn"
+    path.write_text(source)
+    argv = ["run", str(path), "--seed", "1"]
+    for extra in ([], ["--metatheory"]):
+        calls[0] = 0
+        assert cli_main(argv + extra) == 0
+        assert calls[0] == 1, extra
+    capsys.readouterr()
+    calls[0] = 0
+    assert cli_main(argv + ["--trace", "json"]) == 0
+    steps = json.loads(capsys.readouterr().out)["steps"]
+    assert calls[0] == len(steps) > 20

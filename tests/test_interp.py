@@ -23,6 +23,7 @@ from reglock.interp import (
     explore,
     initial_config,
     run_seeded,
+    step_record,
     step_thread,
 )
 from reglock.parser import parse_program
@@ -268,12 +269,13 @@ class TestStepping:
 class TestDeterminism:
     @pytest.mark.parametrize("name", ["sharing_once.rgn", "many_threads.rgn"])
     def test_same_seed_same_trace(self, name):
+        # Per-step digests are computed only on request, as `--trace json` does.
         main = typed_main(name)
-        t1 = run_seeded(main, seed=123)
-        t2 = run_seeded(main, seed=123)
+        t1, t2 = (run_seeded(main, seed=123, record=step_record) for _ in range(2))
         assert t1.digest() == t2.digest()
-        assert [(s.tid, s.rule, s.digest) for s in t1.steps] == \
-               [(s.tid, s.rule, s.digest) for s in t2.steps]
+        steps = [[(s.tid, s.rule, s.record["digest"]) for s in t.steps] for t in (t1, t2)]
+        assert steps[0] == steps[1]
+        assert all(len(d) == 16 for _, _, d in steps[0])
 
     def test_different_seeds_may_differ(self):
         main = typed_main("sharing_once.rgn")

@@ -29,6 +29,8 @@ from reglock.syntax import (
     Const,
     Effect,
     FnType,
+    Location,
+    LocVal,
     RegionLit,
     Var,
 )
@@ -446,25 +448,62 @@ class TestFaultInjection:
             assert any("statically holds (2,0) of #r1 but dynamically has (2,1)"
                        in v["message"] for v in violations)
 
+    def rewrite(self, monkeypatch, rule: str, change) -> None:
+        """Every step by `rule` becomes `change(outcome, tid)`."""
+        real = interp.step_thread
+
+        def rewritten(config, tid):
+            out = real(config, tid)
+            return change(out, tid) if isinstance(out, Stepped) and out.rule == rule else out
+
+        monkeypatch.setattr(interp, "step_thread", rewritten)
+
+    def assert_violation(self, payload, check: str, message: str) -> None:
+        assert any(v["check"] == check and v["message"].startswith(message)
+                   for v in payload["terminal"]["violations"]), payload["terminal"]
+
     def test_spawn_that_moves_more_than_the_spawner_holds(self, capsys, monkeypatch):
         # Every E-SN payload transfers double counts, more than the static
         # effect of `migration_once`'s spawner holds.
-        real = interp.step_thread
+        def doubled(out, tid):
+            child, moved = out.info
+            moved = Effect((r, Capability(2 * c.rg, 2 * c.lk, c.pure), p)
+                           for r, c, p in moved.items())
+            return Stepped(out.config, out.rule, (child, moved))
 
-        def doubled(config, tid):
-            out = real(config, tid)
-            if isinstance(out, Stepped) and out.rule == "E-SN":
-                child, moved = out.info
-                moved = Effect((r, Capability(2 * c.rg, 2 * c.lk, c.pure), p)
-                               for r, c, p in moved.items())
-                out = Stepped(out.config, out.rule, (child, moved))
-            return out
-
-        monkeypatch.setattr(interp, "step_thread", doubled)
+        self.rewrite(monkeypatch, "E-SN", doubled)
         payload = self.run_json(capsys, "migration_once.rgn", 0)
-        assert any(v["check"] == "thread-typing"
-                   and v["message"].startswith("spawn transfer not covered statically")
-                   for v in payload["terminal"]["violations"])
+        self.assert_violation(payload, "thread-typing", "spawn transfer not covered statically")
+
+    def test_allocation_of_a_value_that_does_not_type(self, capsys, monkeypatch):
+        # Every E-NR payload stores a location that M does not hold.
+        stray = LocVal(Location(99, HEAP))
+        self.rewrite(monkeypatch, "E-NR",
+                     lambda out, tid: Stepped(out.config, out.rule, (out.info[0], stray)))
+        payload = self.run_json(capsys, "sharing_once.rgn", 0)
+        self.assert_violation(payload, "store-typing", "allocated value fails to type")
+
+    def test_capability_step_on_a_region_outside_delta(self, capsys, monkeypatch):
+        nowhere = RegionLit("nowhere")
+        self.rewrite(monkeypatch, "E-C",
+                     lambda out, tid: Stepped(out.config, out.rule, (out.info[0], nowhere)))
+        payload = self.run_json(capsys, "sharing_once.rgn", 0)
+        self.assert_violation(payload, "thread-typing",
+                              "capability step not reflected statically")
+
+    def test_thread_that_ends_at_a_share(self, capsys, monkeypatch):
+        # The first `share` also finishes its thread, whose effect then still
+        # holds the counts that the rest of its body was to give back.
+        def finish(out, tid):
+            if out.info[0] is not CapOp.RG_PLUS:
+                return out
+            return Stepped(out.config.without_thread(tid), "E-T")
+
+        self.rewrite(monkeypatch, "E-C", finish)
+        payload = self.run_json(capsys, "sharing_once.rgn", 0)
+        tid = payload["steps"][-1]["thread"]
+        assert payload["steps"][-1]["rule"] == "E-T"
+        self.assert_violation(payload, "thread-typing", f"thread {tid} finished with effect")
 
     def test_term_rule_the_memo_must_not_mask(self, capsys, monkeypatch):
         # `+` yielding a bool changes the stepped term, so its digest changes.
