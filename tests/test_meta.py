@@ -484,6 +484,7 @@ class TestFaultInjection:
         self.assert_violation(payload, "store-typing", "allocated value fails to type")
 
     def test_capability_step_on_a_region_outside_delta(self, capsys, monkeypatch):
+        # Every E-C payload names a region that no thread's effect holds.
         nowhere = RegionLit("nowhere")
         self.rewrite(monkeypatch, "E-C",
                      lambda out, tid: Stepped(out.config, out.rule, (out.info[0], nowhere)))
