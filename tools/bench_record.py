@@ -1,7 +1,7 @@
 """A benchmark record of one source checkout, and a comparison of two records.
 
     python3 tools/bench_record.py --out BENCH_16.json [--rounds 5] [--seconds 8]
-                                  [--seed 701] [--root DIR] [--skip-tier1]
+                                  [--seed 701] [--root DIR]
     python3 tools/bench_record.py --compare OLD.json NEW.json
 
 A record runs `perfbench/run.py` on every workload that BENCHMARK.json names,
@@ -83,7 +83,7 @@ def run_tier1(root: Path) -> dict:
             "exit": proc.returncode, "summary": lines[-1] if lines else ""}
 
 
-def record(root: Path, rounds: int, seconds: float, seed: int, tier1: bool) -> dict:
+def record(root: Path, rounds: int, seconds: float, seed: int) -> dict:
     spec = json.loads((root / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
     runs: dict[str, list[dict]] = {w: [] for w in names}
@@ -101,18 +101,17 @@ def record(root: Path, rounds: int, seconds: float, seed: int, tier1: bool) -> d
                         "attempted": sum(res["attempted"] for res in results),
                         "failed": sum(res["failed"] for res in results),
                         "metrics": metrics}
-    first = next(iter(workloads.values()))["metrics"]
     return {
         "commit": git(root, "rev-parse", "HEAD"),
         "dirty": bool(git(root, "status", "--porcelain", "--untracked-files=no")),
         "date": datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds"),
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
-        "src_lines": first["src_lines"]["median"] if "src_lines" in first else None,
+        "src_lines": workloads[names[0]]["metrics"]["src_lines"]["median"],
         "bench": {"rounds": rounds, "seconds": seconds,
                   "seeds": [seed + r for r in range(rounds)]},
         "limit": LIMIT,
-        "tier1": run_tier1(root) if tier1 else None,
+        "tier1": run_tier1(root),
         "workloads": workloads,
     }
 
@@ -151,7 +150,6 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--rounds", type=int, default=5)
     ap.add_argument("--seconds", type=float, default=8.0)
     ap.add_argument("--seed", type=int, default=701)
-    ap.add_argument("--skip-tier1", action="store_true", help="leave the tier-1 time out")
     ap.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"))
     args = ap.parse_args(argv)
 
@@ -168,8 +166,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if any(row[4] == "WORSE" for row in rows) else 0
     if args.out is None:
         ap.error("give --out FILE to record, or --compare OLD NEW")
-    result = record(args.root.resolve(), args.rounds, args.seconds, args.seed,
-                    not args.skip_tier1)
+    result = record(args.root.resolve(), args.rounds, args.seconds, args.seed)
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 
