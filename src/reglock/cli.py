@@ -28,7 +28,7 @@ import os
 import sys
 from typing import Optional
 
-from .interp import ExploreRefusal, Trace, explore, rows_digest, run_seeded, step_record
+from .interp import ExploreRefusal, Trace, explore, run_seeded, step_record
 from .meta import Harness
 from .parser import ParseError, parse_program
 from .typecheck import CheckFailure, check_program, link_bodies
@@ -108,16 +108,13 @@ def cmd_check(args) -> int:
 
 def _print_trace(trace: Trace, fmt: str) -> None:
     if fmt == "json":
-        payload = {
+        print(json.dumps({
             "seed": trace.seed,
             "steps": [{"step": s.index, "thread": s.tid, "rule": s.rule, **s.record}
                       for s in trace.steps],
             "terminal": {"kind": trace.terminal.kind, **trace.terminal.detail},
-            "trace_digest": rows_digest(
-                [(s.index, s.tid, s.rule, s.record["digest"]) for s in trace.steps]
-                + [trace.terminal.kind]),
-        }
-        print(json.dumps(payload, default=str))
+            "trace_digest": trace.json_digest(),
+        }, default=str))
         return
     for s in trace.steps:
         print(f"{s.index} {s.tid} {s.rule}")
@@ -158,8 +155,7 @@ def cmd_run(args) -> int:
         harness = Harness(loaded) if args.metatheory else None
 
     record = (lambda c: step_record(c, args.snapshots)) if args.trace == "json" else None
-    trace = run_seeded(main_expr, seed, max_steps=args.max_steps, harness=harness,
-                       record=record)
+    trace = run_seeded(main_expr, seed, args.max_steps, harness, record)
     _print_trace(trace, args.trace)
     kind = trace.terminal.kind
     if kind == "all_done":

@@ -417,7 +417,7 @@ class Terminal:
     detail: dict
 
 
-def rows_digest(rows: list) -> str:
+def _rows_digest(rows: list) -> str:
     """16 hex digits of SHA-256 over the compact JSON of `rows`."""
     return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()[:16]
 
@@ -430,9 +430,14 @@ class Trace:
     terminal: Optional[Terminal] = None
 
     def digest(self) -> str:
-        """Over each step's (index, tid, rule), the terminal kind and final state."""
-        return rows_digest([(s.index, s.tid, s.rule) for s in self.steps]
-                           + [self.terminal.kind, config_digest(self.config)])
+        """A text trace's: each step's (index, tid, rule), the terminal kind and final state."""
+        return _rows_digest([(s.index, s.tid, s.rule) for s in self.steps]
+                            + [self.terminal.kind, config_digest(self.config)])
+
+    def json_digest(self) -> str:
+        """A JSON trace's: each step's (index, tid, rule, recorded digest) and the terminal kind."""
+        return _rows_digest([(s.index, s.tid, s.rule, s.record["digest"]) for s in self.steps]
+                            + [self.terminal.kind])
 
 
 def step_record(config: Config, snapshots: bool = False) -> dict:
@@ -524,8 +529,7 @@ def run_seeded(main_expr: Expr, seed: int, max_steps: int = 10_000, harness=None
             return trace
         tid = rng.choice(steppable)
         trace.config, rule = _apply_outcome(outcomes[tid])
-        trace.steps.append(TraceStep(len(trace.steps), tid, rule,
-                                     record(trace.config) if record else None))
+        trace.steps.append(TraceStep(len(trace.steps), tid, rule, record and record(trace.config)))
         if harness is not None:
             violations = harness.after_step(tid, outcomes[tid], outcomes)
     if violations:

@@ -58,6 +58,38 @@ def paired_long_seq(n: int) -> str:
             f"  newrgn rho, h at heap in\n  ({pairs};\n   free h)\n")
 
 
+
+def lock_tree(depth: int) -> str:
+    """Main spawns two workers on a region chain heap > r1 > ... > rD:
+    `wa` locks r1 and bumps every counter, `wb` locks rD and bumps its own."""
+    ids = range(1, depth + 1)
+    parent = {i: "rhoH" if i == 1 else f"r{i - 1}" for i in ids}
+    params = ", ".join(["hh: rgn(rhoH)"] + [f"h{i}: rgn(r{i})" for i in ids]
+                       + [f"c{i}: ref(int, r{i})" for i in ids])
+    eff = ", ".join(["rhoH^~(1,0)@_"] + [f"r{i}^~(1,0)@{parent[i]}" for i in ids])
+    frees = "; ".join([f"free h{i}" for i in reversed(ids)] + ["free hh"])
+    head = "/\\rhoH. " + "".join(f"/\\r{i}. " for i in ids)
+    bump = "; ".join(f"c{i} := deref c{i} + 1" for i in ids)
+    worker = f"{head}\\({params})\n    @ [{{{eff}}} -> {{}}].\n  ("
+    args = "[rhoH]" + "".join(f"[r{i}]" for i in ids) + "(heap, " + ", ".join(
+        [f"h{i}" for i in ids] + [f"c{i}" for i in ids]) + ")"
+    body = "".join(f"  newrgn r{i}, h{i} at {'heap' if i == 1 else f'h{i - 1}'} in\n"
+                   for i in ids)
+    body += "".join(f"  let c{i} = new {i} at h{i} in\n" for i in ids)
+    body += ("  (" + "; ".join(f"unlock h{i}" for i in reversed(ids)) + ";\n   "
+             + "; ".join(f"share h{i}; share h{i}" for i in ids)
+             + "; share heap; share heap;\n"
+             f"   spawn wa{args};\n   spawn wb{args};\n   "
+             + "; ".join(f"free h{i}" for i in reversed(ids)) + ")")
+    return (f"def wa = {worker}lock h1; {bump}; unlock h1; {frees})\n\n"
+            f"def wb = {worker}lock h{depth}; c{depth} := deref c{depth} + 1; "
+            f"unlock h{depth}; {frees})\n\n"
+            "def work = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^~(1,0)@_} -> {rhoH^~(1,0)@_}].\n"
+            f"{body}\n\n"
+            "def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].\n"
+            "  work[rhoH](heap)\n")
+
+
 #: A spawn under region binders that shadow each other: the parser names the
 #: inner `rho` `rho%1`, in the body that holds the spawn.
 SHADOWED_SPAWN = """

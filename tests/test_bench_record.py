@@ -22,16 +22,20 @@ def a_record(**metrics) -> dict:
         name: {"median": median, "iqr": iqr} for name, (median, iqr) in metrics.items()}}}}
 
 
+def write_records(tmp_path, old: dict, new: dict) -> list:
+    paths = [tmp_path / "old.json", tmp_path / "new.json"]
+    for path, rec in zip(paths, (old, new)):
+        path.write_text(json.dumps(rec))
+    return paths
+
+
 def test_compare_lists_each_metric_against_its_bound(tmp_path, capsys):
     tool = load_tool()
     old = a_record(run_steps_per_s=(4000, 100), check_ms=(7.0, 0.1),
                    explore_s=(0.20, 0.01), setup_s=(0.16, 0.08), peak_rss_mb=(24.0, 0.2))
     new = a_record(run_steps_per_s=(6000, 100), check_ms=(8.5, 0.1),
                    explore_s=(0.21, 0.01), setup_s=(0.17, 0.01), peak_rss_mb=(24.1, 0.2))
-    paths = []
-    for name, rec in (("old", old), ("new", new)):
-        paths.append(tmp_path / f"{name}.json")
-        paths[-1].write_text(json.dumps(rec))
+    paths = write_records(tmp_path, old, new)
     assert tool.main(["--compare", *map(str, paths)]) == 1
     status = {line.split()[1]: line.split()[-1] for line in capsys.readouterr().out.splitlines()}
     # check_ms rose 21 % against a bound of 15 %; setup_s's old IQR is half
@@ -41,3 +45,14 @@ def test_compare_lists_each_metric_against_its_bound(tmp_path, capsys):
     paths[1].write_text(json.dumps(a_record(check_ms=(7.5, 0.1))))
     assert tool.main(["--compare", *map(str, paths)]) == 0
     assert capsys.readouterr().out.split()[-1] == "within"
+
+
+def test_compare_notes_records_made_differently(tmp_path, capsys):
+    tool = load_tool()
+    old = a_record(check_ms=(7.0, 0.1))
+    new = {**a_record(check_ms=(7.0, 0.1)), "nproc": 4,
+           "bench": {"rounds": 2, "seconds": 1.0, "seeds": [701, 702]}}
+    paths = write_records(tmp_path, old, new)
+    assert tool.main(["--compare", *map(str, paths)]) == 0
+    notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note:")]
+    assert [note.split()[1] for note in notes] == ["nproc", "bench"]

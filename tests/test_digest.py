@@ -26,8 +26,7 @@ from reglock.syntax import (
     expr_digest,
 )
 from reglock.typecheck import check_program, link_bodies
-from conftest import CORPUS, RUNNABLE, corpus_text, paired_long_seq
-from test_meta import lock_tree
+from conftest import CORPUS, RUNNABLE, corpus_text, lock_tree, paired_long_seq
 
 
 def linked_main(text: str, checked: bool = True):

@@ -62,8 +62,7 @@ from reglock.syntax import (
     is_value,
 )
 from reglock.typecheck import check_program, link_bodies
-from conftest import RUNNABLE, corpus_text
-from test_meta import lock_tree
+from conftest import RUNNABLE, corpus_text, lock_tree
 
 
 def typed_main(name: str):

@@ -1,15 +1,15 @@
 """A benchmark record of one source checkout, and a comparison of two records.
 
-    python3 tools/bench_record.py --out BENCH_16.json [--rounds 5] [--seconds 8]
-                                  [--seed 701] [--root DIR]
+    python3 tools/bench_record.py --out BENCH_16.json [--root DIR]
     python3 tools/bench_record.py --compare OLD.json NEW.json
 
-A record runs `perfbench/run.py` on every workload that BENCHMARK.json names,
-for `--rounds` rounds. Each round runs every workload once with the round's
-seed, and the order of the workloads rotates from round to round. For each
-workload and end-to-end metric the record keeps the median, the quartiles,
-the interquartile range (IQR) and every run's value. It also holds the
-operations attempted and failed, whether every answer was correct, the
+A record runs `perfbench/run.py --seconds 8` on every workload that
+BENCHMARK.json names, for 5 rounds. Each round runs every workload once with
+the round's seed (701, 702, ...), and the order of the workloads rotates from
+round to round. Every record is made the same way, so that any two compare.
+For each workload and end-to-end metric the record keeps the median, the
+quartiles, the interquartile range (IQR) and every run's value. It also holds
+the operations attempted and failed, whether every answer was correct, the
 tier-1 wall time and summary line, `src_lines`, the commit, the processor
 count and the Python version. `--root` measures another checkout with this
 script; the benchmark and tier-1 tests run from that checkout.
@@ -19,8 +19,10 @@ metric moved past its bound when its new median is worse than the old one
 by more than the bound, as a share of the old median (WORSE), or better by
 more than that (better). A metric inside its bound whose IQR on either side
 exceeds the bound, as a share of its median, is `unresolved`: the spread of
-the runs is too wide to call it unchanged. Every metric is listed; the exit
-code is 1 when one is WORSE, else 0.
+the runs is too wide to call it unchanged. Every metric is listed, after a
+note for each of `nproc`, `python` and `bench` (rounds, seconds and seeds)
+that differs between the records; the exit code is 1 when a metric is WORSE,
+else 0.
 
 Times in a record are perfbench's reference seconds, a command's time over
 the time of a fixed reference loop run beside it. Two records from different
@@ -42,6 +44,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+ROUNDS, SECONDS, SEED = 5, 8.0, 701
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 LIMIT = ("Times are perfbench reference seconds. Records from different days or "
          "machines are comparable only as far as perfbench's reference loop tracks "
@@ -83,14 +86,14 @@ def run_tier1(root: Path) -> dict:
             "exit": proc.returncode, "summary": lines[-1] if lines else ""}
 
 
-def record(root: Path, rounds: int, seconds: float, seed: int) -> dict:
+def record(root: Path) -> dict:
     spec = json.loads((root / "BENCHMARK.json").read_text())
     names = [w["name"] for w in spec["workloads"]]
     runs: dict[str, list[dict]] = {w: [] for w in names}
-    for r in range(rounds):
+    for r in range(ROUNDS):
         for w in names[r % len(names):] + names[:r % len(names)]:
-            runs[w].append(run_bench(root, w, seed + r, seconds))
-            print(f"round {r + 1}/{rounds} {w} done", file=sys.stderr)
+            runs[w].append(run_bench(root, w, SEED + r, SECONDS))
+            print(f"round {r + 1}/{ROUNDS} {w} done", file=sys.stderr)
     workloads = {}
     for w, results in runs.items():
         metrics = {}
@@ -108,8 +111,8 @@ def record(root: Path, rounds: int, seconds: float, seed: int) -> dict:
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
         "src_lines": workloads[names[0]]["metrics"]["src_lines"]["median"],
-        "bench": {"rounds": rounds, "seconds": seconds,
-                  "seeds": [seed + r for r in range(rounds)]},
+        "bench": {"rounds": ROUNDS, "seconds": SECONDS,
+                  "seeds": [SEED + r for r in range(ROUNDS)]},
         "limit": LIMIT,
         "tier1": run_tier1(root),
         "workloads": workloads,
@@ -147,16 +150,13 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", type=Path, help="write a record of the checkout here")
     ap.add_argument("--root", type=Path, default=ROOT, help="the checkout to measure")
-    ap.add_argument("--rounds", type=int, default=5)
-    ap.add_argument("--seconds", type=float, default=8.0)
-    ap.add_argument("--seed", type=int, default=701)
     ap.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"))
     args = ap.parse_args(argv)
 
     if args.compare:
         old, new = (json.loads(p.read_text()) for p in args.compare)
         spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-        for key in ("nproc", "python"):
+        for key in ("nproc", "python", "bench"):
             if old.get(key) != new.get(key):
                 print(f"note: {key} differs: {old.get(key)} -> {new.get(key)}")
         rows = compare(old, new, spec)
@@ -166,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1 if any(row[4] == "WORSE" for row in rows) else 0
     if args.out is None:
         ap.error("give --out FILE to record, or --compare OLD NEW")
-    result = record(args.root.resolve(), args.rounds, args.seconds, args.seed)
+    result = record(args.root.resolve())
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 
