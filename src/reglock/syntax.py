@@ -8,10 +8,13 @@ re-parsed term compares equal to the original.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field, fields
+import weakref
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from enum import Enum
+from functools import partial
 from hashlib import blake2b
-from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Union, get_args
+from typing import (AbstractSet, Callable, Iterable, Iterator, Optional, Union, get_args,
+                    get_type_hints)
 
 
 # ---------------------------------------------------------------------------
@@ -33,21 +36,60 @@ class Loc:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegionVar:
+def _forget(table: dict, key: tuple, ref: weakref.ref) -> None:
+    if table.get(key) is ref:  # not yet replaced by a newer atom
+        del table[key]
+
+
+class _Atom:
+    """An immutable, hash-consed value: building one with equal fields
+    returns the same object, so `==` is identity and `hash` is
+    `object.__hash__`, both in C (Filliatre & Conchon, "Type-safe modular
+    hash-consing", 2006).  The table holds atoms weakly, so it never outgrows
+    the atoms in use, and copies and unpickled atoms are the same object."""
+
+    __slots__ = ("__weakref__",)
+    _table: dict
+
+    def __init_subclass__(cls) -> None:
+        cls._table = {}  # fields -> weak reference to the atom
+
+    def __new__(cls, *values):
+        ref = cls._table.get(values)
+        atom = None if ref is None else ref()
+        if atom is None:
+            atom = object.__new__(cls)
+            for name, value in zip(cls.__slots__, values):
+                object.__setattr__(atom, name, value)
+            cls._table[values] = weakref.ref(atom, partial(_forget, cls._table, values))
+        return atom
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({shown})"
+
+
+class RegionVar(_Atom):
     """Static region variable bound by a region lambda or `newrgn`."""
 
-    name: str
+    __slots__ = ("name",)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class RegionLit:
+class RegionLit(_Atom):
     """Dynamic region literal; only the runtime mints these."""
 
-    name: str
+    __slots__ = ("name",)
 
     def __str__(self) -> str:
         return "#" + self.name
@@ -82,21 +124,19 @@ Parent = Union[RegionVar, RegionLit, Root]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Capability:
+class Capability(_Atom):
     """A (region count, lock count) pair with a purity flag.
 
     A pure capability is whole knowledge of a region's counts; an impure one
     is a fragment obtained by splitting.
     """
 
-    rg: int
-    lk: int
-    pure: bool = True
+    __slots__ = ("rg", "lk", "pure")
 
-    def __post_init__(self) -> None:
-        if self.rg < 0 or self.lk < 0:
-            raise ValueError(f"negative capability counts ({self.rg},{self.lk})")
+    def __new__(cls, rg: int, lk: int, pure: bool = True) -> "Capability":
+        if rg < 0 or lk < 0:
+            raise ValueError(f"negative capability counts ({rg},{lk})")
+        return super().__new__(cls, rg, lk, pure)
 
     def __str__(self) -> str:
         bar = "" if self.pure else "~"
@@ -119,17 +159,19 @@ class Effect:
     Well-formedness: domain entries have region count >= 1 and every parent
     that is a region name is itself in the domain (chains terminate at `_`
     or `?` roots).  Equality is domain-wise and order-insensitive.
+
+    The ordered entries are one tuple (`items`), on which the checker's memo
+    keys, and the hash is computed once.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_entries", "_items", "_hash")
 
     def __init__(self, entries: Iterable[tuple[RegionName, Capability, Parent]] = ()):
-        table: dict[RegionName, tuple[Capability, Parent]] = {}
-        for r, cap, parent in entries:
-            if r in table:
-                raise ValueError(f"duplicate region {r} in effect")
-            table[r] = (cap, parent)
-        object.__setattr__(self, "_entries", table)
+        self._items = tuple(entries)
+        self._entries = {r: (cap, parent) for r, cap, parent in self._items}
+        if len(self._entries) != len(self._items):
+            names = [r for r, _, _ in self._items]
+            raise ValueError(f"duplicate region {max(names, key=names.count)} in effect")
 
     # -- construction helpers -------------------------------------------------
 
@@ -157,9 +199,8 @@ class Effect:
     def is_empty(self) -> bool:
         return not self._entries
 
-    def items(self) -> Iterator[tuple[RegionName, Capability, Parent]]:
-        for r, (cap, parent) in self._entries.items():
-            yield r, cap, parent
+    def items(self) -> tuple[tuple[RegionName, Capability, Parent], ...]:
+        return self._items
 
     def cap(self, r: RegionName) -> Capability:
         return self._entries[r][0]
@@ -211,7 +252,11 @@ class Effect:
         return self._entries == other._entries
 
     def __hash__(self) -> int:
-        return hash(frozenset((r, c, p) for r, (c, p) in self._entries.items()))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash(frozenset(self._items))
+            return self._hash
 
     def same_counts(self, other: "Effect") -> bool:
         """Equality that ignores purity flags (counts and parents only)."""
@@ -573,17 +618,22 @@ REGION_FIELDS = {Lambda: ("param_type", "effect_in", "effect_out"), RegionApp: (
 _FIELDS = {form: tuple(f.name for f in fields(form) if f.name != "loc")
            for form in get_args(Expr)}
 
+#: Each form's subterm fields (a `Prim`'s operands are one field, a tuple),
+#: and its other fields, which the digest encodes.  The walks read these
+#: tables instead of testing the type of every field.
+_SUBTERMS = {form: tuple(name for name, hint in get_type_hints(form).items()
+                         if hint in (Expr, tuple[Expr, ...]))
+             for form in _FIELDS}
+_ATTRS = {form: tuple(name for name in names if name not in _SUBTERMS[form])
+          for form, names in _FIELDS.items()}
+
 
 def children(e: Expr) -> list[Expr]:
     """The immediate subterms, in evaluation order."""
-    kids: list[Expr] = []
-    for name in _FIELDS[type(e)]:
-        value = getattr(e, name)
-        if type(value) in _FIELDS:
-            kids.append(value)
-        elif type(value) is tuple:  # Prim's operands
-            kids.extend(value)
-    return kids
+    form = type(e)
+    if form is Prim:
+        return list(e.args)
+    return [getattr(e, name) for name in _SUBTERMS[form]]
 
 
 # ---------------------------------------------------------------------------
@@ -797,10 +847,9 @@ def cached_digest(root, kids: Callable, encode: Callable[[object, bytes], bytes]
 def _encode_expr(e: Expr, kid_digests: bytes) -> bytes:
     # Non-term fields are tagged with their type, so Const 1 and True differ.
     texts = [type(e).__name__]
-    for name in _FIELDS[type(e)]:
+    for name in _ATTRS[type(e)]:
         value = getattr(e, name)
-        if type(value) not in _FIELDS and type(value) is not tuple:
-            texts.append(f"{type(value).__name__}:{value}")
+        texts.append(f"{type(value).__name__}:{value}")
     texts.append("")
     return "\0".join(texts).encode() + kid_digests
 

@@ -22,6 +22,10 @@ its definition, and at run time only closed values (definitions by linking,
 arguments by E-A) are placed under a binder.  A closed term's judgement
 reads nothing from the environment, so it never consults an outer binder of
 the same name, and a `newrgn` inside it extends the value's own annotation.
+
+A memo (the harness's) keys a subterm on its digest and `Effect.items()`,
+and interned region names and capabilities make that key hash in C.  A
+region application's instance is cached on its type, one per region.
 """
 
 from __future__ import annotations
@@ -206,10 +210,10 @@ class Checker:
         self.locations = locations or {}
         self.lenient = lenient
         self.record = record
-        # Subterms that checked: (term digest, input effect entries) ->
-        # (type, output effect), and a function value's digest -> its type.
-        # Owned by the metatheory harness, whose module docstring says why
-        # an entry stays valid.
+        # Subterms that checked: (term digest, `Effect.items()` of the input
+        # effect) -> (type, output effect), and a function value's digest ->
+        # its type.  Owned by the metatheory harness, whose module docstring
+        # says why an entry stays valid.
         self.memo = memo
 
     # -- helpers ---------------------------------------------------------------
@@ -257,7 +261,7 @@ class Checker:
             # effect is `eff` itself.
             key = expr_digest(e)
             if not isinstance(e, (Lambda, RegionLambda)):
-                key = (key, tuple(eff.items()))
+                key = (key, eff.items())
             hit = self.memo.get(key)
             if hit is not None:
                 return hit if type(key) is tuple else (hit, eff)
@@ -330,12 +334,17 @@ class Checker:
             if not self._region_in_scope(e.region, env):
                 raise self.fail("UnknownRegion",
                                 f"region {e.region} is not in scope", e.loc, out)
-            try:
-                inst = subst_regions(t_fn.body, {t_fn.var: e.region})
-            except fx.CapError as exc:
-                raise self.fail(exc.code, exc.message, e.loc, out)
-            except ValueError as exc:
-                raise self.fail("MalformedAnnotation", str(exc), e.loc, out)
+            # Instances are cached on the type, one per region: exact, as
+            # the substitution reads nothing but its arguments.
+            instances = vars(t_fn).setdefault("_instances", {})
+            inst = instances.get(e.region)
+            if inst is None:
+                try:
+                    inst = instances[e.region] = subst_regions(t_fn.body, {t_fn.var: e.region})
+                except fx.CapError as exc:
+                    raise self.fail(exc.code, exc.message, e.loc, out)
+                except ValueError as exc:
+                    raise self.fail("MalformedAnnotation", str(exc), e.loc, out)
             return inst, out
 
         if isinstance(e, NewRef):

@@ -95,13 +95,32 @@ def test_known_initial_digest():
     assert config_digest(initial_config(main)) == "a97bbcc51430ce50"
 
 
+#: Runs `check`, a harnessed JSON-traced `run` and `explore` in one process
+#: on each program named in argv, and prints every output and exit code.
+IN_ONE_PROCESS = """
+import contextlib, io, sys
+from reglock.cli import main
+out = io.StringIO()
+for path in sys.argv[1:]:
+    for argv in (["check", path, "--json", "--emit-effects"],
+                 ["run", path, "--seed", "3", "--trace", "json", "--metatheory"],
+                 ["explore", path, "--json", "--force-threads"]):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            code = main(argv)
+        out.write(f"exit {code}\\n")
+sys.stdout.write(out.getvalue())
+"""
+
+
 def test_same_digests_in_every_process():
-    cmd = [sys.executable, "-m", "reglock.cli", "run", str(CORPUS / "many_threads.rgn"),
-           "--seed", "3", "--trace", "json"]
-    outs = [subprocess.run(cmd, capture_output=True, check=True,
+    """Region names and capabilities hash by address, and strings by
+    PYTHONHASHSEED, so no output may follow the order of a set of them."""
+    cmd = [sys.executable, "-c", IN_ONE_PROCESS] + [str(CORPUS / name) for name in RUNNABLE]
+    outs = [subprocess.run(cmd, capture_output=True, check=True, text=True,
                            env={**os.environ, "PYTHONHASHSEED": seed}).stdout
             for seed in ("1", "2")]
-    assert outs[0] == outs[1] and json.loads(outs[0])["steps"]
+    assert outs[0] == outs[1]
+    assert outs[0].count("exit ") == 3 * len(RUNNABLE) and '"trace_digest"' in outs[0]
 
 
 def test_digest_work_per_step_does_not_grow_with_the_program(monkeypatch):

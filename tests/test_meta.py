@@ -462,6 +462,20 @@ class TestFaultInjection:
         self.assert_violation(payload, "thread-typing",
                               "capability step not reflected statically")
 
+    def test_spawn_that_names_the_wrong_child(self, capsys, monkeypatch, tmp_path):
+        # Every E-SN payload names the thread after the one it started. The
+        # child takes no counts, so consistency holds, and only the child's
+        # first step shows that delta has no entry for it.
+        path = tmp_path / "idle_child.rgn"
+        path.write_text("def idle = \\u: unit @ [{} -> {}]. ()\n\n"
+                        "def main = /\\rhoH. \\heap: rgn(rhoH) @ "
+                        "[{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].\n  spawn idle(())\n")
+        self.rewrite(monkeypatch, "E-SN", lambda out, tid: Stepped(
+            out.config, out.rule, (out.info[0] + 1, out.info[1])))
+        for seed in range(3):
+            payload = self.run_json(capsys, str(path), seed)
+            self.assert_violation(payload, "thread-typing", "thread 2 has no effect assignment")
+
     def test_thread_that_ends_at_a_share(self, capsys, monkeypatch):
         # The first `share` also finishes its thread, whose effect then still
         # holds the counts that the rest of its body was to give back.

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 import typing
+import weakref
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reglock import typecheck
 from reglock.interp import BlockedOn, detect_deadlock
 from reglock.parser import parse_expr, parse_program
 from reglock.store import initial_store
@@ -24,7 +28,9 @@ from reglock.syntax import (
     CapOp,
     Const,
     Effect,
+    EMPTY_EFFECT,
     FnType,
+    HandleType,
     BINDERS,
     LEAVES,
     _FIELDS,
@@ -47,6 +53,7 @@ from reglock.syntax import (
     subst_expr,
     subst_regions,
 )
+from reglock.typecheck import Checker, _Env
 
 from conftest import CORPUS
 
@@ -275,6 +282,61 @@ class TestEffectInvariants:
         a = Effect.of((RHOH, Capability(1, 0), BOTTOM), (RHO1, Capability(1, 1), RHOH))
         b = Effect.of((RHO1, Capability(1, 1), RHOH), (RHOH, Capability(1, 0), BOTTOM))
         assert a == b and hash(a) == hash(b)
+
+
+class TestInterning:
+    """Region names and capabilities are hash-consed: equal fields, one object."""
+
+    ATOMS = [(lambda: RegionVar("a"), "name"), (lambda: RegionLit("r1"), "name"),
+             (lambda: Capability(1, 0), "rg")]
+
+    @pytest.mark.parametrize("make, field", ATOMS, ids=["var", "lit", "cap"])
+    def test_equal_fields_give_one_object(self, make, field):
+        atom = make()
+        assert make() is atom
+        assert copy.copy(atom) is atom and copy.deepcopy(atom) is atom
+        assert pickle.loads(pickle.dumps(atom)) is atom
+        assert copy.deepcopy(Effect.of((atom, atom, BOTTOM))).items()[0][0] is atom
+        with pytest.raises(AttributeError):
+            setattr(atom, field, getattr(atom, field))
+        assert str(atom) == str(make()) and repr(atom) == repr(make())
+
+    def test_kinds_and_defaults(self):
+        assert RegionLit("r1") is not RegionVar("r1") and RegionLit("r1") != RegionVar("r1")
+        assert Capability(1, 0) is Capability(1, 0, pure=True)
+        assert Capability(1, 0) is not Capability(1, 0, pure=False)
+        assert repr(Capability(1, 0, False)) == "Capability(rg=1, lk=0, pure=False)"
+        assert repr(RegionVar("a")) == "RegionVar(name='a')"
+
+    def test_negative_counts_are_refused(self):
+        with pytest.raises(ValueError):
+            Capability(-1, 0)
+        with pytest.raises(ValueError):
+            Capability(0, -1, pure=False)
+
+    def test_dropped_atoms_are_freed(self):
+        # The tables behind interning hold their atoms weakly, so names
+        # minted once (say, by a long exploration) do not pile up.
+        refs = [weakref.ref(make(i)) for i in range(500) for make in (
+            lambda i: RegionVar(f"gone{i}"), lambda i: RegionLit(f"gone{i}"),
+            lambda i: Capability(10**6 + i, i))]
+        gc.collect()
+        assert not any(ref() is not None for ref in refs)
+
+    def test_region_application_instantiates_once(self, monkeypatch):
+        calls = []
+
+        def counting(x, rho):
+            calls.append(x)
+            return subst_regions(x, rho)
+
+        monkeypatch.setattr(typecheck, "subst_regions", counting)
+        a, b = RegionVar("a"), RegionVar("b")
+        env = _Env({"f": RegionPolyType(a, HandleType(a))}, frozenset({b}))
+        checker = Checker()
+        types = [checker.check(RegionApp(Var("f"), b), env, EMPTY_EFFECT)[0]
+                 for _ in range(2)]
+        assert types == [HandleType(b)] * 2 and len(calls) == 1
 
 
 # -- properties ---------------------------------------------------------------
