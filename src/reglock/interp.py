@@ -28,7 +28,8 @@ with its blocking and faults.  E-NG, E-NR, E-D (store or counters) and E-SN
 rules read nothing but the term, and substitution (`syntax.subst_expr`) is
 a function of its arguments alone, since it renames no binder.  A successor
 points forward, so a live term keeps every later term built from it alive;
-`explore` does not hold its initial configuration.
+`explore` does not hold its initial configuration.  Likewise each store
+operation is applied once per store (see `store`): a term-only step keeps it.
 
 Polling a thread has three outcomes.  `Stepped` is one step of the thread
 relation, whatever its rule: finishing (E-T), spawning (E-SN) or reducing
@@ -43,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
@@ -397,9 +399,9 @@ def config_digest(config: Config) -> str:
     thread's (tid, term digest) in tid order, and the three counters."""
     root = config.store.root
     parts = [bytes(16) if root is None else root.digest()]
-    for t in sorted(config.threads, key=lambda t: t.tid):
-        parts += [f"{t.tid}\0".encode(), expr_digest(t.expr)]
-    parts.append(f"{config.next_tid},{config.next_loc},{config.next_region}".encode())
+    for t in config.threads:  # in tid order: a spawn appends the next tid
+        parts += [b"%d\0" % t.tid, expr_digest(t.expr)]
+    parts.append(b"%d,%d,%d" % (config.next_tid, config.next_loc, config.next_region))
     return hashlib.sha256(b"".join(parts)).hexdigest()[:16]
 
 
@@ -559,6 +561,11 @@ class ExploreResult:
 #: `explore` refuses a state with more live threads than this unless forced.
 MAX_THREADS = 3
 
+#: `explore` keeps the stores of its latest expanded states alive.  Store
+#: memos hold result stores weakly, and most repeats of an operation come
+#: this soon (lock_tree(3): 934 capability updates, 1,815 with none kept).
+RECENT = 256
+
 
 def explore(main_expr: Expr, max_steps: int = 2_000, force: bool = False) -> ExploreResult:
     """Enumerate all interleavings up to a depth bound.
@@ -575,9 +582,11 @@ def explore(main_expr: Expr, max_steps: int = 2_000, force: bool = False) -> Exp
     cycles: list[list[int]] = []
     budget_hits = 0
     states = 0
+    recent: deque[Store] = deque(maxlen=RECENT)
 
     while frontier:
         config, depth = frontier.pop()
+        recent.append(config.store)
         states += 1
         if len(config.threads) > MAX_THREADS and not force:
             raise ExploreRefusal(

@@ -9,11 +9,17 @@ Operations are partial.  Failures split into two kinds: `Blocked` means a
 lock operation must wait for another thread (the scheduler retries), while
 `StoreFault` signals a soundness violation that well-typed programs never
 reach.
+
+Each operation is applied once per store: the store keeps each result,
+`Blocked` included, outside its fields like a node's digest.  This is exact
+because a store is immutable and an operation reads only it and its
+arguments.  A fault is not kept: it raises on every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import weakref
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
 from .syntax import CapOp, Effect, Expr, Location, RegionLit, cached_digest, expr_digest
@@ -71,7 +77,7 @@ class RegionNode:
             table.pop(tid, None)
         else:
             table[tid] = counts
-        return replace(self, threads=tuple(sorted(table.items())))
+        return RegionNode(self.rid, tuple(sorted(table.items())), self.heap, self.children)
 
     def heap_get(self, loc: Location) -> Optional[Expr]:
         for l, v in self.heap:
@@ -82,7 +88,8 @@ class RegionNode:
     def heap_set(self, loc: Location, value: Expr) -> "RegionNode":
         table = {l: v for l, v in self.heap}
         table[loc] = value
-        return replace(self, heap=tuple(sorted(table.items(), key=lambda kv: kv[0].idx)))
+        heap = tuple(sorted(table.items(), key=lambda kv: kv[0].idx))
+        return RegionNode(self.rid, self.threads, heap, self.children)
 
     def digest(self) -> bytes:
         """Merkle digest of the subtree: the region name, the per-thread
@@ -104,6 +111,8 @@ def _encode_region(node: RegionNode, kid_digests: bytes) -> bytes:
 @dataclass(frozen=True)
 class Store:
     root: Optional[RegionNode]
+
+    _ops = None  # the memo of `_memo`; not a field, so eq, repr and `replace` ignore it
 
     # -- traversal ---------------------------------------------------------------
 
@@ -155,7 +164,7 @@ class Store:
         for parent in reversed(path[:-1]):
             kids = (tuple(k for k in parent.children if k is not old) if node is None
                     else tuple(node if k is old else k for k in parent.children))
-            old, node = parent, replace(parent, children=kids)
+            old, node = parent, RegionNode(parent.rid, parent.threads, parent.heap, kids)
         return Store(node)
 
     # -- liveness and accessibility -----------------------------------------------
@@ -170,12 +179,51 @@ class Store:
 
     # -- the five partial functions plus transfer ----------------------------------
 
+    def _memo(self, key: tuple, *args):
+        """`key[0](self, *args)`, an operation's body, computed once per key on
+        this store.  The key names the body and its arguments, a term or
+        effect by `id`; the entry keeps them, so no such `id` is reused.  A
+        result store is kept weakly and by its root: memos keep no store alive."""
+        ops = self._ops
+        if ops is None:
+            ops = {}
+            object.__setattr__(self, "_ops", ops)
+        else:
+            hit = ops.get(key)
+            if hit is not None:
+                ref, value, _ = hit
+                return value if ref is None else ref() or Store(value)
+        result = key[0](self, *args)
+        ops[key] = ((weakref.ref(result), result.root, args) if isinstance(result, Store)
+                    else (None, result, args))
+        return result
+
     def alloc(self, rid: RegionLit, loc_idx: int, value: Expr) -> tuple["Store", Location]:
+        store = self._memo((Store._alloc, rid, loc_idx, id(value)), rid, loc_idx, value)
+        return store, Location(loc_idx, rid)
+
+    def lookup(self, loc: Location, tid: int) -> Expr:
+        return self._memo((Store._lookup, loc.idx, loc.region, tid), loc, tid)
+
+    def update(self, loc: Location, value: Expr, tid: int) -> "Store":
+        return self._memo((Store._update, loc.idx, loc.region, id(value), tid), loc, value, tid)
+
+    def newrgn(self, parent: RegionLit, tid: int, name: str) -> tuple["Store", RegionLit]:
+        return self._memo((Store._newrgn, parent, tid, name), parent, tid, name), RegionLit(name)
+
+    def updcap(self, op: CapOp, rid: RegionLit, tid: int):
+        """Returns a new Store, or Blocked when a lock must be waited for."""
+        return self._memo((Store._updcap, op, rid, tid), op, rid, tid)
+
+    def transfer(self, giver: int, taker: int, eff: Effect) -> "Store":
+        """Move the capability counts named by eff from giver to taker."""
+        return self._memo((Store._transfer, giver, taker, id(eff)), giver, taker, eff)
+
+    def _alloc(self, rid: RegionLit, loc_idx: int, value: Expr) -> "Store":
         path = self._live_path(rid)
         if path is None:
             raise StoreFault("NotLive", f"allocation into dead region {rid}")
-        loc = Location(loc_idx, rid)
-        return self._rebuild(path, path[-1].heap_set(loc, value)), loc
+        return self._rebuild(path, path[-1].heap_set(Location(loc_idx, rid), value))
 
     def _accessible_path(self, loc: Location, tid: int, verb: str) -> tuple[RegionNode, ...]:
         """The path to `loc`'s region, which must hold `loc`, be live and be
@@ -190,23 +238,23 @@ class Store:
                              f"{loc.region} or an ancestor")
         return path
 
-    def lookup(self, loc: Location, tid: int) -> Expr:
+    def _lookup(self, loc: Location, tid: int) -> Expr:
         return self._accessible_path(loc, tid, "reads")[-1].heap_get(loc)
 
-    def update(self, loc: Location, value: Expr, tid: int) -> "Store":
+    def _update(self, loc: Location, value: Expr, tid: int) -> "Store":
         path = self._accessible_path(loc, tid, "writes")
         return self._rebuild(path, path[-1].heap_set(loc, value))
 
-    def newrgn(self, parent: RegionLit, tid: int, name: str) -> tuple["Store", RegionLit]:
+    def _newrgn(self, parent: RegionLit, tid: int, name: str) -> "Store":
         path = self._live_path(parent)
         if path is None:
             raise StoreFault("NotLive", f"new region under dead region {parent}")
-        rid = RegionLit(name)
-        child = RegionNode(rid, ((tid, Counts(1, 1)),), (), ())
-        return self._rebuild(path, replace(path[-1], children=path[-1].children + (child,))), rid
+        child = RegionNode(RegionLit(name), ((tid, Counts(1, 1)),), (), ())
+        node = path[-1]
+        return self._rebuild(path, RegionNode(node.rid, node.threads, node.heap,
+                                              node.children + (child,)))
 
-    def updcap(self, op: CapOp, rid: RegionLit, tid: int):
-        """Returns a new Store, or Blocked when a lock must be waited for."""
+    def _updcap(self, op: CapOp, rid: RegionLit, tid: int):
         path = self._live_path(rid)
         if path is None:
             raise StoreFault("NotLive", f"capability update on dead region {rid}")
@@ -252,8 +300,7 @@ class Store:
         holders.discard(tid)
         return frozenset(holders)
 
-    def transfer(self, giver: int, taker: int, eff: Effect) -> "Store":
-        """Move the capability counts named by eff from giver to taker."""
+    def _transfer(self, giver: int, taker: int, eff: Effect) -> "Store":
         out = self
         for r, cap, _ in eff.items():
             path = out.path_to(r)

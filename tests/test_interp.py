@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import weakref
 from dataclasses import replace
 from typing import get_args, get_type_hints
 
@@ -27,7 +29,7 @@ from reglock.interp import (
     step_thread,
 )
 from reglock.parser import parse_program
-from reglock.store import initial_store
+from reglock.store import Store, StoreFault, initial_store
 from reglock.syntax import (
     _FIELDS,
     EMPTY_EFFECT,
@@ -77,6 +79,11 @@ def checked_main(text: str):
 
 def unchecked_main(name: str):
     return link_bodies(parse_program(corpus_text(name)))
+
+
+def program_main(name: str):
+    """A runnable corpus file's main, or lock_tree(2)'s for "lock_tree_2"."""
+    return checked_main(lock_tree(2)) if name == "lock_tree_2" else typed_main(name)
 
 
 class TestDecompose:
@@ -353,7 +360,7 @@ def test_cached_steps_agree_with_uncached_steps(name, monkeypatch):
     """In every state `explore` visits, each thread's outcome, served from
     the step cached on its term where there is one, equals the outcome of
     stepping a copy of the term with nothing cached."""
-    main = checked_main(lock_tree(2)) if name == "lock_tree_2" else typed_main(name)
+    main = program_main(name)
     real = interp.classify
     compared = []
 
@@ -403,3 +410,106 @@ def test_each_thread_term_is_stepped_once(monkeypatch):
     trace = run_seeded(main, seed=1)
     assert trace.terminal.kind == "all_done"
     assert counts["decompose"] <= len(trace.steps)
+
+
+#: The uncached bodies of the store operations that `Store` memoises.
+STORE_BODIES = ("_alloc", "_lookup", "_update", "_newrgn", "_updcap", "_transfer")
+
+
+def test_each_store_operation_is_computed_once_per_store(monkeypatch):
+    """Timer-free shape guard: a term-only step leaves the store as it was,
+    so the same operation on the same store recurs in every interleaving and
+    is served from the store's memo.  Without it, explore of lock_tree(3)
+    computes 3,187 capability updates alone for 3,430 states; with it,
+    about 1,270 operations of all kinds."""
+    counts = dict.fromkeys(STORE_BODIES, 0)
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    for name in STORE_BODIES:
+        monkeypatch.setattr(Store, name, counted(name, getattr(Store, name)))
+    states = explore(checked_main(lock_tree(3))).states
+    assert states == 3430
+    assert 0 < sum(counts.values()) <= 0.4 * states
+
+
+@pytest.mark.parametrize("name", RUNNABLE + ["lock_tree_2"])
+def test_threads_stay_in_tid_order(name, monkeypatch):
+    """`config_digest` hashes the threads as they stand: a spawn appends the
+    next tid, and nothing reorders them."""
+    real = interp.classify
+
+    def classify(config):
+        tids = [t.tid for t in config.threads]
+        assert tids == sorted(tids)
+        return real(config)
+
+    monkeypatch.setattr(interp, "classify", classify)
+    assert explore(program_main(name), force=True).states > 0
+
+
+def root_digest(store: Store):
+    return store.root and store.root.digest()
+
+
+@pytest.mark.parametrize("name", RUNNABLE + ["lock_tree_2"])
+def test_memoised_store_operations_are_exact(name, monkeypatch):
+    """Each store operation `explore` makes, served from the store's memo
+    or not, gives what the operation's body gives on a fresh store over the
+    same root, which has no memo: the same fault code, root digest, lock
+    holders or looked-up value."""
+    calls = []
+
+    def checked(op: str, memoised):
+        def call(store, *args):
+            body = getattr(Store, "_" + op)
+            try:
+                out = memoised(store, *args)
+            except StoreFault as exc:
+                with pytest.raises(StoreFault) as again:
+                    body(Store(store.root), *args)
+                assert again.value.code == exc.code
+                raise
+            result, fresh = out, body(Store(store.root), *args)
+            if isinstance(result, tuple):  # alloc and newrgn: (store, name)
+                result = result[0]
+            if isinstance(result, Store):
+                assert root_digest(result) == root_digest(fresh)
+            else:
+                assert result == fresh  # Blocked, or lookup's value
+            calls.append(op)
+            return out
+        return call
+
+    for body in STORE_BODIES:
+        op = body[1:]
+        monkeypatch.setattr(Store, op, checked(op, getattr(Store, op)))
+    explore(program_main(name), force=True)
+    assert calls
+
+
+def test_explore_leaves_no_store_alive(monkeypatch):
+    """A store's memo holds its result stores weakly, and the window of
+    recent stores belongs to the call, so every store `explore` builds is
+    freed once it returns, by reference counts alone."""
+    made = []
+    real_init = Store.__init__
+
+    def init(self, root):
+        real_init(self, root)
+        made.append(weakref.ref(self))
+
+    main = checked_main(lock_tree(2))
+    monkeypatch.setattr(Store, "__init__", init)
+    gc.collect()
+    gc.disable()
+    try:
+        assert explore(main).states == 1774
+    finally:
+        gc.enable()
+    assert len(made) > 100
+    assert [ref for ref in made if ref() is not None] == []

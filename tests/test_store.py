@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import Bundle, RuleBasedStateMachine, initialize, multiple, rule
 
 from reglock.store import Blocked, Counts, RegionNode, Store, StoreFault, initial_store
 from reglock.syntax import Capability, CapOp, Const, Effect, Location, RegionLit, BOTTOM
+from store_model import Model, store_snapshot
 
 H = RegionLit("H")
 A = RegionLit("a")
@@ -291,6 +296,33 @@ class TestTransfer:
         assert exc.value.code == "InsufficientDynamicCounts"
 
 
+class TestMemo:
+    def test_a_repeat_returns_the_same_store(self):
+        store = Store(node(A, {1: Counts(1, 0)}))
+        first = store.updcap(CapOp.LK_PLUS, A, 1)
+        assert store.updcap(CapOp.LK_PLUS, A, 1) is first
+
+    def test_a_dropped_result_is_rebuilt_over_its_root(self):
+        store = Store(node(A, {1: Counts(1, 0)}))
+        first = store.updcap(CapOp.LK_PLUS, A, 1)
+        root, gone = first.root, weakref.ref(first)
+        del first
+        assert gone() is None  # the memo holds result stores weakly
+        assert store.updcap(CapOp.LK_PLUS, A, 1).root is root
+
+    def test_a_store_that_is_its_own_result_is_freed(self):
+        # No strong cycle through the memo: the reference count frees it.
+        store = Store(node(A, {1: Counts(1, 1)}))
+        assert store.transfer(1, 2, Effect()) is store
+        gone = weakref.ref(store)
+        gc.disable()
+        try:
+            del store
+            assert gone() is None
+        finally:
+            gc.enable()
+
+
 # -- property suites --------------------------------------------------------------
 
 
@@ -387,3 +419,114 @@ def test_subtree_removal_completeness(store: Store, data):
     # tree shape preserved: every surviving region is reachable exactly once
     seen = [n.rid for n in store.regions()]
     assert len(seen) == len(set(seen))
+
+
+# -- model-based: `Store` beside a naive model --------------------------------------
+
+#: Shared value objects, so that a repeated write is the same operation.
+VALUES = (Const(0), Const(1), Const(2))
+
+
+class StoreMachine(RuleBasedStateMachine):
+    """Drives `Store` beside `store_model.Model` and compares every result,
+    fault code and set of lock holders.  Each operation applies to any store
+    made so far, so earlier stores are used again: they must be unchanged
+    (persistence), and an operation repeated on the same store with the same
+    argument objects must return the very result of its first call, while a
+    fault must raise again."""
+
+    stores = Bundle("stores")
+
+    def __init__(self):
+        super().__init__()
+        self.names = [H]  # every region name made so far, freed ones too
+        self.locs: list[Location] = []
+        self.results: dict[tuple, tuple] = {}
+
+    @initialize(target=stores)
+    def start(self):
+        return initial_store(H, 1), Model.initial(H, 1)
+
+    @initialize(target=stores)
+    def start_with_a_cell(self):
+        """Thread 1 locks a region `a` under the root, which holds one cell."""
+        store, model = initial_store(H, 1), Model.initial(H, 1)
+        store, model = store.newrgn(H, 1, "a")[0], model.newrgn(H, 1, "a")[0]
+        (store, loc), model = store.alloc(A, 1, VALUES[0]), model.alloc(A, 1, VALUES[0])[0]
+        self.names.append(A)
+        self.locs.append(loc)
+        return store, model
+
+    def apply(self, pair, name: str, *args):
+        store, model = pair
+        assert store_snapshot(store) == model.snapshot()
+        expected = getattr(model, name)(*args)
+        try:
+            result = getattr(store, name)(*args)
+        except StoreFault as exc:
+            assert exc.code == expected
+            return multiple()
+        assert not isinstance(expected, str), f"{name}{args} should fault {expected}"
+        # Keyed by the objects, which the entry keeps alive, as is the first
+        # result store: the memo must return that very store.
+        key = (id(store), name) + tuple(map(id, args))
+        kept = result[0] if isinstance(result, tuple) else result
+        assert self.results.setdefault(key, (args, kept))[1] is kept
+        model, value = expected
+        if name in ("alloc", "newrgn"):
+            result, made = result
+            assert made == value
+            (self.locs if name == "alloc" else self.names).append(made)
+        elif name == "lookup" or isinstance(value, Blocked):
+            assert result == value
+            return multiple()
+        assert store_snapshot(result) == model.snapshot()
+        return result, model
+
+    def region(self, data) -> RegionLit:
+        return data.draw(st.sampled_from(self.names))
+
+    def location(self, pair, data) -> Location:
+        """Mostly a cell of this store, else one of another store or none."""
+        cells = sorted(pair[1].cells, key=str)
+        if cells and data.draw(st.booleans()):
+            return data.draw(st.sampled_from(cells))
+        made = [Location(data.draw(st.integers(1, 3)), self.region(data))]
+        return data.draw(st.sampled_from(self.locs + made))
+
+    @rule(target=stores, pair=stores, idx=st.integers(1, 3), value=st.sampled_from(VALUES),
+          data=st.data())
+    def alloc(self, pair, idx, value, data):
+        return self.apply(pair, "alloc", self.region(data), idx, value)
+
+    @rule(target=stores, pair=stores, tid=st.integers(1, 3), data=st.data())
+    def lookup(self, pair, tid, data):
+        return self.apply(pair, "lookup", self.location(pair, data), tid)
+
+    @rule(target=stores, pair=stores, value=st.sampled_from(VALUES), tid=st.integers(1, 3),
+          data=st.data())
+    def update(self, pair, value, tid, data):
+        return self.apply(pair, "update", self.location(pair, data), value, tid)
+
+    @rule(target=stores, pair=stores, tid=st.integers(1, 3), data=st.data())
+    def newrgn(self, pair, tid, data):
+        unused = [r.name for r in self.names if r not in pair[1].parent]
+        name = data.draw(st.sampled_from(unused + [f"m{len(self.names)}"]))
+        return self.apply(pair, "newrgn", self.region(data), tid, name)
+
+    @rule(target=stores, pair=stores, op=st.sampled_from(list(CapOp)), tid=st.integers(1, 3),
+          data=st.data())
+    def updcap(self, pair, op, tid, data):
+        return self.apply(pair, "updcap", op, self.region(data), tid)
+
+    @rule(target=stores, pair=stores, giver=st.integers(1, 3), taker=st.integers(1, 3),
+          data=st.data())
+    def transfer(self, pair, giver, taker, data):
+        regions = data.draw(st.lists(st.sampled_from(self.names), max_size=2, unique=True))
+        eff = Effect((r, Capability(data.draw(st.integers(0, 2)), data.draw(st.integers(0, 1)),
+                                    False), BOTTOM) for r in regions)
+        return self.apply(pair, "transfer", giver, taker, eff)
+
+
+TestStoreMachine = StoreMachine.TestCase
+TestStoreMachine.settings = settings(max_examples=100, stateful_step_count=30, deadline=None)
