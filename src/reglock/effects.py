@@ -9,7 +9,6 @@ with positive lock counts must never cross a thread boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from .syntax import (
@@ -20,6 +19,7 @@ from .syntax import (
     CapOp,
     Effect,
     Parent,
+    Record,
     RegionLit,
     RegionName,
     RegionVar,
@@ -28,15 +28,14 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class SplitResult:
-    """Outcome of subtracting a callee input effect from the current one."""
+class SplitResult(Record):
+    """Outcome of subtracting a callee input effect from the current one.
+    `abstracted` holds the actual parents hidden behind `?` for the duration
+    of this call; they must still be live when a sequential call returns."""
 
-    passed: Effect
-    retained: Effect
-    # Actual parents hidden behind `?` for the duration of this call; they
-    # must still be live when a sequential call returns.
-    abstracted: frozenset[RegionName] = field(default_factory=frozenset)
+    def __init__(self, passed: Effect, retained: Effect,
+                 abstracted: frozenset[RegionName] = frozenset()) -> None:
+        self.__dict__.update(passed=passed, retained=retained, abstracted=abstracted)
 
 
 def cap_split(have: Capability, need: Capability) -> tuple[Capability, Capability]:

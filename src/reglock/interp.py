@@ -19,7 +19,7 @@ processes and `PYTHONHASHSEED` values.  `explore` digests every state; a
 seeded run digests its final state, and each step's only for a `record`.
 
 Each distinct thread term is stepped once.  `step_thread` caches a term's
-decomposition on its root node, outside the dataclass fields like the
+decomposition on its root node, outside the record's fields like the
 digest.  A rule whose reduct reads only the term (E-A, E-RP, E-IF, E-SEQ,
 E-WHILE, E-OP) replaces it with the rule and successor term; E-C and E-AS
 add the term with `()` in the hole and still run their store operation,
@@ -45,7 +45,6 @@ import hashlib
 import json
 import random
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Callable, Optional, Union
 
 from .parser import pretty
@@ -70,6 +69,7 @@ from .syntax import (
     NewRgn,
     ParMode,
     Prim,
+    Record,
     RegionApp,
     RegionLambda,
     RegionLit,
@@ -84,19 +84,16 @@ from .syntax import (
 )
 
 
-@dataclass(frozen=True)
-class Thread:
-    tid: int
-    expr: Expr
+class Thread(Record):
+    def __init__(self, tid: int, expr: Expr) -> None:
+        self.__dict__.update(tid=tid, expr=expr)
 
 
-@dataclass(frozen=True)
-class Config:
-    store: Store
-    threads: tuple[Thread, ...]
-    next_tid: int
-    next_loc: int
-    next_region: int
+class Config(Record):
+    def __init__(self, store: Store, threads: tuple[Thread, ...], next_tid: int, next_loc: int,
+                 next_region: int) -> None:
+        self.__dict__.update(store=store, threads=threads, next_tid=next_tid, next_loc=next_loc,
+                             next_region=next_region)
 
     def thread(self, tid: int) -> Thread:
         for t in self.threads:
@@ -148,7 +145,7 @@ def decompose(e: Expr) -> Optional[tuple[Expr, Plug]]:
     the root down, each (form, its node's constructor arguments, the hole's
     index): `Prim`'s operands are one argument, the hole an index into it.
     `plug` puts a reduct into the hole and rebuilds the frames bottom-up,
-    positionally, as `dataclasses.replace` costs twice as much.  A frame
+    each by its form's constructor with positional arguments.  A frame
     holds no node, so a plug cached on a term does not point back at it.
     """
     if is_value(e):
@@ -195,8 +192,7 @@ class MalformedTerm(Exception):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stepped:
+class Stepped(Record):
     """A thread moved: the successor configuration and the rule that made it.
 
     `info` is the rule's payload for the metatheory harness:
@@ -204,23 +200,19 @@ class Stepped:
     E-AS -> (location, value); E-C -> (op, region_lit);
     E-SN -> (child tid, transferred effect); else None.
     """
-    config: Config
-    rule: str
-    info: Optional[tuple] = None
+
+    def __init__(self, config: Config, rule: str, info: Optional[tuple] = None) -> None:
+        self.__dict__.update(config=config, rule=rule, info=info)
 
 
-@dataclass(frozen=True)
-class BlockedOn:
-    tid: int
-    region: RegionLit
-    holders: frozenset[int]
+class BlockedOn(Record):
+    def __init__(self, tid: int, region: RegionLit, holders: frozenset[int]) -> None:
+        self.__dict__.update(tid=tid, region=region, holders=holders)
 
 
-@dataclass(frozen=True)
-class Stuck:
-    tid: int
-    code: str
-    detail: str
+class Stuck(Record):
+    def __init__(self, tid: int, code: str, detail: str) -> None:
+        self.__dict__.update(tid=tid, code=code, detail=detail)
 
 
 StepOutcome = Union[Stepped, BlockedOn, Stuck]
@@ -243,7 +235,7 @@ class _Stepping:
     (None for the term itself) and plug, then, once a term-only rule has
     run, the rule and successor instead.  E-C and E-AS keep the redex, and
     their successor is the term with `()` in the hole.  Not a field: eq,
-    repr and `replace` ignore it."""
+    hash and repr ignore it."""
 
     __slots__ = ("redex", "plug", "rule", "successor")
 
@@ -405,18 +397,15 @@ def config_digest(config: Config) -> str:
     return hashlib.sha256(b"".join(parts)).hexdigest()[:16]
 
 
-@dataclass(frozen=True)
-class TraceStep:
-    index: int
-    tid: int
-    rule: str
-    record: Optional[dict] = None
+class TraceStep(Record):
+    def __init__(self, index: int, tid: int, rule: str, record: Optional[dict] = None) -> None:
+        self.__dict__.update(index=index, tid=tid, rule=rule, record=record)
 
 
-@dataclass(frozen=True)
-class Terminal:
-    kind: str  # "all_done" | "deadlock" | "stuck" | "budget" | "violation"
-    detail: dict
+class Terminal(Record):
+    # kind: "all_done" | "deadlock" | "stuck" | "budget" | "violation"
+    def __init__(self, kind: str, detail: dict) -> None:
+        self.__dict__.update(kind=kind, detail=detail)
 
 
 def _rows_digest(rows: list) -> str:
@@ -424,12 +413,13 @@ def _rows_digest(rows: list) -> str:
     return hashlib.sha256(json.dumps(rows, separators=(",", ":")).encode()).hexdigest()[:16]
 
 
-@dataclass
-class Trace:
-    seed: Optional[int]
-    config: Config  # the latest configuration, the final one once there is a terminal
-    steps: list[TraceStep] = field(default_factory=list)
-    terminal: Optional[Terminal] = None
+class Trace(Record, frozen=False):
+    # config: the latest configuration, the final one once there is a terminal
+    def __init__(self, seed: Optional[int], config: Config,
+                 steps: Optional[list[TraceStep]] = None,
+                 terminal: Optional[Terminal] = None) -> None:
+        self.__dict__.update(seed=seed, config=config, steps=[] if steps is None else steps,
+                             terminal=terminal)
 
     def digest(self) -> str:
         """A text trace's: each step's (index, tid, rule), the terminal kind and final state."""
@@ -549,13 +539,11 @@ class ExploreRefusal(Exception):
     pass
 
 
-@dataclass
-class ExploreResult:
-    states: int
-    terminals: dict[str, int]
-    stuck_reports: list[dict]
-    deadlock_cycles: list[list[int]]
-    budget_hits: int
+class ExploreResult(Record, frozen=False):
+    def __init__(self, states: int, terminals: dict[str, int], stuck_reports: list[dict],
+                 deadlock_cycles: list[list[int]], budget_hits: int) -> None:
+        self.__dict__.update(states=states, terminals=terminals, stuck_reports=stuck_reports,
+                             deadlock_cycles=deadlock_cycles, budget_hits=budget_hits)
 
 
 #: `explore` refuses a state with more live threads than this unless forced.

@@ -78,7 +78,6 @@ each thread's effect assignment once before re-typing it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import effects as fx
@@ -92,6 +91,7 @@ from .syntax import (
     Expr,
     FnType,
     Location,
+    Record,
     RegionLit,
     RegionPolyType,
     Type,
@@ -101,11 +101,10 @@ from .syntax import (
 from .typecheck import CheckFailure, Checker, TypedProgram, _Env, type_eq
 
 
-@dataclass(frozen=True)
-class Violation:
-    check: str    # "thread-typing" | "store-consistency" | "store-typing" | "not-stuck"
-    message: str
-    thread: Optional[int] = None
+class Violation(Record):
+    # check: "thread-typing" | "store-consistency" | "store-typing" | "not-stuck"
+    def __init__(self, check: str, message: str, thread: Optional[int] = None) -> None:
+        self.__dict__.update(check=check, message=message, thread=thread)
 
     def to_json(self) -> dict:
         return {"check": self.check, "message": self.message, "thread": self.thread}

@@ -27,7 +27,6 @@ A renamed binder prints as `rho%n`, which the lexer rejects, like `rgn<..>`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from .syntax import (
@@ -60,6 +59,7 @@ from .syntax import (
     Parent,
     ParMode,
     Prim,
+    Record,
     RefType,
     RegionApp,
     RegionLambda,
@@ -84,16 +84,14 @@ class ParseError(Exception):
         self.loc = loc
 
 
-@dataclass(frozen=True)
-class Definition:
-    name: str
-    body: Expr
-    loc: Loc
+class Definition(Record):
+    def __init__(self, name: str, body: Expr, loc: Loc) -> None:
+        self.__dict__.update(name=name, body=body, loc=loc)
 
 
-@dataclass(frozen=True)
-class SourceProgram:
-    defs: tuple[Definition, ...]
+class SourceProgram(Record):
+    def __init__(self, defs: tuple[Definition, ...]) -> None:
+        self.__dict__.update(defs=defs)
 
     def get(self, name: str) -> Definition:
         for d in self.defs:
@@ -132,11 +130,10 @@ _TOKEN = re.compile("|".join([
 ]))
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # "name", "int", "punct", "eof"
-    text: str
-    loc: Loc
+class Token(Record):
+    # kind: "name", "int", "punct", "eof"
+    def __init__(self, kind: str, text: str, loc: Loc) -> None:
+        self.__dict__.update(kind=kind, text=text, loc=loc)
 
 
 def lex(source: str) -> list[Token]:

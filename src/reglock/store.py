@@ -19,16 +19,14 @@ arguments.  A fault is not kept: it raises on every call.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from .syntax import CapOp, Effect, Expr, Location, RegionLit, cached_digest, expr_digest
+from .syntax import CapOp, Effect, Expr, Location, Record, RegionLit, cached_digest, expr_digest
 
 
-@dataclass(frozen=True)
-class Counts:
-    rg: int = 0
-    lk: int = 0
+class Counts(Record):
+    def __init__(self, rg: int = 0, lk: int = 0) -> None:
+        self.__dict__.update(rg=rg, lk=lk)
 
     def __str__(self) -> str:
         return f"({self.rg},{self.lk})"
@@ -44,20 +42,19 @@ class StoreFault(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
-class Blocked:
+class Blocked(Record):
     """A lock operation must wait; `holders` are the threads in the way."""
 
-    region: RegionLit
-    holders: frozenset[int]
+    def __init__(self, region: RegionLit, holders: frozenset[int]) -> None:
+        self.__dict__.update(region=region, holders=holders)
 
 
-@dataclass(frozen=True)
-class RegionNode:
-    rid: RegionLit
-    threads: tuple[tuple[int, Counts], ...]  # sorted by thread id
-    heap: tuple[tuple[Location, Expr], ...]  # sorted by location index
-    children: tuple["RegionNode", ...]
+class RegionNode(Record):
+    # threads: sorted by thread id; heap: sorted by location index
+    def __init__(self, rid: RegionLit, threads: tuple[tuple[int, Counts], ...],
+                 heap: tuple[tuple[Location, Expr], ...],
+                 children: tuple[RegionNode, ...]) -> None:
+        self.__dict__.update(rid=rid, threads=threads, heap=heap, children=children)
 
     def counts_for(self, tid: int) -> Counts:
         for t, c in self.threads:
@@ -108,11 +105,11 @@ def _encode_region(node: RegionNode, kid_digests: bytes) -> bytes:
     return f"{node.rid}\0{counts}\0{len(node.heap)}\0".encode() + heap + kid_digests
 
 
-@dataclass(frozen=True)
-class Store:
-    root: Optional[RegionNode]
+class Store(Record):
+    def __init__(self, root: Optional[RegionNode]) -> None:
+        self.__dict__.update(root=root)
 
-    _ops = None  # the memo of `_memo`; not a field, so eq, repr and `replace` ignore it
+    _ops = None  # the memo of `_memo`; not a field, so eq, hash and repr ignore it
 
     # -- traversal ---------------------------------------------------------------
 

@@ -1,39 +1,77 @@
 """Core syntax: region names, capabilities, effects, types and expressions.
 
-Everything here is an immutable value.  Expressions carry an optional source
-location that is ignored by structural equality, so a pretty-printed and
-re-parsed term compares equal to the original.
+Everything here is an immutable value.  A *record* (`Record`) declares its
+fields once, as the parameters of a hand-written `__init__` whose body is one
+`self.__dict__.update(...)` call, so defining one generates and compiles no
+code.  Records of one class are equal when their compared fields are, and
+`hash(r)` is `hash(tuple(compared fields))`.  A term form neither compares
+nor shows its source location, so a pretty-printed and re-parsed term
+compares equal to the original.  Assigning or deleting a field raises
+`FrozenInstanceError`, except on a record made with `frozen=False`, which is
+unhashable.  A value cached on a node (a digest, free names, a step) is an
+attribute outside the fields, set with `object.__setattr__`.  An *atom*
+(`_Atom`: region names and capabilities) is hash-consed: equality is identity.
 """
 
 from __future__ import annotations
 
 import operator
 import weakref
-from dataclasses import FrozenInstanceError, dataclass, field, fields
 from enum import Enum
 from functools import partial
 from hashlib import blake2b
-from typing import (AbstractSet, Callable, Iterable, Iterator, Optional, Union, get_args,
-                    get_type_hints)
+from typing import AbstractSet, Callable, Iterable, Iterator, Optional, Union, get_args
 
 
 # ---------------------------------------------------------------------------
-# Source locations
+# Records and atoms
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Loc:
-    line: int
-    col: int
-
-    def __str__(self) -> str:
-        return f"{self.line}:{self.col}"
+class FrozenInstanceError(AttributeError):
+    """An assignment to, or a deletion of, an attribute of an immutable value."""
 
 
-# ---------------------------------------------------------------------------
-# Region names and parents
-# ---------------------------------------------------------------------------
+class Record:
+    """A value with named fields; see the module docstring.  `_fields` are
+    the parameters of `__init__`, in order, and `_compared` are those that
+    `==`, `hash` and `repr` read: all but the `_hidden` ones."""
+
+    _fields: tuple[str, ...] = ()
+    _compared: tuple[str, ...] = ()
+    _hidden: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen: bool = True) -> None:
+        code = cls.__init__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        cls._compared = tuple(name for name in cls._fields if name not in cls._hidden)
+        if not frozen:
+            cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
+            cls.__hash__ = None  # type: ignore[assignment]
+
+    def __init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._compared])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def _forget(table: dict, key: tuple, ref: weakref.ref) -> None:
@@ -64,10 +102,7 @@ class _Atom:
             cls._table[values] = weakref.ref(atom, partial(_forget, cls._table, values))
         return atom
 
-    def __setattr__(self, name: str, value=None) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
+    __setattr__, __delattr__ = Record.__setattr__, Record.__delattr__
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
@@ -75,6 +110,24 @@ class _Atom:
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({shown})"
+
+
+# ---------------------------------------------------------------------------
+# Source locations
+# ---------------------------------------------------------------------------
+
+
+class Loc(Record):
+    def __init__(self, line: int, col: int) -> None:
+        self.__dict__.update(line=line, col=col)
+
+    def __str__(self) -> str:
+        return f"{self.line}:{self.col}"
+
+
+# ---------------------------------------------------------------------------
+# Region names and parents
+# ---------------------------------------------------------------------------
 
 
 class RegionVar(_Atom):
@@ -301,52 +354,47 @@ EMPTY_EFFECT = Effect()
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BaseType:
-    name: str  # "int" or "bool"
+class BaseType(Record):
+    def __init__(self, name: str) -> None:  # "int" or "bool"
+        self.__dict__.update(name=name)
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
-class UnitType:
+class UnitType(Record):
     def __str__(self) -> str:
         return "unit"
 
 
-@dataclass(frozen=True)
-class FnType:
-    param: "Type"
-    effect_in: Effect
-    effect_out: Effect
-    result: "Type"
+class FnType(Record):
+    def __init__(self, param: Type, effect_in: Effect, effect_out: Effect, result: Type) -> None:
+        self.__dict__.update(param=param, effect_in=effect_in, effect_out=effect_out,
+                             result=result)
 
     def __str__(self) -> str:
         return f"fn({self.param}) @ [{self.effect_in} -> {self.effect_out}] -> {self.result}"
 
 
-@dataclass(frozen=True)
-class RegionPolyType:
-    var: RegionVar
-    body: "Type"
+class RegionPolyType(Record):
+    def __init__(self, var: RegionVar, body: Type) -> None:
+        self.__dict__.update(var=var, body=body)
 
     def __str__(self) -> str:
         return f"forall {self.var}. {self.body}"
 
 
-@dataclass(frozen=True)
-class RefType:
-    elem: "Type"
-    region: RegionName
+class RefType(Record):
+    def __init__(self, elem: Type, region: RegionName) -> None:
+        self.__dict__.update(elem=elem, region=region)
 
     def __str__(self) -> str:
         return f"ref({self.elem}, {self.region})"
 
 
-@dataclass(frozen=True)
-class HandleType:
-    region: RegionName
+class HandleType(Record):
+    def __init__(self, region: RegionName) -> None:
+        self.__dict__.update(region=region)
 
     def __str__(self) -> str:
         return f"rgn({self.region})"
@@ -374,11 +422,11 @@ class SeqMode(Enum):
 SEQ_MODE = SeqMode.SEQ
 
 
-@dataclass(frozen=True)
-class ParMode:
+class ParMode(Record):
     """Thread-spawning application; transfer is None until inferred."""
 
-    transfer: Optional[Effect] = None
+    def __init__(self, transfer: Optional[Effect] = None) -> None:
+        self.__dict__.update(transfer=transfer)
 
     def __repr__(self) -> str:
         return f"par[{self.transfer}]"
@@ -420,149 +468,121 @@ class UnitVal(Enum):
 UNIT_VALUE = UnitVal.UNIT
 
 
-@dataclass(frozen=True)
-class Location:
+class Location(Record):
     """Runtime heap location, tagged with the region literal it lives in."""
 
-    idx: int
-    region: RegionLit
+    def __init__(self, idx: int, region: RegionLit) -> None:
+        self.__dict__.update(idx=idx, region=region)
 
     def __str__(self) -> str:
         return f"loc{self.idx}@{self.region}"
 
 
-def _loc_field():
-    return field(default=None, compare=False, repr=False)
+class _Term(Record):
+    """A term form.  Its last field, `loc`, is the source location, which
+    `==`, `hash` and `repr` leave out."""
+
+    _hidden = ("loc",)
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
-    loc: Optional[Loc] = _loc_field()
+class Var(_Term):
+    def __init__(self, name: str, loc: Optional[Loc] = None) -> None:
+        self.__dict__.update(name=name, loc=loc)
 
 
-@dataclass(frozen=True)
-class Const:
-    value: Union[int, bool, UnitVal]
-    loc: Optional[Loc] = _loc_field()
+class Const(_Term):
+    def __init__(self, value: Union[int, bool, UnitVal], loc: Optional[Loc] = None) -> None:
+        self.__dict__.update(value=value, loc=loc)
 
 
-@dataclass(frozen=True)
-class Lambda:
+class Lambda(_Term):
     """Term abstraction.  A parser-generated `let` binder carries no
     annotations (param_type/effects are None) and is applied transparently."""
 
-    param: str
-    param_type: Optional[Type]
-    body: "Expr"
-    effect_in: Optional[Effect]
-    effect_out: Optional[Effect]
-    loc: Optional[Loc] = _loc_field()
+    def __init__(self, param: str, param_type: Optional[Type], body: Expr,
+                 effect_in: Optional[Effect], effect_out: Optional[Effect],
+                 loc: Optional[Loc] = None) -> None:
+        self.__dict__.update(param=param, param_type=param_type, body=body,
+                             effect_in=effect_in, effect_out=effect_out, loc=loc)
 
 
-@dataclass(frozen=True)
-class RegionLambda:
-    var: RegionVar
-    body: "Expr"
-    loc: Optional[Loc] = _loc_field()
+class RegionLambda(_Term):
+    def __init__(self, var: RegionVar, body: Expr, loc: Optional[Loc] = None) -> None:
+        self.__dict__.update(var=var, body=body, loc=loc)
 
 
-@dataclass(frozen=True)
-class App:
-    fn: "Expr"
-    arg: "Expr"
-    mode: CallingMode = SEQ_MODE
-    loc: Optional[Loc] = _loc_field()
+class App(_Term):
+    def __init__(self, fn: Expr, arg: Expr, mode: CallingMode = SEQ_MODE,
+                 loc: Optional[Loc] = None) -> None:
+        self.__dict__.update(fn=fn, arg=arg, mode=mode, loc=loc)
 
 
-@dataclass(frozen=True)
-class RegionApp:
-    fn: "Expr"
-    region: RegionName
-    loc: Optional[Loc] = _loc_field()
+class RegionApp(_Term):
+    def __init__(self, fn: Expr, region: RegionName, loc: Optional[Loc] = None) -> None:
+        self.__dict__.update(fn=fn, region=region, loc=loc)
 
 
-@dataclass(frozen=True)
-class NewRef:
-    init: "Expr"
-    handle: "Expr"
-    loc: Optional[Loc] = _loc_field()
+class NewRef(_Term):
+    def __init__(self, init: Expr, handle: Expr, loc: Optional[Loc] = None) -> None:
+        self.__dict__.update(init=init, handle=handle, loc=loc)
 
 
-@dataclass(frozen=True)
-class Deref:
-    ref: "Expr"
-    loc: Optional[Loc] = _loc_field()
+class Deref(_Term):
+    def __init__(self, ref: Expr, loc: Optional[Loc] = None) -> None:
+        self.__dict__.update(ref=ref, loc=loc)
 
 
-@dataclass(frozen=True)
-class Assign:
-    target: "Expr"
-    value: "Expr"
-    loc: Optional[Loc] = _loc_field()
+class Assign(_Term):
+    def __init__(self, target: Expr, value: Expr, loc: Optional[Loc] = None) -> None:
+        self.__dict__.update(target=target, value=value, loc=loc)
 
 
-@dataclass(frozen=True)
-class NewRgn:
-    var: RegionVar
-    handle_name: str
-    parent_handle: "Expr"
-    body: "Expr"
-    loc: Optional[Loc] = _loc_field()
+class NewRgn(_Term):
+    def __init__(self, var: RegionVar, handle_name: str, parent_handle: Expr, body: Expr,
+                 loc: Optional[Loc] = None) -> None:
+        self.__dict__.update(var=var, handle_name=handle_name, parent_handle=parent_handle,
+                             body=body, loc=loc)
 
 
-@dataclass(frozen=True)
-class Cap:
-    op: CapOp
-    handle: "Expr"
-    loc: Optional[Loc] = _loc_field()
+class Cap(_Term):
+    def __init__(self, op: CapOp, handle: Expr, loc: Optional[Loc] = None) -> None:
+        self.__dict__.update(op=op, handle=handle, loc=loc)
 
 
-@dataclass(frozen=True)
-class RgnVal:
+class RgnVal(_Term):
     """Runtime-only region handle value; never produced by the parser."""
 
-    region: RegionLit
-    loc: Optional[Loc] = _loc_field()
+    def __init__(self, region: RegionLit, loc: Optional[Loc] = None) -> None:
+        self.__dict__.update(region=region, loc=loc)
 
 
-@dataclass(frozen=True)
-class LocVal:
+class LocVal(_Term):
     """Runtime-only location value; never produced by the parser."""
 
-    location: Location
-    loc: Optional[Loc] = _loc_field()
+    def __init__(self, location: Location, loc: Optional[Loc] = None) -> None:
+        self.__dict__.update(location=location, loc=loc)
 
 
-@dataclass(frozen=True)
-class If:
-    cond: "Expr"
-    then: "Expr"
-    orelse: "Expr"
-    loc: Optional[Loc] = _loc_field()
+class If(_Term):
+    def __init__(self, cond: Expr, then: Expr, orelse: Expr, loc: Optional[Loc] = None) -> None:
+        self.__dict__.update(cond=cond, then=then, orelse=orelse, loc=loc)
 
 
-@dataclass(frozen=True)
-class Seq:
-    first: "Expr"
-    second: "Expr"
-    loc: Optional[Loc] = _loc_field()
+class Seq(_Term):
+    def __init__(self, first: Expr, second: Expr, loc: Optional[Loc] = None) -> None:
+        self.__dict__.update(first=first, second=second, loc=loc)
 
 
-@dataclass(frozen=True)
-class While:
-    cond: "Expr"
-    body: "Expr"
-    loc: Optional[Loc] = _loc_field()
+class While(_Term):
+    def __init__(self, cond: Expr, body: Expr, loc: Optional[Loc] = None) -> None:
+        self.__dict__.update(cond=cond, body=body, loc=loc)
 
 
-@dataclass(frozen=True)
-class Prim:
+class Prim(_Term):
     """Primitive operator over base-type values."""
 
-    op: str
-    args: tuple["Expr", ...]
-    loc: Optional[Loc] = _loc_field()
+    def __init__(self, op: str, args: tuple[Expr, ...], loc: Optional[Loc] = None) -> None:
+        self.__dict__.update(op=op, args=args, loc=loc)
 
 
 Expr = Union[Var, Const, Lambda, RegionLambda, App, RegionApp, NewRef, Deref,
@@ -600,7 +620,8 @@ def is_let(e: Expr) -> bool:
 # The generic walks over terms loop over `_FIELDS`: `children`,
 # `subst_expr`, the cached digests and free names, and the interpreter's
 # contexts.  `BINDERS` is the only statement of which names a form binds,
-# and `REGION_FIELDS` of where a term names regions outside its subterms.
+# `_SUBTERMS` of which fields hold subterms, and `REGION_FIELDS` of where a
+# term names regions outside its subterms.
 
 #: Forms without subterms.
 LEAVES = (Var, Const, RgnVal, LocVal)
@@ -615,15 +636,18 @@ REGION_FIELDS = {Lambda: ("param_type", "effect_in", "effect_out"), RegionApp: (
                  App: ("mode",)}
 
 #: Each form's fields, the source location left out, in evaluation order.
-_FIELDS = {form: tuple(f.name for f in fields(form) if f.name != "loc")
-           for form in get_args(Expr)}
+_FIELDS = {form: form._compared for form in get_args(Expr)}
 
-#: Each form's subterm fields (a `Prim`'s operands are one field, a tuple),
-#: and its other fields, which the digest encodes.  The walks read these
-#: tables instead of testing the type of every field.
-_SUBTERMS = {form: tuple(name for name, hint in get_type_hints(form).items()
-                         if hint in (Expr, tuple[Expr, ...]))
-             for form in _FIELDS}
+#: Each form's subterm fields, in evaluation order (a `Prim`'s operands are
+#: one field, a tuple), and its other fields, which the digest encodes.  The
+#: walks read these tables instead of testing the type of every field.
+_SUBTERMS = {
+    Var: (), Const: (), RgnVal: (), LocVal: (),
+    Lambda: ("body",), RegionLambda: ("body",), App: ("fn", "arg"), RegionApp: ("fn",),
+    NewRef: ("init", "handle"), Deref: ("ref",), Assign: ("target", "value"),
+    NewRgn: ("parent_handle", "body"), Cap: ("handle",), If: ("cond", "then", "orelse"),
+    Seq: ("first", "second"), While: ("cond", "body"), Prim: ("args",),
+}
 _ATTRS = {form: tuple(name for name in names if name not in _SUBTERMS[form])
           for form, names in _FIELDS.items()}
 
@@ -803,9 +827,9 @@ def _subst(e: Expr, sigma: dict, rho: dict) -> Expr:
 # Values cached on nodes: Merkle digests and free names
 # ---------------------------------------------------------------------------
 
-# Attributes, not fields: eq, repr and replace ignore them, and
-# `dataclasses.replace` makes a new node, so a cached value never outlives
-# the fields it was computed from.
+# Attributes, not fields: eq, hash and repr ignore them, and a node with
+# other fields is a new node, so a cached value never outlives the fields it
+# was computed from.
 _DIGEST = "_digest"
 _FREE = "_free"
 

@@ -30,7 +30,6 @@ region application's instance is cached on its type, one per region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from . import effects as fx
@@ -64,6 +63,7 @@ from .syntax import (
     NewRgn,
     ParMode,
     Prim,
+    Record,
     RefType,
     RegionApp,
     RegionLambda,
@@ -100,15 +100,11 @@ DIAG_CODES = frozenset({
 })
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    code: str
-    message: str
-    loc: Optional[Loc] = None
-    effect: Optional[Effect] = None
-
-    def __post_init__(self) -> None:
-        assert self.code in DIAG_CODES, f"unknown diagnostic code {self.code}"
+class Diagnostic(Record):
+    def __init__(self, code: str, message: str, loc: Optional[Loc] = None,
+                 effect: Optional[Effect] = None) -> None:
+        assert code in DIAG_CODES, f"unknown diagnostic code {code}"
+        self.__dict__.update(code=code, message=message, loc=loc, effect=effect)
 
     def render(self) -> str:
         where = f"{self.loc}: " if self.loc else ""
@@ -130,24 +126,23 @@ class CheckFailure(Exception):
         self.diagnostic = diagnostic
 
 
-@dataclass
-class TypedProgram:
+class TypedProgram(Record, frozen=False):
     """A successfully checked program, with each definition's type and the
     effect after each of its source lines."""
 
-    program: SourceProgram
-    def_types: dict[str, Type]
-    effect_lines: dict[str, dict[int, Effect]]
+    def __init__(self, program: SourceProgram, def_types: dict[str, Type],
+                 effect_lines: dict[str, dict[int, Effect]]) -> None:
+        self.__dict__.update(program=program, def_types=def_types, effect_lines=effect_lines)
 
     def linked_main(self) -> Expr:
         return link_bodies(self.program)
 
 
-@dataclass
-class CheckResult:
-    ok: bool
-    diagnostics: list[Diagnostic] = field(default_factory=list)
-    typed: Optional[TypedProgram] = None
+class CheckResult(Record, frozen=False):
+    def __init__(self, ok: bool, diagnostics: Optional[list[Diagnostic]] = None,
+                 typed: Optional[TypedProgram] = None) -> None:
+        self.__dict__.update(ok=ok, diagnostics=[] if diagnostics is None else diagnostics,
+                             typed=typed)
 
 
 def type_eq(a: Type, b: Type, lenient: bool = False) -> bool:
@@ -183,10 +178,9 @@ def effect_eq(a: Effect, b: Effect, lenient: bool = False) -> bool:
     return a.same_counts(b) if lenient else a == b
 
 
-@dataclass
-class _Env:
-    vars: dict[str, Type]
-    region_vars: frozenset[RegionVar]
+class _Env(Record, frozen=False):
+    def __init__(self, vars: dict[str, Type], region_vars: frozenset[RegionVar]) -> None:
+        self.__dict__.update(vars=vars, region_vars=region_vars)
 
     def bind(self, name: str, t: Type) -> "_Env":
         table = dict(self.vars)

@@ -49,6 +49,13 @@ def corpus_text(name: str) -> str:
     return (CORPUS / name).read_text()
 
 
+def rebuild(record, **changes):
+    """A new record of `record`'s class from its declared fields, with
+    `changes` in place of some; it carries no value cached on `record`."""
+    fields = {name: getattr(record, name) for name in record._fields}
+    return type(record)(**{**fields, **changes})
+
+
 def paired_long_seq(n: int) -> str:
     """One thread sharing and freeing a region n times, nested in pairs:
     `((share h; free h); …; free h)` runs in 4n+5 steps."""

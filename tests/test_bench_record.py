@@ -6,6 +6,8 @@ import importlib.util
 import json
 import pathlib
 
+import pytest
+
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "bench_record.py"
 
 
@@ -56,3 +58,26 @@ def test_compare_notes_records_made_differently(tmp_path, capsys):
     assert tool.main(["--compare", *map(str, paths)]) == 0
     notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("note:")]
     assert [note.split()[1] for note in notes] == ["nproc", "bench"]
+
+
+def with_answers(record: dict, correct: bool, failed: int, attempted: int) -> dict:
+    record["workloads"]["lock_tree"].update(correct=correct, failed=failed, attempted=attempted)
+    return record
+
+
+@pytest.mark.parametrize("old, new, code", [
+    ((True, 0, 100), (True, 0, 120), 0),
+    ((True, 2, 100), (True, 2, 200), 0),   # a smaller failed share
+    ((True, 0, 100), (False, 0, 100), 1),  # a wrong answer
+    ((False, 0, 100), (False, 0, 100), 1),
+    ((True, 1, 100), (True, 3, 150), 1),   # a larger failed share
+])
+def test_compare_checks_answers_and_failures(tmp_path, capsys, old, new, code):
+    tool = load_tool()
+    paths = write_records(tmp_path, with_answers(a_record(check_ms=(7.0, 0.1)), *old),
+                          with_answers(a_record(check_ms=(7.0, 0.1)), *new))
+    assert tool.main(["--compare", *map(str, paths)]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[1] for line in lines] == ["answers", "check_ms"]
+    assert lines[0].split()[-1] == ("WORSE" if code else "ok")
+    assert f"failed {old[1]}/{old[2]} -> {new[1]}/{new[2]}" in lines[0]

@@ -7,7 +7,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -26,7 +25,7 @@ from reglock.syntax import (
     expr_digest,
 )
 from reglock.typecheck import check_program, link_bodies
-from conftest import CORPUS, RUNNABLE, corpus_text, lock_tree, paired_long_seq
+from conftest import CORPUS, RUNNABLE, corpus_text, lock_tree, paired_long_seq, rebuild
 
 
 def linked_main(text: str, checked: bool = True):
@@ -70,12 +69,12 @@ def test_source_locations_are_ignored():
 def test_replace_never_keeps_a_stale_digest():
     e = Seq(Const(1), Const(2))
     before = expr_digest(e)
-    changed = replace(e, second=Const(3))
+    changed = rebuild(e, second=Const(3))
     assert expr_digest(changed) != before
     assert expr_digest(changed) == expr_digest(Seq(Const(1), Const(3)))
     node = initial_store(HEAP, 1).root
     node.digest()
-    assert replace(node, threads=()).digest() != node.digest()
+    assert rebuild(node, threads=()).digest() != node.digest()
 
 
 def test_constants_are_tagged_with_their_type():

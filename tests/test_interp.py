@@ -2,8 +2,7 @@ from __future__ import annotations
 
 import gc
 import weakref
-from dataclasses import replace
-from typing import get_args, get_type_hints
+from typing import get_args
 
 import pytest
 from hypothesis import given, settings
@@ -32,6 +31,7 @@ from reglock.parser import parse_program
 from reglock.store import Store, StoreFault, initial_store
 from reglock.syntax import (
     _FIELDS,
+    _SUBTERMS,
     EMPTY_EFFECT,
     HEAP,
     INT,
@@ -64,7 +64,7 @@ from reglock.syntax import (
     is_value,
 )
 from reglock.typecheck import check_program, link_bodies
-from conftest import RUNNABLE, corpus_text, lock_tree
+from conftest import RUNNABLE, corpus_text, lock_tree, rebuild
 
 
 def typed_main(name: str):
@@ -143,8 +143,7 @@ DELAYED = {If: {"then", "orelse"}, Seq: {"second"}, While: {"cond", "body"}, New
 
 
 def term_fields(form: type) -> tuple[str, ...]:
-    hints = get_type_hints(form)
-    return tuple(name for name in _FIELDS[form] if hints[name] == Expr)
+    return tuple(name for name in _FIELDS[form] if name in _SUBTERMS[form])
 
 
 @settings(max_examples=300, deadline=None)
@@ -267,7 +266,7 @@ class TestStepping:
     def test_unannotated_spawn_of_a_non_function_is_stuck(self):
         # Only a function has an input effect to transfer.
         spawn = App(Const(5), Const(UNIT_VALUE), ParMode(None))
-        config = replace(initial_config(Const(UNIT_VALUE)), threads=(Thread(1, spawn),))
+        config = rebuild(initial_config(Const(UNIT_VALUE)), threads=(Thread(1, spawn),))
         outcome = step_thread(config, 1)
         assert isinstance(outcome, Stuck) and outcome.code == "BadApplication"
 
@@ -335,9 +334,9 @@ class TestExplore:
 
 
 def step_uncached(config: Config, tid: int):
-    """`step_thread` on a copy of the thread's root term: `replace` drops
+    """`step_thread` on a copy of the thread's root term: `rebuild` drops
     the cached step, and only a thread's root term carries one."""
-    threads = tuple(Thread(t.tid, replace(t.expr)) if t.tid == tid else t
+    threads = tuple(Thread(t.tid, rebuild(t.expr)) if t.tid == tid else t
                     for t in config.threads)
     return step_thread(Config(config.store, threads, config.next_tid, config.next_loc,
                               config.next_region), tid)

@@ -44,6 +44,7 @@ from conftest import (
     corpus_text,
     lock_tree,
     paired_long_seq,
+    rebuild,
 )
 
 A = RegionLit("a")
@@ -212,7 +213,6 @@ class TestPreservationOverRuns:
         main = t.linked_main()
         harness = Harness(t)
         from reglock import interp as interp_mod
-        from dataclasses import replace as dc_replace
 
         config = initial_config(main)
         assert harness.observe_init(config) == []
@@ -231,7 +231,7 @@ class TestPreservationOverRuns:
                 store = outcome.config.store
                 path = store.path_to(outcome.info[1])
                 store = store._rebuild(path, path[-1].with_counts(1, Counts(1, 0)))
-                outcome = dc_replace(outcome, config=dc_replace(outcome.config, store=store))
+                outcome = rebuild(outcome, config=rebuild(outcome.config, store=store))
                 tampered = True
             config, _ = interp_mod._apply_outcome(outcome)
             violations = harness.after_step(tid, outcome, outcomes)

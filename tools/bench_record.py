@@ -21,8 +21,11 @@ more than that (better). A metric inside its bound whose IQR on either side
 exceeds the bound, as a share of its median, is `unresolved`: the spread of
 the runs is too wide to call it unchanged. Every metric is listed, after a
 note for each of `nproc`, `python` and `bench` (rounds, seconds and seeds)
-that differs between the records; the exit code is 1 when a metric is WORSE,
-else 0.
+that differs between the records, and after each workload's answers: whether
+every answer was correct and the failed share of operations (failed /
+attempted) on both sides. The answers are WORSE when a new answer is wrong or
+a larger share of operations failed. The exit code is 1 when a metric or the
+answers are WORSE, else 0.
 
 Times in a record are perfbench's reference seconds, a command's time over
 the time of a fixed reference loop run beside it. Two records from different
@@ -146,6 +149,23 @@ def compare(old: dict, new: dict, spec: dict) -> list[tuple]:
     return rows
 
 
+def answers(old: dict, new: dict, spec: dict) -> list[tuple]:
+    """(workload, old, new, status) for every workload whose answers the new
+    record holds; each side is (correct, failed, attempted), and status is
+    WORSE or ok."""
+    rows = []
+    for w in spec["workloads"]:
+        b = new["workloads"].get(w["name"], {})
+        if "correct" not in b:
+            continue
+        a = old["workloads"].get(w["name"], {})
+        sides = [(s.get("correct"), s.get("failed", 0), s.get("attempted", 0)) for s in (a, b)]
+        shares = [failed / attempted if attempted else 0.0 for _, failed, attempted in sides]
+        worse = sides[1][0] is not True or shares[1] > shares[0]
+        rows.append((w["name"], *sides, "WORSE" if worse else "ok"))
+    return rows
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", type=Path, help="write a record of the checkout here")
@@ -159,11 +179,15 @@ def main(argv: list[str] | None = None) -> int:
         for key in ("nproc", "python", "bench"):
             if old.get(key) != new.get(key):
                 print(f"note: {key} differs: {old.get(key)} -> {new.get(key)}")
+        checked = answers(old, new, spec)
+        for w, (ca, fa, aa), (cb, fb, ab), status in checked:
+            print(f"{w:10s} {'answers':18s} correct {ca} -> {cb}, "
+                  f"failed {fa}/{aa} -> {fb}/{ab}  {status}")
         rows = compare(old, new, spec)
         for w, m, a, b, status in rows:
             ratio = f"{b / a:.3f}x" if a else "-"
             print(f"{w:10s} {m:18s} {a:12.6g} {b:12.6g} {ratio:>8s}  {status}")
-        return 1 if any(row[4] == "WORSE" for row in rows) else 0
+        return 1 if any(row[-1] == "WORSE" for row in checked + rows) else 0
     if args.out is None:
         ap.error("give --out FILE to record, or --compare OLD NEW")
     result = record(args.root.resolve())
