@@ -23,6 +23,7 @@ in reglock itself, reported on one line of stderr).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -204,7 +205,10 @@ def cmd_explore(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line grammar, built once per process: `parse_args` reads
+    it and changes nothing in it."""
     ap = argparse.ArgumentParser(prog="reglock", description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = ap.add_subparsers(dest="command", required=True)

@@ -22,11 +22,21 @@ a binder that shadows one in scope is named by the first `rho%n` (n = 1,
 2, ...) not in scope, and every reference reads its binder's name.  No
 binder of a definition then shadows another, so no later pass renames one.
 A renamed binder prints as `rho%n`, which the lexer rejects, like `rgn<..>`.
+
+`lex` gives each token as a plain `(kind, text, offset)` tuple, kind one of
+"name", "int", "punct" and "eof", from one match of `_TOKEN` that also
+takes the blanks, newlines and `//` comments before it.  A token carries
+no `Loc`: the parser makes one only for a node, a `Definition` or a
+`ParseError`, from the token's offset and the offsets at which lines start.
+A column counts characters, a tab as one.  The "eof" token ends every
+list; the end of input sits after the last character outside a comment, so
+a comment that ends the input without a newline is not counted.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from typing import Optional
 
 from .syntax import (
@@ -116,81 +126,94 @@ _PUNCT = [
     "+", "-", "*", "<", "!", "\\", "=",
 ]
 
-# The token grammar, first alternative first.  `\w+` also admits a name
-# that starts with a non-ASCII digit or a character such as `²`, which `lex`
-# rejects: a name starts with a letter or `_`.
-_TOKEN = re.compile("|".join([
-    r"(?P<blank>[ \t\r]+)",
-    r"(?P<comment>//[^\n]*)",
-    r"(?P<newline>\n)",
+# A token: the blanks, newlines and comments before it, then the first
+# alternative that matches.  A comment runs to the end of its line: the
+# lookahead stops backtracking from cutting it short and reading its tail as
+# a token.  A name starts with a letter or `_`; `[^\W\d]` also admits a
+# non-decimal numeric character such as `²`, which `lex` rejects.
+_SKIP = r"[ \t\r\n]*(?://[^\n]*(?![^\n])[ \t\r\n]*)*"
+_TOKEN = re.compile(_SKIP + "(?:" + "|".join([
     r"(?P<int>[0-9]+)",
-    r"(?P<name>\w+)",
+    r"(?P<name>[^\W\d]\w*)",
     "(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + ")",
-    r"(?P<error>.)",
-]))
+]) + ")")
+# What may follow the last token: blanks, newlines and comments, of which
+# only the last may end the input without a newline.
+_TAIL = re.compile(r"[ \t\r\n]*(?://[^\n]*\n[ \t\r\n]*)*")
+_NEWLINE = re.compile("\n")
+
+_Token = tuple[str, str, int]
 
 
-class Token(Record):
-    # kind: "name", "int", "punct", "eof"
-    def __init__(self, kind: str, text: str, loc: Loc) -> None:
-        self.__dict__.update(kind=kind, text=text, loc=loc)
-
-
-def lex(source: str) -> list[Token]:
-    """The tokens of `source`.  A column counts characters, a tab as one; the
-    end of input sits after the last character outside a comment."""
-    tokens: list[Token] = []
-    line, line_start, end = 1, 0, 0
-    for m in _TOKEN.finditer(source):
-        kind = m.lastgroup
-        if kind == "comment":
-            continue
-        end = m.end()
-        if kind == "newline":
-            line, line_start = line + 1, end
-            continue
-        if kind == "blank":
-            continue
-        text, loc = m.group(), Loc(line, m.start() - line_start + 1)
-        if kind == "error" or (kind == "name" and not (text[0].isalpha() or text[0] == "_")):
-            raise ParseError("SyntaxError", f"unexpected character {text[0]!r}", loc)
-        tokens.append(Token(kind, text, loc))
-    tokens.append(Token("eof", "", Loc(line, end - line_start + 1)))
+def lex(source: str) -> list[_Token]:
+    """The tokens of `source`, each `(kind, text, offset)`, the last of kind
+    "eof".  Raises ParseError at the first character that starts no token."""
+    tokens = [(m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup))
+              for m in iter(_TOKEN.scanner(source).match, None)]
+    if not source.isascii():
+        for kind, text, offset in tokens:
+            if kind == "name" and not (text[0].isalpha() or text[0] == "_"):
+                raise _unexpected_character(source, offset)
+    _, text, offset = tokens[-1] if tokens else ("", "", 0)
+    end = _TAIL.match(source, offset + len(text)).end()
+    if end < len(source) and not source.startswith("//", end):
+        raise _unexpected_character(source, end)
+    tokens.append(("eof", "", end))
     return tokens
 
 
+def _unexpected_character(source: str, offset: int) -> ParseError:
+    return ParseError("SyntaxError", f"unexpected character {source[offset]!r}",
+                      _locate(_line_starts(source), offset))
+
+
+def _line_starts(source: str) -> list[int]:
+    return [0] + [m.end() for m in _NEWLINE.finditer(source)]
+
+
+def _locate(line_starts: list[int], offset: int) -> Loc:
+    """The line and column of `offset`, given the offset each line starts
+    at; a column counts characters, a tab as one."""
+    line = bisect_right(line_starts, offset)
+    return Loc(line, offset - line_starts[line - 1] + 1)
+
+
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    def __init__(self, tokens: list[_Token], source: str):
         self.tokens = tokens
         self.pos = 0
+        self.line_starts = _line_starts(source)
         # The region binders in scope, innermost last: (source name, name).
         self.regions: list[tuple[str, RegionVar]] = []
 
     # -- token plumbing --------------------------------------------------------
 
-    def peek(self) -> Token:
+    def loc(self, tok: _Token) -> Loc:
+        return _locate(self.line_starts, tok[2])
+
+    def peek(self) -> _Token:
         return self.tokens[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> _Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
-    def accept(self, text: str) -> Optional[Token]:
+    def accept(self, text: str) -> Optional[_Token]:
         """The next token, consumed, if it reads `text`."""
-        return self.next() if self.tokens[self.pos].text == text else None
+        return self.next() if self.tokens[self.pos][1] == text else None
 
-    def eat(self, text: str) -> Token:
+    def eat(self, text: str) -> _Token:
         tok = self.peek()
-        if tok.text != text:
-            raise ParseError("SyntaxError", f"expected {text!r}, found {tok.text!r}", tok.loc)
+        if tok[1] != text:
+            raise ParseError("SyntaxError", f"expected {text!r}, found {tok[1]!r}", self.loc(tok))
         return self.next()
 
-    def eat_name(self, what: str = "identifier") -> Token:
+    def eat_name(self, what: str = "identifier") -> _Token:
         tok = self.peek()
-        if tok.kind != "name" or tok.text in KEYWORDS:
-            raise ParseError("SyntaxError", f"expected {what}, found {tok.text!r}", tok.loc)
+        if tok[0] != "name" or tok[1] in KEYWORDS:
+            raise ParseError("SyntaxError", f"expected {what}, found {tok[1]!r}", self.loc(tok))
         return self.next()
 
     def region_binder(self, source: str, sep: str) -> tuple[RegionVar, Expr]:
@@ -205,7 +228,7 @@ class _Parser:
 
     def region(self, what: str) -> RegionVar:
         """A region reference: the name of the innermost binder it names."""
-        source = self.eat_name(what).text
+        source = self.eat_name(what)[1]
         return next((var for name, var in reversed(self.regions) if name == source),
                     RegionVar(source))
 
@@ -214,9 +237,9 @@ class _Parser:
     def program(self) -> SourceProgram:
         defs: list[Definition] = []
         names: set[str] = set()
-        while self.peek().kind != "eof":
-            loc = self.eat("def").loc
-            name = self.eat_name("definition name").text
+        while self.peek()[0] != "eof":
+            loc = self.loc(self.eat("def"))
+            name = self.eat_name("definition name")[1]
             if name in names:
                 raise ParseError("DuplicateDefinition", f"definition {name!r} repeated", loc)
             names.add(name)
@@ -234,48 +257,48 @@ class _Parser:
         heads: list[tuple[Expr, Loc]] = []
         e = self.stmt()
         while semi := self.accept(";"):
-            heads.append((e, semi.loc))
+            heads.append((e, self.loc(semi)))
             e = self.stmt()
         for first, loc in reversed(heads):
             e = Seq(first, e, loc)
         return e
 
     def stmt(self) -> Expr:
-        tok = self.peek()
-        if tok.text == "let":
+        text = self.peek()[1]
+        if text == "let":
             return self.let_expr()
-        if tok.text == "if":
-            loc = self.next().loc
+        if text == "if":
+            loc = self.loc(self.next())
             cond = self.assign()
             self.eat("then")
             then = self.stmt()
             self.eat("else")
             orelse = self.stmt()
             return If(cond, then, orelse, loc)
-        if tok.text == "while":
-            loc = self.next().loc
+        if text == "while":
+            loc = self.loc(self.next())
             self.eat("(")
             cond = self.expr()
             self.eat(")")
             self.eat("do")
             body = self.stmt()
             return While(cond, body, loc)
-        if tok.text == "newrgn":
-            loc = self.next().loc
-            source = self.eat_name("region variable").text
+        if text == "newrgn":
+            loc = self.loc(self.next())
+            source = self.eat_name("region variable")[1]
             self.eat(",")
-            handle = self.eat_name("handle name").text
+            handle = self.eat_name("handle name")[1]
             self.eat("at")
             parent = self.postfix()  # outside the binder's scope
             rvar, body = self.region_binder(source, "in")
             return NewRgn(rvar, handle, parent, body, loc)
-        if tok.text == "/\\":
-            loc = self.next().loc
-            rvar, body = self.region_binder(self.eat_name("region variable").text, ".")
+        if text == "/\\":
+            loc = self.loc(self.next())
+            rvar, body = self.region_binder(self.eat_name("region variable")[1], ".")
             return RegionLambda(rvar, body, loc)
-        if tok.text == "\\":
+        if text == "\\":
             return self.lambda_expr()
-        if tok.text == "spawn":
+        if text == "spawn":
             return self.spawn_expr()
         return self.assign()
 
@@ -283,22 +306,22 @@ class _Parser:
         """`let x1 = e1 in … let xn = en in e`, nested to the right."""
         binders: list[tuple[str, Expr, Loc]] = []
         while tok := self.accept("let"):
-            name = self.eat_name("binder name").text
+            name = self.eat_name("binder name")[1]
             self.eat("=")
             bound = self.stmt()
             self.eat("in")
-            binders.append((name, bound, tok.loc))
+            binders.append((name, bound, self.loc(tok)))
         e = self.stmt()
         for name, bound, loc in reversed(binders):
             e = App(Lambda(name, None, e, None, None, loc), bound, SEQ_MODE, loc)
         return e
 
     def lambda_expr(self) -> Expr:
-        loc = self.eat("\\").loc
+        loc = self.loc(self.eat("\\"))
         params: list[tuple[str, Type]] = []
         parens = self.accept("(")
         while True:
-            pname = self.eat_name("parameter name").text
+            pname = self.eat_name("parameter name")[1]
             self.eat(":")
             params.append((pname, self.type_expr()))
             if not (parens and self.accept(",")):
@@ -317,7 +340,7 @@ class _Parser:
         return out
 
     def spawn_expr(self) -> Expr:
-        loc = self.eat("spawn").loc
+        loc = self.loc(self.eat("spawn"))
         transfer: Optional[Effect] = None
         if self.accept("["):
             transfer = self.effect()
@@ -330,7 +353,7 @@ class _Parser:
     def assign(self) -> Expr:
         lhs = self.binary()
         tok = self.accept(":=")
-        return Assign(lhs, self.assign(), tok.loc) if tok else lhs
+        return Assign(lhs, self.assign(), self.loc(tok)) if tok else lhs
 
     def binary(self, floor: int = 0) -> Expr:
         """A chain of binary operators that bind at least as strongly as
@@ -338,25 +361,25 @@ class _Parser:
         e = self.unary()
         while True:
             tok = self.peek()
-            op = PRIM_BINARY.get(tok.text)
+            op = PRIM_BINARY.get(tok[1])
             if op is None or op[2] < floor:
                 return e
             self.next()
-            e = Prim(tok.text, (e, self.binary(op[2] + 1)), tok.loc)
+            e = Prim(tok[1], (e, self.binary(op[2] + 1)), self.loc(tok))
 
     def unary(self) -> Expr:
         tok = self.peek()
-        if tok.text == "!":
-            loc = self.next().loc
+        if tok[1] == "!":
+            loc = self.loc(self.next())
             return Prim("!", (self.unary(),), loc)
-        if tok.text == "deref":
-            loc = self.next().loc
+        if tok[1] == "deref":
+            loc = self.loc(self.next())
             return Deref(self.unary(), loc)
-        if tok.text in _CAP_OP:
+        if tok[1] in _CAP_OP:
             self.next()
-            return Cap(_CAP_OP[tok.text], self.unary(), tok.loc)
-        if tok.text == "new":
-            loc = self.next().loc
+            return Cap(_CAP_OP[tok[1]], self.unary(), self.loc(tok))
+        if tok[1] == "new":
+            loc = self.loc(self.next())
             init = self.binary(PRIM_BINARY["+"][2])
             self.eat("at")
             handle = self.unary()
@@ -367,49 +390,50 @@ class _Parser:
         e = self.atom()
         while True:
             if tok := self.accept("["):
-                e = RegionApp(e, self.region("region name"), tok.loc)
+                e = RegionApp(e, self.region("region name"), self.loc(tok))
                 self.eat("]")
             elif tok := self.accept("("):
                 # Application; `()` directly after an expression is a
                 # unit-argument call.
+                loc = self.loc(tok)
                 if self.accept(")"):
-                    e = App(e, Const(UNIT_VALUE, tok.loc), SEQ_MODE, tok.loc)
+                    e = App(e, Const(UNIT_VALUE, loc), SEQ_MODE, loc)
                     continue
                 args = [self.stmt()]
                 while self.accept(","):
                     args.append(self.stmt())
                 self.eat(")")
                 for a in args:
-                    e = App(e, a, SEQ_MODE, tok.loc)
+                    e = App(e, a, SEQ_MODE, loc)
             else:
                 return e
 
     def atom(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "int":
+        if tok[0] == "int":
             self.next()
-            return Const(int(tok.text), tok.loc)
-        if tok.text in ("true", "false"):
+            return Const(int(tok[1]), self.loc(tok))
+        if tok[1] in ("true", "false"):
             self.next()
-            return Const(tok.text == "true", tok.loc)
+            return Const(tok[1] == "true", self.loc(tok))
         if self.accept("("):
             if self.accept(")"):
-                return Const(UNIT_VALUE, tok.loc)
+                return Const(UNIT_VALUE, self.loc(tok))
             inner = self.expr()
             self.eat(")")
             return inner
-        if tok.kind == "name" and tok.text not in KEYWORDS:
+        if tok[0] == "name" and tok[1] not in KEYWORDS:
             self.next()
-            return Var(tok.text, tok.loc)
-        raise ParseError("SyntaxError", f"unexpected token {tok.text!r}", tok.loc)
+            return Var(tok[1], self.loc(tok))
+        raise ParseError("SyntaxError", f"unexpected token {tok[1]!r}", self.loc(tok))
 
     # -- types and effects --------------------------------------------------------
 
     def type_expr(self) -> Type:
         tok = self.peek()
-        if tok.text in _BASE_TYPES:
+        if tok[1] in _BASE_TYPES:
             self.next()
-            return _BASE_TYPES[tok.text]
+            return _BASE_TYPES[tok[1]]
         if self.accept("rgn"):
             self.eat("(")
             r = self.region("region name")
@@ -430,7 +454,7 @@ class _Parser:
             self.eat("->")
             result = self.type_expr()
             return FnType(param, eff_in, eff_out, result)
-        raise ParseError("SyntaxError", f"expected a type, found {tok.text!r}", tok.loc)
+        raise ParseError("SyntaxError", f"expected a type, found {tok[1]!r}", self.loc(tok))
 
     def annotation(self) -> tuple[Effect, Effect]:
         """`@ [e1 -> e2]`: a function's input and output effects."""
@@ -445,15 +469,15 @@ class _Parser:
     def effect(self) -> Effect:
         self.eat("{")
         entries: list[tuple[RegionVar, Capability, Parent]] = []
-        if self.peek().text != "}":
+        if self.peek()[1] != "}":
             while True:
                 r = self.region("region name")
                 self.eat("^")
                 pure = not self.accept("~")
                 self.eat("(")
-                rg = int(self.eat_int().text)
+                rg = int(self.eat_int()[1])
                 self.eat(",")
-                lk = int(self.eat_int().text)
+                lk = int(self.eat_int()[1])
                 self.eat(")")
                 self.eat("@")
                 entries.append((r, Capability(rg, lk, pure), self.parent()))
@@ -463,12 +487,12 @@ class _Parser:
         try:
             return Effect(entries)
         except ValueError as exc:
-            raise ParseError("SyntaxError", str(exc), self.peek().loc)
+            raise ParseError("SyntaxError", str(exc), self.loc(self.peek()))
 
-    def eat_int(self) -> Token:
+    def eat_int(self) -> _Token:
         tok = self.peek()
-        if tok.kind != "int":
-            raise ParseError("SyntaxError", f"expected a number, found {tok.text!r}", tok.loc)
+        if tok[0] != "int":
+            raise ParseError("SyntaxError", f"expected a number, found {tok[1]!r}", self.loc(tok))
         return self.next()
 
     def parent(self) -> Parent:
@@ -480,16 +504,16 @@ class _Parser:
 
 
 def parse_program(text: str) -> SourceProgram:
-    parser = _Parser(lex(text))
+    parser = _Parser(lex(text), text)
     return parser.program()
 
 
 def parse_expr(text: str) -> Expr:
-    parser = _Parser(lex(text))
+    parser = _Parser(lex(text), text)
     e = parser.expr()
     tok = parser.peek()
-    if tok.kind != "eof":
-        raise ParseError("SyntaxError", f"trailing input {tok.text!r}", tok.loc)
+    if tok[0] != "eof":
+        raise ParseError("SyntaxError", f"trailing input {tok[1]!r}", parser.loc(tok))
     return e
 
 

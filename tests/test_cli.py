@@ -5,9 +5,15 @@ import subprocess
 import sys
 import threading
 
-import pytest
+import argparse
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from reglock import cli
 from reglock.cli import main
+from reglock.parser import _PUNCT, KEYWORDS, lex
 from conftest import (CORPUS, DEAD_HANDLE, POLY_CELL, RUNNABLE, SHADOWED_SPAWN, TWICE,
                       paired_long_seq)
 
@@ -375,3 +381,70 @@ def test_internal_error_exits_six_without_traceback(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("internal error: RecursionError")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_one_grammar_serves_every_command_alike(capsys):
+    """Commands issued one after another in one process print and exit as
+    each does alone in a fresh process: no flag of one reaches the next."""
+    program = corpus("sharing_once.rgn")
+    commands = [["frobnicate", program], ["run", program, "--max-steps", "-1"],
+                ["run", program, "--seed", "3", "--metatheory"],
+                ["run", program, "--seed", "3"], ["check", program, "--json"],
+                ["explore", program, "--json"]]
+    for argv in commands:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        alone = subprocess.run([sys.executable, "-m", "reglock.cli", *argv],
+                               capture_output=True, text=True)
+        assert (code, capsys.readouterr().out) == (alone.returncode, alone.stdout), argv
+
+
+def test_the_grammar_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser.cache_clear()
+    for _ in range(5):
+        assert main(["check", corpus("basic_region.rgn"), "--json"]) == 0
+        assert main(["run", corpus("basic_region.rgn"), "--seed", "1"]) == 0
+    capsys.readouterr()
+    assert built.count("reglock") == 1 and len(built) == 4  # and one per subcommand
+
+
+#: Tokens a mutant may gain: every keyword and punctuation mark, and names
+#: and numbers the corpus uses.
+INSERTED = sorted(KEYWORDS) + _PUNCT + ["h", "heap", "rhoH", "main", "0", "1", "2"]
+
+
+@st.composite
+def mutants(draw) -> str:
+    """A corpus program with one token deleted, doubled or inserted."""
+    path = draw(st.sampled_from(sorted(CORPUS.glob("*.rgn"))))
+    source = path.read_text()
+    tokens = lex(source)
+    _, text, offset = tokens[draw(st.integers(0, len(tokens) - 1))]
+    edit = draw(st.sampled_from(["delete", "double", "insert"]))
+    if edit == "delete":
+        return source[:offset] + source[offset + len(text):]
+    new = text if edit == "double" else draw(st.sampled_from(INSERTED))
+    return f"{source[:offset]}{new} {source[offset:]}"
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(source=mutants())
+def test_broken_programs_get_a_verdict_not_an_internal_error(source, tmp_path, capsys):
+    path = tmp_path / "mutant.rgn"
+    path.write_text(source)
+    for argv in (["check", "--json"], ["run", "--seed", "1", "--max-steps", "300"],
+                 ["explore", "--json", "--max-steps", "60"]):
+        code = main([argv[0], str(path), *argv[1:]])
+        err = capsys.readouterr().err
+        assert code in range(6) and "internal error" not in err, (argv, err)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import importlib.util
 import pathlib
 
+import lex_model
 from reglock import interp
 from reglock.cli import main
 from conftest import CORPUS
@@ -39,3 +40,18 @@ def test_tracing_wraps_the_step_path(capsys):
     for name in ("step_thread", "decompose", "_apply_outcome", "config_digest",
                  "run_seeded", "explore"):
         assert tracer.calls[f"interp.{name}"] > 0, name
+
+
+def test_tracing_counts_every_token(capsys):
+    # `parser.tokens_per_s` divides the length of what `lex` returns by its
+    # time, so `lex` gives one entry per token, the end of input included.
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    path = CORPUS / "hierarchy.rgn"
+    remove = tracing.install(tracer)
+    try:
+        assert main(["check", str(path)]) == 0
+    finally:
+        remove()
+    capsys.readouterr()
+    assert tracer.counts["tokens"] == len(lex_model.lex(path.read_text()))
