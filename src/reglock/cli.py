@@ -17,7 +17,9 @@ of `check --json`, {"ok": false, "diagnostics": [...]}, under `check --json`,
 Exit codes: 0 success, 1 rejected by the checker, 2 usage or I/O error,
 3 deadlock detected, 4 stuck state or metatheory violation (a soundness
 fault), 5 exploration budget exceeded or refused, 6 internal error (a fault
-in reglock itself, reported on one line of stderr).
+in reglock itself, reported on one line of stderr).  An output that cannot
+be written (a reader that closes the pipe early, a full device) is an I/O
+error: exit 2 with one line of stderr, and nothing more is written.
 """
 
 from __future__ import annotations
@@ -243,13 +245,33 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _discard_stdout() -> None:
+    """Point the stdout file descriptor at the null device, when there is one."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # replaced by an in-memory stream
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "max_steps", 0) < 0:
         print(f"error: --max-steps must be at least 0, got {args.max_steps}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a write error surfaces here, not at exit
+        return code
+    except OSError as exc:
+        # The output could not be written: a reader that closed its end
+        # (EPIPE) or a full device.  Output goes to the null device from
+        # here, so the flush at exit writes nothing and fails nowhere.
+        _discard_stdout()
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except Exception as exc:
         # Last resort: a fault in reglock itself must not pass for a verdict
         # on the program, and must not print a traceback.

@@ -5,6 +5,18 @@ a list of frames, each a node and the evaluation position that holds the
 hole, found by a loop over the table `EVAL_FIELDS`.  Decomposing a term and
 plugging a reduct back cost no recursion, however deep the context.
 
+The machine binds instead of substituting.  E-A, E-RP and E-NG close the
+body they enter over its new bindings (`syntax.Closure`: the parameter's
+value, the region variable's literal, the new region and its handle), so a
+step costs its redex, and a program body keeps its cached digest and free
+names for the whole run.  `decompose` pushes a closure one level inward
+when the hole enters it (`syntax.push`): a node of its body's form, whose
+subterms are closed over the same bindings.  A closure stands for its
+read-back, the body with its bindings substituted: it is digested and
+printed as that term, without building it.  A value that leaves its thread
+is closed by substitution (`syntax.read_back`): a value stored by E-NR or
+E-AS, or a spawn's argument, so the store holds no closure.
+
 Each configuration holds the store, the active threads, and the counters
 that keep fresh names deterministic across interleavings.  Scheduling is
 simulated: a seeded scheduler picks uniformly among threads that can step,
@@ -25,15 +37,16 @@ E-WHILE, E-OP) replaces it with the rule and successor term; E-C and E-AS
 add the term with `()` in the hole and still run their store operation,
 with its blocking and faults.  E-NG, E-NR, E-D (store or counters) and E-SN
 (a new thread) keep the decomposition only.  The cache is exact: these
-rules read nothing but the term, and substitution (`syntax.subst_expr`) is
-a function of its arguments alone, since it renames no binder.  A successor
-points forward, so a live term keeps every later term built from it alive;
-`explore` does not hold its initial configuration.  Likewise each store
-operation is applied once per store (see `store`): a term-only step keeps it.
+rules read nothing but the term, and binding, pushing and closing read
+nothing but their arguments.  A successor points forward, so a live term
+keeps every later term built from it alive; `explore` does not hold its
+initial configuration.  Likewise each store operation is applied once per
+store (see `store`): a term-only step keeps it.
 
 Polling a thread has three outcomes.  `Stepped` is one step of the thread
-relation, whatever its rule: finishing (E-T), spawning (E-SN) or reducing
-(E-S, by one of the expression rules); it carries the successor
+relation, whatever its rule: finishing (E-T, `Finished`, whose successor
+is built only for the step the scheduler applies), spawning (E-SN) or
+reducing (E-S, by one of the expression rules); it carries the successor
 configuration, the rule and the rule's payload.  A thread that cannot step
 is either `BlockedOn` a lock (retried every tick) or `Stuck`, which aborts
 the run with a soundness report: well-typed programs never get stuck.
@@ -51,6 +64,7 @@ from .parser import pretty
 from .store import Blocked, Store, StoreFault, initial_store
 from .syntax import (
     _FIELDS,
+    EMPTY_ENV,
     HEAP,
     PRIM_BINARY,
     PRIM_UNARY,
@@ -59,8 +73,10 @@ from .syntax import (
     App,
     Assign,
     Cap,
+    Closure,
     Const,
     Deref,
+    Env,
     Expr,
     If,
     Lambda,
@@ -78,9 +94,12 @@ from .syntax import (
     UnitVal,
     Var,
     While,
+    close,
     expr_digest,
     is_value,
-    subst_expr,
+    push,
+    read_back,
+    subst_regions,
 )
 
 
@@ -162,6 +181,8 @@ def decompose(e: Expr) -> Optional[tuple[Expr, Plug]]:
         return x
 
     while True:
+        if type(e) is Closure:
+            e = push(e)
         form = type(e)
         names = EVAL_FIELDS.get(form)
         if names is not None:
@@ -205,6 +226,25 @@ class Stepped(Record):
         self.__dict__.update(config=config, rule=rule, info=info)
 
 
+class Finished(Stepped):
+    """E-T: thread `tid` of `before` has finished.  The successor, `config`,
+    is built when first read, by `_apply_outcome` if the scheduler picks
+    this step: polling a finished thread builds no configuration."""
+
+    rule, info = "E-T", None
+
+    def __init__(self, before: Config, tid: int) -> None:
+        self.__dict__.update(before=before, tid=tid)
+
+    @property
+    def config(self) -> Config:
+        config = self.__dict__.get("_successor")
+        if config is None:
+            config = self.before.without_thread(self.tid)
+            object.__setattr__(self, "_successor", config)
+        return config
+
+
 class BlockedOn(Record):
     def __init__(self, tid: int, region: RegionLit, holders: frozenset[int]) -> None:
         self.__dict__.update(tid=tid, region=region, holders=holders)
@@ -234,13 +274,19 @@ class _Stepping:
     """What stepping a thread term found, cached on it as `_step`: its redex
     (None for the term itself) and plug, then, once a term-only rule has
     run, the rule and successor instead.  E-C and E-AS keep the redex, and
-    their successor is the term with `()` in the hole.  Not a field: eq,
-    hash and repr ignore it."""
+    their successor is the term with `()` in the hole.  A spawn keeps the
+    effect it transfers.  Not a field: eq, hash and repr ignore it."""
 
-    __slots__ = ("redex", "plug", "rule", "successor")
+    __slots__ = ("redex", "plug", "rule", "successor", "transfer")
 
     def __init__(self, redex: Expr, plug: Plug) -> None:
         self.redex, self.plug, self.rule, self.successor = redex, plug, None, None
+        self.transfer = None
+
+
+def _opened(e: Expr) -> tuple[Expr, Env]:
+    """A closure's body and bindings; any other term with none."""
+    return (e.body, e.env) if type(e) is Closure else (e, EMPTY_ENV)
 
 
 def step_thread(config: Config, tid: int) -> StepOutcome:
@@ -249,7 +295,7 @@ def step_thread(config: Config, tid: int) -> StepOutcome:
     memo = getattr(e, _STEP, None)
     if memo is None:
         if isinstance(e, Const) and isinstance(e.value, UnitVal):
-            return Stepped(config.without_thread(tid), "E-T")
+            return Finished(config, tid)
         try:
             found = decompose(e)
         except MalformedTerm as exc:
@@ -268,18 +314,19 @@ def step_thread(config: Config, tid: int) -> StepOutcome:
     if isinstance(redex, App) and isinstance(redex.mode, ParMode):
         # A spawn moves the callee's input effect, or the annotation the
         # checker required to equal it.
-        transfer = redex.mode.transfer
+        transfer = redex.mode.transfer or memo.transfer
         if transfer is None:
-            if not isinstance(redex.fn, Lambda):
+            fn, env = _opened(redex.fn)
+            if not isinstance(fn, Lambda):
                 return Stuck(tid, "BadApplication",
                              f"spawn of non-function {pretty(redex.fn)}")
-            transfer = redex.fn.effect_in
+            transfer = memo.transfer = subst_regions(fn.effect_in, env.regions)
         child_tid = config.next_tid
         try:
             store = config.store.transfer(tid, child_tid, transfer)
         except StoreFault as exc:
             return Stuck(tid, exc.code, exc.message)
-        child = Thread(child_tid, App(redex.fn, redex.arg, SEQ_MODE, redex.loc))
+        child = Thread(child_tid, App(redex.fn, read_back(redex.arg), SEQ_MODE, redex.loc))
         parent = memo.plug(Const(UNIT_VALUE))
         threads = tuple(Thread(tid, parent) if t.tid == tid else t for t in config.threads)
         new_config = Config(store, threads + (child,), child_tid + 1, config.next_loc,
@@ -305,27 +352,28 @@ def _step_expr(config: Config, tid: int, memo: _Stepping, redex: Expr) -> StepOu
 
     try:
         if isinstance(redex, App):
-            fn = redex.fn
+            fn, env = _opened(redex.fn)
             if not isinstance(fn, Lambda):
                 return Stuck(tid, "BadApplication",
-                             f"application of non-function {pretty(fn)}")
-            return term_only(subst_expr(fn.body, {fn.param: redex.arg}), "E-A")
+                             f"application of non-function {pretty(redex.fn)}")
+            return term_only(close(fn.body, env.extend({fn.param: redex.arg})), "E-A")
         if isinstance(redex, RegionApp):
-            fn = redex.fn
+            fn, env = _opened(redex.fn)
             if not isinstance(fn, RegionLambda):
                 return Stuck(tid, "BadRegionApplication",
-                             f"region application of {pretty(fn)}")
+                             f"region application of {pretty(redex.fn)}")
             if not isinstance(redex.region, RegionLit):
                 return Stuck(tid, "MalformedTerm",
                              f"region application at the variable {redex.region}")
-            return term_only(subst_expr(fn.body, {fn.var: redex.region}), "E-RP")
+            return term_only(close(fn.body, env.extend({fn.var: redex.region})), "E-RP")
         if isinstance(redex, NewRgn):
             handle = redex.parent_handle
             if not isinstance(handle, RgnVal):
                 return Stuck(tid, "BadHandle", f"newrgn at non-handle {pretty(handle)}")
             name = f"r{config.next_region}"
             new_store, rid = store.newrgn(handle.region, tid, name)
-            body = subst_expr(redex.body, {redex.var: rid, redex.handle_name: RgnVal(rid)})
+            body, env = _opened(redex.body)
+            body = close(body, env.extend({redex.var: rid, redex.handle_name: RgnVal(rid)}))
             return Stepped(config.with_thread_expr(
                 tid, plug(body), new_store, next_region=config.next_region + 1),
                 "E-NG", (handle.region, rid))
@@ -333,10 +381,11 @@ def _step_expr(config: Config, tid: int, memo: _Stepping, redex: Expr) -> StepOu
             handle = redex.handle
             if not isinstance(handle, RgnVal):
                 return Stuck(tid, "BadHandle", f"new at non-handle {pretty(handle)}")
-            new_store, loc = store.alloc(handle.region, config.next_loc, redex.init)
+            init = read_back(redex.init)
+            new_store, loc = store.alloc(handle.region, config.next_loc, init)
             return Stepped(config.with_thread_expr(
                 tid, plug(LocVal(loc)), new_store, next_loc=config.next_loc + 1),
-                "E-NR", (loc, redex.init))
+                "E-NR", (loc, init))
         if isinstance(redex, Deref):
             ref = redex.ref
             if not isinstance(ref, LocVal):
@@ -347,9 +396,10 @@ def _step_expr(config: Config, tid: int, memo: _Stepping, redex: Expr) -> StepOu
             ref = redex.target
             if not isinstance(ref, LocVal):
                 return Stuck(tid, "BadAssign", f"assignment to non-location {pretty(ref)}")
-            new_store = store.update(ref.location, redex.value, tid)
+            value = read_back(redex.value)
+            new_store = store.update(ref.location, value, tid)
             return Stepped(config.with_thread_expr(tid, unit_in_hole(), new_store),
-                           "E-AS", (ref.location, redex.value))
+                           "E-AS", (ref.location, value))
         if isinstance(redex, Cap):
             handle = redex.handle
             if not isinstance(handle, RgnVal):

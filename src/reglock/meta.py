@@ -32,27 +32,38 @@ Counts and parents, which the store-level invariants depend on, are
 checked exactly.
 
 Re-typing is incremental.  Each harness keeps one memo for its checker,
-which stores a success only, never a failure, under one of two keys:
+which stores a success only, never a failure.  A program body keeps its
+Merkle digest for the whole run, as the machine binds names in closures
+instead of substituting (see `interp`), so the memo keys a subterm on:
 
-  * a subterm is looked up by (its Merkle digest, its input effect's entry
-    tuple `Effect.items()`, built once per effect) when it is closed (no
-    free term variables, no free region variables; the sets are cached on
-    each node) or the environment is empty, where a success reads no
-    binding and which is the only place an open subterm is looked up again.
-    The judgement reads the environment only to look up a free `Var` and to
-    check that a free region variable is in scope, so a closed subterm's
-    result does not depend on it.  Region names and capabilities are
-    interned, so the key hashes and compares in C;
-  * a function value (a `Lambda` or `RegionLambda`), under the same
-    condition, is looked up by its digest alone, and the hit is (its type,
-    the input effect): a value's output effect is its input effect, a
-    `Lambda` checks its body under its own annotation, and a
-    `RegionLambda` checks its body under the empty effect.
+  * its digest, what it reads of the environment and the input effect's
+    entry tuple `Effect.items()`, built once per effect.  What a term reads
+    is each free variable's type, and each free region variable's literal,
+    or that it is in scope; a closed term reads nothing.  The judgement
+    reads the environment only there, so the entry is exact.  Region names
+    and capabilities are interned, so the key hashes and compares in C;
+  * for a function value (a `Lambda` or `RegionLambda`), the same without
+    the effect: the hit is (its type, the input effect), since a value's
+    output effect is its input effect, a `Lambda` checks its body under its
+    own annotation, and a `RegionLambda` checks its body under the empty
+    effect.
 
-A step rebuilds only the path to its redex, and the continuation beyond it
-is re-typed under the same input effect as before (preservation), so
-re-typing costs about the redex path, and function values inlined into a
-body are typed once per run.
+A closure types as its body with each bound variable at its value's type
+and each bound region variable read as its literal: the judgement of its
+read-back.  It is looked up by identity and input effect first, since a
+continuation is re-typed under the same effect at every step
+(preservation), then as its body under those readings.  A body that E-RP
+or E-NG just entered has never been typed with its new literal, so it is
+then looked up renamed, as the typing of the enclosing term stored it,
+while the binders just applied were still variables in scope
+(`Checker._renamed`).  The judgement treats a region variable in scope and
+a live literal alike, so the renamed entry is exact whenever the renaming
+is a bijection on the names it meets.  A term that holds a closure is new
+at each step and is typed without the memo; its subterms come from it.
+
+So a step types about its redex path.  A body is typed in full with its
+definition, and again only under an input effect that the program's own
+typing never gave it, as where a call was inlined.
 
 R and M only grow: they hold every region and location ever allocated,
 freed or not.  This is the calculus's rule, not a relaxation: the static

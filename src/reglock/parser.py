@@ -82,6 +82,7 @@ from .syntax import (
     While,
     fresh_region_var,
     is_let,
+    read_back,
 )
 
 
@@ -535,8 +536,9 @@ def pretty(e: Expr) -> str:
     Runtime-only values print in a bracketed form that the parser rejects,
     keeping the source/runtime distinction visible in traces; a region
     binder the parser renamed prints as `rho%n`, which the lexer rejects.
+    A run-time term prints as its read-back, closures substituted.
     """
-    return _pp(e, 0)
+    return _pp(read_back(e), 0)
 
 
 # precedence levels: 0 seq, 1 stmt-forms, 2 assign, then the binary

@@ -61,11 +61,22 @@ class Record:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        # Computed once: the compared fields never change.
+        cached = self.__dict__.get("_hash")
+        if cached is None:
+            cached = hash(self._values())
+            object.__setattr__(self, "_hash", cached)
+        return cached
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
         return f"{type(self).__qualname__}({shown})"
+
+    def __getstate__(self) -> dict:
+        # A string's hash differs between processes, so the cached hash stays.
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
     def __setattr__(self, name: str, value=None) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -605,13 +616,17 @@ PRIM_UNARY = {"!": (BOOL, BOOL, operator.not_)}
 
 
 def is_value(e: Expr) -> bool:
-    return isinstance(e, (Const, Lambda, RegionLambda, RgnVal, LocVal))
+    return (isinstance(e, (Const, Lambda, RegionLambda, RgnVal, LocVal))
+            or type(e) is Closure and isinstance(e.body, (Lambda, RegionLambda)))
 
 
 def is_let(e: Expr) -> bool:
-    """`let x = e1 in e2`: an unannotated binder lambda applied to e1."""
-    return (isinstance(e, App) and isinstance(e.fn, Lambda)
-            and e.fn.param_type is None and e.mode is SEQ_MODE)
+    """`let x = e1 in e2`: an unannotated binder lambda, or a closure of
+    one, applied to e1."""
+    if not isinstance(e, App) or e.mode is not SEQ_MODE:
+        return False
+    fn = e.fn.body if type(e.fn) is Closure else e.fn
+    return isinstance(fn, Lambda) and fn.param_type is None
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +672,8 @@ def children(e: Expr) -> list[Expr]:
     form = type(e)
     if form is Prim:
         return list(e.args)
+    if form is Closure:  # closed, and digested as its read-back (`_bound_digest`)
+        return []
     return [getattr(e, name) for name in _SUBTERMS[form]]
 
 
@@ -868,30 +885,49 @@ def cached_digest(root, kids: Callable, encode: Callable[[object, bytes], bytes]
         encode(n, b"".join(digests)), digest_size=16).digest())
 
 
-def _encode_expr(e: Expr, kid_digests: bytes) -> bytes:
+def _encode_expr(e: Expr, kid_digests: bytes, rho: Optional[dict] = None) -> bytes:
     # Non-term fields are tagged with their type, so Const 1 and True differ.
+    # `rho` substitutes region variables in the fields that name regions.
     texts = [type(e).__name__]
+    regional = REGION_FIELDS.get(type(e), ()) if rho else ()
     for name in _ATTRS[type(e)]:
         value = getattr(e, name)
+        if name in regional:
+            value = subst_regions(value, rho)
         texts.append(f"{type(value).__name__}:{value}")
     texts.append("")
     return "\0".join(texts).encode() + kid_digests
 
 
+def _node_digest(e: Expr, kid_digests: list) -> bytes:
+    if type(e) is Closure:
+        return _bound_digest(e.body, e.env)
+    return blake2b(_encode_expr(e, b"".join(kid_digests)), digest_size=16).digest()
+
+
 def expr_digest(e: Expr) -> bytes:
     """16-byte Merkle digest of a term; source locations are ignored, and
-    it is the same in every process."""
-    return cached_digest(e, children, _encode_expr)
+    it is the same in every process.  A closure's is its read-back's."""
+    digest = getattr(e, _DIGEST, None)
+    return digest if digest is not None else cached_attr(e, _DIGEST, children, _node_digest)
 
 
 #: The free names of a term with none, shared by every such node.
 CLOSED: tuple[frozenset[str], frozenset[RegionVar]] = (frozenset(), frozenset())
+
+#: The free names of a closure and of a term that holds one: none, like
+#: `CLOSED`, but a distinct object, so a run-time term is told from a
+#: closed program term by identity.
+RUNTIME: tuple[frozenset[str], frozenset[RegionVar]] = (frozenset(), frozenset())
 
 
 def _free_of(e: Expr, kid_free: list) -> tuple[frozenset[str], frozenset[RegionVar]]:
     form = type(e)
     if form is Var:
         return frozenset({e.name}), frozenset()
+    if form is Closure:
+        return RUNTIME
+    runtime = any(kid is RUNTIME for kid in kid_free)
     bound = BINDERS.get(form)
     if bound:  # the body is the last subterm, and the only one under the binders
         names = {getattr(e, name) for name in bound}
@@ -907,12 +943,193 @@ def _free_of(e: Expr, kid_free: list) -> tuple[frozenset[str], frozenset[RegionV
         named = {r for r in free_regions(getattr(e, name)) if type(r) is RegionVar}
         if named:
             regions = regions | named
-    return (terms, regions) if terms or regions else CLOSED
+    if terms or regions:
+        return terms, regions
+    return RUNTIME if runtime else CLOSED
 
 
 def free_names(e: Expr) -> tuple[frozenset[str], frozenset[RegionVar]]:
     """The free term variables and free region variables of a term, cached
-    on each node like its digest; `CLOSED` itself when there are none.
-    Region literals are not variables and never count."""
+    on each node like its digest; `CLOSED` itself when there are none, and
+    `RUNTIME` for a closed term that holds a closure.  Region literals are
+    not variables and never count."""
     names = getattr(e, _FREE, None)
     return names if names is not None else cached_attr(e, _FREE, children, _free_of)
+
+
+#: `inner_regions` of a term that names no literal and binds no region.
+_PLAIN: tuple[bool, frozenset[RegionVar]] = (False, frozenset())
+
+
+def _inner_of(e: Expr, kids: list) -> tuple[bool, frozenset[RegionVar]]:
+    literal = type(e) in (RgnVal, LocVal) or any(
+        type(r) is RegionLit for name in REGION_FIELDS.get(type(e), ())
+        for r in free_regions(getattr(e, name)))
+    literal = literal or any(kid_literal for kid_literal, _ in kids)
+    binders = _PLAIN[1]
+    if free_names(e) is not CLOSED:  # a closed term types alike in any context
+        binders = frozenset({e.var}) if type(e) in (RegionLambda, NewRgn) else binders
+        for _, kid_binders in kids:
+            binders = binders | kid_binders if kid_binders else binders
+    return (literal, binders) if literal or binders else _PLAIN
+
+
+def inner_regions(e: Expr) -> tuple[bool, frozenset[RegionVar]]:
+    """Whether a term names a region literal anywhere (a run-time value, an
+    annotation or a region application), and the region variables bound by
+    its binders outside its closed subterms; cached on each node like its
+    digest."""
+    found = getattr(e, "_inner", None)
+    return found if found is not None else cached_attr(e, "_inner", children, _inner_of)
+
+
+# ---------------------------------------------------------------------------
+# Closures: bindings in place of substitution
+# ---------------------------------------------------------------------------
+# A closure is a program subterm under an environment.  It stands for its
+# read-back, the body with the environment substituted, and is digested and
+# printed as that term, which is never built unless a value leaves its
+# thread (`read_back`).  So a body keeps its digest and free names, cached
+# on its nodes, however often it is entered.
+
+
+class Env(dict):
+    """A closure's bindings: term names to closed values, region variables
+    to region literals.  Closures pushed from one closure share its `Env`,
+    and with it `digests`: each body node's read-back digest under these
+    bindings, by the node's `id` (the entry holds the node, so no `id` is
+    reused).  Never changed once made."""
+
+    __slots__ = ("digests", "regions")
+
+    def __init__(self, bindings: dict = ()) -> None:
+        super().__init__(bindings)
+        self.digests: dict[int, tuple[Expr, bytes]] = {}
+        self.regions = {var: lit for var, lit in self.items() if type(var) is RegionVar}
+
+    def extend(self, bindings: dict) -> "Env":
+        return Env({**self, **bindings})
+
+    def without(self, names: AbstractSet) -> "Env":
+        return Env({k: v for k, v in self.items() if k not in names})
+
+
+EMPTY_ENV = Env()
+
+
+class Closure(Record):
+    """Run-time only: a program subterm `body` under `env` (see above)."""
+
+    def __init__(self, body: Expr, env: Env) -> None:
+        self.__dict__.update(body=body, env=env)
+
+
+def close(e: Expr, env: Env) -> Expr:
+    """`e` under `env`: a variable's value, `e` itself when `env` binds none
+    of its free names, else a closure."""
+    if type(e) is Var:
+        return env.get(e.name, e)
+    terms, regions = free_names(e)
+    if env.keys().isdisjoint(terms) and env.keys().isdisjoint(regions):
+        return e
+    return Closure(e, env)
+
+
+def _binder_env(e: Expr, env: Env) -> Env:
+    """The bindings that reach the body of `e`, a binding form."""
+    names = {getattr(e, name) for name in BINDERS[type(e)]}
+    return env if env.keys().isdisjoint(names) else env.without(names)
+
+
+def push(c: Closure) -> Expr:
+    """One level of `c`'s read-back: a node of its body's form, the fields
+    that name regions substituted, and each subterm closed over `c.env`."""
+    e, env = c.body, c.env
+    form = type(e)
+    values = []
+    for name in _FIELDS[form]:
+        old = getattr(e, name)
+        kind = type(old)
+        if kind in _FIELDS:
+            new = close(old, _binder_env(e, env) if name == "body" and form in BINDERS
+                        else env)
+        elif kind is tuple:  # Prim's operands
+            new = tuple([close(arg, env) for arg in old])
+        elif name in REGION_FIELDS.get(form, ()):
+            new = subst_regions(old, env.regions)
+        else:
+            new = old
+        values.append(new)
+    return form(*values, e.loc)
+
+
+def _bound_digest(root: Expr, env: Env) -> bytes:
+    """`expr_digest(subst_expr(root, env))`, without building that term:
+    a node whose free names `env` does not bind keeps its own digest, and
+    the others are hashed as their substitutions would be, into
+    `env.digests`, bottom-up from an explicit stack."""
+    memo = env.digests
+    hit = memo.get(id(root))
+    if hit is not None:  # pushed from a closure whose digest is known: the common case
+        return hit[1]
+    keys = env.keys()
+
+    def bound(node) -> bool:
+        terms, regions = free_names(node)
+        return not (keys.isdisjoint(terms) and keys.isdisjoint(regions))
+
+    def digest(node) -> bytes:
+        hit = memo.get(id(node))
+        return expr_digest(node) if hit is None else hit[1]
+
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in memo or not bound(node):
+            stack.pop()
+            continue
+        if type(node) is Var:
+            memo[id(node)] = (node, expr_digest(env[node.name]))
+            stack.pop()
+            continue
+        kids = children(node)
+        shadowed = type(node) in BINDERS and _binder_env(node, env) is not env
+        todo = [k for k in (kids[:-1] if shadowed else kids) if id(k) not in memo and bound(k)]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        kid_digests = [digest(k) for k in kids]
+        if shadowed:  # once per binder that shadows a bound name, so shallow
+            kid_digests[-1] = _bound_digest(kids[-1], _binder_env(node, env))
+        memo[id(node)] = (node, blake2b(_encode_expr(node, b"".join(kid_digests), env.regions),
+                                        digest_size=16).digest())
+    return digest(root)
+
+
+def _read_node(e: Expr, _) -> Expr:
+    if type(e) is Closure:
+        terms, regions = free_names(e.body)
+        sigma = {name: read_back(e.env[name]) for name in terms if name in e.env}
+        sigma.update((var, e.env[var]) for var in regions if var in e.env)
+        return subst_expr(e.body, sigma)
+    old = children(e)
+    kids = [k._read if free_names(k) is RUNTIME else k for k in old]
+    if all(new is k for new, k in zip(kids, old)):
+        return e
+    if type(e) is Prim:
+        return Prim(e.op, tuple(kids), e.loc)
+    fields = dict(zip(_SUBTERMS[type(e)], kids))
+    return type(e)(*[fields.get(name, getattr(e, name)) for name in _FIELDS[type(e)]], e.loc)
+
+
+def read_back(e: Expr) -> Expr:
+    """`e` with each closure replaced by its substitution, cached on each
+    node it rebuilds: a term with no closure, the same object each time."""
+    if free_names(e) is not RUNTIME:
+        return e
+    return cached_attr(e, "_read", _runtime_children, _read_node)
+
+
+def _runtime_children(e: Expr) -> list:
+    return [k for k in children(e) if free_names(k) is RUNTIME]

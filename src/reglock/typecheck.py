@@ -18,14 +18,18 @@ effect exactly.
 
 `/\\` and `newrgn` bind their region variable as written, with no renaming.
 This is exact: the parser names each binder apart from those around it in
-its definition, and at run time only closed values (definitions by linking,
-arguments by E-A) are placed under a binder.  A closed term's judgement
+its definition, and only closed values (definitions by linking, and at run
+time the values a closure binds) are placed under a binder.  A closed term's judgement
 reads nothing from the environment, so it never consults an outer binder of
 the same name, and a `newrgn` inside it extends the value's own annotation.
 
-A memo (the harness's) keys a subterm on its digest and `Effect.items()`,
-and interned region names and capabilities make that key hash in C.  A
-region application's instance is cached on its type, one per region.
+At run time a term may hold closures (`syntax.Closure`), which the checker
+types as their read-back: the body with each bound variable at its value's
+type and each bound region variable read as its literal (`_Env.rho`).  A
+memo (the harness's) keys a subterm on its digest, what it reads of the
+environment and `Effect.items()`, and interned region names and
+capabilities make that key hash in C; `meta` says why an entry is exact.
+A region application's instance is cached on its type, one per region.
 """
 
 from __future__ import annotations
@@ -39,7 +43,9 @@ from .syntax import (
     BOTTOM,
     CLOSED,
     EMPTY_EFFECT,
+    RUNTIME,
     INT,
+    LEAVES,
     PRIM_BINARY,
     PRIM_UNARY,
     UNIT,
@@ -48,6 +54,7 @@ from .syntax import (
     BaseType,
     Cap,
     Capability,
+    Closure,
     Const,
     Deref,
     Effect,
@@ -81,6 +88,7 @@ from .syntax import (
     expr_digest,
     free_names,
     free_regions,
+    inner_regions,
     is_let,
     is_value,
     subst_expr,
@@ -178,17 +186,51 @@ def effect_eq(a: Effect, b: Effect, lenient: bool = False) -> bool:
     return a.same_counts(b) if lenient else a == b
 
 
+_NO_RHO: dict = {}
+
+
 class _Env(Record, frozen=False):
-    def __init__(self, vars: dict[str, Type], region_vars: frozenset[RegionVar]) -> None:
-        self.__dict__.update(vars=vars, region_vars=region_vars)
+    """The typing environment: term variables' types, the region variables
+    in scope, and `rho`, the region variables that read as literals (a
+    closure's, see `Checker.check`)."""
+
+    def __init__(self, vars: dict[str, Type], region_vars: frozenset[RegionVar],
+                 rho: Optional[dict[RegionVar, RegionLit]] = None) -> None:
+        self.__dict__.update(vars=vars, region_vars=region_vars, rho=rho or _NO_RHO)
 
     def bind(self, name: str, t: Type) -> "_Env":
         table = dict(self.vars)
         table[name] = t
-        return _Env(table, self.region_vars)
+        return _Env(table, self.region_vars, self.rho)
 
     def bind_region(self, r: RegionVar) -> "_Env":
-        return _Env(self.vars, self.region_vars | {r})
+        rho = self.rho if r not in self.rho else {k: v for k, v in self.rho.items() if k != r}
+        return _Env(self.vars, self.region_vars | {r}, rho)
+
+    @staticmethod
+    def order(e: Expr) -> tuple[tuple[str, ...], tuple[RegionVar, ...]]:
+        """`e`'s free names, sorted, cached on `e`."""
+        order = getattr(e, "_order", None)
+        if order is None:
+            terms, regions = free_names(e)
+            order = (tuple(sorted(terms)), tuple(sorted(regions, key=str)))
+            object.__setattr__(e, "_order", order)
+        return order
+
+    def key(self, e: Expr) -> tuple:
+        """What `e`, an open term, reads of the environment: each free
+        variable's type, and each free region variable's literal or whether
+        it is in scope, in a fixed order of their names."""
+        order = self.order(e)
+        reads = self.__dict__.get("_reads")
+        if reads is None:
+            reads = dict.fromkeys(self.region_vars, True)
+            reads.update(self.rho)
+            self._reads = reads
+        return tuple(map(self.vars.get, order[0])), tuple(map(reads.get, order[1]))
+
+
+_EMPTY_ENV = _Env({}, frozenset())
 
 
 class Checker:
@@ -204,10 +246,9 @@ class Checker:
         self.locations = locations or {}
         self.lenient = lenient
         self.record = record
-        # Subterms that checked: (term digest, `Effect.items()` of the input
-        # effect) -> (type, output effect), and a function value's digest ->
-        # its type.  Owned by the metatheory harness, whose module docstring
-        # says why an entry stays valid.
+        # Subterms that checked, by `_key`, and closures by identity.  Owned
+        # by the metatheory harness, whose module docstring says why an
+        # entry stays valid.  A checker with a memo records no lines.
         self.memo = memo
 
     # -- helpers ---------------------------------------------------------------
@@ -247,27 +288,137 @@ class Checker:
     def check(self, e: Expr, env: _Env, eff: Effect) -> tuple[Type, Effect]:
         # Output effects are well-formed by construction when `eff` is: the
         # effect constructors that can break the invariant check it.
-        key = None
-        if self.memo is not None and (not env.vars and not env.region_vars
-                                      or free_names(e) is CLOSED):
-            # The environment is empty or the term never reads it.  A
-            # function value's type does not depend on `eff`, and its output
-            # effect is `eff` itself.
-            key = expr_digest(e)
-            if not isinstance(e, (Lambda, RegionLambda)):
-                key = (key, eff.items())
-            hit = self.memo.get(key)
-            if hit is not None:
-                return hit if type(key) is tuple else (hit, eff)
+        if self.memo is not None:
+            return self._memo_check(e, env, eff)
         t, out = self._check(e, env, eff)
-        if key is not None:
-            self.memo[key] = (t, out) if type(key) is tuple else t
         # Sequencing plumbing spans lines and would overwrite the per-line
         # effects of the statements it contains; newrgn records its body's
         # entry effect instead (done in _check).
         if self.record is not None and not isinstance(e, (NewRgn, Seq)) and not is_let(e):
             self._note(e, out)
         return t, out
+
+    def _memo_check(self, e: Expr, env: _Env, eff: Effect) -> tuple[Type, Effect]:
+        """`check` through the memo (see `meta`)."""
+        memo = self.memo
+        if type(e) is Closure:
+            # A continuation is re-typed at each step under the same effect
+            # (preservation).  The entry holds the closure: no `id` is reused.
+            key = (id(e), eff.items())
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = (e, *self._check_bound(e.body, self._closure_env(e), eff))
+            return hit[1:]
+        names = free_names(e)
+        if names is RUNTIME or type(e) in LEAVES:
+            # A term that holds a closure is new at each step, and a leaf is
+            # cheaper to type than to look up.
+            return self._check(e, env, eff)
+        key, value = self._key(e, names, env, eff)
+        hit = memo.get(key)
+        if hit is None:
+            hit = self._check(e, env, eff)
+            memo[key] = hit[0] if value else hit
+        elif value:
+            return hit, eff
+        return hit
+
+    @staticmethod
+    def _key(e: Expr, names, env: _Env, eff: Effect) -> tuple[object, bool]:
+        """The memo's key for typing `e` under `env` and `eff`, and whether
+        `e` is a function value, whose type does not depend on `eff` and
+        whose output effect is `eff` itself: its digest, what it reads of
+        `env` unless it is closed, and the input effect's entries."""
+        key = expr_digest(e) if names is CLOSED else (expr_digest(e), env.key(e))
+        if isinstance(e, (Lambda, RegionLambda)):
+            return key, True
+        return (key, eff.items()), False
+
+    def _check_bound(self, body: Expr, env: _Env, eff: Effect) -> tuple[Type, Effect]:
+        """`check` of a body that a closure or a let binds, which may be
+        found renamed (`_renamed`) when the memo lacks it."""
+        if self.memo is not None and env.rho:
+            key, value = self._key(body, free_names(body), env, eff)
+            if key not in self.memo:
+                found = self._renamed(body, env, eff)
+                if found is not None:
+                    self.memo[key] = found
+        return self.check(body, env, eff)
+
+    def _renamed(self, body: Expr, env: _Env, eff: Effect):
+        """The memo's entry for `body` with some of its bound region
+        variables in scope instead of read as literals, renamed back to the
+        literals; None when there is none, or when renaming is not exact.
+
+        The judgement treats a region variable in scope and a live region
+        literal alike, so it commutes with a renaming of one into the other
+        that is a bijection on the names it meets: the literals are distinct
+        and live, the body names no literal and does not rebind the
+        variables, and the input effect and the bound variables' types name
+        none of the variables.  The renamings tried put the innermost
+        bindings back in scope, all of them first: a body after E-RP or E-NG
+        is found as the typing of an enclosing term stored it, while the
+        binders just applied were still variables.  With all of them, that
+        is the program's own typing of a definition."""
+        rho = env.rho
+        if not rho or len(set(rho.values())) < len(rho) or not self.regions.issuperset(
+                rho.values()):
+            return None
+        literal, binders = inner_regions(body)
+        if literal or not binders.isdisjoint(rho) or any(
+                r in rho or p in rho for r, _, p in eff.items()):
+            return None
+        terms, regions = env.order(body)
+        types = [env.vars.get(x) for x in terms]
+        named = set().union(*map(free_regions, types)) if types else set()
+        bound = list(rho)  # in the order of binding, innermost last
+        for i in range(len(bound)):
+            names = bound[i:]
+            if not named.isdisjoint(names):
+                continue
+            back = {var: rho[var] for var in names}
+            renamed = {lit: var for var, lit in back.items()}
+            reads = (tuple([subst_regions(t, renamed) for t in types]),
+                     tuple([True if r in back else rho.get(r) for r in regions]))
+            key = (expr_digest(body), reads)
+            if not isinstance(body, (Lambda, RegionLambda)):
+                key = (key, subst_regions(eff, renamed).items())
+                hit = self.memo.get(key)
+                if hit is not None:
+                    return subst_regions(hit[0], back), subst_regions(hit[1], back)
+            else:
+                hit = self.memo.get(key)
+                if hit is not None:
+                    return subst_regions(hit, back)
+        return None
+
+    def _closure_env(self, c: Closure) -> _Env:
+        """The environment that types `c.body` as its read-back: each bound
+        variable at its value's type, each bound region variable read as its
+        literal.  Memoised per set of bindings, which closures pushed from
+        one closure share: a value's type does not change during a run."""
+        bindings = c.env
+        key = ("env", id(bindings))
+        hit = self.memo and self.memo.get(key)
+        if hit:
+            return hit[1]
+        env = _Env({x: self.check(v, _EMPTY_ENV, EMPTY_EFFECT)[0]
+                    for x, v in bindings.items() if type(x) is str},
+                   frozenset(), bindings.regions)
+        if self.memo is not None:
+            self.memo[key] = (bindings, env)  # holds the bindings: no `id` is reused
+        return env
+
+    def _resolve(self, x, env: _Env, loc: Optional[Loc]):
+        """A type, effect or calling mode as written, read under `env.rho`."""
+        if not env.rho or x is None:
+            return x
+        try:
+            return subst_regions(x, env.rho)
+        except fx.CapError as exc:
+            raise self.fail(exc.code, exc.message, loc)
+        except ValueError as exc:
+            raise self.fail("MalformedAnnotation", str(exc), loc)
 
     def _check(self, e: Expr, env: _Env, eff: Effect) -> tuple[Type, Effect]:
         if isinstance(e, Var):
@@ -300,6 +451,10 @@ class Checker:
                 raise self.fail("UnsupportedForm",
                                 "internal let binder outside application position", e.loc, eff)
             assert e.effect_in is not None and e.effect_out is not None
+            if env.rho:  # the annotations as read under a closure's bindings
+                e = Lambda(e.param, self._resolve(e.param_type, env, e.loc), e.body,
+                           self._resolve(e.effect_in, env, e.loc),
+                           self._resolve(e.effect_out, env, e.loc), e.loc)
             self._validate_annotation(e.effect_in, env, e.loc)
             self._validate_annotation(e.effect_out, env, e.loc)
             body_env = env.bind(e.param, e.param_type)
@@ -325,16 +480,17 @@ class Checker:
             if not isinstance(t_fn, RegionPolyType):
                 raise self.fail("TypeMismatch",
                                 f"region application of non-polymorphic type {t_fn}", e.loc, out)
-            if not self._region_in_scope(e.region, env):
+            region = env.rho.get(e.region, e.region) if env.rho else e.region
+            if not self._region_in_scope(region, env):
                 raise self.fail("UnknownRegion",
-                                f"region {e.region} is not in scope", e.loc, out)
+                                f"region {region} is not in scope", e.loc, out)
             # Instances are cached on the type, one per region: exact, as
             # the substitution reads nothing but its arguments.
             instances = vars(t_fn).setdefault("_instances", {})
-            inst = instances.get(e.region)
+            inst = instances.get(region)
             if inst is None:
                 try:
-                    inst = instances[e.region] = subst_regions(t_fn.body, {t_fn.var: e.region})
+                    inst = instances[region] = subst_regions(t_fn.body, {t_fn.var: region})
                 except fx.CapError as exc:
                     raise self.fail(exc.code, exc.message, e.loc, out)
                 except ValueError as exc:
@@ -449,13 +605,20 @@ class Checker:
                                 f"{' and '.join(map(str, arg_types))}", e.loc, out)
             return result, out
 
+        if type(e) is Closure:
+            return self.check(e.body, self._closure_env(e), eff)
+
         raise self.fail("UnsupportedForm", f"cannot type {type(e).__name__}", e.loc, eff)
 
     def _check_app(self, e: App, env: _Env, eff: Effect) -> tuple[Type, Effect]:
         # `let x = e1 in e2` is a transparent binder, not a capability split.
+        # At run time its binder may be closed over the let's environment.
         if is_let(e):
             t_arg, out = self.check(e.arg, env, eff)
-            return self.check(e.fn.body, env.bind(e.fn.param, t_arg), out)
+            if type(e.fn) is not Closure:
+                return self.check(e.fn.body, env.bind(e.fn.param, t_arg), out)
+            fn, fn_env = e.fn.body, self._closure_env(e.fn)
+            return self._check_bound(fn.body, fn_env.bind(fn.param, t_arg), out)
 
         t_fn, out = self.check(e.fn, env, eff)
         t_arg, out = self.check(e.arg, env, out)
@@ -479,7 +642,7 @@ class Checker:
         except fx.CapError as exc:
             raise self.fail(exc.code, exc.message, e.loc, out)
         if par:
-            declared = e.mode.transfer
+            declared = self._resolve(e.mode.transfer, env, e.loc) if env.rho else e.mode.transfer
             if declared is not None and not effect_eq(declared, split.passed, self.lenient):
                 raise self.fail("SpawnAnnotationMismatch",
                                 f"spawn annotation {declared.pretty()} does not match the "

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -381,6 +382,31 @@ def test_internal_error_exits_six_without_traceback(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("internal error: RecursionError")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_a_reader_that_closes_early_is_an_io_error():
+    """A pipe whose reader has gone (`| head -1`) ends the run with exit 2
+    and one line of stderr; the flush at exit writes nothing more."""
+    proc = subprocess.Popen([sys.executable, "-m", "reglock.cli", "run", corpus("sharing.rgn"),
+                             "--seed", "3", "--max-steps", "20000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert first.startswith(b"0 1 ")
+    assert err.startswith("error: cannot write output: ") and err.count("\n") == 1
+    assert "Broken pipe" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no full device")
+def test_a_full_device_is_an_io_error():
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "reglock.cli", "run",
+                               corpus("sharing_once.rgn"), "--seed", "3"],
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2 and proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: cannot write output: ")
 
 
 def test_one_grammar_serves_every_command_alike(capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reglock import interp
+from reglock import interp, syntax
 from reglock.interp import (
     EVAL_FIELDS,
     BlockedOn,
@@ -60,11 +60,12 @@ from reglock.syntax import (
     Seq,
     Var,
     While,
+    Closure,
     expr_digest,
     is_value,
 )
 from reglock.typecheck import check_program, link_bodies
-from conftest import RUNNABLE, corpus_text, lock_tree, rebuild
+from conftest import RUNNABLE, corpus_text, lock_tree, paired_long_seq, rebuild
 
 
 def typed_main(name: str):
@@ -376,8 +377,8 @@ def test_cached_steps_agree_with_uncached_steps(name, monkeypatch):
     assert len(compared) >= report.states - report.terminals.get("all_done", 0) > 0
 
 
-def count_calls(monkeypatch, names) -> dict[str, int]:
-    """Counts, from now on, the calls the step path makes to `interp`'s
+def count_calls(monkeypatch, names, module=interp) -> dict[str, int]:
+    """Counts, from now on, the calls the step path makes to `module`'s
     functions of these names."""
     counts = dict.fromkeys(names, 0)
 
@@ -388,27 +389,27 @@ def count_calls(monkeypatch, names) -> dict[str, int]:
         return call
 
     for name in names:
-        monkeypatch.setattr(interp, name, counted(name, getattr(interp, name)))
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     return counts
 
 
 def test_each_thread_term_is_stepped_once(monkeypatch):
-    """Timer-free shape guard: a thread term is decomposed and substituted
-    into once, not once per state that holds it (explore) or per tick its
-    thread is not chosen (run).  Without the cache, explore of lock_tree(2)
-    makes 4,104 decompose and 382 substitution calls, and run 135 decompose
-    calls for 82 steps."""
-    names = ["decompose", "subst_expr"]
+    """Timer-free shape guard: a thread term is decomposed once, not once
+    per state that holds it (explore) or per tick its thread is not chosen
+    (run), and no step substitutes, as no value leaves its thread.  Without
+    the cache, explore of lock_tree(2) makes 4,104 decompose calls, and run
+    135 for 82 steps."""
     main = checked_main(lock_tree(2))
-    counts = count_calls(monkeypatch, names)
+    counts = count_calls(monkeypatch, ["decompose"])
+    counts.update(count_calls(monkeypatch, ["subst_expr"], syntax))
     assert explore(main).states == 1774
-    assert counts["subst_expr"] <= 60
+    assert counts["subst_expr"] == 0
     assert counts["decompose"] <= 300
     main = checked_main(lock_tree(2))
-    counts.update(dict.fromkeys(names, 0))
+    counts.update(dict.fromkeys(counts, 0))
     trace = run_seeded(main, seed=1)
     assert trace.terminal.kind == "all_done"
-    assert counts["decompose"] <= len(trace.steps)
+    assert counts["decompose"] <= len(trace.steps) and counts["subst_expr"] == 0
 
 
 #: The uncached bodies of the store operations that `Store` memoises.
@@ -512,3 +513,97 @@ def test_explore_leaves_no_store_alive(monkeypatch):
         gc.enable()
     assert len(made) > 100
     assert [ref for ref in made if ref() is not None] == []
+
+
+def test_a_finished_thread_is_polled_without_a_successor(monkeypatch):
+    """Timer-free: a finished thread's E-T successor is built for the step
+    the scheduler applies, not on every tick it is polled.  When each poll
+    built one, many_threads built 101 for 50 E-T steps over these seeds."""
+    built = []
+    real = Config.without_thread
+    monkeypatch.setattr(Config, "without_thread",
+                        lambda self, tid: built.append(tid) or real(self, tid))
+    for name in ("many_threads.rgn", "sharing_once.rgn"):
+        main = typed_main(name)
+        for seed in range(10):
+            built.clear()
+            trace = run_seeded(main, seed)
+            assert trace.terminal.kind == "all_done"
+            finished = [s.tid for s in trace.steps if s.rule == "E-T"]
+            assert built == finished, (name, seed)
+
+
+TERM_FORMS = get_args(Expr) + (Closure,)
+
+
+def count_nodes(monkeypatch) -> list[int]:
+    """Counts, from now on, the term nodes and closures built."""
+    made = [0]
+    for form in TERM_FORMS:
+        def init(self, *args, real=form.__init__, **kwargs):
+            made[0] += 1
+            real(self, *args, **kwargs)
+        monkeypatch.setattr(form, "__init__", init)
+    return made
+
+
+def test_binding_rules_build_nodes_independent_of_the_body(monkeypatch):
+    """Timer-free: E-RP, E-A and E-NG bind their names in a closure over
+    the body they enter, so each of the first steps of paired long_seq
+    builds as many nodes at N=1,000 as at N=10.  Substituting, E-NG alone
+    rebuilt the whole body: 4N+1 nodes or so."""
+    per_step = {}
+    for n in (10, 1000):
+        # Linked unchecked: the checker recurses once per level (ROADMAP).
+        config = initial_config(link_bodies(parse_program(paired_long_seq(n))))
+        made = count_nodes(monkeypatch)
+        rules = []
+        for _ in range(8):
+            outcomes, terminal, steppable = classify(config)
+            config, rule = _apply_outcome(outcomes[steppable[0]])
+            rules.append((rule, made[0]))
+            made[0] = 0
+        monkeypatch.undo()
+        per_step[n] = rules
+    assert [rule for rule, _ in per_step[10][:3]] == ["E-RP", "E-A", "E-NG"]
+    assert per_step[10] == per_step[1000]
+    assert max(count for _, count in per_step[10]) <= 12
+
+
+#: A function value closed over a `let` and stored: E-NR closes it by
+#: substitution, since it leaves its thread.
+STORED_CLOSURE = """
+def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].
+  newrgn rho, h at heap in
+  let y = 41 in
+  let f = new (\\x: int @ [{} -> {}]. x + y) at h in
+  (lock h; f := (\\x: int @ [{} -> {}]. x + y + 1); unlock h; free h)
+"""
+
+
+@pytest.mark.parametrize("name", RUNNABLE + ["stored_closure"])
+def test_only_a_value_that_leaves_its_thread_is_substituted(name, monkeypatch):
+    """During a run, `subst_expr` is called only to close a value that a
+    step stores or passes to a new thread (`read_back` in `interp`)."""
+    main = checked_main(STORED_CLOSURE) if name == "stored_closure" else typed_main(name)
+    closing, calls = [False], []
+    real_subst, real_read_back = syntax.subst_expr, interp.read_back
+
+    def subst_expr(e, sigma):
+        calls.append(closing[0])
+        return real_subst(e, sigma)
+
+    def read_back(e):
+        closing[0] = True
+        try:
+            return real_read_back(e)
+        finally:
+            closing[0] = False
+
+    monkeypatch.setattr(syntax, "subst_expr", subst_expr)
+    monkeypatch.setattr(interp, "read_back", read_back)
+    for seed in range(3):
+        assert run_seeded(main, seed).terminal.kind in ("all_done", "deadlock")
+    assert all(calls)
+    if name == "stored_closure":
+        assert calls

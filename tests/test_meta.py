@@ -33,6 +33,7 @@ from reglock.syntax import (
     LocVal,
     RegionLit,
     Var,
+    read_back,
 )
 from reglock.typecheck import Checker, check_program, type_eq
 from conftest import (
@@ -268,21 +269,24 @@ def count_checks(monkeypatch) -> dict[str, int]:
 
 
 def test_harness_types_few_nodes_per_step(monkeypatch):
-    """Timer-free shape guard: closed subterms and closed function values
-    come from the memo under any environment, so a step of lock_tree(4)
-    types about 18 nodes in full (40.7 when only subterms under an empty
-    environment were served)."""
+    """Timer-free shape guard: a closure's body keeps its digest, so it
+    comes from the memo under what it reads of its bindings, or renamed
+    from the typing that its binders' variables had; a step of lock_tree(4)
+    types about 7.6 nodes in full (17.8 when E-A, E-RP and E-NG substituted
+    and only closed subterms were served, 40.7 when only subterms under an
+    empty environment were)."""
     result = check_program(parse_program(lock_tree(4)))
     main = result.typed.linked_main()
     counts = count_checks(monkeypatch)
     trace = run_seeded(main, seed=1, harness=Harness(result.typed))
     assert trace.terminal.kind == "all_done" and trace.steps
-    assert counts["typed"] <= 24 * len(trace.steps)
+    assert counts["typed"] <= 9 * len(trace.steps)
 
 
 class Differential(Harness):
-    """After every step, re-types each live thread with the run's memo and
-    with a fresh memo-less checker, and records any disagreement."""
+    """After every step, re-types each live thread with the run's memo and,
+    as its read-back (closures substituted), with a fresh memo-less
+    checker, and records any disagreement."""
 
     def __init__(self, typed):
         super().__init__(typed)
@@ -295,7 +299,8 @@ class Differential(Harness):
             eff = self.delta[thread.tid]
             t_memo, out_memo = _retype(self.regions, self.locations, thread.expr, eff,
                                        self.memo)
-            t_fresh, out_fresh = _retype(self.regions, self.locations, thread.expr, eff)
+            t_fresh, out_fresh = _retype(self.regions, self.locations,
+                                         read_back(thread.expr), eff)
             # Effect equality compares counts, parents and purity.
             if not (type_eq(t_memo, t_fresh) and out_memo == out_fresh):
                 self.disagreements.append(f"after thread {tid}'s {outcome.rule}, "

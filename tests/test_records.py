@@ -16,14 +16,14 @@ import pytest
 
 import reglock
 from reglock.effects import SplitResult
-from reglock.interp import (BlockedOn, Config, ExploreResult, Stepped, Stuck, Terminal, Thread,
-                            Trace, TraceStep)
+from reglock.interp import (BlockedOn, Config, ExploreResult, Finished, Stepped, Stuck, Terminal,
+                            Thread, Trace, TraceStep)
 from reglock.meta import Violation
 from reglock.parser import Definition, SourceProgram
 from reglock.store import Blocked, Counts, RegionNode, Store
-from reglock.syntax import (SEQ_MODE, App, BaseType, Const, Expr, FnType, FrozenInstanceError,
-                            HandleType, Loc, Location, ParMode, Record, RefType, RegionPolyType,
-                            UnitType, Var)
+from reglock.syntax import (SEQ_MODE, App, BaseType, Closure, Const, Expr, FnType,
+                            FrozenInstanceError, HandleType, Loc, Location, ParMode, Record,
+                            RefType, RegionPolyType, UnitType, Var)
 from reglock.typecheck import CheckResult, Diagnostic, TypedProgram, _Env
 
 SRC = pathlib.Path(reglock.__file__).resolve().parent.parent
@@ -34,7 +34,8 @@ TERMS = list(get_args(Expr))
 LOCATED = [Definition, Diagnostic]
 OTHER_FROZEN = [Loc, BaseType, UnitType, FnType, RegionPolyType, RefType, HandleType, ParMode,
                 Location, SourceProgram, SplitResult, Counts, Blocked, RegionNode, Store, Thread,
-                Config, Stepped, BlockedOn, Stuck, TraceStep, Terminal, Violation]
+                Config, Stepped, Finished, BlockedOn, Stuck, TraceStep, Terminal, Violation,
+                Closure]
 #: Assignable and unhashable.
 MUTABLE = [Trace, ExploreResult, TypedProgram, CheckResult, _Env]
 RECORDS = TERMS + LOCATED + OTHER_FROZEN + MUTABLE
@@ -66,7 +67,7 @@ def make(cls: type, **changes):
 def test_the_table_names_every_record():
     records = {cls for cls in subclasses(Record) if cls.__module__.startswith("reglock.")
                and cls.__name__ != "_Term"}
-    assert records == set(RECORDS) and len(RECORDS) == 47
+    assert records == set(RECORDS) and len(RECORDS) == 49
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
