@@ -232,6 +232,10 @@ class _Env(Record, frozen=False):
 
 _EMPTY_ENV = _Env({}, frozenset())
 
+#: In `Checker._renamed`, a bound variable's type that names a variable
+#: being renamed.
+_CLASH = object()
+
 
 class Checker:
     """Expression-level checker over a fixed (regions, locations) context."""
@@ -368,28 +372,37 @@ class Checker:
         if literal or not binders.isdisjoint(rho) or any(
                 r in rho or p in rho for r, _, p in eff.items()):
             return None
+        worlds = env.__dict__.get("_worlds")
+        if worlds is None:  # per suffix of the bindings: (back, renamed, renamed types)
+            bound = list(rho)  # in the order of binding, innermost last
+            worlds = env._worlds = [
+                (back, {lit: var for var, lit in back.items()}, {})
+                for back in ({var: rho[var] for var in bound[i:]} for i in range(len(bound)))]
         terms, regions = env.order(body)
-        types = [env.vars.get(x) for x in terms]
-        named = set().union(*map(free_regions, types)) if types else set()
-        bound = list(rho)  # in the order of binding, innermost last
-        for i in range(len(bound)):
-            names = bound[i:]
-            if not named.isdisjoint(names):
+        value = isinstance(body, (Lambda, RegionLambda))
+        for n, (back, renamed, cache) in enumerate(worlds):
+            types = []
+            for x in terms:
+                t = cache.get(x)
+                if t is None:
+                    t = env.vars.get(x)
+                    # No bound variable's type may name a renamed variable.
+                    t = cache[x] = (_CLASH if not back.keys().isdisjoint(free_regions(t))
+                                    else subst_regions(t, renamed))
+                types.append(t)
+            if any(t is _CLASH for t in types):
                 continue
-            back = {var: rho[var] for var in names}
-            renamed = {lit: var for var, lit in back.items()}
-            reads = (tuple([subst_regions(t, renamed) for t in types]),
-                     tuple([True if r in back else rho.get(r) for r in regions]))
-            key = (expr_digest(body), reads)
-            if not isinstance(body, (Lambda, RegionLambda)):
+            key = (expr_digest(body), (tuple(types), tuple(
+                [True if r in back else rho.get(r) for r in regions])))
+            if not value:
                 key = (key, subst_regions(eff, renamed).items())
-                hit = self.memo.get(key)
-                if hit is not None:
-                    return subst_regions(hit[0], back), subst_regions(hit[1], back)
-            else:
-                hit = self.memo.get(key)
-                if hit is not None:
+            hit = self.memo.get(key)
+            if hit is not None:
+                if n:  # the next body under these bindings is likely found alike
+                    worlds.insert(0, worlds.pop(n))
+                if value:
                     return subst_regions(hit, back)
+                return subst_regions(hit[0], back), subst_regions(hit[1], back)
         return None
 
     def _closure_env(self, c: Closure) -> _Env:
@@ -622,13 +635,24 @@ class Checker:
 
         t_fn, out = self.check(e.fn, env, eff)
         t_arg, out = self.check(e.arg, env, out)
+        par = isinstance(e.mode, ParMode)
+        declared = e.mode.transfer if par else None
+        if declared is not None and env.rho:
+            declared = self._resolve(declared, env, e.loc)
+        key = None
+        if self.memo is not None:
+            # The rule itself reads only these, and a call that a step
+            # leaves in place meets the same ones again.
+            key = ("app", t_fn, t_arg, out.items(), par, declared)
+            hit = self.memo.get(key)
+            if hit is not None:
+                return hit
         if not isinstance(t_fn, FnType):
             raise self.fail("TypeMismatch", f"application of non-function {t_fn}", e.loc, out)
         if not type_eq(t_arg, t_fn.param, self.lenient):
             raise self.fail("TypeMismatch",
                             f"argument type {t_arg} does not match parameter "
                             f"{t_fn.param}", e.loc, out)
-        par = isinstance(e.mode, ParMode)
         try:
             need = fx.fragments(t_fn.effect_in) if self.lenient else t_fn.effect_in
             split = fx.effect_subtract(out, need)
@@ -641,14 +665,14 @@ class Checker:
                                         split.abstracted)
         except fx.CapError as exc:
             raise self.fail(exc.code, exc.message, e.loc, out)
-        if par:
-            declared = self._resolve(e.mode.transfer, env, e.loc) if env.rho else e.mode.transfer
-            if declared is not None and not effect_eq(declared, split.passed, self.lenient):
-                raise self.fail("SpawnAnnotationMismatch",
-                                f"spawn annotation {declared.pretty()} does not match the "
-                                f"inferred transfer {split.passed.pretty()}", e.loc, out)
-            return UNIT, joined
-        return t_fn.result, joined
+        if declared is not None and not effect_eq(declared, split.passed, self.lenient):
+            raise self.fail("SpawnAnnotationMismatch",
+                            f"spawn annotation {declared.pretty()} does not match the "
+                            f"inferred transfer {split.passed.pretty()}", e.loc, out)
+        result = (UNIT if par else t_fn.result), joined
+        if key is not None:
+            self.memo[key] = result
+        return result
 
 
 def main_input_effect(var: RegionVar) -> Effect:
