@@ -1032,7 +1032,14 @@ def close(e: Expr, env: Env) -> Expr:
     terms, regions = free_names(e)
     if env.keys().isdisjoint(terms) and env.keys().isdisjoint(regions):
         return e
-    return Closure(e, env)
+    return _digested(Closure(e, env), env.digests.get(id(e)))
+
+
+def _digested(e: Expr, known: Optional[tuple[Expr, bytes]]) -> Expr:
+    """`e` with its read-back's digest cached, when `Env.digests` knows it."""
+    if known is not None:
+        object.__setattr__(e, _DIGEST, known[1])
+    return e
 
 
 def _binder_env(e: Expr, env: Env) -> Env:
@@ -1060,7 +1067,7 @@ def push(c: Closure) -> Expr:
         else:
             new = old
         values.append(new)
-    return form(*values, e.loc)
+    return _digested(form(*values, e.loc), env.digests.get(id(e)))
 
 
 def _bound_digest(root: Expr, env: Env) -> bytes:
@@ -1072,20 +1079,18 @@ def _bound_digest(root: Expr, env: Env) -> bytes:
     hit = memo.get(id(root))
     if hit is not None:  # pushed from a closure whose digest is known: the common case
         return hit[1]
-    keys = env.keys()
+    keys, get = env.keys(), memo.get
 
     def bound(node) -> bool:
         terms, regions = free_names(node)
         return not (keys.isdisjoint(terms) and keys.isdisjoint(regions))
 
-    def digest(node) -> bytes:
-        hit = memo.get(id(node))
-        return expr_digest(node) if hit is None else hit[1]
-
-    stack = [root]
+    if not bound(root):
+        return expr_digest(root)
+    stack = [root]  # every node on it is bound
     while stack:
         node = stack[-1]
-        if id(node) in memo or not bound(node):
+        if id(node) in memo:  # shared, and done
             stack.pop()
             continue
         if type(node) is Var:
@@ -1093,18 +1098,20 @@ def _bound_digest(root: Expr, env: Env) -> bytes:
             stack.pop()
             continue
         kids = children(node)
-        shadowed = type(node) in BINDERS and _binder_env(node, env) is not env
-        todo = [k for k in (kids[:-1] if shadowed else kids) if id(k) not in memo and bound(k)]
+        inner = _binder_env(node, env) if type(node) in BINDERS else env
+        todo = [k for k in (kids if inner is env else kids[:-1])
+                if id(k) not in memo and bound(k)]
         if todo:
             stack.extend(todo)
             continue
         stack.pop()
-        kid_digests = [digest(k) for k in kids]
-        if shadowed:  # once per binder that shadows a bound name, so shallow
-            kid_digests[-1] = _bound_digest(kids[-1], _binder_env(node, env))
+        kid_digests = [expr_digest(k) if hit is None else hit[1] for k, hit in
+                       zip(kids, map(get, map(id, kids)))]
+        if inner is not env:  # once per binder that shadows a bound name, so shallow
+            kid_digests[-1] = _bound_digest(kids[-1], inner)
         memo[id(node)] = (node, blake2b(_encode_expr(node, b"".join(kid_digests), env.regions),
                                         digest_size=16).digest())
-    return digest(root)
+    return memo[id(root)][1]
 
 
 def _read_node(e: Expr, _) -> Expr:
