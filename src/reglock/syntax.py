@@ -1032,14 +1032,11 @@ def close(e: Expr, env: Env) -> Expr:
     terms, regions = free_names(e)
     if env.keys().isdisjoint(terms) and env.keys().isdisjoint(regions):
         return e
-    return _digested(Closure(e, env), env.digests.get(id(e)))
-
-
-def _digested(e: Expr, known: Optional[tuple[Expr, bytes]]) -> Expr:
-    """`e` with its read-back's digest cached, when `Env.digests` knows it."""
-    if known is not None:
-        object.__setattr__(e, _DIGEST, known[1])
-    return e
+    c = Closure(e, env)
+    known = env.digests.get(id(e))
+    if known is not None:  # its read-back's digest
+        object.__setattr__(c, _DIGEST, known[1])
+    return c
 
 
 def _binder_env(e: Expr, env: Env) -> Env:
@@ -1067,7 +1064,11 @@ def push(c: Closure) -> Expr:
         else:
             new = old
         values.append(new)
-    return _digested(form(*values, e.loc), env.digests.get(id(e)))
+    node = form(*values, e.loc)
+    known = env.digests.get(id(e))
+    if known is not None:  # its read-back's digest
+        object.__setattr__(node, _DIGEST, known[1])
+    return node
 
 
 def _bound_digest(root: Expr, env: Env) -> bytes:
