@@ -73,7 +73,7 @@ class Record:
         return f"{type(self).__qualname__}({shown})"
 
     def __getstate__(self) -> dict:
-        # A string's hash differs between processes, so the cached hash stays.
+        # A string's hash differs between processes: the cached hash is not pickled.
         state = dict(self.__dict__)
         state.pop("_hash", None)
         return state

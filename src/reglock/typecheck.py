@@ -341,13 +341,17 @@ class Checker:
     def _check_bound(self, body: Expr, env: _Env, eff: Effect) -> tuple[Type, Effect]:
         """`check` of a body that a closure or a let binds, which may be
         found renamed (`_renamed`) when the memo lacks it."""
-        if self.memo is not None and env.rho:
-            key, value = self._key(body, free_names(body), env, eff)
-            if key not in self.memo:
-                found = self._renamed(body, env, eff)
-                if found is not None:
-                    self.memo[key] = found
-        return self.check(body, env, eff)
+        memo = self.memo
+        if memo is None or not env.rho:
+            return self.check(body, env, eff)
+        key, value = self._key(body, free_names(body), env, eff)
+        hit = memo.get(key)
+        if hit is None:
+            hit = self._renamed(body, env, eff)
+            if hit is None:
+                return self.check(body, env, eff)
+            memo[key] = hit
+        return (hit, eff) if value else hit
 
     def _renamed(self, body: Expr, env: _Env, eff: Effect):
         """The memo's entry for `body` with some of its bound region
