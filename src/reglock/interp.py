@@ -314,13 +314,15 @@ def step_thread(config: Config, tid: int) -> StepOutcome:
     if isinstance(redex, App) and isinstance(redex.mode, ParMode):
         # A spawn moves the callee's input effect, or the annotation the
         # checker required to equal it.
-        transfer = redex.mode.transfer or memo.transfer
+        transfer = redex.mode.transfer
         if transfer is None:
-            fn, env = _opened(redex.fn)
-            if not isinstance(fn, Lambda):
-                return Stuck(tid, "BadApplication",
-                             f"spawn of non-function {pretty(redex.fn)}")
-            transfer = memo.transfer = subst_regions(fn.effect_in, env.regions)
+            if memo.transfer is None:  # one object per term, for the store's memo
+                fn, env = _opened(redex.fn)
+                if not isinstance(fn, Lambda):
+                    return Stuck(tid, "BadApplication",
+                                 f"spawn of non-function {pretty(redex.fn)}")
+                memo.transfer = subst_regions(fn.effect_in, env.regions)
+            transfer = memo.transfer
         child_tid = config.next_tid
         try:
             store = config.store.transfer(tid, child_tid, transfer)
