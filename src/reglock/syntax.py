@@ -45,15 +45,17 @@ class Record:
         code = cls.__init__.__code__
         cls._fields = code.co_varnames[1:code.co_argcount]
         cls._compared = tuple(name for name in cls._fields if name not in cls._hidden)
+        # The compared fields as a tuple, fetched in C.
+        get = operator.attrgetter(*cls._compared) if cls._compared else None
+        cls._values = ((lambda self: ()) if get is None
+                       else (lambda self: (get(self),)) if len(cls._compared) == 1
+                       else (lambda self: get(self)))
         if not frozen:
             cls.__setattr__, cls.__delattr__ = object.__setattr__, object.__delattr__
             cls.__hash__ = None  # type: ignore[assignment]
 
     def __init__(self) -> None:
         pass
-
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._compared])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
