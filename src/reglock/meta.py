@@ -50,9 +50,12 @@ instead of substituting (see `interp`), so the memo keys a subterm on:
 
 A closure types as its body with each bound variable at its value's type
 and each bound region variable read as its literal: the judgement of its
-read-back.  It is looked up by identity and input effect first, since a
-continuation is re-typed under the same effect at every step
-(preservation), then as its body under those readings.  A body that E-RP
+read-back.  A name that it leaves free, which only the body of a `newrgn`
+stepped at its parent handle does (`syntax.push`), reads as the term
+around it binds it.  It is looked up by identity and input effect first,
+and what it reads of those free names, since a continuation is re-typed
+under the same effect at every step (preservation), then as its body
+under those readings.  A body that E-RP
 or E-NG just entered has never been typed with its new literal, so it is
 then looked up renamed, as the typing of the enclosing term stored it,
 while the binders just applied were still variables in scope

@@ -4,7 +4,8 @@ Everything here is an immutable value.  A *record* (`Record`) declares its
 fields once, as the parameters of a hand-written `__init__` whose body is one
 `self.__dict__.update(...)` call, so defining one generates and compiles no
 code.  Records of one class are equal when their compared fields are, and
-`hash(r)` is `hash(tuple(compared fields))`.  A term form neither compares
+`hash(r)` is `hash(tuple(compared fields))`, so a closure, whose bindings
+are a dict (`Env`), has none.  A term form neither compares
 nor shows its source location, so a pretty-printed and re-parsed term
 compares equal to the original.  Assigning or deleting a field raises
 `FrozenInstanceError`, except on a record made with `frozen=False`, which is
@@ -917,9 +918,9 @@ def expr_digest(e: Expr) -> bytes:
 #: The free names of a term with none, shared by every such node.
 CLOSED: tuple[frozenset[str], frozenset[RegionVar]] = (frozenset(), frozenset())
 
-#: The free names of a closure and of a term that holds one: none, like
-#: `CLOSED`, but a distinct object, so a run-time term is told from a
-#: closed program term by identity.
+#: The free names of a closed closure and of a closed term that holds a
+#: closure: none, like `CLOSED`, but a distinct object, so a run-time term
+#: is told from a closed program term by identity.
 RUNTIME: tuple[frozenset[str], frozenset[RegionVar]] = (frozenset(), frozenset())
 
 
@@ -927,14 +928,18 @@ def _free_of(e: Expr, kid_free: list) -> tuple[frozenset[str], frozenset[RegionV
     form = type(e)
     if form is Var:
         return frozenset({e.name}), frozenset()
-    if form is Closure:
-        return RUNTIME
+    if form is Closure:  # the body's names that its bindings leave free
+        terms, regions = free_names(e.body)
+        terms = frozenset([x for x in terms if x not in e.env])
+        regions = frozenset([r for r in regions if r not in e.env])
+        return (terms, regions) if terms or regions else RUNTIME
     runtime = any(kid is RUNTIME for kid in kid_free)
     bound = BINDERS.get(form)
     if bound:  # the body is the last subterm, and the only one under the binders
         names = {getattr(e, name) for name in bound}
         body_terms, body_regions = kid_free[-1]
         kid_free = kid_free[:-1] + [(body_terms - names, body_regions - names)]
+        runtime = runtime or type(e.body) is Closure  # an open closure (`push`)
     terms, regions = CLOSED
     for kid_terms, kid_regions in kid_free:
         if kid_terms:
@@ -954,7 +959,8 @@ def free_names(e: Expr) -> tuple[frozenset[str], frozenset[RegionVar]]:
     """The free term variables and free region variables of a term, cached
     on each node like its digest; `CLOSED` itself when there are none, and
     `RUNTIME` for a closed term that holds a closure.  Region literals are
-    not variables and never count."""
+    not variables and never count.  A closure's are its body's names that
+    its bindings leave free: a binder's names, when `push` closes its body."""
     names = getattr(e, _FREE, None)
     return names if names is not None else cached_attr(e, _FREE, children, _free_of)
 
@@ -1000,17 +1006,22 @@ class Env(dict):
     to region literals.  Closures pushed from one closure share its `Env`,
     and with it `digests`: each body node's read-back digest under these
     bindings, by the node's `id` (the entry holds the node, so no `id` is
-    reused).  Never changed once made."""
+    reused).  An `Env` made by `extend` keeps the one it extends as `base`
+    and its own names as `fresh`: a node that names none of them reads the
+    same under both, so its digest is the base's.  Never changed once
+    made."""
 
-    __slots__ = ("digests", "regions")
+    __slots__ = ("digests", "regions", "base", "fresh")
 
-    def __init__(self, bindings: dict = ()) -> None:
+    def __init__(self, bindings: dict = (), base: Optional["Env"] = None,
+                 fresh: AbstractSet = frozenset()) -> None:
         super().__init__(bindings)
         self.digests: dict[int, tuple[Expr, bytes]] = {}
         self.regions = {var: lit for var, lit in self.items() if type(var) is RegionVar}
+        self.base, self.fresh = base, fresh
 
     def extend(self, bindings: dict) -> "Env":
-        return Env({**self, **bindings})
+        return Env({**self, **bindings}, self, bindings.keys())
 
     def without(self, names: AbstractSet) -> "Env":
         return Env({k: v for k, v in self.items() if k not in names})
@@ -1049,7 +1060,10 @@ def _binder_env(e: Expr, env: Env) -> Env:
 
 def push(c: Closure) -> Expr:
     """One level of `c`'s read-back: a node of its body's form, the fields
-    that name regions substituted, and each subterm closed over `c.env`."""
+    that name regions substituted, and each subterm closed over `c.env`.
+    A binder's body is closed over the bindings it does not shadow, so its
+    closure is open in the binder's names until the binder's own rule
+    binds them (a `newrgn` whose parent handle is still to be evaluated)."""
     e, env = c.body, c.env
     form = type(e)
     values = []
@@ -1073,48 +1087,61 @@ def push(c: Closure) -> Expr:
     return node
 
 
+def _names_any(e: Expr, names: AbstractSet) -> bool:
+    terms, regions = free_names(e)
+    return not (names.isdisjoint(terms) and names.isdisjoint(regions))
+
+
 def _bound_digest(root: Expr, env: Env) -> bytes:
     """`expr_digest(subst_expr(root, env))`, without building that term:
-    a node whose free names `env` does not bind keeps its own digest, and
-    the others are hashed as their substitutions would be, into
-    `env.digests`, bottom-up from an explicit stack."""
-    memo = env.digests
-    hit = memo.get(id(root))
+    a node whose free names `env` does not bind keeps its own digest, one
+    that names none of `env.fresh` has its digest under `env.base`, and the
+    others are hashed as their substitutions would be, into `digests`,
+    bottom-up from an explicit stack."""
+    hit = env.digests.get(id(root))
     if hit is not None:  # pushed from a closure whose digest is known: the common case
         return hit[1]
-    keys, get = env.keys(), memo.get
-
-    def bound(node) -> bool:
-        terms, regions = free_names(node)
-        return not (keys.isdisjoint(terms) and keys.isdisjoint(regions))
-
-    if not bound(root):
+    if not _names_any(root, env.keys()):
         return expr_digest(root)
-    stack = [root]  # every node on it is bound
+    stack = [(root, env)]  # every node on it is bound in its `Env`
     while stack:
-        node = stack[-1]
+        node, at = stack[-1]
+        memo = at.digests
         if id(node) in memo:  # shared, and done
             stack.pop()
             continue
+        owner = at
+        while owner.base is not None and not _names_any(node, owner.fresh):
+            owner = owner.base
+        if owner is not at:  # it reads the same under an `Env` that `at` extends
+            hit = owner.digests.get(id(node))
+            if hit is None:
+                stack.append((node, owner))
+            else:
+                memo[id(node)] = hit
+                stack.pop()
+            continue
         if type(node) is Var:
-            memo[id(node)] = (node, expr_digest(env[node.name]))
+            memo[id(node)] = (node, expr_digest(at[node.name]))
             stack.pop()
             continue
         kids = children(node)
-        inner = _binder_env(node, env) if type(node) in BINDERS else env
-        todo = [k for k in (kids if inner is env else kids[:-1])
-                if id(k) not in memo and bound(k)]
+        inner = _binder_env(node, at) if type(node) in BINDERS else at
+        keys = at.keys()
+        todo = [(k, at) for k in (kids if inner is at else kids[:-1])
+                if id(k) not in memo and _names_any(k, keys)]
         if todo:
             stack.extend(todo)
             continue
         stack.pop()
+        get = memo.get
         kid_digests = [expr_digest(k) if hit is None else hit[1] for k, hit in
                        zip(kids, map(get, map(id, kids)))]
-        if inner is not env:  # once per binder that shadows a bound name, so shallow
+        if inner is not at:  # once per binder that shadows a bound name, so shallow
             kid_digests[-1] = _bound_digest(kids[-1], inner)
-        memo[id(node)] = (node, blake2b(_encode_expr(node, b"".join(kid_digests), env.regions),
+        memo[id(node)] = (node, blake2b(_encode_expr(node, b"".join(kid_digests), at.regions),
                                         digest_size=16).digest())
-    return memo[id(root)][1]
+    return env.digests[id(root)][1]
 
 
 def _read_node(e: Expr, _) -> Expr:
@@ -1124,7 +1151,7 @@ def _read_node(e: Expr, _) -> Expr:
         sigma.update((var, e.env[var]) for var in regions if var in e.env)
         return subst_expr(e.body, sigma)
     old = children(e)
-    kids = [k._read if free_names(k) is RUNTIME else k for k in old]
+    kids = [k._read if holds_closure(k) else k for k in old]
     if all(new is k for new, k in zip(kids, old)):
         return e
     if type(e) is Prim:
@@ -1136,10 +1163,15 @@ def _read_node(e: Expr, _) -> Expr:
 def read_back(e: Expr) -> Expr:
     """`e` with each closure replaced by its substitution, cached on each
     node it rebuilds: a term with no closure, the same object each time."""
-    if free_names(e) is not RUNTIME:
+    if not holds_closure(e):
         return e
     return cached_attr(e, "_read", _runtime_children, _read_node)
 
 
+def holds_closure(e: Expr) -> bool:
+    """Whether `e` is a closure or holds one."""
+    return free_names(e) is RUNTIME or type(e) is Closure
+
+
 def _runtime_children(e: Expr) -> list:
-    return [k for k in children(e) if free_names(k) is RUNTIME]
+    return [k for k in children(e) if holds_closure(k)]

@@ -308,10 +308,14 @@ class Checker:
         if type(e) is Closure:
             # A continuation is re-typed at each step under the same effect
             # (preservation).  The entry holds the closure: no `id` is reused.
+            # An open closure reads its free names from `env`.
             key = (id(e), eff.items())
+            if free_names(e) is not RUNTIME:
+                key = (*key, env.key(e))
             hit = memo.get(key)
             if hit is None:
-                hit = memo[key] = (e, *self._check_bound(e.body, self._closure_env(e), eff))
+                hit = memo[key] = (e, *self._check_bound(e.body, self._closure_env(e, env),
+                                                         eff))
             return hit[1:]
         names = free_names(e)
         if names is RUNTIME or type(e) in LEAVES:
@@ -384,7 +388,7 @@ class Checker:
                 for back in ({var: rho[var] for var in bound[i:]} for i in range(len(bound)))]
         terms, regions = env.order(body)
         value = isinstance(body, (Lambda, RegionLambda))
-        for n, (back, renamed, cache) in enumerate(worlds):
+        for back, renamed, cache in worlds:
             types = []
             for x in terms:
                 t = cache.get(x)
@@ -397,34 +401,43 @@ class Checker:
             if any(t is _CLASH for t in types):
                 continue
             key = (expr_digest(body), (tuple(types), tuple(
-                [True if r in back else rho.get(r) for r in regions])))
+                [True if r in back or r in env.region_vars else rho.get(r)
+                 for r in regions])))
             if not value:
                 key = (key, subst_regions(eff, renamed).items())
             hit = self.memo.get(key)
             if hit is not None:
-                if n:  # the next body under these bindings is likely found alike
-                    worlds.insert(0, worlds.pop(n))
                 if value:
                     return subst_regions(hit, back)
                 return subst_regions(hit[0], back), subst_regions(hit[1], back)
         return None
 
-    def _closure_env(self, c: Closure) -> _Env:
+    def _closure_env(self, c: Closure, env: _Env) -> _Env:
         """The environment that types `c.body` as its read-back: each bound
         variable at its value's type, each bound region variable read as its
-        literal.  Memoised per set of bindings, which closures pushed from
-        one closure share: a value's type does not change during a run."""
+        literal, and each name that `c` leaves free (a binder's, see
+        `syntax.push`) as `env`, the environment around `c`, has it.  The
+        bindings' part is memoised per set of bindings, which closures
+        pushed from one closure share: a value's type does not change during
+        a run."""
         bindings = c.env
         key = ("env", id(bindings))
         hit = self.memo and self.memo.get(key)
         if hit:
-            return hit[1]
-        env = _Env({x: self.check(v, _EMPTY_ENV, EMPTY_EFFECT)[0]
-                    for x, v in bindings.items() if type(x) is str},
-                   frozenset(), bindings.regions)
-        if self.memo is not None:
-            self.memo[key] = (bindings, env)  # holds the bindings: no `id` is reused
-        return env
+            bound = hit[1]
+        else:
+            bound = _Env({x: self.check(v, _EMPTY_ENV, EMPTY_EFFECT)[0]
+                          for x, v in bindings.items() if type(x) is str},
+                         frozenset(), bindings.regions)
+            if self.memo is not None:
+                self.memo[key] = (bindings, bound)  # holds the bindings: no `id` is reused
+        names = free_names(c)
+        if names is RUNTIME:
+            return bound
+        terms, regions = names
+        types = {**bound.vars, **{x: env.vars[x] for x in terms if x in env.vars}}
+        rho = {**bound.rho, **{r: env.rho[r] for r in regions if r in env.rho}}
+        return _Env(types, regions & env.region_vars, rho)
 
     def _resolve(self, x, env: _Env, loc: Optional[Loc]):
         """A type, effect or calling mode as written, read under `env.rho`."""
@@ -623,7 +636,7 @@ class Checker:
             return result, out
 
         if type(e) is Closure:
-            return self.check(e.body, self._closure_env(e), eff)
+            return self.check(e.body, self._closure_env(e, env), eff)
 
         raise self.fail("UnsupportedForm", f"cannot type {type(e).__name__}", e.loc, eff)
 
@@ -634,29 +647,18 @@ class Checker:
             t_arg, out = self.check(e.arg, env, eff)
             if type(e.fn) is not Closure:
                 return self.check(e.fn.body, env.bind(e.fn.param, t_arg), out)
-            fn, fn_env = e.fn.body, self._closure_env(e.fn)
+            fn, fn_env = e.fn.body, self._closure_env(e.fn, env)
             return self._check_bound(fn.body, fn_env.bind(fn.param, t_arg), out)
 
         t_fn, out = self.check(e.fn, env, eff)
         t_arg, out = self.check(e.arg, env, out)
-        par = isinstance(e.mode, ParMode)
-        declared = e.mode.transfer if par else None
-        if declared is not None and env.rho:
-            declared = self._resolve(declared, env, e.loc)
-        key = None
-        if self.memo is not None:
-            # The rule itself reads only these, and a call that a step
-            # leaves in place meets the same ones again.
-            key = ("app", t_fn, t_arg, out.items(), par, declared)
-            hit = self.memo.get(key)
-            if hit is not None:
-                return hit
         if not isinstance(t_fn, FnType):
             raise self.fail("TypeMismatch", f"application of non-function {t_fn}", e.loc, out)
         if not type_eq(t_arg, t_fn.param, self.lenient):
             raise self.fail("TypeMismatch",
                             f"argument type {t_arg} does not match parameter "
                             f"{t_fn.param}", e.loc, out)
+        par = isinstance(e.mode, ParMode)
         try:
             need = fx.fragments(t_fn.effect_in) if self.lenient else t_fn.effect_in
             split = fx.effect_subtract(out, need)
@@ -669,14 +671,14 @@ class Checker:
                                         split.abstracted)
         except fx.CapError as exc:
             raise self.fail(exc.code, exc.message, e.loc, out)
-        if declared is not None and not effect_eq(declared, split.passed, self.lenient):
-            raise self.fail("SpawnAnnotationMismatch",
-                            f"spawn annotation {declared.pretty()} does not match the "
-                            f"inferred transfer {split.passed.pretty()}", e.loc, out)
-        result = (UNIT if par else t_fn.result), joined
-        if key is not None:
-            self.memo[key] = result
-        return result
+        if par:
+            declared = self._resolve(e.mode.transfer, env, e.loc)
+            if declared is not None and not effect_eq(declared, split.passed, self.lenient):
+                raise self.fail("SpawnAnnotationMismatch",
+                                f"spawn annotation {declared.pretty()} does not match the "
+                                f"inferred transfer {split.passed.pretty()}", e.loc, out)
+            return UNIT, joined
+        return t_fn.result, joined
 
 
 def main_input_effect(var: RegionVar) -> Effect:

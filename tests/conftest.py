@@ -115,6 +115,29 @@ def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].
   work[rhoH](heap)
 """
 
+#: `newrgn` at parent handles still to be evaluated.  The machine steps a
+#: handle inside the `newrgn`, whose body, closed over the bindings around
+#: it, is open in the `newrgn`'s own names until its E-NG; the outer `newrgn`
+#: binds `h` again, which the `let` around it bound to a value.
+COMPUTED_HANDLE = """
+def nop = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^~(1,0)@_} -> {}].
+  free heap
+
+def work = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^~(1,0)@_} -> {rhoH^~(1,0)@_}].
+  let y = 1 in
+  let h = heap in
+  newrgn rho, h at (if y == 1 then h else heap) in
+  newrgn rho, h2 at (if true then h else h) in
+  (let r = new y at h2 in r := deref r + y;
+   share heap;
+   spawn nop[rhoH](heap);
+   free h2;
+   free h)
+
+def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].
+  work[rhoH](heap)
+"""
+
 #: A handle left in a dead position after its region is freed: `work` frees
 #: `h` while `idle` still holds it, and `idle` only evaluates it.
 DEAD_HANDLE = """

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from reglock import cli
 from reglock.cli import main
 from reglock.parser import _PUNCT, KEYWORDS, lex
-from conftest import (CORPUS, DEAD_HANDLE, POLY_CELL, RUNNABLE, SHADOWED_SPAWN, TWICE,
-                      paired_long_seq)
+from conftest import (COMPUTED_HANDLE, CORPUS, DEAD_HANDLE, POLY_CELL, RUNNABLE,
+                      SHADOWED_SPAWN, TWICE, paired_long_seq)
 
 
 def corpus(name: str) -> str:
@@ -253,6 +253,13 @@ def checks_explores_and_runs_clean(path, capsys) -> dict:
 def test_spawn_under_shadowing_binder_runs(tmp_path, capsys):
     path = tmp_path / "shadowed_spawn.rgn"
     path.write_text(SHADOWED_SPAWN)
+    checks_explores_and_runs_clean(path, capsys)
+
+
+def test_newrgn_at_a_computed_handle_runs_clean(tmp_path, capsys):
+    # The body of a `newrgn` stepped at its handle is open in its names.
+    path = tmp_path / "computed_handle.rgn"
+    path.write_text(COMPUTED_HANDLE)
     checks_explores_and_runs_clean(path, capsys)
 
 

@@ -14,12 +14,13 @@ import subst_machine
 from reglock.interp import config_digest, explore, run_seeded
 from reglock.parser import parse_program, pretty
 from reglock.typecheck import check_program, link_bodies
-from conftest import (DEAD_HANDLE, INLINED_PURITY, POLY_CELL, RUNNABLE, SHADOWED_SPAWN,
-                      SPLIT_THEN_WHOLE, TWICE, corpus_text, lock_tree, paired_long_seq)
+from conftest import (COMPUTED_HANDLE, DEAD_HANDLE, INLINED_PURITY, POLY_CELL, RUNNABLE,
+                      SHADOWED_SPAWN, SPLIT_THEN_WHOLE, TWICE, corpus_text, lock_tree,
+                      paired_long_seq)
 
 FIXTURES = {"shadowed_spawn": SHADOWED_SPAWN, "dead_handle": DEAD_HANDLE,
             "inlined_purity": INLINED_PURITY, "split_then_whole": SPLIT_THEN_WHOLE,
-            "twice": TWICE, "poly_cell": POLY_CELL,
+            "twice": TWICE, "poly_cell": POLY_CELL, "computed_handle": COMPUTED_HANDLE,
             **{f"lock_tree_{d}": lock_tree(d) for d in (2, 3, 4)},
             "long_seq_30": paired_long_seq(30)}
 
@@ -60,7 +61,7 @@ def test_fixture_runs_agree(name):
         assert_same_run(main, seed)
 
 
-@pytest.mark.parametrize("name", RUNNABLE + ["lock_tree_2"])
+@pytest.mark.parametrize("name", RUNNABLE + ["lock_tree_2", "computed_handle"])
 def test_explore_agrees(name):
     main = main_of(name)
     ours, theirs = explore(main, force=True), subst_machine.explore(main)

@@ -37,6 +37,7 @@ from reglock.syntax import (
 )
 from reglock.typecheck import Checker, check_program, type_eq
 from conftest import (
+    COMPUTED_HANDLE,
     CORPUS,
     INLINED_PURITY,
     RUNNABLE,
@@ -312,7 +313,8 @@ class Differential(Harness):
 #: Generated programs and their schedule seeds (long_seq has one thread).
 GENERATED = {"long_seq_30": (paired_long_seq(30), [0]),
              "lock_tree_3": (lock_tree(3), range(3)),
-             "shadowed_spawn": (SHADOWED_SPAWN, range(3))}
+             "shadowed_spawn": (SHADOWED_SPAWN, range(3)),
+             "computed_handle": (COMPUTED_HANDLE, range(10))}
 
 
 @pytest.mark.parametrize("name", RUNNABLE + list(GENERATED))

@@ -1,6 +1,7 @@
 """Records (`syntax.Record`): importing reglock generates no code, and every
 record has value equality, a hash of its compared fields (none for the five
-mutable ones), its repr and defaults, and immutability."""
+mutable ones, nor for a closure, whose bindings are a dict), its repr and
+defaults, and immutability."""
 
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from reglock.interp import (BlockedOn, Config, ExploreResult, Finished, Stepped,
 from reglock.meta import Violation
 from reglock.parser import Definition, SourceProgram
 from reglock.store import Blocked, Counts, RegionNode, Store
-from reglock.syntax import (SEQ_MODE, App, BaseType, Closure, Const, Expr, FnType,
+from reglock.syntax import (SEQ_MODE, App, BaseType, Closure, Const, Env, Expr, FnType,
                             FrozenInstanceError, HandleType, Loc, Location, ParMode, Record,
                             RefType, RegionPolyType, UnitType, Var)
 from reglock.typecheck import CheckResult, Diagnostic, TypedProgram, _Env
@@ -34,11 +35,12 @@ TERMS = list(get_args(Expr))
 LOCATED = [Definition, Diagnostic]
 OTHER_FROZEN = [Loc, BaseType, UnitType, FnType, RegionPolyType, RefType, HandleType, ParMode,
                 Location, SourceProgram, SplitResult, Counts, Blocked, RegionNode, Store, Thread,
-                Config, Stepped, Finished, BlockedOn, Stuck, TraceStep, Terminal, Violation,
-                Closure]
+                Config, Stepped, Finished, BlockedOn, Stuck, TraceStep, Terminal, Violation]
+#: Immutable, but unhashable: a closure's bindings are a dict (`Env`).
+UNHASHABLE = [Closure]
 #: Assignable and unhashable.
 MUTABLE = [Trace, ExploreResult, TypedProgram, CheckResult, _Env]
-RECORDS = TERMS + LOCATED + OTHER_FROZEN + MUTABLE
+RECORDS = TERMS + LOCATED + OTHER_FROZEN + UNHASHABLE + MUTABLE
 
 
 def subclasses(cls: type) -> set[type]:
@@ -57,10 +59,13 @@ def compared(cls: type) -> list[str]:
 
 
 def make(cls: type, **changes):
-    """A record whose every field holds a distinct hashable value."""
+    """A record whose every field holds a distinct value, hashable but for
+    a closure's bindings."""
     values = {name: ("value of", name) for name in params(cls)}
     if cls is Diagnostic:
         values["code"] = "TypeMismatch"
+    if cls is Closure:
+        values["env"] = Env({"x": Const(1)})
     return cls(**{**values, **changes})
 
 
@@ -105,7 +110,11 @@ def test_record_semantics(cls):
         assert a != b
         del a.extra
     else:
-        assert hash(a) == hash(tuple(getattr(a, name) for name in names))
+        if cls in UNHASHABLE:
+            with pytest.raises(TypeError):
+                hash(a)
+        else:
+            assert hash(a) == hash(tuple(getattr(a, name) for name in names))
         for name in params(cls)[:1] + ["_digest"]:
             with pytest.raises(FrozenInstanceError):
                 setattr(a, name, "changed")

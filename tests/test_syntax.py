@@ -47,8 +47,13 @@ from reglock.syntax import (
     ParMode,
     Seq,
     Var,
+    Closure,
+    Env,
+    RUNTIME,
     free_names,
     children,
+    push,
+    read_back,
     free_regions,
     subst_expr,
     subst_regions,
@@ -238,6 +243,17 @@ class TestFreeNames:
         # The newrgn binder does not scope over its parent handle.
         assert free_names(NewRgn(RHO1, "h", RegionApp(Var("h"), RHO1), Var("h"))) == (
             {"h"}, {RHO1})
+
+    def test_a_pushed_binder_body_is_open_in_the_binders_names(self):
+        # `newrgn` at a handle still to be evaluated: `push` closes its body
+        # over the bindings that the binder does not shadow.
+        e = parse_expr("newrgn r, h at (if true then g else g) in (free h; k[r])")
+        g, k = RgnVal(RegionLit("1")), parse_expr("/\\s. ()")
+        node = push(Closure(e, Env({"g": g, "k": k, "h": Const(2)})))
+        assert type(node) is NewRgn and type(node.body) is Closure
+        assert free_names(node.body) == ({"h"}, {e.var})
+        assert free_names(node) is RUNTIME
+        assert read_back(node) == subst_expr(e, {"g": g, "k": k})
 
     def test_spawn_transfer_regions_are_free(self):
         spawn = App(Var("f"), Const(1), ParMode(Effect.of((RHO1, Capability(1, 0), BOTTOM))))
