@@ -85,9 +85,18 @@ Consistency compares counts for equality: every rule that changes a
 thread's counts (a capability step, a spawn's transfer, `newrgn`) changes
 its static effect by the same amount.
 
+The store checks read what the step changed.  A run ends at its first
+violation, so the configuration before a step had none; the harness keeps
+its store and delta.  Path copying leaves each region node that a step did
+not replace the same object, so `store.changes` finds the changed regions
+by identity, and only they, or a changed entry of delta, can take part in
+a new violation: consistency checks those entries and the ones naming a
+region whose counts changed or that went, and the ancestors and subtree of
+each region newly locked or new to the tree; store typing, what is new.
+
 The checker leaves out its well-formedness check per node: its effects are
 well-formed by construction from a well-formed input, so the harness checks
-each thread's effect assignment once before re-typing it.
+each thread's effect assignment before re-typing it, once per effect.
 """
 
 from __future__ import annotations
@@ -96,7 +105,7 @@ from typing import Optional
 
 from . import effects as fx
 from .interp import BlockedOn, Config, Stepped, StepOutcome
-from .store import Store
+from .store import Store, changes
 from .syntax import (
     EMPTY_EFFECT,
     HEAP,
@@ -173,71 +182,97 @@ def check_thread_typing(regions: frozenset[RegionLit],
     return out
 
 
-def check_store_consistency(store: Store, delta: dict[int, Effect]) -> list[Violation]:
+def check_store_consistency(store: Store, delta: dict[int, Effect],
+                            before: Optional[Store] = None,
+                            delta_before: Optional[dict[int, Effect]] = None) -> list[Violation]:
+    """The full check, or that of what changed since `before` and `delta_before`."""
     out: list[Violation] = []
-    nodes = {node.rid: node for node in store.regions()}
+    found, gone = changes(before, store)
+    old_delta = delta_before or {}
+    # The regions on which an unchanged entry of delta can now fail.
+    touched = gone.union([r for r, (was, path) in found.items()
+                          if was is None or was.threads is not path[-1].threads])
+    fresh = {r for r, (was, _) in found.items() if was is None}
+
+    def node(r: RegionLit):
+        hit = found.get(r)
+        return hit[1][-1] if hit else None if r in gone else store.find(r)
+
+    def flag(tid: int, message: str) -> None:
+        out.append(Violation("store-consistency", message, tid))
+
+    def inside(r: RegionLit, sub: RegionLit) -> None:  # reads `holders`, below
+        flag(holders[sub], f"thread {holders[sub]} holds a lock inside {r}'s subtree, "
+             f"which thread {holders[r]} has locked")
 
     # Region consistency: every region named by delta exists in the store,
     # and the thread's dynamic counts on it equal its static ones.
     for tid, eff in delta.items():
+        was = old_delta.get(tid)
+        if was is not eff:
+            fresh.update(r for r, cap, _ in eff.items() if cap.lk > 0 and not (
+                was is not None and r in was and was.cap(r).lk > 0))
+        elif not (touched and any(r in eff for r in touched)):
+            continue
         for r, cap, parent in eff.items():
-            for x in (r, parent):
-                if isinstance(x, RegionLit) and x not in nodes:
-                    out.append(Violation(
-                        "store-consistency",
-                        f"thread {tid}'s effect names region {x}, absent from the store",
-                        tid))
-            node = nodes.get(r)
-            if node is None:
+            if (was is not None and r not in touched and parent not in gone
+                    and was.get(r) == (cap, parent)):
                 continue
-            dyn = node.counts_for(tid)
+            for x in (r, parent):
+                if isinstance(x, RegionLit) and node(x) is None:
+                    flag(tid, f"thread {tid}'s effect names region {x}, absent from the store")
+            n = node(r)
+            dyn = n.counts_for(tid) if n is not None else cap  # absent: flagged above
             if dyn.rg != cap.rg or dyn.lk != cap.lk:
-                out.append(Violation(
-                    "store-consistency",
-                    f"thread {tid} statically holds {cap} of {r} but dynamically "
-                    f"has {dyn}", tid))
+                flag(tid, f"thread {tid} statically holds {cap} of {r} but dynamically "
+                     f"has {dyn}")
 
-    # Mutual exclusion over the static assignment, subtree included.
+    # Mutual exclusion over the static assignment, subtree included: only
+    # where a region is newly locked (`fresh`) or new to the tree.
+    if not fresh:
+        return out
     holders: dict[RegionLit, int] = {}
     for tid, eff in delta.items():
         for r, cap, _ in eff.items():
             if cap.lk > 0 and isinstance(r, RegionLit):
                 if r in holders and holders[r] != tid:
-                    out.append(Violation(
-                        "store-consistency",
-                        f"threads {holders[r]} and {tid} both hold a static lock "
-                        f"on {r}", tid))
+                    flag(tid, f"threads {holders[r]} and {tid} both hold a static lock on {r}")
                 holders[r] = tid
     for r, tid in holders.items():
-        for sub in store.subtree_ids(r):
-            if sub != r and sub in holders and holders[sub] != tid:
-                out.append(Violation(
-                    "store-consistency",
-                    f"thread {holders[sub]} holds a lock inside {r}'s subtree, "
-                    f"which thread {tid} has locked", holders[sub]))
+        path = None if r not in fresh else found[r][1] if r in found else store.path_to(r)
+        for up in path[:-1] if path else ():  # a fresh one walks its own subtree
+            if up.rid not in fresh and holders.get(up.rid, tid) != tid:
+                inside(up.rid, r)
+        for sub in Store(path[-1]).regions() if path else ():
+            if holders.get(sub.rid, tid) != tid:
+                inside(r, sub.rid)
     return out
 
 
 def check_store_typing(regions: frozenset[RegionLit],
                        locations: dict[Location, Type],
                        store: Store,
-                       dirty: Optional[set[Location]] = None,
-                       memo: Optional[dict] = None) -> list[Violation]:
+                       memo: Optional[dict] = None,
+                       before: Optional[Store] = None) -> list[Violation]:
+    """The full check, or that of the regions and cells new since `before`."""
     out: list[Violation] = []
-    missing = store.region_ids() - regions
+    found, _ = changes(before, store)
+    missing = found.keys() - regions
     if missing:
         out.append(Violation("store-typing",
                              f"store regions {sorted(map(str, missing))} are missing "
                              f"from R"))
-    stored = store.locations()
+    stored: dict[Location, Expr] = {}
+    for was, path in found.values():
+        if was is None or was.heap is not path[-1].heap:
+            old = dict(was.heap) if was is not None else {}
+            stored.update((loc, v) for loc, v in path[-1].heap if old.get(loc) is not v)
     unknown = stored.keys() - locations.keys()
     if unknown:
         out.append(Violation("store-typing",
                              f"store locations {sorted(map(str, unknown))} are missing "
                              f"from the domain of M"))
     for loc, value in stored.items():
-        if dirty is not None and loc not in dirty:
-            continue
         want = locations.get(loc)
         if want is None:
             continue  # reported above
@@ -281,6 +316,8 @@ class Harness:
         # The checker's memo of closed subterms, shared by every re-typing
         # of this run (see the module docstring).
         self.memo: dict = {}
+        # The last configuration's store and delta, if it had no violation.
+        self.before: tuple = (None, None)
 
     def observe_init(self, config: Config) -> list[Violation]:
         self.regions = frozenset({HEAP})
@@ -288,7 +325,8 @@ class Harness:
         self.delta = {1: self.main_in}
         self.obligations = {1: self.main_out}
         self.memo.clear()
-        return self._full_check(config, dirty=None)
+        self.before = (None, None)
+        return self._check(config, [])
 
     def after_step(self, tid: int, outcome: Stepped,
                    outcomes: dict[int, StepOutcome]) -> list[Violation]:
@@ -298,7 +336,6 @@ class Harness:
         scheduler already computed; the not-stuck check reads them.
         """
         violations: list[Violation] = []
-        dirty: set[Location] = set()
         retype: set[int] = {tid}
         rule, info = outcome.rule, outcome.info
 
@@ -317,10 +354,6 @@ class Harness:
                 violations.append(Violation(
                     "store-typing",
                     f"allocated value fails to type: {exc.diagnostic.render()}", tid))
-            dirty.add(loc)
-        elif rule == "E-AS":
-            loc, _ = info
-            dirty.add(loc)
         elif rule == "E-C":
             op, region = info
             try:
@@ -352,14 +385,15 @@ class Harness:
             retype.discard(tid)
 
         violations += check_not_stuck(outcomes)
-        violations += self._full_check(outcome.config, dirty=dirty, only=retype)
-        return violations
+        return self._check(outcome.config, violations, only=retype)
 
-    def _full_check(self, config: Config, dirty: Optional[set[Location]],
-                    only: Optional[set[int]] = None) -> list[Violation]:
-        out = check_thread_typing(self.regions, self.locations, config.threads,
-                                  self.delta, self.obligations, only=only, memo=self.memo)
-        out += check_store_consistency(config.store, self.delta)
+    def _check(self, config: Config, out: list[Violation],
+               only: Optional[set[int]] = None) -> list[Violation]:
+        """`out`, the step's own violations, and those of `config`."""
+        out += check_thread_typing(self.regions, self.locations, config.threads,
+                                   self.delta, self.obligations, only=only, memo=self.memo)
+        out += check_store_consistency(config.store, self.delta, *self.before)
         out += check_store_typing(self.regions, self.locations, config.store,
-                                  dirty=dirty, memo=self.memo)
+                                  memo=self.memo, before=self.before[0])
+        self.before = (None, None) if out else (config.store, dict(self.delta))
         return out

@@ -136,22 +136,6 @@ class Store(Record):
             yield node
             stack.extend(reversed(node.children))
 
-    def region_ids(self) -> frozenset[RegionLit]:
-        return frozenset(n.rid for n in self.regions())
-
-    def locations(self) -> dict[Location, Expr]:
-        out: dict[Location, Expr] = {}
-        for node in self.regions():
-            for loc, v in node.heap:
-                out[loc] = v
-        return out
-
-    def subtree_ids(self, rid: RegionLit) -> frozenset[RegionLit]:
-        node = self.find(rid)
-        if node is None:
-            return frozenset()
-        return Store(node).region_ids()
-
     @staticmethod
     def _rebuild(path: tuple[RegionNode, ...], node: Optional[RegionNode]) -> "Store":
         """The store with `node` in place of the last node of `path`, a
@@ -330,6 +314,37 @@ def _region_json(node: RegionNode, value_str: Callable[[Expr], str]) -> dict:
         "heap": {str(l): value_str(v) for l, v in node.heap},
         "children": [_region_json(c, value_str) for c in _sorted_children(node)],
     }
+
+
+_last: tuple = (None, None, None)  # the last call of `changes`, which both store checks make
+
+
+def changes(old: Optional[Store], new: Store) -> tuple[dict, set[RegionLit]]:
+    """What `new` changed of `old`: each node of `new` that is not the node
+    at its place in `old`, as (that node or None, its path from the root),
+    parents first in child order, and the regions that `new` lost.  Path
+    copying keeps every other node the same object, so the walk enters only
+    nodes that differ.  Against no store every node is new."""
+    global _last
+    if _last[0] is old and _last[1] is new:
+        return _last[2]
+    found, gone = {}, set()
+    root = old.root if old is not None else None
+    stack = [] if root is new.root else [
+        (None, (), (root,) if root else (), (new.root,) if new.root else ())]
+    while stack:
+        was, path, old_kids, kids = stack.pop()
+        if path:
+            found[path[-1].rid] = (was, path)
+        if old_kids is not kids:  # children matched by name
+            olds = {k.rid: k for k in old_kids}
+            for kid in reversed(kids):
+                o = olds.pop(kid.rid, None)
+                if o is not kid:
+                    stack.append((o, path + (kid,), o.children if o else (), kid.children))
+            gone.update(n.rid for o in olds.values() for n in Store(o).regions())
+    _last = (old, new, (found, gone - found.keys()))
+    return _last[2]
 
 
 def initial_store(heap: RegionLit, tid: int) -> Store:

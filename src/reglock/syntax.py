@@ -228,10 +228,10 @@ class Effect:
     or `?` roots).  Equality is domain-wise and order-insensitive.
 
     The ordered entries are one tuple (`items`), on which the checker's memo
-    keys, and the hash is computed once.
+    keys, and the hash and the well-formedness verdict are computed once.
     """
 
-    __slots__ = ("_entries", "_items", "_hash")
+    __slots__ = ("_entries", "_items", "_hash", "_why")
 
     def __init__(self, entries: Iterable[tuple[RegionName, Capability, Parent]] = ()):
         self._items = tuple(entries)
@@ -294,7 +294,12 @@ class Effect:
         return {k for k in self._entries if k != r and r in self.ancestors(k)}
 
     def well_formed(self) -> Optional[str]:
-        """Return a reason string if ill-formed, else None."""
+        """Return a reason string if ill-formed, else None; found once."""
+        if not hasattr(self, "_why"):
+            self._why = self._ill_formed()
+        return self._why
+
+    def _ill_formed(self) -> Optional[str]:
         for r, (cap, parent) in self._entries.items():
             if cap.rg < 1:
                 return f"region {r} has region count {cap.rg}"

@@ -380,36 +380,42 @@ class Checker:
         if literal or not binders.isdisjoint(rho) or any(
                 r in rho or p in rho for r, _, p in eff.items()):
             return None
-        worlds = env.__dict__.get("_worlds")
-        if worlds is None:  # per suffix of the bindings: (back, renamed, renamed types)
-            bound = list(rho)  # in the order of binding, innermost last
-            worlds = env._worlds = [
+        # Per suffix of the bindings, innermost last: (back, renamed, renamings of a
+        # type, of an effect by its ordered entries, and of a hit by id, which it pins).
+        worlds = self.memo.get(("worlds", *rho.items()))
+        if worlds is None:
+            bound = list(rho)
+            worlds = self.memo[("worlds", *rho.items())] = [
                 (back, {lit: var for var, lit in back.items()}, {})
                 for back in ({var: rho[var] for var in bound[i:]} for i in range(len(bound)))]
         terms, regions = env.order(body)
         value = isinstance(body, (Lambda, RegionLambda))
         for back, renamed, cache in worlds:
             types = []
-            for x in terms:
-                t = cache.get(x)
-                if t is None:
-                    t = env.vars.get(x)
+            for t in map(env.vars.get, terms):
+                got = cache.get(t)
+                if got is None:
                     # No bound variable's type may name a renamed variable.
-                    t = cache[x] = (_CLASH if not back.keys().isdisjoint(free_regions(t))
-                                    else subst_regions(t, renamed))
-                types.append(t)
+                    got = cache[t] = (_CLASH if not back.keys().isdisjoint(free_regions(t))
+                                      else subst_regions(t, renamed))
+                types.append(got)
             if any(t is _CLASH for t in types):
                 continue
             key = (expr_digest(body), (tuple(types), tuple(
                 [True if r in back or r in env.region_vars else rho.get(r)
                  for r in regions])))
             if not value:
-                key = (key, subst_regions(eff, renamed).items())
+                items = cache.get(eff.items())
+                if items is None:
+                    items = cache[eff.items()] = subst_regions(eff, renamed).items()
+                key = (key, items)
             hit = self.memo.get(key)
             if hit is not None:
-                if value:
-                    return subst_regions(hit, back)
-                return subst_regions(hit[0], back), subst_regions(hit[1], back)
+                got = cache.get(id(hit))
+                if got is None:
+                    got = cache[id(hit)] = (hit, subst_regions(hit, back) if value else (
+                        subst_regions(hit[0], back), subst_regions(hit[1], back)))
+                return got[1]
         return None
 
     def _closure_env(self, c: Closure, env: _Env) -> _Env:
@@ -514,10 +520,10 @@ class Checker:
             if not self._region_in_scope(region, env):
                 raise self.fail("UnknownRegion",
                                 f"region {region} is not in scope", e.loc, out)
-            # Instances are cached on the type, one per region: exact, as
-            # the substitution reads nothing but its arguments.
+            # Instances are cached on the type, one per region (at its own
+            # variable, its body): exact, as substitution reads only its input.
             instances = vars(t_fn).setdefault("_instances", {})
-            inst = instances.get(region)
+            inst = t_fn.body if region is t_fn.var else instances.get(region)
             if inst is None:
                 try:
                     inst = instances[region] = subst_regions(t_fn.body, {t_fn.var: region})

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
-from reglock import interp
+from reglock import interp, meta, store as store_mod, typecheck
 from reglock.cli import main as cli_main
 from reglock.interp import initial_config, run_seeded
 from reglock.meta import (
@@ -119,6 +120,28 @@ class TestStoreConsistency:
         out = check_store_consistency(store, delta)
         assert any("subtree" in v.message for v in out)
 
+    @pytest.mark.parametrize("held_outer", [True, False])
+    def test_new_lock_over_or_under_a_held_lock(self, held_outer):
+        # One thread holds a lock; the other newly locks below or above it,
+        # past a lock rule that should have made it wait.  Checked against
+        # the first configuration, the walk up or down from the new lock
+        # finds the held one.
+        heap = {1: Counts(1, 1) if held_outer else Counts(1, 0)}
+        child = {2: Counts(1, 0) if held_outer else Counts(1, 1)}
+        before = Store(node(HEAP, heap, children=(node(A, child),)))
+        delta = {1: heap_effect(1, heap[1].lk),
+                 2: Effect.of((A, Capability(1, child[2].lk, pure=False), HEAP))}
+        assert check_store_consistency(before, delta) == []
+        tid, region = (2, A) if held_outer else (1, HEAP)
+        path = before.path_to(region)
+        after = before._rebuild(path, path[-1].with_counts(tid, Counts(1, 1)))
+        locked = {**delta, tid: Effect.of(*((r, Capability(c.rg, 1, c.pure), p)
+                                            for r, c, p in delta[tid].items()))}
+        out = check_store_consistency(after, locked, before, delta)
+        assert [v.message for v in out] == [
+            "thread 2 holds a lock inside #H's subtree, which thread 1 has locked"]
+        assert out == check_store_consistency(after, locked)
+
     def test_example_sharing_accounting_is_consistent(self):
         # Two threads each statically hold half of a shared region.
         shared = node(A, {1: Counts(1, 0), 2: Counts(1, 0)})
@@ -208,9 +231,9 @@ class TestPreservationOverRuns:
         assert cli_main(["run", str(path), "--seed", str(seed), "--metatheory"]) == 0
         assert capsys.readouterr().out.endswith("metatheory: 0 violations\n")
 
-    def test_fault_injection_is_caught_mid_run(self):
+    def test_fault_injection_is_caught_mid_run(self, store_differential):
         # Drop a dynamic lock count behind the harness's back: static-dynamic
-        # consistency must flag it on the next step.
+        # consistency must flag it on the next step, as the full check does.
         t = typed("basic_region.rgn")
         main = t.linked_main()
         harness = Harness(t)
@@ -242,6 +265,7 @@ class TestPreservationOverRuns:
                 break
         assert tampered and violations_found
         assert any(v.check == "store-consistency" for v in violations_found)
+        assert store_differential["compared"] and not store_differential["disagreements"]
 
 
 def count_checks(monkeypatch) -> dict[str, int]:
@@ -377,8 +401,164 @@ def test_contexts_only_grow(name):
         assert harness.memo.clears == 1
 
 
+@pytest.fixture
+def store_differential(monkeypatch) -> dict:
+    """Has every store check of a harness also run in full, with no
+    previous store, and records each call where the two disagree.  They
+    are compared as multisets: the incremental check may report a step's
+    locks inside locked subtrees in another order."""
+    record = {"compared": 0, "disagreements": []}
+    real_consistency, real_typing = meta.check_store_consistency, meta.check_store_typing
+
+    def compare(got: list, full: list) -> list:
+        record["compared"] += 1
+        if Counter(map(repr, got)) != Counter(map(repr, full)):
+            record["disagreements"].append((got, full))
+        return got
+
+    def consistency(store, delta, before=None, delta_before=None):
+        return compare(real_consistency(store, delta, before, delta_before),
+                       real_consistency(store, delta))
+
+    def typing(regions, locations, store, memo=None, before=None):
+        return compare(real_typing(regions, locations, store, memo, before),
+                       real_typing(regions, locations, store))
+
+    monkeypatch.setattr(meta, "check_store_consistency", consistency)
+    monkeypatch.setattr(meta, "check_store_typing", typing)
+    return record
+
+
+@pytest.mark.parametrize("text, seeds", [
+    *(pytest.param(corpus_text(name), range(10), id=name) for name in RUNNABLE),
+    *(pytest.param(lock_tree(depth), range(5), id=f"lock_tree_{depth}")
+      for depth in (2, 3, 4)),
+])
+def test_incremental_store_checks_agree_with_full_ones(text, seeds, store_differential):
+    """After every step, the store checks of what the step changed report
+    what the full checks of the whole store report."""
+    result = check_program(parse_program(text))
+    main = result.typed.linked_main()
+    for seed in seeds:
+        trace = run_seeded(main, seed=seed, harness=Harness(result.typed))
+        assert trace.terminal.kind in ("all_done", "deadlock"), trace.terminal
+    assert store_differential["compared"] and not store_differential["disagreements"]
+
+
+def siblings(k: int) -> str:
+    """Main allocates `k` sibling regions under the heap, then locks and
+    unlocks the last of them three times."""
+    ids = range(1, k + 1)
+    return ("def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].\n"
+            + "".join(f"  newrgn r{i}, h{i} at heap in\n" for i in ids)
+            + "  (" + "; ".join(f"unlock h{i}" for i in ids) + ";\n   "
+            + "; ".join([f"lock h{k}; unlock h{k}"] * 3) + ";\n   "
+            + "; ".join(f"free h{i}" for i in reversed(ids)) + ")\n")
+
+
+def lock_step_visits(k: int, monkeypatch) -> list[int]:
+    """The region nodes that the store checks visit at each lock and
+    unlock step of `siblings(k)`: the nodes the store diff returns, those
+    that a walk of a subtree yields, and the whole store for each lookup
+    that searches it."""
+    visits = [0]
+    inside = [False]
+    real_regions, real_path_to, real_changes = Store.regions, Store.path_to, meta.changes
+
+    def regions(self):
+        for n in real_regions(self):
+            visits[0] += inside[0]
+            yield n
+
+    def path_to(self, rid):
+        visits[0] += inside[0] * sum(1 for _ in real_regions(self))
+        return real_path_to(self, rid)
+
+    def changes(old, new):
+        found, gone = real_changes(old, new)
+        visits[0] += inside[0] * len(found)
+        return found, gone
+
+    def counted(check):
+        def run(*args, **kwargs):
+            inside[0] = True
+            try:
+                return check(*args, **kwargs)
+            finally:
+                inside[0] = False
+        return run
+
+    monkeypatch.setattr(Store, "regions", regions)
+    monkeypatch.setattr(Store, "path_to", path_to)
+    monkeypatch.setattr(meta, "changes", changes)
+    for name in ("check_store_consistency", "check_store_typing"):
+        monkeypatch.setattr(meta, name, counted(getattr(meta, name)))
+    out: list[int] = []
+
+    class Visits(Harness):
+        def after_step(self, tid, outcome, outcomes):
+            visits[0] = 0
+            violations = super().after_step(tid, outcome, outcomes)
+            if outcome.rule == "E-C" and outcome.info[0] in (CapOp.LK_PLUS, CapOp.LK_MINUS):
+                out.append(visits[0])
+            return violations
+
+    result = check_program(parse_program(siblings(k)))
+    assert result.ok, result.diagnostics
+    trace = run_seeded(result.typed.linked_main(), seed=0, harness=Visits(result.typed))
+    assert trace.terminal.kind == "all_done"
+    monkeypatch.undo()
+    return out
+
+
+def test_store_checks_visit_what_the_step_changed(monkeypatch):
+    """Timer-free shape guard: a lock or unlock of one of K sibling regions
+    has the store checks visit as many region nodes for K = 2 as for
+    K = 12: the heap and the region, for each check, and for a lock the
+    region's subtree.  The heap's other children are only compared by
+    identity.  When each check walked the whole store, an unlock visited 9
+    nodes and a lock 13 at K = 2, and 39 and 53 at K = 12."""
+    few, many = lock_step_visits(2, monkeypatch), lock_step_visits(12, monkeypatch)
+    assert len(few) == 2 + 6 and len(many) == 12 + 6  # the first unlocks, then the loop
+    assert few[-6:] == many[-6:]
+
+
+def test_renamings_are_kept_per_world(monkeypatch):
+    """Timer-free shape guard: on lock_tree(4), seed 1, a body found renamed
+    (`Checker._renamed`) costs 1.7 calls of `subst_regions` a lookup, 124
+    in 71 lookups; each renaming is made once per world.  When a world's
+    renamings were rebuilt for each environment, it cost 5.2 (366 calls)."""
+    counts = {"lookups": 0, "substs": 0}
+    real_subst, real_renamed = typecheck.subst_regions, Checker._renamed
+
+    def subst(x, rho):
+        counts["substs"] += 1
+        return real_subst(x, rho)
+
+    def renamed(self, body, env, eff):
+        counts["lookups"] += 1
+        monkeypatch.setattr(typecheck, "subst_regions", subst)
+        try:
+            return real_renamed(self, body, env, eff)
+        finally:
+            monkeypatch.setattr(typecheck, "subst_regions", real_subst)
+
+    monkeypatch.setattr(Checker, "_renamed", renamed)
+    result = check_program(parse_program(lock_tree(4)))
+    trace = run_seeded(result.typed.linked_main(), seed=1, harness=Harness(result.typed))
+    assert trace.terminal.kind == "all_done" and counts["lookups"] > 50
+    assert counts["substs"] <= 366 / 71 / 2 * counts["lookups"]
+
+
 class TestFaultInjection:
     """A broken rule of the machine ends a harnessed run in a violation."""
+
+    @pytest.fixture(autouse=True)
+    def differential(self, store_differential):
+        """Each run also compares the store checks with the full ones, at
+        every step up to the one where the fault shows."""
+        yield
+        assert store_differential["compared"] and not store_differential["disagreements"]
 
     def run_json(self, capsys, name: str, seed: int):
         code = cli_main(["run", str(CORPUS / name), "--seed", str(seed),
@@ -424,6 +604,70 @@ class TestFaultInjection:
             assert {v["check"] for v in violations} == {"store-consistency"}
             assert any("statically holds (2,0) of #r1 but dynamically has (2,1)"
                        in v["message"] for v in violations)
+
+    def test_store_rule_that_changes_a_region_the_step_does_not_name(self, capsys,
+                                                                      monkeypatch):
+        # Every capability step also adds a region count for the stepping
+        # thread on the parent of the region it names.  Neither the payload
+        # nor delta names the parent: only the store diff shows it changed.
+        real = Store.updcap
+
+        def also_parent(self, op, rid, tid):
+            out = real(self, op, rid, tid)
+            path = out.path_to(rid) if isinstance(out, Store) else None
+            if path is None or len(path) < 2:
+                return out
+            mine = path[-2].counts_for(tid)
+            return out._rebuild(path[:-1], path[-2].with_counts(tid, Counts(mine.rg + 1, mine.lk)))
+
+        monkeypatch.setattr(Store, "updcap", also_parent)
+        for seed in range(3):
+            violations = self.run_json(capsys, "sharing_once.rgn", seed)[
+                "terminal"]["violations"]
+            assert {v["check"] for v in violations} == {"store-consistency"}
+            assert any("statically holds (1,0) of #H but dynamically has (2,0)"
+                       in v["message"] for v in violations)
+
+    def test_store_rule_that_writes_a_cell(self, capsys, monkeypatch):
+        # Every capability step also overwrites the first cell of the store
+        # with a location that M lacks.  No payload names the cell: only the
+        # store diff shows it changed.
+        real = Store.updcap
+        stray = LocVal(Location(99, HEAP))
+
+        def scribble(self, op, rid, tid):
+            out = real(self, op, rid, tid)
+            full = next((n for n in out.regions() if n.heap), None) \
+                if isinstance(out, Store) else None
+            if full is None:
+                return out
+            return out._rebuild(out.path_to(full.rid), full.heap_set(full.heap[0][0], stray))
+
+        monkeypatch.setattr(Store, "updcap", scribble)
+        for seed in range(3):
+            payload = self.run_json(capsys, "sharing_once.rgn", seed)
+            assert {v["check"] for v in payload["terminal"]["violations"]} == {"store-typing"}
+            self.assert_violation(payload, "store-typing", "stored value at")
+
+    def test_lock_rule_that_ignores_other_holders(self, capsys, monkeypatch, tmp_path):
+        # A lock never waits, so the worker that locks #r2 may do so inside
+        # #r1 while the other worker holds it: the walk above #r2 finds it.
+        monkeypatch.setattr(Store, "_lock_blockers", staticmethod(lambda path, tid: frozenset()))
+        path = tmp_path / "lock_tree_2.rgn"
+        path.write_text(lock_tree(2))
+        caught = 0
+        for seed in range(10):
+            code = cli_main(["run", str(path), "--seed", str(seed), "--metatheory",
+                             "--trace", "json"])
+            payload = json.loads(capsys.readouterr().out.splitlines()[0])
+            if code == 0:
+                continue
+            assert code == 4 and payload["terminal"]["kind"] == "violation"
+            violations = payload["terminal"]["violations"]
+            assert [v["check"] for v in violations] == ["store-consistency"]
+            assert "holds a lock inside #r1's subtree" in violations[0]["message"]
+            caught += 1
+        assert caught
 
     def rewrite(self, monkeypatch, rule: str, change) -> None:
         """Every step by `rule` becomes `change(outcome, tid)`."""
