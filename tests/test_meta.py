@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from reglock import interp, meta, store as store_mod, typecheck
+from reglock import interp, meta, typecheck
 from reglock.cli import main as cli_main
 from reglock.interp import initial_config, run_seeded
 from reglock.meta import (
