@@ -3,13 +3,14 @@
     reglock check FILE [--emit-effects] [--json]
     reglock run FILE --seed N [--max-steps N] [--metatheory]
                 [--trace text|json] [--snapshots] [--unchecked]
-    reglock explore FILE [--max-steps N] [--force-threads] [--json]
+    reglock explore FILE [--max-steps N] [--max-states N] [--force-threads] [--json]
 
 `--metatheory` re-types a checked program, so `run --unchecked --metatheory`
 is a usage error.  A JSON trace gives each step's state digest, and
 `--snapshots` adds its store, so it needs `--trace json`; a text trace ends
 with one digest of the steps, the terminal and the final state.
-`explore --json` reports a refusal as {"refused": MESSAGE}.
+`explore --json` reports a refusal as {"refused": MESSAGE}.  An explore
+that `--max-states` stops also gives the states seen and the frontier left.
 A program that does not parse or is rejected prints the diagnostics payload
 of `check --json`, {"ok": false, "diagnostics": [...]}, under `check --json`,
 `run --trace json` and `explore --json`, and text otherwise.
@@ -178,7 +179,8 @@ def cmd_explore(args) -> int:
         return code
     main_expr = typed.linked_main()
     try:
-        report = explore(main_expr, max_steps=args.max_steps, force=args.force_threads)
+        report = explore(main_expr, max_steps=args.max_steps, force=args.force_threads,
+                         max_states=args.max_states)
     except ExploreRefusal as exc:
         print(json.dumps({"refused": str(exc)}) if args.json else f"refused: {exc}")
         return EXIT_BUDGET
@@ -189,6 +191,9 @@ def cmd_explore(args) -> int:
         "deadlock_cycles": report.deadlock_cycles,
         "budget_hits": report.budget_hits,
     }
+    if report.frontier is not None:
+        payload["max_states"] = {"seen": report.states + report.frontier,
+                                 "frontier": report.frontier}
     if args.json:
         print(json.dumps(payload))
     else:
@@ -200,9 +205,12 @@ def cmd_explore(args) -> int:
         for s in report.stuck_reports:
             print(f"stuck {json.dumps(s, sort_keys=True)}")
         print(f"budget hits {report.budget_hits}")
+        if report.frontier is not None:
+            print(f"max states {args.max_states}: seen {report.states + report.frontier}, "
+                  f"frontier {report.frontier}")
     if report.stuck_reports:
         return EXIT_UNSOUND
-    if report.budget_hits:
+    if report.budget_hits or report.frontier is not None:
         return EXIT_BUDGET
     return EXIT_OK
 
@@ -238,6 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("explore", help="enumerate all interleavings")
     p_exp.add_argument("file")
     p_exp.add_argument("--max-steps", type=int, default=2_000)
+    p_exp.add_argument("--max-states", type=int, default=None,
+                       help="stop once this many states are expanded (exit 5)")
     p_exp.add_argument("--force-threads", action="store_true",
                        help="explore even with more than 3 live threads")
     p_exp.add_argument("--json", action="store_true")
@@ -258,9 +268,11 @@ def _discard_stdout() -> None:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "max_steps", 0) < 0:
-        print(f"error: --max-steps must be at least 0, got {args.max_steps}", file=sys.stderr)
-        return EXIT_USAGE
+    for flag in ("max_steps", "max_states"):
+        if (getattr(args, flag, None) or 0) < 0:
+            print(f"error: --{flag.replace('_', '-')} must be at least 0, "
+                  f"got {getattr(args, flag)}", file=sys.stderr)
+            return EXIT_USAGE
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a write error surfaces here, not at exit

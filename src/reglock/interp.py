@@ -30,18 +30,26 @@ last one.  They use hashlib, never `hash()`, and are the same across
 processes and `PYTHONHASHSEED` values.  `explore` digests every state; a
 seeded run digests its final state, and each step's only for a `record`.
 
-Each distinct thread term is stepped once.  `step_thread` caches a term's
-decomposition on its root node, outside the record's fields like the
-digest.  A rule whose reduct reads only the term (E-A, E-RP, E-IF, E-SEQ,
-E-WHILE, E-OP) replaces it with the rule and successor term; E-C and E-AS
-add the term with `()` in the hole and still run their store operation,
-with its blocking and faults.  E-NG, E-NR, E-D (store or counters) and E-SN
-(a new thread) keep the decomposition only.  The cache is exact: these
-rules read nothing but the term, and binding, pushing and closing read
-nothing but their arguments.  A successor points forward, so a live term
-keeps every later term built from it alive; `explore` does not hold its
-initial configuration.  Likewise each store operation is applied once per
-store (see `store`): a term-only step keeps it.
+`step_thread` caches a term's decomposition on its root node, outside the
+record's fields like the digest.  A rule whose reduct reads only the term
+(E-A, E-RP, E-IF, E-SEQ, E-WHILE, E-OP) replaces it with the rule and
+successor term; E-C and E-AS add the term with `()` in the hole and still
+run their store operation, with its blocking and faults.  E-NG, E-NR, E-D
+(store or counters) and E-SN (a new thread) keep the decomposition only.
+The cache is exact: these rules read nothing but the term, and binding,
+pushing and closing read nothing but their arguments.  A successor points
+forward, so a live term keeps every later term built from it alive;
+`explore` does not hold its initial configuration.  Each store operation
+is likewise applied once per store object (see `store`).
+
+Within a search these caches are shared per value.  Once a successor's
+digest is new, `explore` swaps its store and each thread term for the
+first object of the same digest met so far (`_shared`, from weak tables
+keyed by the digests `config_digest` has just cached).  So each distinct
+term is decomposed, and each distinct store's operations computed, once
+for all interleavings.  This is exact as deduplication is: equal digests
+mean equal read-backs, and every rule reads only the read-back.  A shared
+object that the tables drop is simply met again.
 
 Polling a thread has three outcomes.  `Stepped` is one step of the thread
 relation, whatever its rule: finishing (E-T, `Finished`, whose successor
@@ -59,6 +67,7 @@ import json
 import random
 from collections import deque
 from typing import Callable, Optional, Union
+from weakref import WeakValueDictionary
 
 from .parser import pretty
 from .store import Blocked, Store, StoreFault, initial_store
@@ -107,6 +116,8 @@ class Thread(Record):
     def __init__(self, tid: int, expr: Expr) -> None:
         self.__dict__.update(tid=tid, expr=expr)
 
+    _part = None  # `config_digest`'s bytes for this thread; not a field, like a digest
+
 
 class Config(Record):
     def __init__(self, store: Store, threads: tuple[Thread, ...], next_tid: int, next_loc: int,
@@ -146,6 +157,10 @@ def initial_config(main_expr: Expr) -> Config:
 # ---------------------------------------------------------------------------
 
 Plug = Callable[[Expr], Expr]
+
+#: The `()` that E-SN, E-AS and E-C plug: one term, hashed once, so a
+#: rebuilt spine over it hashes one node per frame.
+UNIT = Const(UNIT_VALUE)
 
 #: Each compound form's evaluation positions, left to right.  The first one
 #: that holds a non-value holds the hole; when all hold values, the form is
@@ -329,7 +344,7 @@ def step_thread(config: Config, tid: int) -> StepOutcome:
         except StoreFault as exc:
             return Stuck(tid, exc.code, exc.message)
         child = Thread(child_tid, App(redex.fn, read_back(redex.arg), SEQ_MODE, redex.loc))
-        parent = memo.plug(Const(UNIT_VALUE))
+        parent = memo.plug(UNIT)
         threads = tuple(Thread(tid, parent) if t.tid == tid else t for t in config.threads)
         new_config = Config(store, threads + (child,), child_tid + 1, config.next_loc,
                             config.next_region)
@@ -348,7 +363,7 @@ def _step_expr(config: Config, tid: int, memo: _Stepping, redex: Expr) -> StepOu
 
     def unit_in_hole() -> Expr:
         if memo.successor is None:
-            memo.successor = plug(Const(UNIT_VALUE))
+            memo.successor = plug(UNIT)
             memo.plug = None
         return memo.successor
 
@@ -420,8 +435,7 @@ def _step_expr(config: Config, tid: int, memo: _Stepping, redex: Expr) -> StepOu
         if isinstance(redex, Seq):
             return term_only(redex.second, "E-SEQ")
         if isinstance(redex, While):
-            unrolled = If(redex.cond, Seq(redex.body, redex, redex.loc),
-                          Const(UNIT_VALUE), redex.loc)
+            unrolled = If(redex.cond, Seq(redex.body, redex, redex.loc), UNIT, redex.loc)
             return term_only(unrolled, "E-WHILE")
         if isinstance(redex, Prim):
             try:
@@ -444,7 +458,11 @@ def config_digest(config: Config) -> str:
     root = config.store.root
     parts = [bytes(16) if root is None else root.digest()]
     for t in config.threads:  # in tid order: a spawn appends the next tid
-        parts += [b"%d\0" % t.tid, expr_digest(t.expr)]
+        part = t._part
+        if part is None:
+            part = b"%d\0" % t.tid + expr_digest(t.expr)
+            object.__setattr__(t, "_part", part)
+        parts.append(part)
     parts.append(b"%d,%d,%d" % (config.next_tid, config.next_loc, config.next_region))
     return hashlib.sha256(b"".join(parts)).hexdigest()[:16]
 
@@ -592,10 +610,13 @@ class ExploreRefusal(Exception):
 
 
 class ExploreResult(Record, frozen=False):
+    # frontier: the states seen but not expanded when `max_states` stopped the search
     def __init__(self, states: int, terminals: dict[str, int], stuck_reports: list[dict],
-                 deadlock_cycles: list[list[int]], budget_hits: int) -> None:
+                 deadlock_cycles: list[list[int]], budget_hits: int,
+                 frontier: Optional[int] = None) -> None:
         self.__dict__.update(states=states, terminals=terminals, stuck_reports=stuck_reports,
-                             deadlock_cycles=deadlock_cycles, budget_hits=budget_hits)
+                             deadlock_cycles=deadlock_cycles, budget_hits=budget_hits,
+                             frontier=frontier)
 
 
 #: `explore` refuses a state with more live threads than this unless forced.
@@ -607,11 +628,29 @@ MAX_THREADS = 3
 RECENT = 256
 
 
-def explore(main_expr: Expr, max_steps: int = 2_000, force: bool = False) -> ExploreResult:
+def _shared(config: Config, stores: WeakValueDictionary, terms: WeakValueDictionary) -> Config:
+    """`config` with its store and thread terms swapped for those of the
+    same digests in `stores` and `terms`, or entered there (see above)."""
+    root = config.store.root
+    store = stores.setdefault(bytes(16) if root is None else root.digest(), config.store)
+    threads = []
+    for t in config.threads:
+        expr = terms.setdefault(expr_digest(t.expr), t.expr)
+        if expr is not t.expr:
+            part, t = t._part, Thread(t.tid, expr)
+            object.__setattr__(t, "_part", part)
+        threads.append(t)
+    return Config(store, tuple(threads), config.next_tid, config.next_loc, config.next_region)
+
+
+def explore(main_expr: Expr, max_steps: int = 2_000, force: bool = False,
+            max_states: Optional[int] = None) -> ExploreResult:
     """Enumerate all interleavings up to a depth bound.
 
     States are deduplicated by canonical digest.  Refuses configurations
-    with more than `MAX_THREADS` live threads unless forced.
+    with more than `MAX_THREADS` live threads unless forced.  With
+    `max_states`, stops once that many states are expanded, and the result
+    gives the size of the frontier left.
     """
     # The initial configuration is not kept: a stepped term holds its
     # successor, so it would keep every term the search reaches alive.
@@ -623,8 +662,12 @@ def explore(main_expr: Expr, max_steps: int = 2_000, force: bool = False) -> Exp
     budget_hits = 0
     states = 0
     recent: deque[Store] = deque(maxlen=RECENT)
+    stores, terms = WeakValueDictionary(), WeakValueDictionary()  # see `_shared`
 
     while frontier:
+        if states == max_states:
+            return ExploreResult(states, terminals, stuck_reports, cycles, budget_hits,
+                                 len(frontier))
         config, depth = frontier.pop()
         recent.append(config.store)
         states += 1
@@ -650,6 +693,6 @@ def explore(main_expr: Expr, max_steps: int = 2_000, force: bool = False) -> Exp
             digest = config_digest(nxt)
             if digest not in seen:
                 seen.add(digest)
-                frontier.append((nxt, depth + 1))
+                frontier.append((_shared(nxt, stores, terms), depth + 1))
 
     return ExploreResult(states, terminals, stuck_reports, cycles, budget_hits)

@@ -19,9 +19,10 @@ arguments.  A fault is not kept: it raises on every call.
 from __future__ import annotations
 
 import weakref
+from hashlib import blake2b
 from typing import Callable, Iterator, Optional
 
-from .syntax import CapOp, Effect, Expr, Location, Record, RegionLit, cached_digest, expr_digest
+from .syntax import CapOp, Effect, Expr, Location, Record, RegionLit, cached_attr, expr_digest
 
 
 class Counts(Record):
@@ -92,17 +93,19 @@ class RegionNode(Record):
         """Merkle digest of the subtree: the region name, the per-thread
         counts, each heap entry (location, value digest) and the children
         in name order; cached on the node like a term's digest."""
-        return cached_digest(self, _sorted_children, _encode_region)
+        digest = self.__dict__.get("_digest")
+        return digest or cached_attr(self, "_digest", _sorted_children, _region_digest)
 
 
 def _sorted_children(node: RegionNode) -> list[RegionNode]:
     return sorted(node.children, key=lambda n: n.rid.name)
 
 
-def _encode_region(node: RegionNode, kid_digests: bytes) -> bytes:
+def _region_digest(node: RegionNode, kid_digests: list) -> bytes:
     counts = " ".join(f"{t}:{c.rg},{c.lk}" for t, c in node.threads)
     heap = b"".join(f"{l}\0".encode() + expr_digest(v) for l, v in node.heap)
-    return f"{node.rid}\0{counts}\0{len(node.heap)}\0".encode() + heap + kid_digests
+    return blake2b(f"{node.rid}\0{counts}\0{len(node.heap)}\0".encode() + heap
+                   + b"".join(kid_digests), digest_size=16).digest()
 
 
 class Store(Record):

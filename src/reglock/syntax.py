@@ -865,8 +865,18 @@ def cached_attr(root, attr: str, kids: Callable, compute: Callable[[object, list
 
     `kids(n)` lists a node's sub-nodes, and `kid_values` holds their cached
     values in that order.  Nodes without a value are computed bottom-up from
-    an explicit stack, so depth costs no recursion.
+    an explicit stack, so depth costs no recursion.  When every sub-node
+    has its value, the common case for a node rebuilt over cached ones,
+    `root` is computed at once.
     """
+    value = getattr(root, attr, None)
+    if value is not None:
+        return value
+    values = [getattr(k, attr, None) for k in kids(root)]
+    if None not in values:
+        value = compute(root, values)
+        object.__setattr__(root, attr, value)
+        return value
     stack = [root]
     while stack:
         node = stack[-1]
@@ -881,16 +891,6 @@ def cached_attr(root, attr: str, kids: Callable, compute: Callable[[object, list
         stack.pop()
         object.__setattr__(node, attr, compute(node, [getattr(k, attr) for k in subs]))
     return getattr(root, attr)
-
-
-def cached_digest(root, kids: Callable, encode: Callable[[object, bytes], bytes]) -> bytes:
-    """The Merkle digest of `root`: `encode(n, kid_digests)` gives the bytes
-    hashed for a node."""
-    digest = getattr(root, _DIGEST, None)
-    if digest is not None:  # already cached: the common case
-        return digest
-    return cached_attr(root, _DIGEST, kids, lambda n, digests: blake2b(
-        encode(n, b"".join(digests)), digest_size=16).digest())
 
 
 def _encode_expr(e: Expr, kid_digests: bytes, rho: Optional[dict] = None) -> bytes:

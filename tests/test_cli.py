@@ -416,6 +416,32 @@ def test_a_full_device_is_an_io_error():
     assert proc.stderr.startswith("error: cannot write output: ")
 
 
+def test_max_states_stops_a_looping_explore(capsys):
+    """`migration`'s server loop grows the search until `--max-steps`; a
+    bound on expanded states ends it within seconds with exit 5, and the
+    report gives the states seen and the frontier left."""
+    argv = ["explore", corpus("migration.rgn"), "--force-threads", "--max-states", "500"]
+    proc = subprocess.run([sys.executable, "-m", "reglock.cli", *argv, "--json"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 5, proc.stderr
+    report = json.loads(proc.stdout)
+    frontier = report["max_states"]["frontier"]
+    assert report["states"] == 500 and frontier > 0 and not report["stuck"]
+    assert report["max_states"] == {"seen": 500 + frontier, "frontier": frontier}
+    assert main(argv) == 5
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"max states 500: seen {500 + frontier}, frontier {frontier}")
+
+
+def test_max_states_that_leaves_no_frontier_changes_nothing(capsys):
+    # deadlock_racy has 222 states: a bound of 222 stops nothing.
+    outs = []
+    for bound in ([], ["--max-states", "222"], ["--max-states", "100000"]):
+        assert main(["explore", corpus("deadlock_racy.rgn"), "--json", *bound]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2] and json.loads(outs[0])["states"] == 222
+
+
 def test_one_grammar_serves_every_command_alike(capsys):
     """Commands issued one after another in one process print and exit as
     each does alone in a fresh process: no flag of one reaches the next."""

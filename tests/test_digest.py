@@ -42,16 +42,22 @@ def old_payload(config) -> str:
     }, sort_keys=True, separators=(",", ":"))
 
 
-@pytest.mark.parametrize("name", RUNNABLE + ["deadlock_forced.rgn", "race_unlocked.rgn"])
+@pytest.mark.parametrize("name", RUNNABLE + ["deadlock_forced.rgn", "race_unlocked.rgn",
+                                  "paired_long_seq_20", "lock_tree_2"])
 def test_same_partition_as_the_printed_payload(name, monkeypatch):
+    """`explore` shares one store and term object per digest among the
+    states it expands, so every state it builds from them is held to the
+    printed payload here too, beyond the corpus."""
     seen = []
 
     def recording(config):
         seen.append(config)
         return config_digest(config)
 
+    text = {"paired_long_seq_20": paired_long_seq(20), "lock_tree_2": lock_tree(2)}.get(name)
+    checked = text is not None or name in RUNNABLE
     monkeypatch.setattr(interp, "config_digest", recording)
-    explore(linked_main(corpus_text(name), checked=name in RUNNABLE), force=True)
+    explore(linked_main(text or corpus_text(name), checked), force=True)
     pairs = {(old_payload(c), config_digest(c)) for c in seen}
     assert len(pairs) > 1
     assert len({old for old, _ in pairs}) == len(pairs) == len({new for _, new in pairs})

@@ -7,6 +7,7 @@ breaks `perfbench/run.py --trace 1`; this test notices it first.
 from __future__ import annotations
 
 import importlib.util
+import json
 import pathlib
 
 import lex_model
@@ -40,6 +41,25 @@ def test_tracing_wraps_the_step_path(capsys):
     for name in ("step_thread", "decompose", "_apply_outcome", "config_digest",
                  "run_seeded", "explore"):
         assert tracer.calls[f"interp.{name}"] > 0, name
+
+
+def test_explore_alone_digests_every_successor(capsys):
+    """perfbench's `interp.digest_us` and `explore.dedup_hit_ratio` read the
+    `config_digest` calls made under `explore`.  With no `run` beside it,
+    `explore` makes one per successor it builds and one for its initial
+    state, however it shares the objects of the states it keeps."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    remove = tracing.install(tracer)
+    try:
+        assert main(["explore", str(CORPUS / "deadlock_racy.rgn"), "--json"]) == 0
+    finally:
+        remove()
+    states = json.loads(capsys.readouterr().out)["states"]
+    successors = tracer.calls["interp._apply_outcome"]
+    assert tracer.calls["interp.config_digest"] == successors + 1
+    assert tracer.counts["explore_digests"] == successors + 1
+    assert tracer.counts["states"] == states < successors
 
 
 def test_tracing_counts_every_token(capsys):
