@@ -442,6 +442,12 @@ def test_max_states_that_leaves_no_frontier_changes_nothing(capsys):
     assert outs[0] == outs[1] == outs[2] and json.loads(outs[0])["states"] == 222
 
 
+@pytest.mark.parametrize("flag", ["--max-steps", "--max-states"])
+def test_a_negative_bound_is_a_usage_error(flag, capsys):
+    assert main(["explore", corpus("basic_region.rgn"), flag, "-1"]) == 2
+    assert capsys.readouterr().err == f"error: {flag} must be at least 0, got -1\n"
+
+
 def test_one_grammar_serves_every_command_alike(capsys):
     """Commands issued one after another in one process print and exit as
     each does alone in a fresh process: no flag of one reaches the next."""
