@@ -95,8 +95,7 @@ def cmd_check(args) -> int:
         }
         if args.emit_effects:
             payload["effects"] = {
-                name: {str(line): eff.pretty(omit_bottom=True, show_purity=False)
-                       for line, eff in sorted(lines.items())}
+                name: {str(line): eff.margin() for line, eff in sorted(lines.items())}
                 for name, lines in typed.effect_lines.items()
             }
         print(json.dumps(payload))
@@ -106,7 +105,7 @@ def cmd_check(args) -> int:
     if args.emit_effects:
         for d in typed.program.defs:
             for line, eff in sorted(typed.effect_lines.get(d.name, {}).items()):
-                print(f"{d.name}:{line}: {eff.pretty(omit_bottom=True, show_purity=False)}")
+                print(f"{d.name}:{line}: {eff.margin()}")
     return EXIT_OK
 
 

@@ -12,10 +12,12 @@ step costs its redex, and a program body keeps its cached digest and free
 names for the whole run.  `decompose` pushes a closure one level inward
 when the hole enters it (`syntax.push`): a node of its body's form, whose
 subterms are closed over the same bindings.  A closure stands for its
-read-back, the body with its bindings substituted: it is digested and
-printed as that term, without building it.  A value that leaves its thread
-is closed by substitution (`syntax.read_back`): a value stored by E-NR or
-E-AS, or a spawn's argument, so the store holds no closure.
+read-back, the body with its bindings substituted, and is digested and
+read back through its push, which it then keeps (`syntax.pushed`);
+`decompose` reuses a kept push and keeps none of its own, so a run that
+takes no digest holds no pushed tree.  A value that leaves its thread is
+read back (`syntax.read_back`): a value stored by E-NR or E-AS, or a
+spawn's argument, so the store holds no closure.
 
 Each configuration holds the store, the active threads, and the counters
 that keep fresh names deterministic across interleavings.  Scheduling is
@@ -73,6 +75,7 @@ from .parser import pretty
 from .store import Blocked, Store, StoreFault, initial_store
 from .syntax import (
     _FIELDS,
+    _PUSHED,
     EMPTY_ENV,
     HEAP,
     PRIM_BINARY,
@@ -196,8 +199,8 @@ def decompose(e: Expr) -> Optional[tuple[Expr, Plug]]:
         return x
 
     while True:
-        if type(e) is Closure:
-            e = push(e)
+        if type(e) is Closure:  # the push a digest kept, else one that no one keeps
+            e = getattr(e, _PUSHED, None) or push(e)
         form = type(e)
         names = EVAL_FIELDS.get(form)
         if names is not None:

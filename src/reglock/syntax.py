@@ -342,21 +342,17 @@ class Effect:
 
     # -- display ---------------------------------------------------------------
 
-    def pretty(self, omit_bottom: bool = False, show_purity: bool = True) -> str:
-        """Render the effect.
+    def pretty(self) -> str:
+        return "{" + ", ".join(f"{r}^{cap}@{parent}"
+                               for r, (cap, parent) in self._entries.items()) + "}"
 
-        With omit_bottom, entries parented at the physical root (the ambient
-        heap capability) are hidden, and with show_purity=False counts print
-        without the impurity mark: together these give the display format
-        used for per-line effect reporting.
-        """
-        parts = []
-        for r, (cap, parent) in self._entries.items():
-            if omit_bottom and parent is BOTTOM:
-                continue
-            shown = str(cap) if show_purity else f"({cap.rg},{cap.lk})"
-            parts.append(f"{r}^{shown}@{parent}")
-        return "{" + ", ".join(parts) + "}"
+    def margin(self) -> str:
+        """The effect as per-line effect reporting prints it: entries
+        parented at the physical root (the ambient heap capability) hidden,
+        and counts without the impurity mark."""
+        return "{" + ", ".join(f"{r}^({cap.rg},{cap.lk})@{parent}"
+                               for r, (cap, parent) in self._entries.items()
+                               if parent is not BOTTOM) + "}"
 
     def __str__(self) -> str:
         return self.pretty()
@@ -680,9 +676,15 @@ def children(e: Expr) -> list[Expr]:
     form = type(e)
     if form is Prim:
         return list(e.args)
-    if form is Closure:  # closed, and digested as its read-back (`_bound_digest`)
+    if form is Closure:  # none of its own: digests and read-backs take its push (`_sub_nodes`)
         return []
     return [getattr(e, name) for name in _SUBTERMS[form]]
+
+
+def _sub_nodes(e: Expr) -> list[Expr]:
+    """The sub-nodes of a digest or a read-back: a closure's kept push
+    (`pushed`), any other node's `children`."""
+    return [pushed(e)] if type(e) is Closure else children(e)
 
 
 # ---------------------------------------------------------------------------
@@ -893,31 +895,28 @@ def cached_attr(root, attr: str, kids: Callable, compute: Callable[[object, list
     return getattr(root, attr)
 
 
-def _encode_expr(e: Expr, kid_digests: bytes, rho: Optional[dict] = None) -> bytes:
+def _encode_expr(e: Expr, kid_digests: bytes) -> bytes:
     # Non-term fields are tagged with their type, so Const 1 and True differ.
-    # `rho` substitutes region variables in the fields that name regions.
     texts = [type(e).__name__]
-    regional = REGION_FIELDS.get(type(e), ()) if rho else ()
     for name in _ATTRS[type(e)]:
         value = getattr(e, name)
-        if name in regional:
-            value = subst_regions(value, rho)
         texts.append(f"{type(value).__name__}:{value}")
     texts.append("")
     return "\0".join(texts).encode() + kid_digests
 
 
 def _node_digest(e: Expr, kid_digests: list) -> bytes:
-    if type(e) is Closure:
-        return _bound_digest(e.body, e.env)
+    if type(e) is Closure:  # its push's
+        return kid_digests[0]
     return blake2b(_encode_expr(e, b"".join(kid_digests)), digest_size=16).digest()
 
 
 def expr_digest(e: Expr) -> bytes:
     """16-byte Merkle digest of a term; source locations are ignored, and
-    it is the same in every process.  A closure's is its read-back's."""
+    it is the same in every process.  A closure's is its push's, so its
+    read-back's."""
     digest = getattr(e, _DIGEST, None)
-    return digest if digest is not None else cached_attr(e, _DIGEST, children, _node_digest)
+    return digest if digest is not None else cached_attr(e, _DIGEST, _sub_nodes, _node_digest)
 
 
 #: The free names of a term with none, shared by every such node.
@@ -999,34 +998,28 @@ def inner_regions(e: Expr) -> tuple[bool, frozenset[RegionVar]]:
 # ---------------------------------------------------------------------------
 # Closures: bindings in place of substitution
 # ---------------------------------------------------------------------------
-# A closure is a program subterm under an environment.  It stands for its
-# read-back, the body with the environment substituted, and is digested and
-# printed as that term, which is never built unless a value leaves its
-# thread (`read_back`).  So a body keeps its digest and free names, cached
-# on its nodes, however often it is entered.
+# A closure is a program subterm under an environment, an explicit
+# substitution (Abadi, Cardelli, Curien & Levy, JFP 1991).  It stands for
+# its read-back, the body with the environment substituted, and `push`, its
+# one-level propagation rule, is the one statement of that meaning: a
+# closure is digested as its push (`pushed`, made once and kept on it) and
+# read back as its push's read-back.  A body keeps its digest and free
+# names, cached on its nodes, however often it is entered.
 
 
 class Env(dict):
     """A closure's bindings: term names to closed values, region variables
-    to region literals.  Closures pushed from one closure share its `Env`,
-    and with it `digests`: each body node's read-back digest under these
-    bindings, by the node's `id` (the entry holds the node, so no `id` is
-    reused).  An `Env` made by `extend` keeps the one it extends as `base`
-    and its own names as `fresh`: a node that names none of them reads the
-    same under both, so its digest is the base's.  Never changed once
-    made."""
+    to region literals, the latter also as `regions`.  Closures pushed from
+    one closure share its `Env`.  Never changed once made."""
 
-    __slots__ = ("digests", "regions", "base", "fresh")
+    __slots__ = ("regions",)
 
-    def __init__(self, bindings: dict = (), base: Optional["Env"] = None,
-                 fresh: AbstractSet = frozenset()) -> None:
+    def __init__(self, bindings: dict = ()) -> None:
         super().__init__(bindings)
-        self.digests: dict[int, tuple[Expr, bytes]] = {}
         self.regions = {var: lit for var, lit in self.items() if type(var) is RegionVar}
-        self.base, self.fresh = base, fresh
 
     def extend(self, bindings: dict) -> "Env":
-        return Env({**self, **bindings}, self, bindings.keys())
+        return Env({**self, **bindings})
 
     def without(self, names: AbstractSet) -> "Env":
         return Env({k: v for k, v in self.items() if k not in names})
@@ -1050,11 +1043,7 @@ def close(e: Expr, env: Env) -> Expr:
     terms, regions = free_names(e)
     if env.keys().isdisjoint(terms) and env.keys().isdisjoint(regions):
         return e
-    c = Closure(e, env)
-    known = env.digests.get(id(e))
-    if known is not None:  # its read-back's digest
-        object.__setattr__(c, _DIGEST, known[1])
-    return c
+    return Closure(e, env)
 
 
 def _binder_env(e: Expr, env: Env) -> Env:
@@ -1085,76 +1074,24 @@ def push(c: Closure) -> Expr:
         else:
             new = old
         values.append(new)
-    node = form(*values, e.loc)
-    known = env.digests.get(id(e))
-    if known is not None:  # its read-back's digest
-        object.__setattr__(node, _DIGEST, known[1])
+    return form(*values, e.loc)
+
+
+_PUSHED = "_pushed"
+
+
+def pushed(c: Closure) -> Expr:
+    """`push(c)`, made once and kept on `c`, like a digest."""
+    node = getattr(c, _PUSHED, None)
+    if node is None:
+        node = push(c)
+        object.__setattr__(c, _PUSHED, node)
     return node
-
-
-def _names_any(e: Expr, names: AbstractSet) -> bool:
-    terms, regions = free_names(e)
-    return not (names.isdisjoint(terms) and names.isdisjoint(regions))
-
-
-def _bound_digest(root: Expr, env: Env) -> bytes:
-    """`expr_digest(subst_expr(root, env))`, without building that term:
-    a node whose free names `env` does not bind keeps its own digest, one
-    that names none of `env.fresh` has its digest under `env.base`, and the
-    others are hashed as their substitutions would be, into `digests`,
-    bottom-up from an explicit stack."""
-    hit = env.digests.get(id(root))
-    if hit is not None:  # pushed from a closure whose digest is known: the common case
-        return hit[1]
-    if not _names_any(root, env.keys()):
-        return expr_digest(root)
-    stack = [(root, env)]  # every node on it is bound in its `Env`
-    while stack:
-        node, at = stack[-1]
-        memo = at.digests
-        if id(node) in memo:  # shared, and done
-            stack.pop()
-            continue
-        owner = at
-        while owner.base is not None and not _names_any(node, owner.fresh):
-            owner = owner.base
-        if owner is not at:  # it reads the same under an `Env` that `at` extends
-            hit = owner.digests.get(id(node))
-            if hit is None:
-                stack.append((node, owner))
-            else:
-                memo[id(node)] = hit
-                stack.pop()
-            continue
-        if type(node) is Var:
-            memo[id(node)] = (node, expr_digest(at[node.name]))
-            stack.pop()
-            continue
-        kids = children(node)
-        inner = _binder_env(node, at) if type(node) in BINDERS else at
-        keys = at.keys()
-        todo = [(k, at) for k in (kids if inner is at else kids[:-1])
-                if id(k) not in memo and _names_any(k, keys)]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        get = memo.get
-        kid_digests = [expr_digest(k) if hit is None else hit[1] for k, hit in
-                       zip(kids, map(get, map(id, kids)))]
-        if inner is not at:  # once per binder that shadows a bound name, so shallow
-            kid_digests[-1] = _bound_digest(kids[-1], inner)
-        memo[id(node)] = (node, blake2b(_encode_expr(node, b"".join(kid_digests), at.regions),
-                                        digest_size=16).digest())
-    return env.digests[id(root)][1]
 
 
 def _read_node(e: Expr, _) -> Expr:
     if type(e) is Closure:
-        terms, regions = free_names(e.body)
-        sigma = {name: read_back(e.env[name]) for name in terms if name in e.env}
-        sigma.update((var, e.env[var]) for var in regions if var in e.env)
-        return subst_expr(e.body, sigma)
+        return read_back(pushed(e))  # done first, as its one sub-node
     old = children(e)
     kids = [k._read if holds_closure(k) else k for k in old]
     if all(new is k for new, k in zip(kids, old)):
@@ -1166,7 +1103,7 @@ def _read_node(e: Expr, _) -> Expr:
 
 
 def read_back(e: Expr) -> Expr:
-    """`e` with each closure replaced by its substitution, cached on each
+    """`e` with each closure replaced by what it stands for, cached on each
     node it rebuilds: a term with no closure, the same object each time."""
     if not holds_closure(e):
         return e
@@ -1174,9 +1111,16 @@ def read_back(e: Expr) -> Expr:
 
 
 def holds_closure(e: Expr) -> bool:
-    """Whether `e` is a closure or holds one."""
-    return free_names(e) is RUNTIME or type(e) is Closure
+    """Whether `e` is a closure or holds one.  `free_names` marks a closed
+    term that holds one (`RUNTIME`), but an open term has no such mark: an
+    open term that holds one is the push of an open closure (a binder's
+    body, `push`), whose closures are its children."""
+    names = free_names(e)
+    if names is RUNTIME or type(e) is Closure:
+        return True
+    return names is not CLOSED and any(
+        free_names(k) is RUNTIME or type(k) is Closure for k in children(e))
 
 
 def _runtime_children(e: Expr) -> list:
-    return [k for k in children(e) if holds_closure(k)]
+    return [k for k in _sub_nodes(e) if holds_closure(k)]

@@ -31,7 +31,7 @@ def _emit_lines(name: str) -> dict[str, str]:
     out = {}
     for def_name, lines in typed.effect_lines.items():
         for line, eff in lines.items():
-            out[f"{def_name}:{line}"] = eff.pretty(omit_bottom=True, show_purity=False)
+            out[f"{def_name}:{line}"] = eff.margin()
     return out
 
 

@@ -1,4 +1,5 @@
-"""Every public name in `src/` is used there, or exported."""
+"""Every public name in `src/` is used there, or exported, and every
+private function and method is used there."""
 
 from __future__ import annotations
 
@@ -10,15 +11,25 @@ import reglock
 SRC = pathlib.Path(reglock.__file__).resolve().parent
 
 
-def _definitions(tree: ast.Module):
-    """(qualified name, node) for each public top-level function and class,
-    and each public method of a top-level class."""
+def _public(node: ast.AST) -> bool:
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+
+
+def _private_function(node: ast.AST) -> bool:
+    name = getattr(node, "name", "")
+    return (isinstance(node, ast.FunctionDef) and name.startswith("_")
+            and not (name.startswith("__") and name.endswith("__")))
+
+
+def _definitions(tree: ast.Module, chosen):
+    """(qualified name, node) for each `chosen` top-level function or class,
+    and each `chosen` method of a top-level class."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        if chosen(node):
             yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                if chosen(item):
                     yield f"{node.name}.{item.name}", item
 
 
@@ -31,13 +42,15 @@ def _uses(tree: ast.Module):
             yield node.attr, node.lineno
 
 
-def test_every_public_definition_is_used_or_exported():
+def _unused(chosen) -> list[str]:
+    """The `chosen` definitions that `src/` names nowhere outside their own
+    body, exported names aside."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     uses = [(module, name, line) for module, tree in trees.items()
             for name, line in _uses(tree)]
     unused = []
     for module, tree in trees.items():
-        for qualified, node in _definitions(tree):
+        for qualified, node in _definitions(tree, chosen):
             name = qualified.rsplit(".", 1)[-1]
             if name in reglock.__all__:
                 continue
@@ -45,4 +58,13 @@ def test_every_public_definition_is_used_or_exported():
             if not any(n == name and not (m == module and line in inside)
                        for m, n, line in uses):
                 unused.append(f"{module}:{qualified}")
-    assert unused == []
+    return unused
+
+
+def test_every_public_definition_is_used_or_exported():
+    assert _unused(_public) == []
+
+
+def test_every_private_function_and_method_is_used():
+    """Dunders aside, which Python calls by name."""
+    assert _unused(_private_function) == []

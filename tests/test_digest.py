@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -18,11 +19,15 @@ from reglock.store import initial_store
 from reglock.syntax import (
     HEAP,
     UNIT_VALUE,
+    Closure,
     Const,
+    Env,
+    If,
     Loc,
     Seq,
     Var,
     expr_digest,
+    read_back,
 )
 from reglock.typecheck import check_program, link_bodies
 from conftest import CORPUS, RUNNABLE, corpus_text, lock_tree, paired_long_seq, rebuild
@@ -93,6 +98,29 @@ def test_deep_terms_need_no_recursion():
     for _ in range(5 * sys.getrecursionlimit()):
         e = Seq(Const(UNIT_VALUE), e)
     assert len(expr_digest(e)) == 16
+
+
+def test_a_deep_closure_is_digested_and_read_back_without_recursion():
+    """A closure is digested and read back through its pushes, each from an
+    explicit stack: a 10,000-deep body under `x = 7`, on a fresh thread at
+    the default recursion limit, reads as the same tree built with 7."""
+
+    def tree(leaf):
+        e = leaf
+        for i in range(10_000):
+            e = If(leaf, e, leaf) if i % 2 else Seq(leaf, e)
+        return e
+
+    closure = Closure(tree(Var("x")), Env({"x": Const(7)}))
+    digests = []
+
+    def digest_both():
+        digests.extend([expr_digest(closure), expr_digest(read_back(closure))])
+
+    worker = threading.Thread(target=digest_both)
+    worker.start()
+    worker.join()
+    assert digests == [expr_digest(tree(Const(7)))] * 2
 
 
 def test_known_initial_digest():

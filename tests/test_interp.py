@@ -412,6 +412,24 @@ def test_each_thread_term_is_stepped_once(monkeypatch):
     assert counts["decompose"] <= len(trace.steps) and counts["subst_expr"] == 0
 
 
+def test_no_closure_is_pushed_twice(monkeypatch):
+    """Timer-free shape guard: a digest keeps the push it digests a closure
+    through (`syntax.pushed`), and `decompose` reuses it, so each closure is
+    pushed at most once, in `explore` and in a seeded run alike."""
+    closures = []  # held, so no `id` is reused
+    real = syntax.push
+
+    def push(c):
+        closures.append(c)
+        return real(c)
+
+    monkeypatch.setattr(syntax, "push", push)
+    monkeypatch.setattr(interp, "push", push)
+    assert explore(checked_main(lock_tree(2))).states == 1774
+    assert run_seeded(checked_main(STORED_CLOSURE), seed=1).terminal.kind == "all_done"
+    assert closures and len({id(c) for c in closures}) == len(closures)
+
+
 #: The uncached bodies of the store operations that `Store` memoises.
 STORE_BODIES = ("_alloc", "_lookup", "_update", "_newrgn", "_updcap", "_transfer")
 
@@ -614,27 +632,37 @@ def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].
 
 @pytest.mark.parametrize("name", RUNNABLE + ["stored_closure"])
 def test_only_a_value_that_leaves_its_thread_is_substituted(name, monkeypatch):
-    """During a run, `subst_expr` is called only to close a value that a
-    step stores or passes to a new thread (`read_back` in `interp`)."""
+    """No run substitutes: a value that a step stores or passes to a new
+    thread is closed by `read_back`, which reads a closure through its push,
+    and no store ever holds a closure."""
     main = checked_main(STORED_CLOSURE) if name == "stored_closure" else typed_main(name)
-    closing, calls = [False], []
+    substituted, given = [], []
     real_subst, real_read_back = syntax.subst_expr, interp.read_back
 
     def subst_expr(e, sigma):
-        calls.append(closing[0])
+        substituted.append(e)
         return real_subst(e, sigma)
 
     def read_back(e):
-        closing[0] = True
-        try:
-            return real_read_back(e)
-        finally:
-            closing[0] = False
+        given.append(type(e) is Closure)
+        return real_read_back(e)
+
+    def heap_closures(config):
+        stack = [v for node in config.store.regions() for _, v in node.heap]
+        found = []
+        while stack:
+            e = stack.pop()
+            if type(e) is Closure:
+                found.append(e)
+            stack.extend(syntax.children(e))
+        return found
 
     monkeypatch.setattr(syntax, "subst_expr", subst_expr)
     monkeypatch.setattr(interp, "read_back", read_back)
     for seed in range(3):
-        assert run_seeded(main, seed).terminal.kind in ("all_done", "deadlock")
-    assert all(calls)
+        trace = run_seeded(main, seed, record=heap_closures)
+        assert trace.terminal.kind in ("all_done", "deadlock")
+        assert not any(step.record for step in trace.steps)
+    assert substituted == []
     if name == "stored_closure":
-        assert calls
+        assert any(given)
