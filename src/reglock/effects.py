@@ -4,7 +4,10 @@ Splitting happens at every function application: the callee's instantiated
 input effect is subtracted from the caller's current effect, and on return
 the callee's output effect is joined back in.  Purity tracks whether a
 capability is whole (exact counts) or a fragment of a larger one; fragments
-with positive lock counts must never cross a thread boundary.
+with positive lock counts must never cross a thread boundary.  Effects are
+interned, and each operation below that builds one is cached on its first
+operand (`syntax.per_value`): its uncached body, the same name with a
+leading underscore, runs once per distinct operands.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .syntax import (
     RegionVar,
     Type,
     UnitType,
+    per_value,
 )
 
 
@@ -67,6 +71,10 @@ def fragments(eff: Effect) -> Effect:
     Subtracted as a demand, it asks for counts alone: `cap_split` meets it
     from any capability that holds at least as much, pure or not.
     """
+    return per_value(eff, _fragments, None)
+
+
+def _fragments(eff: Effect) -> Effect:
     return Effect((r, Capability(cap.rg, cap.lk, pure=False), parent)
                   for r, cap, parent in eff.items())
 
@@ -95,6 +103,10 @@ def effect_subtract(current: Effect, need: Effect) -> SplitResult:
     handing a region to a callee while keeping one of its descendants would
     let the callee deallocate the ground under the caller's feet.
     """
+    return per_value(current, _subtract, need.items(), need)
+
+
+def _subtract(current: Effect, need: Effect) -> SplitResult:
     abstracted: set[RegionName] = set()
     passed: list[tuple[RegionName, Capability, Parent]] = []
     retained: dict[RegionName, tuple[Capability, Parent]] = {
@@ -147,6 +159,12 @@ def effect_join(original: Effect, retained: Effect, out: Effect,
     pre-call parents, and a capability turns pure again exactly when the
     rejoined counts reconstruct the pre-call counts of a pure capability.
     """
+    return per_value(original, _join, (retained.items(), out.items(), abstracted),
+                     retained, out, abstracted)
+
+
+def _join(original: Effect, retained: Effect, out: Effect,
+          abstracted: frozenset[RegionName]) -> Effect:
     table: dict[RegionName, tuple[Capability, Parent]] = {
         r: (cap, parent) for r, cap, parent in retained.items()
     }
@@ -224,6 +242,10 @@ def apply_cap_op(eff: Effect, r: RegionName, op) -> Effect:
     region whose parent chain reaches it (the static face of bulk subtree
     deallocation).
     """
+    return per_value(eff, _apply_cap_op, (r, op), r, op)
+
+
+def _apply_cap_op(eff: Effect, r: RegionName, op) -> Effect:
     entry = eff.get(r)
     if entry is None:
         raise CapError("RegionNotLive", f"region {r} is not live in the effect", r)

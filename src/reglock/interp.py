@@ -15,9 +15,11 @@ subterms are closed over the same bindings.  A closure stands for its
 read-back, the body with its bindings substituted, and is digested and
 read back through its push, which it then keeps (`syntax.pushed`);
 `decompose` reuses a kept push and keeps none of its own, so a run that
-takes no digest holds no pushed tree.  A value that leaves its thread is
-read back (`syntax.read_back`): a value stored by E-NR or E-AS, or a
-spawn's argument, so the store holds no closure.
+takes no digest holds no pushed tree but its loops'.  A value that leaves
+its thread is read back (`syntax.read_back`): a value stored by E-NR or
+E-AS, or a spawn's argument, so the store holds no closure.  E-WHILE
+unrolls over its condition's and body's read-backs, kept on them, so a
+loop pushes each of its closures once, not once per iteration.
 
 Each configuration holds the store, the active threads, and the counters
 that keep fresh names deterministic across interleavings.  Scheduling is
@@ -438,7 +440,8 @@ def _step_expr(config: Config, tid: int, memo: _Stepping, redex: Expr) -> StepOu
         if isinstance(redex, Seq):
             return term_only(redex.second, "E-SEQ")
         if isinstance(redex, While):
-            unrolled = If(redex.cond, Seq(redex.body, redex, redex.loc), UNIT, redex.loc)
+            unrolled = If(read_back(redex.cond), Seq(read_back(redex.body), redex, redex.loc),
+                          UNIT, redex.loc)
             return term_only(unrolled, "E-WHILE")
         if isinstance(redex, Prim):
             try:

@@ -78,8 +78,11 @@ used.  Preservation across a free therefore needs the run-time typing of a
 through delta: store consistency flags any effect entry whose region has
 left the store.  Names are never reused, and the checker consults R and M
 only by membership and lookup, where a location's type never changes, so
-a memo entry stays exact as they grow; the memo is cleared only when a run
-starts.
+a memo entry stays exact as they grow.  The memo is cleared when a run
+starts, and once it passes `MEMO_BOUND` entries, which costs only time.
+Effects and types are interned, and the capability algebra and region
+substitution are cached per value (`syntax.per_value`), so a split, a
+join or an instance that a step meets again is found, not rebuilt.
 
 Consistency compares counts for equality: every rule that changes a
 thread's counts (a capability step, a spawn's transfer, `newrgn`) changes
@@ -122,6 +125,10 @@ from .syntax import (
     subst_regions,
 )
 from .typecheck import CheckFailure, Checker, TypedProgram, _Env, type_eq
+
+
+#: The harness memo's size past which it is cleared (successes only, so exact).
+MEMO_BOUND = 1 << 14
 
 
 class Violation(Record):
@@ -390,6 +397,8 @@ class Harness:
     def _check(self, config: Config, out: list[Violation],
                only: Optional[set[int]] = None) -> list[Violation]:
         """`out`, the step's own violations, and those of `config`."""
+        if len(self.memo) > MEMO_BOUND:
+            self.memo.clear()
         out += check_thread_typing(self.regions, self.locations, config.threads,
                                    self.delta, self.obligations, only=only, memo=self.memo)
         out += check_store_consistency(config.store, self.delta, *self.before)

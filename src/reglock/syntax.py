@@ -11,7 +11,9 @@ compares equal to the original.  Assigning or deleting a field raises
 `FrozenInstanceError`, except on a record made with `frozen=False`, which is
 unhashable.  A value cached on a node (a digest, free names, a step) is an
 attribute outside the fields, set with `object.__setattr__`.  An *atom*
-(`_Atom`: region names and capabilities) is hash-consed: equality is identity.
+(`_Atom`: region names, capabilities, effects and compound types) is
+hash-consed, so equality is identity (an effect's ignores entry order), and
+region substitution and the capability algebra are cached per atom.
 """
 
 from __future__ import annotations
@@ -98,22 +100,33 @@ class _Atom:
     returns the same object, so `==` is identity and `hash` is
     `object.__hash__`, both in C (Filliatre & Conchon, "Type-safe modular
     hash-consing", 2006).  The table holds atoms weakly, so it never outgrows
-    the atoms in use, and copies and unpickled atoms are the same object."""
+    the atoms in use, and copies and unpickled atoms are the same object.
+    An atom's operations are cached on it (`per_value`)."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ("__weakref__", "_memo")
     _table: dict
 
     def __init_subclass__(cls) -> None:
-        cls._table = {}  # fields -> weak reference to the atom
+        cls._table = {}  # key -> weak reference to the atom
 
     def __new__(cls, *values):
-        ref = cls._table.get(values)
+        ref = cls._table.get(values)  # a hit in the fewest calls
+        atom = None if ref is None else ref()
+        if atom is None and len(values) != len(cls.__slots__):
+            raise TypeError(f"{cls.__name__} takes {len(cls.__slots__)} fields")
+        return atom if atom is not None else cls._intern(values, values)
+
+    @classmethod
+    def _intern(cls, key: tuple, values: tuple):
+        """The atom of `cls` with `values` in its fields, found by `key`."""
+        table = cls._table
+        ref = table.get(key)
         atom = None if ref is None else ref()
         if atom is None:
             atom = object.__new__(cls)
             for name, value in zip(cls.__slots__, values):
                 object.__setattr__(atom, name, value)
-            cls._table[values] = weakref.ref(atom, partial(_forget, cls._table, values))
+            table[key] = weakref.ref(atom, partial(_forget, table, key))
         return atom
 
     __setattr__, __delattr__ = Record.__setattr__, Record.__delattr__
@@ -124,6 +137,27 @@ class _Atom:
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({shown})"
+
+
+def per_value(first: _Atom, body: Callable, key, *args):
+    """`body(first, *args)`, computed once per `(body, key)` and kept on
+    `first` while it lives.  `key` stands for `args`, an effect by its
+    entries (`Effect.items()`), whose order `==` ignores.  An error is not
+    kept, nor `first` on itself: a cycle that only the collector frees.  A
+    table is dropped at 256 entries: a long-lived value (a program's own
+    type) met by ever fresh operands (a loop's new regions) stays bounded."""
+    table = getattr(first, "_memo", None)
+    if table is None or len(table) >= 256:
+        table = {}
+        object.__setattr__(first, "_memo", table)
+    hit = table.get((body, key))
+    if hit is None:
+        hit = body(first, *args)
+        table[body, key] = _SAME if hit is first else hit
+    return first if hit is _SAME else hit
+
+
+_SAME = object()
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +212,7 @@ class Root(Enum):
         return self.value
 
     __repr__ = __str__
+    __hash__ = object.__hash__  # in C: every effect entry's parent is hashed
 
 
 BOTTOM = Root.BOTTOM
@@ -220,25 +255,34 @@ class CapError(Exception):
         self.region = region
 
 
-class Effect:
+class Effect(_Atom):
     """Ordered map from region names to (capability, parent) entries.
 
     Well-formedness: domain entries have region count >= 1 and every parent
     that is a region name is itself in the domain (chains terminate at `_`
     or `?` roots).  Equality is domain-wise and order-insensitive.
 
-    The ordered entries are one tuple (`items`), on which the checker's memo
-    keys, and the hash and the well-formedness verdict are computed once.
+    An effect is interned by its ordered entries, one tuple (`items`), on
+    which the checker's memo keys; the hash and the well-formedness verdict
+    are computed once.
     """
 
-    __slots__ = ("_entries", "_items", "_hash", "_why")
+    __slots__ = ("_items", "_entries", "_hash", "_why")
 
-    def __init__(self, entries: Iterable[tuple[RegionName, Capability, Parent]] = ()):
-        self._items = tuple(entries)
-        self._entries = {r: (cap, parent) for r, cap, parent in self._items}
-        if len(self._entries) != len(self._items):
-            names = [r for r, _, _ in self._items]
-            raise ValueError(f"duplicate region {max(names, key=names.count)} in effect")
+    def __new__(cls, entries: Iterable[tuple[RegionName, Capability, Parent]] = ()) -> "Effect":
+        items = tuple(entries)
+        ref = cls._table.get(items)
+        eff = None if ref is None else ref()
+        if eff is None:
+            table = {r: (cap, parent) for r, cap, parent in items}
+            if len(table) != len(items):
+                names = [r for r, _, _ in items]
+                raise ValueError(f"duplicate region {max(names, key=names.count)} in effect")
+            eff = cls._intern(items, (items, table))
+        return eff
+
+    def __reduce__(self):
+        return Effect, (self._items,)
 
     # -- construction helpers -------------------------------------------------
 
@@ -296,7 +340,7 @@ class Effect:
     def well_formed(self) -> Optional[str]:
         """Return a reason string if ill-formed, else None; found once."""
         if not hasattr(self, "_why"):
-            self._why = self._ill_formed()
+            object.__setattr__(self, "_why", self._ill_formed())
         return self._why
 
     def _ill_formed(self) -> Optional[str]:
@@ -321,13 +365,13 @@ class Effect:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Effect):
             return NotImplemented
-        return self._entries == other._entries
+        return self is other or self._entries == other._entries
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
-            self._hash = hash(frozenset(self._items))
+            object.__setattr__(self, "_hash", hash(frozenset(self._items)))
             return self._hash
 
     def same_counts(self, other: "Effect") -> bool:
@@ -382,34 +426,34 @@ class UnitType(Record):
         return "unit"
 
 
-class FnType(Record):
-    def __init__(self, param: Type, effect_in: Effect, effect_out: Effect, result: Type) -> None:
-        self.__dict__.update(param=param, effect_in=effect_in, effect_out=effect_out,
-                             result=result)
+class FnType(_Atom):
+    __slots__ = ("param", "effect_in", "effect_out", "result")
+
+    def __new__(cls, param: Type, effect_in: Effect, effect_out: Effect, result: Type) -> "FnType":
+        # Keyed by the effects' entries, whose order `==` ignores.
+        return cls._intern((param, effect_in.items(), effect_out.items(), result),
+                           (param, effect_in, effect_out, result))
 
     def __str__(self) -> str:
         return f"fn({self.param}) @ [{self.effect_in} -> {self.effect_out}] -> {self.result}"
 
 
-class RegionPolyType(Record):
-    def __init__(self, var: RegionVar, body: Type) -> None:
-        self.__dict__.update(var=var, body=body)
+class RegionPolyType(_Atom):
+    __slots__ = ("var", "body")
 
     def __str__(self) -> str:
         return f"forall {self.var}. {self.body}"
 
 
-class RefType(Record):
-    def __init__(self, elem: Type, region: RegionName) -> None:
-        self.__dict__.update(elem=elem, region=region)
+class RefType(_Atom):
+    __slots__ = ("elem", "region")
 
     def __str__(self) -> str:
         return f"ref({self.elem}, {self.region})"
 
 
-class HandleType(Record):
-    def __init__(self, region: RegionName) -> None:
-        self.__dict__.update(region=region)
+class HandleType(_Atom):
+    __slots__ = ("region",)
 
     def __str__(self) -> str:
         return f"rgn({self.region})"
@@ -455,6 +499,8 @@ class CapOp(Enum):
     RG_MINUS = "rg-"
     LK_PLUS = "lk+"
     LK_MINUS = "lk-"
+
+    __hash__ = object.__hash__
 
 
 #: Surface keyword for each capability operator.
@@ -705,6 +751,7 @@ def fresh_region_var(base: RegionVar, avoid: AbstractSet[RegionName]) -> RegionV
 def subst_regions(x, rho: dict):
     """`x` (a type, an effect, a region name or a calling mode) with the
     region variables in `rho` replaced at once; `x` itself when none occurs.
+    An effect's or a type's is computed once per `rho` (`per_value`).
 
     In an effect, both domain and parents are replaced, and aliased entries
     merge: the counts add up, and the merged capability is impure, since it
@@ -714,40 +761,35 @@ def subst_regions(x, rho: dict):
 
     A `forall` binder that a replacement would capture is renamed: the
     checker instantiates one definition's type with a region bound by
-    another (`g[b]` under `/\\b`)."""
+    another (`g[b]` under `/\\b`).  Each body rebuilds its value from its
+    substituted fields, which interning makes `x` itself if none changed."""
     kind = type(x)
     if kind is RegionVar:
         return rho.get(x, x)
-    if kind is Effect:
-        return _subst_effect(x, rho)
-    if kind is FnType:
-        parts = (x.param, x.effect_in, x.effect_out, x.result)
-        new = tuple(subst_regions(part, rho) for part in parts)
-        return x if all(a is b for a, b in zip(new, parts)) else FnType(*new)
-    if kind is RefType:
-        elem = subst_regions(x.elem, rho)
-        region = rho.get(x.region, x.region)
-        return x if elem is x.elem and region is x.region else RefType(elem, region)
-    if kind is HandleType:
-        region = rho.get(x.region, x.region)
-        return x if region is x.region else HandleType(region)
+    if kind in _SUBSTITUTED:
+        return per_value(x, _SUBSTITUTED[kind], tuple(rho.items()), rho)
     if kind is ParMode:
         transfer = subst_regions(x.transfer, rho)
         return x if transfer is x.transfer else ParMode(transfer)
-    if kind is RegionPolyType:
-        inner = {var: rep for var, rep in rho.items() if var != x.var}
-        var, body = x.var, x.body
-        if var in inner.values() and not inner.keys().isdisjoint(free_regions(body)):
-            var = fresh_region_var(var, free_regions(body) | inner.keys() | set(inner.values()))
-            body = subst_regions(body, {x.var: var})
-        body = subst_regions(body, inner) if inner else body
-        return x if body is x.body else RegionPolyType(var, body)
     return x  # base types, unit, region literals, the sequential mode, None
 
 
+def _subst_fn(x: FnType, rho: dict) -> FnType:
+    return FnType(*[subst_regions(part, rho)
+                    for part in (x.param, x.effect_in, x.effect_out, x.result)])
+
+
+def _subst_poly(x: RegionPolyType, rho: dict) -> RegionPolyType:
+    inner = {var: rep for var, rep in rho.items() if var != x.var}
+    var, body = x.var, x.body
+    if var in inner.values() and not inner.keys().isdisjoint(free_regions(body)):
+        var = fresh_region_var(var, free_regions(body) | inner.keys() | set(inner.values()))
+        body = subst_regions(body, {x.var: var})
+    body = subst_regions(body, inner) if inner else body
+    return x if body is x.body else RegionPolyType(var, body)  # a renaming alone is undone
+
+
 def _subst_effect(eff: Effect, rho: dict) -> Effect:
-    if not any(r in rho or parent in rho for r, _, parent in eff.items()):
-        return eff
     table: dict[RegionName, tuple[Capability, Parent]] = {}
     merged: Optional[RegionName] = None
     for r, cap, parent in eff.items():
@@ -775,6 +817,13 @@ def _subst_effect(eff: Effect, rho: dict) -> Effect:
         raise CapError("NotLive", f"substituting {pairs} merges {eff} "
                        f"into an ill-formed effect: {reason}", merged)
     return result
+
+
+_SUBSTITUTED = {
+    Effect: _subst_effect, FnType: _subst_fn, RegionPolyType: _subst_poly,
+    RefType: lambda x, rho: RefType(subst_regions(x.elem, rho), rho.get(x.region, x.region)),
+    HandleType: lambda x, rho: HandleType(rho.get(x.region, x.region)),
+}
 
 
 def free_regions(x) -> set[RegionName]:

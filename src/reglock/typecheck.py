@@ -29,7 +29,8 @@ type and each bound region variable read as its literal (`_Env.rho`).  A
 memo (the harness's) keys a subterm on its digest, what it reads of the
 environment and `Effect.items()`, and interned region names and
 capabilities make that key hash in C; `meta` says why an entry is exact.
-A region application's instance is cached on its type, one per region.
+Effects and types are interned too, and a call's split and join and a
+region application's instance are computed once per value (`per_value`).
 """
 
 from __future__ import annotations
@@ -160,6 +161,8 @@ def type_eq(a: Type, b: Type, lenient: bool = False) -> bool:
     re-typing run-time terms, where beta reduction has erased the call
     frames that restore purity).
     """
+    if a is b:  # interned
+        return True
     if isinstance(a, BaseType) and isinstance(b, BaseType):
         return a.name == b.name
     if isinstance(a, UnitType) and isinstance(b, UnitType):
@@ -231,10 +234,6 @@ class _Env(Record, frozen=False):
 
 
 _EMPTY_ENV = _Env({}, frozenset())
-
-#: In `Checker._renamed`, a bound variable's type that names a variable
-#: being renamed.
-_CLASH = object()
 
 
 class Checker:
@@ -380,42 +379,25 @@ class Checker:
         if literal or not binders.isdisjoint(rho) or any(
                 r in rho or p in rho for r, _, p in eff.items()):
             return None
-        # Per suffix of the bindings, innermost last: (back, renamed, renamings of a
-        # type, of an effect by its ordered entries, and of a hit by id, which it pins).
-        worlds = self.memo.get(("worlds", *rho.items()))
-        if worlds is None:
-            bound = list(rho)
-            worlds = self.memo[("worlds", *rho.items())] = [
-                (back, {lit: var for var, lit in back.items()}, {})
-                for back in ({var: rho[var] for var in bound[i:]} for i in range(len(bound)))]
+        bound = list(rho.items())
         terms, regions = env.order(body)
+        types = tuple(map(env.vars.get, terms))
         value = isinstance(body, (Lambda, RegionLambda))
-        for back, renamed, cache in worlds:
-            types = []
-            for t in map(env.vars.get, terms):
-                got = cache.get(t)
-                if got is None:
-                    # No bound variable's type may name a renamed variable.
-                    got = cache[t] = (_CLASH if not back.keys().isdisjoint(free_regions(t))
-                                      else subst_regions(t, renamed))
-                types.append(got)
-            if any(t is _CLASH for t in types):
+        for i in range(len(bound)):
+            back = dict(bound[i:])
+            renamed = {lit: var for var, lit in bound[i:]}
+            # No bound variable's type may name a renamed variable.
+            if any(not back.keys().isdisjoint(free_regions(t)) for t in types):
                 continue
-            key = (expr_digest(body), (tuple(types), tuple(
+            key = (expr_digest(body), (tuple([subst_regions(t, renamed) for t in types]), tuple(
                 [True if r in back or r in env.region_vars else rho.get(r)
                  for r in regions])))
             if not value:
-                items = cache.get(eff.items())
-                if items is None:
-                    items = cache[eff.items()] = subst_regions(eff, renamed).items()
-                key = (key, items)
+                key = (key, subst_regions(eff, renamed).items())
             hit = self.memo.get(key)
             if hit is not None:
-                got = cache.get(id(hit))
-                if got is None:
-                    got = cache[id(hit)] = (hit, subst_regions(hit, back) if value else (
-                        subst_regions(hit[0], back), subst_regions(hit[1], back)))
-                return got[1]
+                return subst_regions(hit, back) if value else (
+                    subst_regions(hit[0], back), subst_regions(hit[1], back))
         return None
 
     def _closure_env(self, c: Closure, env: _Env) -> _Env:
@@ -520,18 +502,12 @@ class Checker:
             if not self._region_in_scope(region, env):
                 raise self.fail("UnknownRegion",
                                 f"region {region} is not in scope", e.loc, out)
-            # Instances are cached on the type, one per region (at its own
-            # variable, its body): exact, as substitution reads only its input.
-            instances = vars(t_fn).setdefault("_instances", {})
-            inst = t_fn.body if region is t_fn.var else instances.get(region)
-            if inst is None:
-                try:
-                    inst = instances[region] = subst_regions(t_fn.body, {t_fn.var: region})
-                except fx.CapError as exc:
-                    raise self.fail(exc.code, exc.message, e.loc, out)
-                except ValueError as exc:
-                    raise self.fail("MalformedAnnotation", str(exc), e.loc, out)
-            return inst, out
+            try:
+                return subst_regions(t_fn.body, {t_fn.var: region}), out
+            except fx.CapError as exc:
+                raise self.fail(exc.code, exc.message, e.loc, out)
+            except ValueError as exc:
+                raise self.fail("MalformedAnnotation", str(exc), e.loc, out)
 
         if isinstance(e, NewRef):
             t_init, out = self.check(e.init, env, eff)

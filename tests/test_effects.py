@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import effects_model
 from reglock import effects
 from reglock.effects import (
     CapError,
+    SplitResult,
     apply_cap_op,
     cap_split,
     check_par_constraints,
@@ -18,12 +20,19 @@ from reglock.effects import (
 )
 from reglock.syntax import (
     BOTTOM,
+    INT,
     UNIT,
     UNKNOWN,
     Capability,
     CapOp,
     Effect,
+    FnType,
+    HandleType,
+    RefType,
+    RegionLit,
+    RegionPolyType,
     RegionVar,
+    subst_regions,
 )
 
 RHO = RegionVar("rho")
@@ -394,8 +403,10 @@ def test_split_and_join_check_only_what_they_can_break(data):
     eff, need, out = data
 
     def unchecked(fn, *args):
+        # The uncached body: a result made under the patch must not be kept.
+        body = {effect_subtract: effects._subtract, effect_join: effects._join}[fn]
         with patch.object(effects, "missing_parent", lambda _: None):
-            return fn(*args)
+            return body(*args)
 
     def agree(fn, args, result_of, prefix):
         try:
@@ -421,3 +432,75 @@ def test_split_and_join_check_only_what_they_can_break(data):
     if split is not None:
         agree(effect_join, (eff, split.retained, out, split.abstracted),
               lambda res: res, "post-call effect is ill-formed")
+
+
+# -- the interned, cached algebra against its plain model ----------------------
+
+NAMES = [RegionVar(f"m{i}") for i in range(4)] + [RegionLit(f"m{i}") for i in range(2)]
+
+
+@st.composite
+def model_effects(draw, names=NAMES):
+    """Any effect over a few names, well-formed or not, in any entry order."""
+    chosen = draw(st.lists(st.sampled_from(names), unique=True, max_size=4))
+    return Effect((r, Capability(draw(st.integers(0, 3)), draw(st.integers(0, 2)),
+                                 draw(st.booleans())),
+                   draw(st.sampled_from([BOTTOM, UNKNOWN, *names]))) for r in chosen)
+
+
+@st.composite
+def model_types(draw):
+    region = st.sampled_from(NAMES)
+    fn = FnType(HandleType(draw(region)), draw(model_effects()), draw(model_effects()),
+                RefType(INT, draw(region)))
+    return draw(st.sampled_from([fn, RegionPolyType(NAMES[0], fn), RefType(fn, draw(region)),
+                                 RegionPolyType(NAMES[1], RegionPolyType(NAMES[2], fn))]))
+
+
+def outcome(fn, *args):
+    """What a call gives: its result, or its error's kind, code and message."""
+    try:
+        return fn(*args)
+    except CapError as exc:
+        return ("CapError", exc.code, exc.message)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def same(got, want) -> bool:
+    """Equal in the same entry order: an interned result is the model's
+    object itself, and a split's parts are."""
+    if isinstance(want, SplitResult):
+        return (isinstance(got, SplitResult) and got.passed is want.passed
+                and got.retained is want.retained and got.abstracted == want.abstracted)
+    return got is want if not isinstance(want, tuple) else got == want
+
+
+@settings(max_examples=400, deadline=None)
+@given(model_effects(), model_effects(), model_effects(), model_types(),
+       st.dictionaries(st.sampled_from(NAMES[:4]), st.sampled_from(NAMES), max_size=3),
+       st.sampled_from(NAMES), st.sampled_from(list(CapOp)))
+def test_cached_algebra_matches_its_plain_model(eff, need, out, t, rho, r, op):
+    """Each cached operation, asked twice and with its other operands in
+    both entry orders, returns the model's result in the same entry order,
+    or raises the same `CapError` code and message."""
+    for need, out, rho in [(need, out, rho), (flip(need), flip(out), dict(flip(rho)))] * 2:
+        assert same(outcome(effects.fragments, eff), outcome(effects_model.fragments, eff))
+        split = outcome(effect_subtract, eff, need)
+        assert same(split, outcome(effects_model.effect_subtract, eff, need))
+        if isinstance(split, SplitResult):
+            for retained in (split.retained, need):
+                args = (eff, retained, out, split.abstracted)
+                assert same(outcome(effect_join, *args),
+                            outcome(effects_model.effect_join, *args))
+        assert same(outcome(apply_cap_op, eff, r, op),
+                    outcome(effects_model.apply_cap_op, eff, r, op))
+        for x in (eff, t):
+            assert same(outcome(subst_regions, x, rho), outcome(effects_model.subst_regions, x, rho))
+
+
+def flip(entries):
+    """An effect or a dict with its entries in reverse order."""
+    if isinstance(entries, dict):
+        return reversed(entries.items())
+    return Effect(reversed(entries.items()))

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from reglock import interp, meta, typecheck
+from reglock import effects, interp, meta, syntax
 from reglock.cli import main as cli_main
 from reglock.interp import initial_config, run_seeded
 from reglock.meta import (
@@ -523,31 +523,73 @@ def test_store_checks_visit_what_the_step_changed(monkeypatch):
     assert few[-6:] == many[-6:]
 
 
-def test_renamings_are_kept_per_world(monkeypatch):
-    """Timer-free shape guard: on lock_tree(4), seed 1, a body found renamed
-    (`Checker._renamed`) costs 1.7 calls of `subst_regions` a lookup, 124
-    in 71 lookups; each renaming is made once per world.  When a world's
-    renamings were rebuilt for each environment, it cost 5.2 (366 calls)."""
-    counts = {"lookups": 0, "substs": 0}
-    real_subst, real_renamed = typecheck.subst_regions, Checker._renamed
+def test_each_algebra_body_runs_once_per_operands(monkeypatch):
+    """Timer-free: in a harnessed run of lock_tree(4), seed 1, the capability
+    algebra and region substitution run their uncached bodies at most once
+    per distinct operands, an effect or a type as the first one (interned,
+    so by identity, and kept alive here) and the others by value; each call
+    of the checker and each renaming (`Checker._renamed`) finds the rest.
+    When the renamings were cached per world, `_renamed` made 1.7 calls of
+    `subst_regions` a lookup."""
+    runs, held = Counter(), []
 
-    def subst(x, rho):
-        counts["substs"] += 1
-        return real_subst(x, rho)
+    def operand(x):
+        return x.items() if type(x) is Effect else tuple(x.items()) if type(x) is dict else x
 
-    def renamed(self, body, env, eff):
-        counts["lookups"] += 1
-        monkeypatch.setattr(typecheck, "subst_regions", subst)
-        try:
-            return real_renamed(self, body, env, eff)
-        finally:
-            monkeypatch.setattr(typecheck, "subst_regions", real_subst)
+    def counting(name, body):
+        def run(first, *rest):
+            held.append(first)
+            runs[(name, id(first), *map(operand, rest))] += 1
+            return body(first, *rest)
+        return run
 
-    monkeypatch.setattr(Checker, "_renamed", renamed)
+    for name in ("_fragments", "_subtract", "_join", "_apply_cap_op"):
+        monkeypatch.setattr(effects, name, counting(name, getattr(effects, name)))
+    for kind, body in list(syntax._SUBSTITUTED.items()):
+        monkeypatch.setitem(syntax._SUBSTITUTED, kind, counting(kind.__name__, body))
     result = check_program(parse_program(lock_tree(4)))
     trace = run_seeded(result.typed.linked_main(), seed=1, harness=Harness(result.typed))
-    assert trace.terminal.kind == "all_done" and counts["lookups"] > 50
-    assert counts["substs"] <= 366 / 71 / 2 * counts["lookups"]
+    assert trace.terminal.kind == "all_done"
+    made = Counter(name for name, *_ in runs)
+    assert {"_subtract", "_join", "_apply_cap_op", "FnType", "Effect"} <= made.keys(), made
+    assert max(runs.values()) == 1
+
+
+def test_a_bounded_memo_gives_the_same_runs(monkeypatch):
+    """Clearing the harness memo past a size is exact, as the memo holds
+    successes only: with the bound at 8 entries, the runnable corpus at
+    seeds 0..4 gives the same trace digests as unbounded, and no
+    violation."""
+    def digests():
+        out = []
+        for name in RUNNABLE:
+            typed_program = typed(name)
+            main = typed_program.linked_main()
+            for seed in range(5):
+                trace = run_seeded(main, seed, harness=Harness(typed_program))
+                assert trace.terminal.kind in ("all_done", "deadlock"), (name, seed)
+                out.append(trace.digest())
+        return out
+
+    clears = []
+    real_clear = dict.clear
+
+    class Memo(dict):
+        def clear(self):
+            clears.append(len(self))
+            real_clear(self)
+
+    unbounded = digests()
+    monkeypatch.setattr(meta, "MEMO_BOUND", 8)
+    real_init = Harness.__init__
+
+    def init(self, typed_program):
+        real_init(self, typed_program)
+        self.memo = Memo()
+
+    monkeypatch.setattr(Harness, "__init__", init)
+    assert digests() == unbounded
+    assert sum(n > 8 for n in clears) > 100
 
 
 class TestFaultInjection:

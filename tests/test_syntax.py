@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from reglock import typecheck
+from reglock import syntax
 from reglock.interp import BlockedOn, detect_deadlock
 from reglock.parser import parse_expr, parse_program
 from reglock.store import initial_store
 from reglock.syntax import (
+    BOOL,
     BOTTOM,
     CLOSED,
     INT,
@@ -301,12 +302,20 @@ class TestEffectInvariants:
 
 
 class TestInterning:
-    """Region names and capabilities are hash-consed: equal fields, one object."""
+    """Region names, capabilities, effects and types are hash-consed: equal
+    fields, one object."""
 
     ATOMS = [(lambda: RegionVar("a"), "name"), (lambda: RegionLit("r1"), "name"),
-             (lambda: Capability(1, 0), "rg")]
+             (lambda: Capability(1, 0), "rg"),
+             (lambda: Effect.of((RHO1, Capability(1, 0), RHOH), (RHOH, Capability(2, 1), BOTTOM)),
+              "_items"),
+             (lambda: FnType(HandleType(RHO1), Effect.of((RHO1, Capability(1, 0), BOTTOM)),
+                             Effect(), RefType(INT, RHO1)), "effect_in"),
+             (lambda: RegionPolyType(RHO1, RefType(BOOL, RHO1)), "body"),
+             (lambda: RefType(UNIT, IOTA3), "elem"), (lambda: HandleType(RHO2), "region")]
 
-    @pytest.mark.parametrize("make, field", ATOMS, ids=["var", "lit", "cap"])
+    @pytest.mark.parametrize("make, field", ATOMS,
+                             ids=["var", "lit", "cap", "effect", "fn", "poly", "ref", "handle"])
     def test_equal_fields_give_one_object(self, make, field):
         atom = make()
         assert make() is atom
@@ -323,6 +332,13 @@ class TestInterning:
         assert Capability(1, 0) is not Capability(1, 0, pure=False)
         assert repr(Capability(1, 0, False)) == "Capability(rg=1, lk=0, pure=False)"
         assert repr(RegionVar("a")) == "RegionVar(name='a')"
+        # An effect keeps its entry order, and so does a type that holds one.
+        a = Effect.of((RHOH, Capability(1, 0), BOTTOM), (RHO1, Capability(1, 1), RHOH))
+        b = Effect.of(*reversed(a.items()))
+        assert a == b and a is not b and FnType(UNIT, a, b, UNIT) is not FnType(UNIT, b, a, UNIT)
+        assert [str(FnType(UNIT, e, e, UNIT)) for e in (a, b)] == [
+            "fn(unit) @ [{rhoH^(1,0)@_, rho1^(1,1)@rhoH} -> {rhoH^(1,0)@_, rho1^(1,1)@rhoH}] -> unit",
+            "fn(unit) @ [{rho1^(1,1)@rhoH, rhoH^(1,0)@_} -> {rho1^(1,1)@rhoH, rhoH^(1,0)@_}] -> unit"]
 
     def test_negative_counts_are_refused(self):
         with pytest.raises(ValueError):
@@ -335,18 +351,31 @@ class TestInterning:
         # minted once (say, by a long exploration) do not pile up.
         refs = [weakref.ref(make(i)) for i in range(500) for make in (
             lambda i: RegionVar(f"gone{i}"), lambda i: RegionLit(f"gone{i}"),
-            lambda i: Capability(10**6 + i, i))]
+            lambda i: Capability(10**6 + i, i),
+            lambda i: Effect.of((RegionLit(f"gone{i}"), Capability(1, i), BOTTOM)),
+            lambda i: RegionPolyType(RHO1, HandleType(RegionLit(f"gone{i}"))))]
         gc.collect()
         assert not any(ref() is not None for ref in refs)
 
+    def test_a_value_keeps_a_bounded_cache(self):
+        # A long-lived type that a loop instantiates at ever fresh regions.
+        t = RefType(INT, RHO1)
+        for i in range(600):
+            fresh = RegionLit(f"fresh{i}")
+            assert subst_regions(t, {RHO1: fresh}) is RefType(INT, fresh)
+            assert subst_regions(t, {RHO1: fresh}) is RefType(INT, fresh)
+        assert 0 < len(t._memo) <= 256
+
     def test_region_application_instantiates_once(self, monkeypatch):
+        # The instance is kept on the type: the substitution body runs once.
         calls = []
+        real = syntax._SUBSTITUTED[HandleType]
 
         def counting(x, rho):
             calls.append(x)
-            return subst_regions(x, rho)
+            return real(x, rho)
 
-        monkeypatch.setattr(typecheck, "subst_regions", counting)
+        monkeypatch.setitem(syntax._SUBSTITUTED, HandleType, counting)
         a, b = RegionVar("a"), RegionVar("b")
         env = _Env({"f": RegionPolyType(a, HandleType(a))}, frozenset({b}))
         checker = Checker()
