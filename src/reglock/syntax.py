@@ -13,7 +13,8 @@ unhashable.  A value cached on a node (a digest, free names, a step) is an
 attribute outside the fields, set with `object.__setattr__`.  An *atom*
 (`_Atom`: region names, capabilities, effects and compound types) is
 hash-consed, so equality is identity (an effect's ignores entry order), and
-region substitution and the capability algebra are cached per atom.
+region substitution, free regions and the capability algebra are cached per
+atom.
 """
 
 from __future__ import annotations
@@ -682,11 +683,12 @@ def is_let(e: Expr) -> bool:
 # ---------------------------------------------------------------------------
 # The one traversal
 # ---------------------------------------------------------------------------
-# The generic walks over terms loop over `_FIELDS`: `children`,
-# `subst_expr`, the cached digests and free names, and the interpreter's
-# contexts.  `BINDERS` is the only statement of which names a form binds,
-# `_SUBTERMS` of which fields hold subterms, and `REGION_FIELDS` of where a
-# term names regions outside its subterms.
+# The generic walks over terms loop over `_FIELDS`: `children`, `push`
+# (the one statement of substitution, see Closures below), the cached
+# digests, free names and read-backs, and the interpreter's contexts.
+# `BINDERS` is the only statement of which names a form binds, `_SUBTERMS`
+# of which fields hold subterms, and `REGION_FIELDS` of where a term names
+# regions outside its subterms.
 
 #: Forms without subterms.
 LEAVES = (Var, Const, RgnVal, LocVal)
@@ -826,77 +828,29 @@ _SUBSTITUTED = {
 }
 
 
-def free_regions(x) -> set[RegionName]:
+def free_regions(x) -> frozenset[RegionName]:
     """The free region names, literals included, of whatever `subst_regions`
-    takes (effect parents included)."""
+    takes (effect parents included); an effect's or a type's is computed
+    once per value (`per_value`)."""
     kind = type(x)
     if kind is RegionVar or kind is RegionLit:
-        return {x}
-    if kind is Effect:
-        return {name for r, _, parent in x.items() for name in (r, parent)
-                if type(name) is not Root}
-    if kind is FnType:
-        return set().union(*map(free_regions, (x.param, x.effect_in, x.effect_out, x.result)))
-    if kind is RefType:
-        return free_regions(x.elem) | {x.region}
-    if kind is HandleType:
-        return {x.region}
+        return frozenset((x,))
+    if kind in _FREE_REGIONS:
+        return per_value(x, _FREE_REGIONS[kind], None)
     if kind is ParMode:
         return free_regions(x.transfer)
-    if kind is RegionPolyType:
-        return free_regions(x.body) - {x.var}
-    return set()
+    return frozenset()  # base types, unit, the sequential mode, None
 
 
-def subst_expr(e: Expr, sigma: dict) -> Expr:
-    """Simultaneous substitution: `sigma` maps term names (`str`) to values
-    and region variables to region names.  Binders shadow (`BINDERS`), and
-    a node in which nothing is replaced is returned itself, so only the
-    paths to the occurrences are rebuilt (and re-hashed).
-
-    No binder is renamed: the parser gives every region binder a name no
-    enclosing binder of its definition has, a value substituted by E-A or
-    by linking is closed, and E-RP and E-NG substitute region literals.  So
-    no replacement names a binder it passes under."""
-    rho = {var: rep for var, rep in sigma.items() if type(var) is RegionVar}
-    return _subst(e, sigma, rho)
-
-
-def _subst(e: Expr, sigma: dict, rho: dict) -> Expr:
-    # `rho` is the region part of `sigma`; only it reaches `REGION_FIELDS`,
-    # so E-A and linking never look at an annotation.
-    form = type(e)
-    if form is Var:
-        return sigma.get(e.name, e)
-    if not sigma or form in LEAVES:
-        return e
-    inner, inner_rho = sigma, rho
-    for name in BINDERS.get(form, ()):
-        binder = getattr(e, name)
-        if binder in inner:
-            inner = {k: v for k, v in inner.items() if k != binder}
-        if binder in inner_rho:
-            inner_rho = {k: v for k, v in inner_rho.items() if k != binder}
-    regional = REGION_FIELDS.get(form, ()) if rho else ()
-    values, same = [], True
-    for name in _FIELDS[form]:
-        old = getattr(e, name)
-        kind = type(old)
-        if kind in _FIELDS:  # a loop, not a comprehension: one frame per level
-            new = _subst(old, inner, inner_rho) if name == "body" else _subst(old, sigma, rho)
-        elif kind is tuple:  # Prim's operands
-            new = old
-            for i, arg in enumerate(old):
-                sub = _subst(arg, sigma, rho)
-                if sub is not arg:
-                    new = new[:i] + (sub,) + new[i + 1:]
-        elif name in regional:
-            new = subst_regions(old, rho)
-        else:
-            new = old
-        values.append(new)
-        same = same and new is old
-    return e if same else form(*values, e.loc)
+_FREE_REGIONS = {
+    Effect: lambda x: frozenset([name for r, _, parent in x.items() for name in (r, parent)
+                                 if type(name) is not Root]),
+    FnType: lambda x: frozenset().union(
+        *map(free_regions, (x.param, x.effect_in, x.effect_out, x.result))),
+    RegionPolyType: lambda x: free_regions(x.body) - {x.var},
+    RefType: lambda x: free_regions(x.elem) | {x.region},
+    HandleType: lambda x: frozenset((x.region,)),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -18,19 +18,21 @@ effect exactly.
 
 `/\\` and `newrgn` bind their region variable as written, with no renaming.
 This is exact: the parser names each binder apart from those around it in
-its definition, and only closed values (definitions by linking, and at run
-time the values a closure binds) are placed under a binder.  A closed term's judgement
-reads nothing from the environment, so it never consults an outer binder of
-the same name, and a `newrgn` inside it extends the value's own annotation.
+its definition, and a closure binds only closed values (by linking, the
+definitions a body names; at run time, the values a step binds), each
+typed on its own.  A closed term's judgement reads nothing from the
+environment, so it never consults an outer binder of the same name, and a
+`newrgn` inside it extends the value's own annotation.
 
-At run time a term may hold closures (`syntax.Closure`), which the checker
-types as their read-back: the body with each bound variable at its value's
-type and each bound region variable read as its literal (`_Env.rho`).  A
-memo (the harness's) keys a subterm on its digest, what it reads of the
-environment and `Effect.items()`, and interned region names and
-capabilities make that key hash in C; `meta` says why an entry is exact.
-Effects and types are interned too, and a call's split and join and a
-region application's instance are computed once per value (`per_value`).
+A linked program and the terms of a run hold closures (`syntax.Closure`),
+which the checker types as their read-back: the body with each bound
+variable at its value's type and each bound region variable read as its
+literal (`_Env.rho`).  A memo (the harness's) keys a subterm on its
+digest, what it reads of the environment and `Effect.items()`, and interned
+region names and capabilities make that key hash in C; `meta` says why an
+entry is exact.  Effects and types are interned too, and a call's split and
+join, a region application's instance and a type's free regions are
+computed once per value (`per_value`).
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .syntax import (
     Const,
     Deref,
     Effect,
+    Env,
     Expr,
     FnType,
     HandleType,
@@ -86,13 +89,13 @@ from .syntax import (
     UnitVal,
     Var,
     While,
+    close,
     expr_digest,
     free_names,
     free_regions,
     inner_regions,
     is_let,
     is_value,
-    subst_expr,
     subst_regions,
 )
 
@@ -382,14 +385,16 @@ class Checker:
         bound = list(rho.items())
         terms, regions = env.order(body)
         types = tuple(map(env.vars.get, terms))
+        named = [free_regions(t) for t in types]  # a definition's type names none
         value = isinstance(body, (Lambda, RegionLambda))
         for i in range(len(bound)):
             back = dict(bound[i:])
             renamed = {lit: var for var, lit in bound[i:]}
             # No bound variable's type may name a renamed variable.
-            if any(not back.keys().isdisjoint(free_regions(t)) for t in types):
+            if any(not back.keys().isdisjoint(names) for names in named):
                 continue
-            key = (expr_digest(body), (tuple([subst_regions(t, renamed) for t in types]), tuple(
+            key = (expr_digest(body), (tuple([subst_regions(t, renamed) if names else t
+                                              for t, names in zip(types, named)]), tuple(
                 [True if r in back or r in env.region_vars else rho.get(r)
                  for r in regions])))
             if not value:
@@ -727,11 +732,14 @@ def _validate_main(t: Type) -> Optional[str]:
 
 
 def link_bodies(program: SourceProgram) -> Expr:
-    """Substitute definitions into `main`, producing one closed expression.
+    """`main` closed over the definitions it names, one closed expression.
 
-    Later definitions may reference earlier ones; cycles are impossible by
-    construction.  Raises CheckFailure on references to missing or
-    not-yet-defined names.
+    Each definition is closed (`syntax.close`) over the earlier definitions
+    its body names, and only those, so linking costs the names each body
+    uses.  A closure digests and reads back as the term with those
+    definitions substituted.  Later definitions may reference earlier ones;
+    cycles are impossible by construction.  Raises CheckFailure on
+    references to missing or not-yet-defined names.
     """
     linked: dict[str, Expr] = {}
     for d in program.defs:
@@ -747,5 +755,5 @@ def link_bodies(program: SourceProgram) -> Expr:
             raise CheckFailure(Diagnostic(
                 "UnboundVariable",
                 f"definition {d.name!r} references unknown name {name!r}", d.loc))
-        linked[d.name] = subst_expr(d.body, {name: linked[name] for name in names})
+        linked[d.name] = close(d.body, Env({name: linked[name] for name in names}))
     return linked["main"]

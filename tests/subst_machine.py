@@ -1,9 +1,11 @@
 """The substituting machine, kept as an oracle for `reglock.interp`.
 
 This is the interpreter's stepper as it stood before E-A, E-RP and E-NG
-bound their names in closures: each of those rules substitutes into the body
-it enters (`syntax.subst_expr`), so every thread term is closed and
-closure-free.  It keeps no step cache, so each state's steps are computed
+bound their names in closures, with the reference substitution they used
+(`subst_expr`): each of those rules substitutes into the body it enters,
+and `link` substitutes the definitions into `main`, so every thread term is
+closed and closure-free.  It shares no linking, binding or pushing code with
+the machine, and keeps no step cache, so each state's steps are computed
 afresh.  The records (`Config`, `Thread`, `Stepped`, ...), the store and the
 digests are the machine's own, and the scheduler makes the same seeded
 choice, so a run here and a run of `reglock.interp` compare step by step.
@@ -32,10 +34,13 @@ from reglock.interp import (
     detect_deadlock,
     initial_config,
 )
-from reglock.parser import pretty
+from reglock.parser import SourceProgram, pretty
 from reglock.store import Blocked, StoreFault
 from reglock.syntax import (
     _FIELDS,
+    BINDERS,
+    LEAVES,
+    REGION_FIELDS,
     SEQ_MODE,
     UNIT_VALUE,
     App,
@@ -54,17 +59,81 @@ from reglock.syntax import (
     RegionApp,
     RegionLambda,
     RegionLit,
+    RegionVar,
     RgnVal,
     Seq,
     UnitVal,
     Var,
     While,
     expr_digest,
+    free_names,
     is_value,
-    subst_expr,
+    subst_regions,
 )
 
 Plug = Callable[[Expr], Expr]
+
+
+def subst_expr(e: Expr, sigma: dict) -> Expr:
+    """Simultaneous substitution: `sigma` maps term names (`str`) to values
+    and region variables to region names.  Binders shadow (`BINDERS`), and
+    a node in which nothing is replaced is returned itself, so only the
+    paths to the occurrences are rebuilt (and re-hashed).
+
+    No binder is renamed: the parser gives every region binder a name no
+    enclosing binder of its definition has, a value substituted by E-A or
+    by linking is closed, and E-RP and E-NG substitute region literals.  So
+    no replacement names a binder it passes under."""
+    rho = {var: rep for var, rep in sigma.items() if type(var) is RegionVar}
+    return _subst(e, sigma, rho)
+
+
+def _subst(e: Expr, sigma: dict, rho: dict) -> Expr:
+    # `rho` is the region part of `sigma`; only it reaches `REGION_FIELDS`,
+    # so E-A and linking never look at an annotation.
+    form = type(e)
+    if form is Var:
+        return sigma.get(e.name, e)
+    if not sigma or form in LEAVES:
+        return e
+    inner, inner_rho = sigma, rho
+    for name in BINDERS.get(form, ()):
+        binder = getattr(e, name)
+        if binder in inner:
+            inner = {k: v for k, v in inner.items() if k != binder}
+        if binder in inner_rho:
+            inner_rho = {k: v for k, v in inner_rho.items() if k != binder}
+    regional = REGION_FIELDS.get(form, ()) if rho else ()
+    values, same = [], True
+    for name in _FIELDS[form]:
+        old = getattr(e, name)
+        kind = type(old)
+        if kind in _FIELDS:  # a loop, not a comprehension: one frame per level
+            new = _subst(old, inner, inner_rho) if name == "body" else _subst(old, sigma, rho)
+        elif kind is tuple:  # Prim's operands
+            new = old
+            for i, arg in enumerate(old):
+                sub = _subst(arg, sigma, rho)
+                if sub is not arg:
+                    new = new[:i] + (sub,) + new[i + 1:]
+        elif name in regional:
+            new = subst_regions(old, rho)
+        else:
+            new = old
+        values.append(new)
+        same = same and new is old
+    return e if same else form(*values, e.loc)
+
+
+def link(program: SourceProgram) -> Expr:
+    """`main` with the definitions substituted in, each definition with the
+    earlier ones its body names (`reglock.typecheck.link_bodies` binds them
+    instead); a KeyError for a name that no earlier definition has."""
+    linked: dict[str, Expr] = {}
+    for d in program.defs:
+        linked[d.name] = subst_expr(d.body, {name: linked[name]
+                                             for name in free_names(d.body)[0]})
+    return linked["main"]
 
 
 def decompose(e: Expr) -> Optional[tuple[Expr, Plug]]:

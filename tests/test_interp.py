@@ -396,20 +396,17 @@ def count_calls(monkeypatch, names, module=interp) -> dict[str, int]:
 def test_each_thread_term_is_stepped_once(monkeypatch):
     """Timer-free shape guard: a thread term is decomposed once, not once
     per state that holds it (explore) or per tick its thread is not chosen
-    (run), and no step substitutes, as no value leaves its thread.  Without
-    the cache, explore of lock_tree(2) makes 4,104 decompose calls, and run
-    135 for 82 steps."""
+    (run).  Without the cache, explore of lock_tree(2) makes 4,104
+    decompose calls, and run 135 for 82 steps."""
     main = checked_main(lock_tree(2))
     counts = count_calls(monkeypatch, ["decompose"])
-    counts.update(count_calls(monkeypatch, ["subst_expr"], syntax))
     assert explore(main).states == 1774
-    assert counts["subst_expr"] == 0
     assert counts["decompose"] <= 300
     main = checked_main(lock_tree(2))
     counts.update(dict.fromkeys(counts, 0))
     trace = run_seeded(main, seed=1)
     assert trace.terminal.kind == "all_done"
-    assert counts["decompose"] <= len(trace.steps) and counts["subst_expr"] == 0
+    assert counts["decompose"] <= len(trace.steps)
 
 
 def test_no_closure_is_pushed_twice(monkeypatch):
@@ -636,16 +633,12 @@ def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].
 
 @pytest.mark.parametrize("name", RUNNABLE + ["stored_closure"])
 def test_only_a_value_that_leaves_its_thread_is_substituted(name, monkeypatch):
-    """No run substitutes: a value that a step stores or passes to a new
-    thread is closed by `read_back`, which reads a closure through its push,
-    and no store ever holds a closure."""
+    """A value that a step stores or passes to a new thread is closed by
+    `read_back`, which reads a closure through its push, and no store ever
+    holds a closure."""
     main = checked_main(STORED_CLOSURE) if name == "stored_closure" else typed_main(name)
-    substituted, given = [], []
-    real_subst, real_read_back = syntax.subst_expr, interp.read_back
-
-    def subst_expr(e, sigma):
-        substituted.append(e)
-        return real_subst(e, sigma)
+    given = []
+    real_read_back = interp.read_back
 
     def read_back(e):
         given.append(type(e) is Closure)
@@ -661,12 +654,10 @@ def test_only_a_value_that_leaves_its_thread_is_substituted(name, monkeypatch):
             stack.extend(syntax.children(e))
         return found
 
-    monkeypatch.setattr(syntax, "subst_expr", subst_expr)
     monkeypatch.setattr(interp, "read_back", read_back)
     for seed in range(3):
         trace = run_seeded(main, seed, record=heap_closures)
         assert trace.terminal.kind in ("all_done", "deadlock")
         assert not any(step.record for step in trace.steps)
-    assert substituted == []
     if name == "stored_closure":
         assert any(given)

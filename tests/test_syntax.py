@@ -51,17 +51,19 @@ from reglock.syntax import (
     Closure,
     Env,
     RUNTIME,
+    close,
+    expr_digest,
     free_names,
     children,
     push,
     read_back,
     free_regions,
-    subst_expr,
     subst_regions,
 )
 from reglock.typecheck import Checker, _Env
 
 from conftest import CORPUS
+from subst_machine import subst_expr  # the reference substitution
 
 RHO1 = RegionVar("rho1")
 RHO2 = RegionVar("rho2")
@@ -449,4 +451,7 @@ def test_simultaneous_substitution_is_sequential_for_closed_replacements(e: Expr
     for key, rep in sigma.items():
         sequential = subst_expr(sequential, {key: rep})
     assert subst_expr(e, sigma) == sequential
+    # A closure stands for the substitution: `push` and `read_back` agree.
+    bound = read_back(close(e, Env(sigma)))
+    assert bound == sequential and expr_digest(bound) == expr_digest(sequential)
     assert free_names(sequential) == (terms - set(sigma), regions - set(sigma))

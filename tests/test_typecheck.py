@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import threading
+from typing import get_args
 
 import pytest
 
@@ -14,15 +16,20 @@ from reglock.syntax import (
     HEAP,
     INT,
     Capability,
+    Closure,
     Effect,
+    Expr,
     FnType,
     HandleType,
     RegionPolyType,
     RegionVar,
     UnitType,
+    expr_digest,
+    free_names,
+    read_back,
 )
-from reglock import typecheck
-from reglock.typecheck import check_program
+from reglock.typecheck import check_program, link_bodies
+import subst_machine
 from conftest import SHADOWED_SPAWN, WELL_TYPED, corpus_text
 
 RHOH = RegionVar("rhoH")
@@ -241,12 +248,15 @@ class TestStability:
 
     def test_checking_substitutes_into_no_term(self, monkeypatch):
         # The parser named the shadowing binder apart, so the checker renames
-        # nothing.
-        calls = []
-        substitute = typecheck.subst_expr
-        monkeypatch.setattr(typecheck, "subst_expr",
-                            lambda *args: calls.append(args) or substitute(*args))
-        assert check_src(SHADOWED_SPAWN).ok and calls == []
+        # nothing: it builds no term node.
+        program = parse_program(SHADOWED_SPAWN)
+        made = []
+        for form in get_args(Expr) + (Closure,):
+            def init(self, *args, real=form.__init__):
+                made.append(type(self))
+                real(self, *args)
+            monkeypatch.setattr(form, "__init__", init)
+        assert check_program(program).ok and made == []
 
     @pytest.mark.parametrize("name", WELL_TYPED)
     def test_accepted_defs_have_region_poly_types(self, name):
@@ -363,3 +373,36 @@ def test_unchecked_run_reports_the_link_diagnostic(program, code, line, tmp_path
     assert cli_main(argv) == 1
     [diagnostic] = json.loads(capsys.readouterr().out)["diagnostics"]
     assert (diagnostic["code"], int(diagnostic["loc"].split(":")[0])) == (code, line)
+
+
+def test_linking_closes_each_definition_over_the_names_it_uses():
+    """Timer-free: in a chain of 2,000 definitions, each calling the one
+    before, each definition is closed over the names its body uses, not
+    over every earlier definition, so linking binds one name per
+    definition.  The linked `main` digests and reads back, on a fresh
+    thread at the default recursion limit, as the oracle's substitution."""
+    n = 2000
+    defs = [_def("f0", "\\x: int @ [{} -> {}]. x + 1")] + [
+        _def(f"f{i}", f"\\x: int @ [{{}} -> {{}}]. f{i - 1}(x) + 1") for i in range(1, n)]
+    program = parse_program("".join(defs) + MAIN_WRAP % f"(f{n - 1}(1); ())")
+    main = link_bodies(program)  # unchecked: the checker recurses once per level (ROADMAP)
+    chain, e = [], main
+    while type(e) is Closure:
+        # Names only: a failure shows no closure, whose repr holds its bindings'.
+        bound, used = sorted(e.env), sorted(free_names(e.body)[0])
+        assert bound == used
+        chain.append(bound[0])
+        e = e.env[bound[0]]
+    assert chain == [f"f{i}" for i in reversed(range(n))]
+    assert e is program.get("f0").body
+    digests = []
+
+    def digest_all():
+        digests.extend([expr_digest(main), expr_digest(read_back(main)),
+                        expr_digest(subst_machine.link(program))])
+
+    worker = threading.Thread(target=digest_all)
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive()
+    assert len(digests) == 3 and len(set(digests)) == 1
