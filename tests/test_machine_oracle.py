@@ -78,8 +78,9 @@ def test_explore_agrees(name):
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.glob("*.rgn")) + list(FIXTURES))
 def test_linking_by_binding_reads_back_as_substitution(name):
-    """`link_bodies` closes `main` over the definitions; it stands for the
-    oracle's `link`, which substitutes them, checked or not."""
+    """`link_bodies` closes `main` over the definitions, and it stands for
+    the oracle's `link`, which substitutes them, on every program here,
+    well-typed or not."""
     program = parse_program(FIXTURES.get(name) or corpus_text(name))
     bound, substituted = link_bodies(program), subst_machine.link(program)
     assert read_back(bound) == substituted
