@@ -56,9 +56,8 @@ mean equal read-backs, and every rule reads only the read-back.  A shared
 object that the tables drop is simply met again.
 
 Polling a thread has three outcomes.  `Stepped` is one step of the thread
-relation, whatever its rule: finishing (E-T, `Finished`, whose successor
-is built only for the step the scheduler applies), spawning (E-SN) or
-reducing (E-S, by one of the expression rules); it carries the successor
+relation, whatever its rule: finishing (E-T), spawning (E-SN) or reducing
+(E-S, by one of the expression rules); it carries the successor
 configuration, the rule and the rule's payload.  A thread that cannot step
 is either `BlockedOn` a lock (retried every tick) or `Stuck`, which aborts
 the run with a soundness report: well-typed programs never get stuck.
@@ -120,8 +119,6 @@ from .syntax import (
 class Thread(Record):
     def __init__(self, tid: int, expr: Expr) -> None:
         self.__dict__.update(tid=tid, expr=expr)
-
-    _part = None  # `config_digest`'s bytes for this thread; not a field, like a digest
 
 
 class Config(Record):
@@ -246,25 +243,6 @@ class Stepped(Record):
         self.__dict__.update(config=config, rule=rule, info=info)
 
 
-class Finished(Stepped):
-    """E-T: thread `tid` of `before` has finished.  The successor, `config`,
-    is built when first read, by `_apply_outcome` if the scheduler picks
-    this step: polling a finished thread builds no configuration."""
-
-    rule, info = "E-T", None
-
-    def __init__(self, before: Config, tid: int) -> None:
-        self.__dict__.update(before=before, tid=tid)
-
-    @property
-    def config(self) -> Config:
-        config = self.__dict__.get("_successor")
-        if config is None:
-            config = self.before.without_thread(self.tid)
-            object.__setattr__(self, "_successor", config)
-        return config
-
-
 class BlockedOn(Record):
     def __init__(self, tid: int, region: RegionLit, holders: frozenset[int]) -> None:
         self.__dict__.update(tid=tid, region=region, holders=holders)
@@ -294,14 +272,13 @@ class _Stepping:
     """What stepping a thread term found, cached on it as `_step`: its redex
     (None for the term itself) and plug, then, once a term-only rule has
     run, the rule and successor instead.  E-C and E-AS keep the redex, and
-    their successor is the term with `()` in the hole.  A spawn keeps the
-    effect it transfers.  Not a field: eq, hash and repr ignore it."""
+    their successor is the term with `()` in the hole.  Not a field: eq,
+    hash and repr ignore it."""
 
-    __slots__ = ("redex", "plug", "rule", "successor", "transfer")
+    __slots__ = ("redex", "plug", "rule", "successor")
 
     def __init__(self, redex: Expr, plug: Plug) -> None:
         self.redex, self.plug, self.rule, self.successor = redex, plug, None, None
-        self.transfer = None
 
 
 def _opened(e: Expr) -> tuple[Expr, Env]:
@@ -315,7 +292,7 @@ def step_thread(config: Config, tid: int) -> StepOutcome:
     memo = getattr(e, _STEP, None)
     if memo is None:
         if isinstance(e, Const) and isinstance(e.value, UnitVal):
-            return Finished(config, tid)
+            return Stepped(config.without_thread(tid), "E-T")
         try:
             found = decompose(e)
         except MalformedTerm as exc:
@@ -333,16 +310,14 @@ def step_thread(config: Config, tid: int) -> StepOutcome:
 
     if isinstance(redex, App) and isinstance(redex.mode, ParMode):
         # A spawn moves the callee's input effect, or the annotation the
-        # checker required to equal it.
+        # checker required to equal it.  Either is one interned object per
+        # term, on which the store's memo keys.
         transfer = redex.mode.transfer
         if transfer is None:
-            if memo.transfer is None:  # one object per term, for the store's memo
-                fn, env = _opened(redex.fn)
-                if not isinstance(fn, Lambda):
-                    return Stuck(tid, "BadApplication",
-                                 f"spawn of non-function {pretty(redex.fn)}")
-                memo.transfer = subst_regions(fn.effect_in, env.regions)
-            transfer = memo.transfer
+            fn, env = _opened(redex.fn)
+            if not isinstance(fn, Lambda):
+                return Stuck(tid, "BadApplication", f"spawn of non-function {pretty(redex.fn)}")
+            transfer = subst_regions(fn.effect_in, env.regions)
         child_tid = config.next_tid
         try:
             store = config.store.transfer(tid, child_tid, transfer)
@@ -464,11 +439,7 @@ def config_digest(config: Config) -> str:
     root = config.store.root
     parts = [bytes(16) if root is None else root.digest()]
     for t in config.threads:  # in tid order: a spawn appends the next tid
-        part = t._part
-        if part is None:
-            part = b"%d\0" % t.tid + expr_digest(t.expr)
-            object.__setattr__(t, "_part", part)
-        parts.append(part)
+        parts.append(b"%d\0" % t.tid + expr_digest(t.expr))
     parts.append(b"%d,%d,%d" % (config.next_tid, config.next_loc, config.next_region))
     return hashlib.sha256(b"".join(parts)).hexdigest()[:16]
 
@@ -642,10 +613,7 @@ def _shared(config: Config, stores: WeakValueDictionary, terms: WeakValueDiction
     threads = []
     for t in config.threads:
         expr = terms.setdefault(expr_digest(t.expr), t.expr)
-        if expr is not t.expr:
-            part, t = t._part, Thread(t.tid, expr)
-            object.__setattr__(t, "_part", part)
-        threads.append(t)
+        threads.append(t if expr is t.expr else Thread(t.tid, expr))
     return Config(store, tuple(threads), config.next_tid, config.next_loc, config.next_region)
 
 

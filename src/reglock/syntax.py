@@ -11,7 +11,7 @@ compares equal to the original.  Assigning or deleting a field raises
 `FrozenInstanceError`, except on a record made with `frozen=False`, which is
 unhashable.  A value cached on a node (a digest, free names, a step) is an
 attribute outside the fields, set with `object.__setattr__`.  An *atom*
-(`_Atom`: region names, capabilities, effects and compound types) is
+(`_Atom`: region names, capabilities, effects and types) is
 hash-consed, so equality is identity (an effect's ignores entry order), and
 region substitution, free regions and the capability algebra are cached per
 atom.
@@ -67,22 +67,11 @@ class Record:
         return NotImplemented
 
     def __hash__(self) -> int:
-        # Computed once: the compared fields never change.
-        cached = self.__dict__.get("_hash")
-        if cached is None:
-            cached = hash(self._values())
-            object.__setattr__(self, "_hash", cached)
-        return cached
+        return hash(self._values())
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._compared)
         return f"{type(self).__qualname__}({shown})"
-
-    def __getstate__(self) -> dict:
-        # A string's hash differs between processes: the cached hash is not pickled.
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
 
     def __setattr__(self, name: str, value=None) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -264,11 +253,11 @@ class Effect(_Atom):
     or `?` roots).  Equality is domain-wise and order-insensitive.
 
     An effect is interned by its ordered entries, one tuple (`items`), on
-    which the checker's memo keys; the hash and the well-formedness verdict
-    are computed once.
+    which the checker's memo keys; the well-formedness verdict is computed
+    once.
     """
 
-    __slots__ = ("_items", "_entries", "_hash", "_why")
+    __slots__ = ("_items", "_entries", "_why")
 
     def __new__(cls, entries: Iterable[tuple[RegionName, Capability, Parent]] = ()) -> "Effect":
         items = tuple(entries)
@@ -369,11 +358,7 @@ class Effect(_Atom):
         return self is other or self._entries == other._entries
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            object.__setattr__(self, "_hash", hash(frozenset(self._items)))
-            return self._hash
+        return hash(frozenset(self._items))
 
     def same_counts(self, other: "Effect") -> bool:
         """Equality that ignores purity flags (counts and parents only)."""
@@ -414,15 +399,16 @@ EMPTY_EFFECT = Effect()
 # ---------------------------------------------------------------------------
 
 
-class BaseType(Record):
-    def __init__(self, name: str) -> None:  # "int" or "bool"
-        self.__dict__.update(name=name)
+class BaseType(_Atom):
+    __slots__ = ("name",)  # "int" or "bool"
 
     def __str__(self) -> str:
         return self.name
 
 
-class UnitType(Record):
+class UnitType(_Atom):
+    __slots__ = ()
+
     def __str__(self) -> str:
         return "unit"
 

@@ -54,7 +54,6 @@ from .syntax import (
     UNIT,
     App,
     Assign,
-    BaseType,
     Cap,
     Capability,
     Closure,
@@ -164,14 +163,10 @@ def type_eq(a: Type, b: Type, lenient: bool = False) -> bool:
     re-typing run-time terms, where beta reduction has erased the call
     frames that restore purity).
     """
-    if a is b:  # interned
+    # Interned: a type with no effect inside (a base type, unit or a
+    # handle) equals only itself.
+    if a is b:
         return True
-    if isinstance(a, BaseType) and isinstance(b, BaseType):
-        return a.name == b.name
-    if isinstance(a, UnitType) and isinstance(b, UnitType):
-        return True
-    if isinstance(a, HandleType) and isinstance(b, HandleType):
-        return a.region == b.region
     if isinstance(a, RefType) and isinstance(b, RefType):
         return a.region == b.region and type_eq(a.elem, b.elem, lenient)
     if isinstance(a, FnType) and isinstance(b, FnType):
@@ -579,7 +574,7 @@ class Checker:
 
         if isinstance(e, If):
             t_cond, out = self.check(e.cond, env, eff)
-            if not type_eq(t_cond, BOOL, self.lenient):
+            if t_cond is not BOOL:
                 raise self.fail("TypeMismatch", f"if condition has type {t_cond}", e.loc, out)
             t_then, out_then = self.check(e.then, env, out)
             t_else, out_else = self.check(e.orelse, env, out)
@@ -598,7 +593,7 @@ class Checker:
 
         if isinstance(e, While):
             t_cond, out_cond = self.check(e.cond, env, eff)
-            if not type_eq(t_cond, BOOL, self.lenient):
+            if t_cond is not BOOL:
                 raise self.fail("TypeMismatch", f"while condition has type {t_cond}", e.loc, eff)
             if not effect_eq(out_cond, eff, self.lenient):
                 raise self.fail("EffectMismatch",
@@ -617,7 +612,7 @@ class Checker:
             for a in e.args:
                 t, out = self.check(a, env, out)
                 arg_types.append(t)
-            if not all(type_eq(t, want, self.lenient) for t in arg_types):
+            if any(t is not want for t in arg_types):
                 raise self.fail("TypeMismatch", f"{e.op} applied to "
                                 f"{' and '.join(map(str, arg_types))}", e.loc, out)
             return result, out

@@ -565,22 +565,25 @@ def test_explore_decomposes_each_distinct_term_once(monkeypatch):
     assert len(made) < 100 and len({expr_digest(e) for e in made}) == len(made)
 
 
-def test_a_finished_thread_is_polled_without_a_successor(monkeypatch):
-    """Timer-free: a finished thread's E-T successor is built for the step
-    the scheduler applies, not on every tick it is polled.  When each poll
-    built one, many_threads built 101 for 50 E-T steps over these seeds."""
-    built = []
-    real = Config.without_thread
-    monkeypatch.setattr(Config, "without_thread",
-                        lambda self, tid: built.append(tid) or real(self, tid))
-    for name in ("many_threads.rgn", "sharing_once.rgn"):
-        main = typed_main(name)
-        for seed in range(10):
-            built.clear()
-            trace = run_seeded(main, seed)
-            assert trace.terminal.kind == "all_done"
-            finished = [s.tid for s in trace.steps if s.rule == "E-T"]
-            assert built == finished, (name, seed)
+def test_a_spawn_transfers_one_effect_object(monkeypatch):
+    """Timer-free: polling a thread at an unannotated spawn twice transfers
+    the same effect object both times, so the store's memo, which keys a
+    transfer by its effect's identity, computes the transfer once."""
+    computed = []
+    real = Store._transfer
+    monkeypatch.setattr(Store, "_transfer",
+                        lambda self, *args: computed.append(args) or real(self, *args))
+    config = initial_config(typed_main("sharing_once.rgn"))
+    while True:
+        redex, _ = decompose(config.thread(1).expr)
+        if isinstance(redex, App) and isinstance(redex.mode, ParMode):
+            break
+        config = step_thread(config, 1).config
+    assert redex.mode.transfer is None and computed == []
+    first, second = step_thread(config, 1), step_thread(config, 1)
+    assert first.rule == second.rule == "E-SN"
+    assert first.info[1] is second.info[1] and not first.info[1].is_empty()
+    assert len(computed) == 1
 
 
 TERM_FORMS = get_args(Expr) + (Closure,)

@@ -21,14 +21,17 @@ from reglock.syntax import (
     Expr,
     FnType,
     HandleType,
+    RefType,
     RegionPolyType,
     RegionVar,
+    UNIT,
+    UNKNOWN,
     UnitType,
     expr_digest,
     free_names,
     read_back,
 )
-from reglock.typecheck import check_program, link_bodies
+from reglock.typecheck import check_program, link_bodies, type_eq
 import subst_machine
 from conftest import SHADOWED_SPAWN, WELL_TYPED, corpus_text
 
@@ -207,6 +210,54 @@ class TestRuleChecks:
         result = check_src(src)
         assert codes(result) == ["NotLive"]
         assert "its own parent" in result.diagnostics[0].message
+
+
+#: `apply`'s parameter and `g` list the same two entries in opposite orders,
+#: so `apply[r][s](g[r][s])` compares two distinct, equal function types.
+REORDERED = ("def apply = /\\a. /\\b. \\f: fn(unit) @ [{a^(1,1)@?, b^(1,1)@?} -> "
+             "{a^(1,1)@?, b^(1,1)@?}] -> unit\n"
+             "    @ [{a^(1,1)@?, b^(1,1)@?} -> {a^(1,1)@?, b^(1,1)@?}].\n  f(())\n"
+             "def g = /\\a. /\\b. \\u: unit @ [{b^(1,1)@?, a^(%s)@?} -> {b^(1,1)@?, a^(%s)@?}]. u\n"
+             + MAIN_WRAP % ("newrgn r, hr at heap in\n  newrgn s, hs at heap in\n"
+                            "  (apply[r][s](g[r][s]);\n   free hr; free hs)"))
+
+
+class TestTypeEquality:
+    """`type_eq` on distinct type objects: equal function types whose
+    effects list their entries in different orders, alpha-equivalent
+    region abstractions, and purity ignored only when lenient."""
+
+    def test_function_types_ignore_entry_order(self, tmp_path, capsys):
+        src = REORDERED % ("1,1", "1,1")
+        assert check_src(src).ok
+        path = tmp_path / "reordered.rgn"
+        path.write_text(src)
+        assert cli_main(["run", str(path), "--seed", "0", "--metatheory"]) == 0
+        assert "metatheory: 0 violations" in capsys.readouterr().out
+
+    def test_function_types_compare_their_counts(self):
+        result = check_src(REORDERED % ("1,0", "1,0"))
+        assert codes(result) == ["TypeMismatch"]
+        assert str(result.diagnostics[0].loc) == "8:15"  # the argument of `apply[r][s]`
+
+    def test_region_abstractions_are_alpha_equivalent(self):
+        assert check_main("let c = true in\n"
+                          "  let f = if c then (/\\a. \\x: int @ [{} -> {}]. x)"
+                          " else (/\\b. \\y: int @ [{} -> {}]. y + 1) in\n  ()").ok
+
+    def test_purity_is_ignored_only_when_lenient(self):
+        a, b = RegionVar("a"), RegionVar("b")
+
+        def fn(pure: bool) -> FnType:
+            eff = Effect([(a, Capability(1, 1, pure), UNKNOWN), (b, Capability(1, 0), UNKNOWN)])
+            return FnType(UNIT, eff, eff, UNIT)
+
+        pure, impure = fn(True), fn(False)
+        for x, y in [(pure, impure), (RefType(pure, a), RefType(impure, a))]:
+            assert x is not y
+            assert type_eq(x, y, lenient=True) and type_eq(y, x, lenient=True)
+            assert not type_eq(x, y) and not type_eq(y, x)
+        assert not type_eq(RefType(pure, a), RefType(impure, b), lenient=True)
 
 
 class TestMainShape:
