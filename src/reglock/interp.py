@@ -1,74 +1,58 @@
-"""The small-step machine: evaluation contexts, thread steps, schedulers.
+"""The small-step machine: refocused CEK threads, polls and schedulers.
 
-Evaluation is call-by-value, left to right.  An evaluation context is data:
-a list of frames, each a node and the evaluation position that holds the
-hole, found by a loop over the table `EVAL_FIELDS`.  Decomposing a term and
-plugging a reduct back cost no recursion, however deep the context.
+Evaluation is call-by-value, left to right.  A thread is a CEK state
+(Felleisen & Friedman, 1986): a term, `control`, under an environment, in
+the hole of a context, a persistent list of `Frame`s from the hole out.  A
+frame holds a node, its environment, the hole's position among the node's
+`EVAL_FIELDS` (a `Prim` has one per operand) and the values left of it.
+`decompose` finds the next redex by refocusing (Danvy & Nielsen, BRICS
+RS-04-26, 2004): a loop that pushes a frame to go down and pops one when a
+value comes back, from where the last reduct was put, not from the root.  A
+step neither plugs nor pushes, and nothing recurses.
 
-The machine binds instead of substituting.  E-A, E-RP and E-NG close the
-body they enter over its new bindings (`syntax.Closure`: the parameter's
-value, the region variable's literal, the new region and its handle), so a
-step costs its redex, and a program body keeps its cached digest and free
-names for the whole run.  `decompose` pushes a closure one level inward
-when the hole enters it (`syntax.push`): a node of its body's form, whose
-subterms are closed over the same bindings.  A closure stands for its
-read-back, the body with its bindings substituted, and is digested and
-read back through its push, which it then keeps (`syntax.pushed`);
-`decompose` reuses a kept push and keeps none of its own, so a run that
-takes no digest holds no pushed tree but its loops'.  A value that leaves
-its thread is read back (`syntax.read_back`): a value stored by E-NR or
-E-AS, or a spawn's argument, so the store holds no closure.  E-WHILE
-unrolls over its condition's and body's read-backs, kept on them, so a
-loop pushes each of its closures once, not once per iteration.
+The machine binds instead of substituting: E-A, E-RP and E-NG run the body
+they enter under its environment extended by the new bindings, so a
+program body keeps its cached digest and free names for the whole run.  A
+function value is closed over its environment (`syntax.Closure`), and a
+value that leaves its thread (stored by E-NR or E-AS, or a spawn's
+argument) is read back (`syntax.read_back`), so the store holds no closure.
 
-Each configuration holds the store, the active threads, and the counters
-that keep fresh names deterministic across interleavings.  Scheduling is
-simulated: a seeded scheduler picks uniformly among threads that can step,
-and an exhaustive scheduler enumerates every interleaving up to a step
-bound, deduplicating states by a canonical digest.
+A thread stands for a term, `Thread.expr`: its frames plugged around its
+control closed over its environment, which digests, `explore`'s sharing
+and the metatheory harness read and a bare run never builds.  A frame plugs
+into its node's push (`syntax.push`), made once and handed on as the hole
+moves right, and `decompose` enters a closure through the push its digest
+kept, so an unchanged subterm keeps its digest and its harness memo entries.
 
-State digests are Merkle digests: every term node and region node caches a
-hash of its own fields and its children's digests (`syntax.expr_digest`,
-`RegionNode.digest`), so a digest pays only for the nodes rebuilt since the
-last one.  They use hashlib, never `hash()`, and are the same across
-processes and `PYTHONHASHSEED` values.  `explore` digests every state; a
-seeded run digests its final state, and each step's only for a `record`.
+Scheduling is simulated: a seeded scheduler picks uniformly among threads
+that can step, and `explore` enumerates every interleaving up to a step
+bound, deduplicating states by a canonical digest.  Each tick polls every
+live thread (`poll`): `Ready`, `Done`, `BlockedOn` a lock (retried) or
+`Stuck`, which ends the run with a soundness report.  A poll builds
+nothing.  It refocuses a thread state once, keeping the redex on it, and
+runs the redex's store operation through the store's memo, so blocking and
+faults are decided as the step finds them.  Only the chosen thread steps,
+into one `Stepped`: the successor configuration, the rule and its payload.
+A successor that reads only its state (E-A, E-RP, E-IF, E-SEQ, E-WHILE,
+E-OP, and the `()` of E-C, E-AS and E-SN) is kept on that state.
 
-`step_thread` caches a term's decomposition on its root node, outside the
-record's fields like the digest.  A rule whose reduct reads only the term
-(E-A, E-RP, E-IF, E-SEQ, E-WHILE, E-OP) replaces it with the rule and
-successor term; E-C and E-AS add the term with `()` in the hole and still
-run their store operation, with its blocking and faults.  E-NG, E-NR, E-D
-(store or counters) and E-SN (a new thread) keep the decomposition only.
-The cache is exact: these rules read nothing but the term, and binding,
-pushing and closing read nothing but their arguments.  A successor points
-forward, so a live term keeps every later term built from it alive;
-`explore` does not hold its initial configuration.  Each store operation
-is likewise applied once per store object (see `store`).
-
-Within a search these caches are shared per value.  Once a successor's
-digest is new, `explore` swaps its store and each thread term for the
-first object of the same digest met so far (`_shared`, from weak tables
-keyed by the digests `config_digest` has just cached).  So each distinct
-term is decomposed, and each distinct store's operations computed, once
-for all interleavings.  This is exact as deduplication is: equal digests
-mean equal read-backs, and every rule reads only the read-back.  A shared
-object that the tables drop is simply met again.
-
-Polling a thread has three outcomes.  `Stepped` is one step of the thread
-relation, whatever its rule: finishing (E-T), spawning (E-SN) or reducing
-(E-S, by one of the expression rules); it carries the successor
-configuration, the rule and the rule's payload.  A thread that cannot step
-is either `BlockedOn` a lock (retried every tick) or `Stuck`, which aborts
-the run with a soundness report: well-typed programs never get stuck.
+Digests are Merkle digests, made with hashlib, so they are the same in
+every process.  `explore` digests every state, a seeded run only its final
+one and each step's for a `record`.  A successor new to `explore` has its
+store and thread states swapped for the first objects of their digests
+(`_shared`), so each distinct thread state is refocused, and each distinct
+store's operations computed, once.  Equal digests mean equal read-backs,
+which is all a rule reads.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import random
 from collections import deque
+from functools import partial
 from typing import Callable, Optional, Union
 from weakref import WeakValueDictionary
 
@@ -89,10 +73,12 @@ from .syntax import (
     Closure,
     Const,
     Deref,
+    Effect,
     Env,
     Expr,
     If,
     Lambda,
+    Loc,
     LocVal,
     NewRef,
     NewRgn,
@@ -104,21 +90,51 @@ from .syntax import (
     RegionLit,
     RgnVal,
     Seq,
-    UnitVal,
     Var,
     While,
     close,
     expr_digest,
-    is_value,
     push,
     read_back,
     subst_regions,
 )
 
 
+class Frame:
+    """`node` under `env` with the hole at its evaluation position `pos`,
+    after the values `left`; `outer` is the next frame out, and `pushed`
+    the node's push once `Thread.expr` has made it.  Compared by identity."""
+
+    __slots__ = ("node", "env", "pos", "left", "outer", "pushed")
+
+    def __init__(self, node: Expr, env: Env, pos: int, left: tuple, outer: Optional[Frame],
+                 pushed: Optional[Expr] = None) -> None:
+        self.node, self.env, self.pos, self.left = node, env, pos, left
+        self.outer, self.pushed = outer, pushed
+
+
 class Thread(Record):
-    def __init__(self, tid: int, expr: Expr) -> None:
-        self.__dict__.update(tid=tid, expr=expr)
+    """`control` under `env` in the hole of `frames`, a CEK state (see the
+    module docstring); a closed term is a thread on its own."""
+
+    def __init__(self, tid: int, control: Expr, env: Env = EMPTY_ENV,
+                 frames: Optional[Frame] = None) -> None:
+        self.__dict__.update(tid=tid, control=control, env=env, frames=frames)
+
+    def __getattr__(self, name: str) -> Expr:
+        """`expr`, the term the state stands for, made on first use and then
+        kept as an attribute, with the control's closure (`_focused`)."""
+        if name != "expr":
+            raise AttributeError(name)
+        e = self.control
+        if self.env:
+            e = close(e, self.env)
+            object.__setattr__(self, "_inner", e)
+        frame = self.frames
+        while frame is not None:
+            e, frame = _plug(frame, e), frame.outer
+        object.__setattr__(self, "expr", e)
+        return e
 
 
 class Config(Record):
@@ -133,11 +149,12 @@ class Config(Record):
                 return t
         raise KeyError(tid)
 
-    def with_thread_expr(self, tid: int, expr: Expr, store: Optional[Store] = None,
-                         next_loc: Optional[int] = None,
-                         next_region: Optional[int] = None) -> "Config":
-        """Thread `tid` running `expr`, with any store or counter given."""
-        threads = tuple(Thread(tid, expr) if t.tid == tid else t for t in self.threads)
+    def with_thread(self, thread: Thread, store: Optional[Store] = None,
+                    next_loc: Optional[int] = None,
+                    next_region: Optional[int] = None) -> "Config":
+        """`thread` in place of its tid's, with any store or counter given."""
+        tid = thread.tid
+        threads = tuple([thread if t.tid == tid else t for t in self.threads])
         return Config(self.store if store is None else store, threads, self.next_tid,
                       self.next_loc if next_loc is None else next_loc,
                       self.next_region if next_region is None else next_region)
@@ -155,18 +172,14 @@ def initial_config(main_expr: Expr) -> Config:
 
 
 # ---------------------------------------------------------------------------
-# Decomposition into evaluation context and redex
+# Refocusing
 # ---------------------------------------------------------------------------
 
-Plug = Callable[[Expr], Expr]
-
-#: The `()` that E-SN, E-AS and E-C plug: one term, hashed once, so a
-#: rebuilt spine over it hashes one node per frame.
+#: The `()` that E-SN, E-AS and E-C put in the hole: one term, hashed once.
 UNIT = Const(UNIT_VALUE)
 
-#: Each compound form's evaluation positions, left to right.  The first one
-#: that holds a non-value holds the hole; when all hold values, the form is
-#: the redex.  A `Prim` has one position per operand.
+#: Each compound form's evaluation positions, left to right.  The hole is at
+#: one of them, and a node whose positions all hold values is the redex.
 EVAL_FIELDS: dict[type, tuple[str, ...]] = {
     App: ("fn", "arg"), RegionApp: ("fn",), NewRef: ("init", "handle"),
     Deref: ("ref",), Assign: ("target", "value"), NewRgn: ("parent_handle",),
@@ -174,59 +187,111 @@ EVAL_FIELDS: dict[type, tuple[str, ...]] = {
 }
 
 
-def decompose(e: Expr) -> Optional[tuple[Expr, Plug]]:
-    """Unique decomposition of a closed non-value into (redex, plug).
+def _getter(names: tuple[str, ...]) -> Callable[[Expr], tuple]:
+    get = operator.attrgetter(*names) if names else None
+    return get if len(names) > 1 else (lambda e: (get(e),)) if names else (lambda e: ())
 
-    Returns None when e is a value.  The context is a list of frames from
-    the root down, each (form, its node's constructor arguments, the hole's
-    index): `Prim`'s operands are one argument, the hole an index into it.
-    `plug` puts a reduct into the hole and rebuilds the frames bottom-up,
-    each by its form's constructor with positional arguments.  A frame
-    holds no node, so a plug cached on a term does not point back at it.
-    """
-    if is_value(e):
-        return None
-    frames: list[tuple[type, tuple, int]] = []
 
-    def plug(x: Expr) -> Expr:
-        for form, args, i in reversed(frames):
-            if form is Prim:
-                op, operands, loc = args
-                x = Prim(op, operands[:i] + (x,) + operands[i + 1:], loc)
-            else:
-                x = form(*args[:i], x, *args[i + 1:])
-        return x
+#: A node's subterms at its evaluation positions, as a tuple.
+_OPERANDS = {form: _getter(names) for form, names in EVAL_FIELDS.items()}
+_OPERANDS[Prim] = operator.attrgetter("args")
 
-    while True:
-        if type(e) is Closure:  # the push a digest kept, else one that no one keeps
-            e = getattr(e, _PUSHED, None) or push(e)
-        form = type(e)
-        names = EVAL_FIELDS.get(form)
-        if names is not None:
-            positions = zip(names, map(e.__getattribute__, names))
-        elif form is Prim:
-            positions = enumerate(e.args)
-        elif isinstance(e, Var):
-            raise MalformedTerm(f"free variable {e.name!r} at runtime")
-        else:
-            raise MalformedTerm(f"cannot decompose {form.__name__}")
-        for pos, sub in positions:
-            if not is_value(sub):
-                fields = _FIELDS[form]
-                args = tuple(map(e.__getattribute__, fields)) + (e.loc,)
-                frames.append((form, args, pos if form is Prim else fields.index(pos)))
-                e = sub
-                break
-        else:
-            return e, plug
+#: Where `EVAL_FIELDS` sit among each form's constructor arguments.
+_HOLES = {form: tuple(map(_FIELDS[form].index, names)) for form, names in EVAL_FIELDS.items()}
+
+_FUNCTIONS = (Lambda, RegionLambda)
 
 
 class MalformedTerm(Exception):
     pass
 
 
+def _value(e: Expr, env: Env) -> Optional[Expr]:
+    """The value `e` under `env` is at once, or None for a term with a redex."""
+    form = type(e)
+    if form is Var:
+        value = env.get(e.name)
+        if value is None:
+            raise MalformedTerm(f"free variable {e.name!r} at runtime")
+        return value
+    if form is Const or form is RgnVal or form is LocVal:
+        return e
+    if form in _FUNCTIONS:
+        return Closure(e, env) if env else e
+    return e if form is Closure and type(e.body) in _FUNCTIONS else None
+
+
+def decompose(control: Expr, env: Env = EMPTY_ENV,
+              frames: Optional[Frame] = None) -> Union[Frame, Expr]:
+    """The redex of `control` under `env` in the hole of `frames`: a frame
+    whose every position holds a value, or, in an empty context, the value
+    the thread ended with.  Raises MalformedTerm at a free variable or an
+    unknown form.  A closure is entered through the push its digest kept,
+    else as its body under its bindings."""
+    value = _value(control, env)
+    while True:
+        if value is None:  # a compound term: search it from its first position
+            if type(control) is Closure:
+                kept = getattr(control, _PUSHED, None)
+                control, env = (control.body, control.env) if kept is None else (kept, EMPTY_ENV)
+                value = _value(control, env)
+                continue
+            node, pos, left, outer, pushed = control, 0, (), frames, None
+        elif frames is None:
+            return value
+        else:  # the value fills the innermost hole
+            node, env, pos, left = frames.node, frames.env, frames.pos + 1, frames.left + (value,)
+            outer, pushed = frames.outer, frames.pushed
+        operands = _OPERANDS.get(type(node))
+        if operands is None:
+            raise MalformedTerm(f"cannot decompose {type(node).__name__}")
+        operands = operands(node)
+        while pos < len(operands):
+            control = operands[pos]
+            value = _value(control, env)
+            if value is None:
+                break
+            left += (value,)
+            pos += 1
+        else:
+            return Frame(node, env, pos, left, outer, pushed)
+        frames = Frame(node, env, pos, left, outer, pushed)
+
+
+def _plug(frame: Frame, inner: Expr) -> Expr:
+    """`frame`'s node, pushed, with its values left of the hole and `inner` in it."""
+    node = frame.pushed
+    if node is None:
+        node = frame.pushed = push(Closure(frame.node, frame.env)) if frame.env else frame.node
+    filled = frame.left + (inner,)
+    if type(node) is Prim:
+        return Prim(node.op, filled + node.args[len(filled):], node.loc)
+    values = list(map(node.__getattribute__, _FIELDS[type(node)]))
+    for i, v in zip(_HOLES[type(node)], filled):
+        values[i] = v
+    return type(node)(*values, node.loc)
+
+
+def _focused(thread: Thread) -> Union[Frame, Expr, MalformedTerm]:
+    """The state's `decompose`, or the MalformedTerm it raised, found once
+    and kept.  It starts at the control's closure once `Thread.expr` has
+    made one, so later terms keep what that closure keeps, and a state that
+    `explore` found the twin of another thread's takes that one's."""
+    found = thread.__dict__.get("_focus")
+    if found is None:
+        twin, inner = thread.__dict__.get("_twin"), thread.__dict__.get("_inner")
+        control, env = (thread.control, thread.env) if inner is None else (inner, EMPTY_ENV)
+        try:
+            found = _focused(twin) if twin is not None else decompose(control, env,
+                                                                       thread.frames)
+        except MalformedTerm as exc:
+            found = exc
+        object.__setattr__(thread, "_focus", found)
+    return found
+
+
 # ---------------------------------------------------------------------------
-# Step outcomes
+# Polls and steps
 # ---------------------------------------------------------------------------
 
 
@@ -243,9 +308,29 @@ class Stepped(Record):
         self.__dict__.update(config=config, rule=rule, info=info)
 
 
+class Ready(partial):
+    """A thread that can step: its rule's maker of the `Stepped` with the
+    arguments, the configuration and thread first.  `stepped` makes the
+    step once, through `step_thread`."""
+
+    @property
+    def stepped(self) -> Stepped:
+        step = self.__dict__.get("stepped")
+        if step is None:
+            config, thread = self.args[:2]
+            step = self.__dict__["stepped"] = step_thread(config, thread.tid, self)
+        return step
+
+
+class Done(Ready):
+    """A thread whose term is `()`: its step is E-T."""
+
+
 class BlockedOn(Record):
-    def __init__(self, tid: int, region: RegionLit, holders: frozenset[int]) -> None:
-        self.__dict__.update(tid=tid, region=region, holders=holders)
+    # loc: the waiting `lock`'s place in the source
+    def __init__(self, tid: int, region: RegionLit, holders: frozenset[int],
+                 loc: Optional[Loc] = None) -> None:
+        self.__dict__.update(tid=tid, region=region, holders=holders, loc=loc)
 
 
 class Stuck(Record):
@@ -253,7 +338,7 @@ class Stuck(Record):
         self.__dict__.update(tid=tid, code=code, detail=detail)
 
 
-StepOutcome = Union[Stepped, BlockedOn, Stuck]
+StepOutcome = Union[Ready, Stepped, BlockedOn, Stuck]
 
 
 def _prim_eval(op: str, args: tuple[Expr, ...]) -> Expr:
@@ -265,167 +350,175 @@ def _prim_eval(op: str, args: tuple[Expr, ...]) -> Expr:
     return Const((PRIM_UNARY.get(op) or PRIM_BINARY[op])[-1](*vals))
 
 
-_STEP = "_step"
+def _opened(e: Expr, env: Env = EMPTY_ENV) -> tuple[Expr, Env]:
+    """A closure's body and bindings; any other term under `env`."""
+    return (e.body, e.env) if type(e) is Closure else (e, env)
 
 
-class _Stepping:
-    """What stepping a thread term found, cached on it as `_step`: its redex
-    (None for the term itself) and plug, then, once a term-only rule has
-    run, the rule and successor instead.  E-C and E-AS keep the redex, and
-    their successor is the term with `()` in the hole.  Not a field: eq,
-    hash and repr ignore it."""
-
-    __slots__ = ("redex", "plug", "rule", "successor")
-
-    def __init__(self, redex: Expr, plug: Plug) -> None:
-        self.redex, self.plug, self.rule, self.successor = redex, plug, None, None
+def _delayed(redex: Frame, name: str) -> tuple[Expr, Env]:
+    """The redex's subterm `name` under its environment: the closure in the
+    redex's push when `Thread.expr` has made one, which keeps its digest."""
+    if redex.pushed is None:
+        return getattr(redex.node, name), redex.env
+    return getattr(redex.pushed, name), EMPTY_ENV
 
 
-def _opened(e: Expr) -> tuple[Expr, Env]:
-    """A closure's body and bindings; any other term with none."""
-    return (e.body, e.env) if type(e) is Closure else (e, EMPTY_ENV)
+def _finished(config: Config, thread: Thread) -> Stepped:
+    return Stepped(config.without_thread(thread.tid), "E-T")
 
 
-def step_thread(config: Config, tid: int) -> StepOutcome:
-    """One thread-level step: finish (E-T), spawn (E-SN) or reduce (E-S)."""
-    e = config.thread(tid).expr
-    memo = getattr(e, _STEP, None)
-    if memo is None:
-        if isinstance(e, Const) and isinstance(e.value, UnitVal):
-            return Stepped(config.without_thread(tid), "E-T")
-        try:
-            found = decompose(e)
-        except MalformedTerm as exc:
-            return Stuck(tid, "MalformedTerm", str(exc))
-        if found is None:
-            return Stuck(tid, "NonUnitTerminal",
-                         f"thread reduced to a non-unit value {pretty(e)}")
-        redex, plug = found
-        # A term that held itself would be freed by the cycle collector only.
-        memo = _Stepping(None if redex is e else redex, plug)
-        object.__setattr__(e, _STEP, memo)
-    elif memo.rule is not None:
-        return Stepped(config.with_thread_expr(tid, memo.successor), memo.rule)
-    redex = memo.redex or e
-
-    if isinstance(redex, App) and isinstance(redex.mode, ParMode):
-        # A spawn moves the callee's input effect, or the annotation the
-        # checker required to equal it.  Either is one interned object per
-        # term, on which the store's memo keys.
-        transfer = redex.mode.transfer
-        if transfer is None:
-            fn, env = _opened(redex.fn)
-            if not isinstance(fn, Lambda):
-                return Stuck(tid, "BadApplication", f"spawn of non-function {pretty(redex.fn)}")
-            transfer = subst_regions(fn.effect_in, env.regions)
-        child_tid = config.next_tid
-        try:
-            store = config.store.transfer(tid, child_tid, transfer)
-        except StoreFault as exc:
-            return Stuck(tid, exc.code, exc.message)
-        child = Thread(child_tid, App(redex.fn, read_back(redex.arg), SEQ_MODE, redex.loc))
-        parent = memo.plug(UNIT)
-        threads = tuple(Thread(tid, parent) if t.tid == tid else t for t in config.threads)
-        new_config = Config(store, threads + (child,), child_tid + 1, config.next_loc,
-                            config.next_region)
-        return Stepped(new_config, "E-SN", (child_tid, transfer))
-
-    return _step_expr(config, tid, memo, redex)
+def _successor(thread: Thread, rule: Optional[str], control: Expr, env: Env = EMPTY_ENV,
+               bindings: Optional[dict] = None, keep: bool = True) -> Thread:
+    """`control` under `env` and `bindings` in the hole of `thread`'s redex;
+    with `keep`, made once and kept on `thread` with `rule`, term-only, or
+    None (the `()` of E-C, E-AS and E-SN).  A body that `push` closed over
+    its binder's surroundings is opened."""
+    kept = thread.__dict__.get("_next")
+    if kept is None or not keep:
+        if bindings is not None:
+            control, env = _opened(control, env)
+            env = env.extend(bindings)
+        kept = (rule, Thread(thread.tid, control, env, thread.__dict__["_focus"].outer))
+        if keep:
+            object.__setattr__(thread, "_next", kept)
+    return kept[1]
 
 
-def _step_expr(config: Config, tid: int, memo: _Stepping, redex: Expr) -> StepOutcome:
-    plug, store = memo.plug, config.store
+def _kept(config: Config, thread: Thread, rule: str, control: Expr, env: Env = EMPTY_ENV,
+          bindings: Optional[dict] = None, store: Optional[Store] = None,
+          info: Optional[tuple] = None, keep: bool = True, **counters) -> Stepped:
+    """The step to `_successor`'s thread, term-only unless it leaves `store`;
+    a successor that reads the configuration is not kept."""
+    successor = _successor(thread, rule if store is None else None, control, env, bindings, keep)
+    return Stepped(config.with_thread(successor, store, **counters), rule, info)
 
-    def term_only(reduct: Expr, rule: str) -> Stepped:
-        memo.rule, memo.successor = rule, plug(reduct)
-        memo.redex = memo.plug = None
-        return Stepped(config.with_thread_expr(tid, memo.successor), rule)
 
-    def unit_in_hole() -> Expr:
-        if memo.successor is None:
-            memo.successor = plug(UNIT)
-            memo.plug = None
-        return memo.successor
+def _unrolled(config: Config, thread: Thread, loop: While, env: Env) -> Stepped:
+    """E-WHILE: `if cond then (body; loop) else ()`."""
+    unrolled = If(loop.cond, Seq(loop.body, loop, loop.loc), UNIT, loop.loc)
+    return _kept(config, thread, "E-WHILE", unrolled, env)
 
+
+def _spawned(config: Config, thread: Thread, store: Store, fn: Expr, arg: Expr,
+             transfer: Effect, loc: Optional[Loc]) -> Stepped:
+    """E-SN: `()` in the spawner's hole and a new thread running `fn(arg)`."""
+    child_tid = config.next_tid
+    child = Thread(child_tid, App(fn, read_back(arg), SEQ_MODE, loc))
+    parent = _successor(thread, None, UNIT)
+    threads = tuple([parent if t.tid == thread.tid else t for t in config.threads])
+    return Stepped(Config(store, threads + (child,), child_tid + 1, config.next_loc,
+                          config.next_region), "E-SN", (child_tid, transfer))
+
+
+def poll(config: Config, thread: Thread) -> StepOutcome:
+    """`thread`'s outcome in `config`, which builds nothing: a `Ready`'s
+    step is made only when `stepped` asks for it."""
+    tid, kept = thread.tid, thread.__dict__.get("_next")
+    if kept is not None and kept[0] is not None:  # a term-only rule's
+        return Ready(_kept, config, thread, kept[0], None)
+    redex = thread.__dict__.get("_focus") or _focused(thread)
+    if type(redex) is not Frame:
+        if type(redex) is MalformedTerm:
+            return Stuck(tid, "MalformedTerm", str(redex))
+        if type(redex) is Const and redex.value is UNIT_VALUE:
+            return Done(_finished, config, thread)
+        return Stuck(tid, "NonUnitTerminal", f"thread reduced to a non-unit value {pretty(redex)}")
+    node, env, vals, store = redex.node, redex.env, redex.left, config.store
+    form = type(node)
     try:
-        if isinstance(redex, App):
-            fn, env = _opened(redex.fn)
-            if not isinstance(fn, Lambda):
-                return Stuck(tid, "BadApplication",
-                             f"application of non-function {pretty(redex.fn)}")
-            return term_only(close(fn.body, env.extend({fn.param: redex.arg})), "E-A")
-        if isinstance(redex, RegionApp):
-            fn, env = _opened(redex.fn)
-            if not isinstance(fn, RegionLambda):
-                return Stuck(tid, "BadRegionApplication",
-                             f"region application of {pretty(redex.fn)}")
-            if not isinstance(redex.region, RegionLit):
-                return Stuck(tid, "MalformedTerm",
-                             f"region application at the variable {redex.region}")
-            return term_only(close(fn.body, env.extend({fn.var: redex.region})), "E-RP")
-        if isinstance(redex, NewRgn):
-            handle = redex.parent_handle
-            if not isinstance(handle, RgnVal):
-                return Stuck(tid, "BadHandle", f"newrgn at non-handle {pretty(handle)}")
-            name = f"r{config.next_region}"
-            new_store, rid = store.newrgn(handle.region, tid, name)
-            body, env = _opened(redex.body)
-            body = close(body, env.extend({redex.var: rid, redex.handle_name: RgnVal(rid)}))
-            return Stepped(config.with_thread_expr(
-                tid, plug(body), new_store, next_region=config.next_region + 1),
-                "E-NG", (handle.region, rid))
-        if isinstance(redex, NewRef):
-            handle = redex.handle
-            if not isinstance(handle, RgnVal):
-                return Stuck(tid, "BadHandle", f"new at non-handle {pretty(handle)}")
-            init = read_back(redex.init)
-            new_store, loc = store.alloc(handle.region, config.next_loc, init)
-            return Stepped(config.with_thread_expr(
-                tid, plug(LocVal(loc)), new_store, next_loc=config.next_loc + 1),
-                "E-NR", (loc, init))
-        if isinstance(redex, Deref):
-            ref = redex.ref
-            if not isinstance(ref, LocVal):
-                return Stuck(tid, "BadDeref", f"deref of non-location {pretty(ref)}")
-            value = store.lookup(ref.location, tid)
-            return Stepped(config.with_thread_expr(tid, plug(value)), "E-D")
-        if isinstance(redex, Assign):
-            ref = redex.target
-            if not isinstance(ref, LocVal):
-                return Stuck(tid, "BadAssign", f"assignment to non-location {pretty(ref)}")
-            value = read_back(redex.value)
-            new_store = store.update(ref.location, value, tid)
-            return Stepped(config.with_thread_expr(tid, unit_in_hole(), new_store),
-                           "E-AS", (ref.location, value))
-        if isinstance(redex, Cap):
-            handle = redex.handle
+        if form is Cap:
+            handle = vals[0]
             if not isinstance(handle, RgnVal):
                 return Stuck(tid, "BadHandle",
                              f"capability operation on non-handle {pretty(handle)}")
-            result = store.updcap(redex.op, handle.region, tid)
+            result = store.updcap(node.op, handle.region, tid)
             if isinstance(result, Blocked):
-                return BlockedOn(tid, result.region, result.holders)
-            return Stepped(config.with_thread_expr(tid, unit_in_hole(), result),
-                           "E-C", (redex.op, handle.region))
-        if isinstance(redex, If):
-            cond = redex.cond
+                return BlockedOn(tid, result.region, result.holders, node.loc)
+            return Ready(_kept, config, thread, "E-C", UNIT, EMPTY_ENV, None, result,
+                         (node.op, handle.region))
+        if form is Seq:
+            return Ready(_kept, config, thread, "E-SEQ", *_delayed(redex, "second"))
+        if form is App:
+            fn, fn_env = _opened(vals[0])
+            if type(node.mode) is not ParMode:
+                if not isinstance(fn, Lambda):
+                    return Stuck(tid, "BadApplication",
+                                 f"application of non-function {pretty(vals[0])}")
+                return Ready(_kept, config, thread, "E-A", fn.body, fn_env, {fn.param: vals[1]})
+            # A spawn moves the callee's input effect, or the annotation the
+            # checker required to equal it: one interned object per term, on
+            # which the store's memo keys.
+            transfer = node.mode.transfer
+            if transfer is None:
+                if not isinstance(fn, Lambda):
+                    return Stuck(tid, "BadApplication", f"spawn of non-function {pretty(vals[0])}")
+                transfer = subst_regions(fn.effect_in, fn_env.regions)
+            else:
+                transfer = subst_regions(transfer, env.regions)
+            store = store.transfer(tid, config.next_tid, transfer)
+            return Ready(_spawned, config, thread, store, vals[0], vals[1], transfer, node.loc)
+        if form is Deref:
+            ref = vals[0]
+            if not isinstance(ref, LocVal):
+                return Stuck(tid, "BadDeref", f"deref of non-location {pretty(ref)}")
+            return Ready(_kept, config, thread, "E-D", store.lookup(ref.location, tid), keep=False)
+        if form is Assign:
+            ref = vals[0]
+            if not isinstance(ref, LocVal):
+                return Stuck(tid, "BadAssign", f"assignment to non-location {pretty(ref)}")
+            value = read_back(vals[1])
+            return Ready(_kept, config, thread, "E-AS", UNIT,
+                         store=store.update(ref.location, value, tid),
+                         info=(ref.location, value))
+        if form is Prim:
+            try:
+                value = _prim_eval(node.op, vals)
+            except (KeyError, TypeError):
+                return Stuck(tid, "BadPrimitive",
+                             f"cannot evaluate {pretty(Prim(node.op, vals, node.loc))}")
+            return Ready(_kept, config, thread, "E-OP", value)
+        if form is If:
+            cond = vals[0]
             if not (isinstance(cond, Const) and isinstance(cond.value, bool)):
                 return Stuck(tid, "BadCondition", f"if on non-boolean {pretty(cond)}")
-            return term_only(redex.then if cond.value else redex.orelse, "E-IF")
-        if isinstance(redex, Seq):
-            return term_only(redex.second, "E-SEQ")
-        if isinstance(redex, While):
-            unrolled = If(read_back(redex.cond), Seq(read_back(redex.body), redex, redex.loc),
-                          UNIT, redex.loc)
-            return term_only(unrolled, "E-WHILE")
-        if isinstance(redex, Prim):
-            try:
-                return term_only(_prim_eval(redex.op, redex.args), "E-OP")
-            except (KeyError, TypeError):
-                return Stuck(tid, "BadPrimitive", f"cannot evaluate {pretty(redex)}")
+            return Ready(_kept, config, thread, "E-IF",
+                         *_delayed(redex, "then" if cond.value else "orelse"))
+        if form is RegionApp:
+            fn, fn_env = _opened(vals[0])
+            if not isinstance(fn, RegionLambda):
+                return Stuck(tid, "BadRegionApplication",
+                             f"region application of {pretty(vals[0])}")
+            region = env.regions.get(node.region, node.region)
+            if not isinstance(region, RegionLit):
+                return Stuck(tid, "MalformedTerm", f"region application at the variable {region}")
+            return Ready(_kept, config, thread, "E-RP", fn.body, fn_env, {fn.var: region})
+        if form is NewRgn:
+            handle = vals[0]
+            if not isinstance(handle, RgnVal):
+                return Stuck(tid, "BadHandle", f"newrgn at non-handle {pretty(handle)}")
+            new_store, rid = store.newrgn(handle.region, tid, f"r{config.next_region}")
+            return Ready(_kept, config, thread, "E-NG", node.body, env,
+                         {node.var: rid, node.handle_name: RgnVal(rid)}, new_store,
+                         (handle.region, rid), False, next_region=config.next_region + 1)
+        if form is NewRef:
+            handle = vals[1]
+            if not isinstance(handle, RgnVal):
+                return Stuck(tid, "BadHandle", f"new at non-handle {pretty(handle)}")
+            init = read_back(vals[0])
+            new_store, loc = store.alloc(handle.region, config.next_loc, init)
+            return Ready(_kept, config, thread, "E-NR", LocVal(loc), EMPTY_ENV, None, new_store,
+                         (loc, init), False, next_loc=config.next_loc + 1)
+        return Ready(_unrolled, config, thread, node, env)  # a While, the form left
     except StoreFault as exc:
         return Stuck(tid, exc.code, exc.message)
-    return Stuck(tid, "MalformedTerm", f"unknown redex {type(redex).__name__}")
+
+
+def step_thread(config: Config, tid: int, polled: Optional[Ready] = None) -> StepOutcome:
+    """One thread-level step: finish (E-T), spawn (E-SN) or reduce (E-S);
+    or why the thread cannot step.  `polled` is the thread's `Ready` from a
+    poll of `config`, when the scheduler has one."""
+    outcome = polled or poll(config, config.thread(tid))
+    return outcome() if isinstance(outcome, Ready) else outcome
 
 
 # ---------------------------------------------------------------------------
@@ -524,29 +617,39 @@ def detect_deadlock(outcomes: dict[int, StepOutcome]) -> list[int]:
 
 
 def classify(config: Config) -> tuple[dict[int, StepOutcome], Optional[Terminal], list[int]]:
-    """Try every thread once: (outcomes, terminal or None, sorted steppable tids).
+    """Poll every thread once: (outcomes, terminal or None, sorted steppable tids).
 
-    The terminal is `all_done`, `stuck` (at the lowest stuck tid) or `deadlock`.
+    The terminal is `all_done`, `stuck` (at the lowest stuck tid) or
+    `deadlock`, which names each waiting thread's region, the place of its
+    `lock` and the region's holders under `blocked`.
     """
     if not config.threads:
         return {}, Terminal("all_done", {}), []
-    outcomes = {t.tid: step_thread(config, t.tid) for t in config.threads}
-    stuck = [o for o in outcomes.values() if isinstance(o, Stuck)]
-    if stuck:
-        worst = min(stuck, key=lambda o: o.tid)
-        return outcomes, Terminal("stuck", {"thread": worst.tid, "fault": worst.code,
-                                            "detail": worst.detail}), []
-    steppable = sorted(tid for tid, o in outcomes.items() if not isinstance(o, BlockedOn))
+    outcomes, steppable, stuck = {}, [], None
+    for t in config.threads:  # in tid order
+        outcome = outcomes[t.tid] = poll(config, t)
+        if type(outcome) is Stuck:
+            stuck = stuck or outcome
+        elif type(outcome) is not BlockedOn:
+            steppable.append(t.tid)
+    if stuck is not None:
+        return outcomes, Terminal("stuck", {"thread": stuck.tid, "fault": stuck.code,
+                                            "detail": stuck.detail}), []
     if not steppable:
         cycle = detect_deadlock(outcomes)
         waits = {str(tid): sorted(o.holders) for tid, o in outcomes.items()}
-        return outcomes, Terminal("deadlock", {"cycle": cycle, "waiting": waits}), []
+        blocked = {str(tid): {"region": str(o.region), "lock": o.loc and str(o.loc),
+                              "holders": sorted(o.holders)} for tid, o in outcomes.items()}
+        return outcomes, Terminal("deadlock", {"cycle": cycle, "waiting": waits,
+                                               "blocked": blocked}), []
     return outcomes, None, steppable
 
 
-def _apply_outcome(outcome: Stepped) -> tuple[Config, str]:
-    """The chosen step's successor and rule; called once per applied step."""
-    return outcome.config, outcome.rule
+def _apply_outcome(outcome: Ready) -> tuple[Config, str]:
+    """The chosen thread's step: its successor and rule; called once per
+    applied step."""
+    step = outcome.stepped
+    return step.config, step.rule
 
 
 def run_seeded(main_expr: Expr, seed: int, max_steps: int = 10_000, harness=None,
@@ -570,7 +673,7 @@ def run_seeded(main_expr: Expr, seed: int, max_steps: int = 10_000, harness=None
         trace.config, rule = _apply_outcome(outcomes[tid])
         trace.steps.append(TraceStep(len(trace.steps), tid, rule, record and record(trace.config)))
         if harness is not None:
-            violations = harness.after_step(tid, outcomes[tid], outcomes)
+            violations = harness.after_step(tid, outcomes[tid].stepped, outcomes)
     if violations:
         trace.terminal = Terminal("violation", {
             "step": trace.steps[-1].index if trace.steps else 0,
@@ -605,16 +708,25 @@ MAX_THREADS = 3
 RECENT = 256
 
 
-def _shared(config: Config, stores: WeakValueDictionary, terms: WeakValueDictionary) -> Config:
-    """`config` with its store and thread terms swapped for those of the
-    same digests in `stores` and `terms`, or entered there (see above)."""
+def _shared(config: Config, stores: WeakValueDictionary, threads: WeakValueDictionary) -> Config:
+    """`config` with its store and thread states swapped for those of the
+    same digests (and tids) in `stores` and `threads`, or entered there
+    (see above).  A state new to its tid whose term another thread's state
+    has takes that state's refocusing (`_twin`)."""
     root = config.store.root
     store = stores.setdefault(bytes(16) if root is None else root.digest(), config.store)
-    threads = []
+    shared = []
     for t in config.threads:
-        expr = terms.setdefault(expr_digest(t.expr), t.expr)
-        threads.append(t if expr is t.expr else Thread(t.tid, expr))
-    return Config(store, tuple(threads), config.next_tid, config.next_loc, config.next_region)
+        if "_shared" not in t.__dict__:  # not yet the state of its digest and tid
+            digest = expr_digest(t.expr)
+            t = threads.setdefault((t.tid, digest), t)
+            if "_shared" not in t.__dict__:
+                first = threads.setdefault(digest, t)
+                if first is not t:
+                    object.__setattr__(t, "_twin", first)
+                object.__setattr__(t, "_shared", True)
+        shared.append(t)
+    return Config(store, tuple(shared), config.next_tid, config.next_loc, config.next_region)
 
 
 def explore(main_expr: Expr, max_steps: int = 2_000, force: bool = False,
@@ -626,8 +738,8 @@ def explore(main_expr: Expr, max_steps: int = 2_000, force: bool = False,
     `max_states`, stops once that many states are expanded, and the result
     gives the size of the frontier left.
     """
-    # The initial configuration is not kept: a stepped term holds its
-    # successor, so it would keep every term the search reaches alive.
+    # The initial configuration is not kept: a stepped state holds its
+    # successor, so it would keep every state the search reaches alive.
     frontier: list[tuple[Config, int]] = [(initial_config(main_expr), 0)]
     seen: set[str] = {config_digest(frontier[0][0])}
     terminals: dict[str, int] = {}
@@ -636,7 +748,7 @@ def explore(main_expr: Expr, max_steps: int = 2_000, force: bool = False,
     budget_hits = 0
     states = 0
     recent: deque[Store] = deque(maxlen=RECENT)
-    stores, terms = WeakValueDictionary(), WeakValueDictionary()  # see `_shared`
+    stores, threads = WeakValueDictionary(), WeakValueDictionary()  # see `_shared`
 
     while frontier:
         if states == max_states:
@@ -667,6 +779,6 @@ def explore(main_expr: Expr, max_steps: int = 2_000, force: bool = False,
             digest = config_digest(nxt)
             if digest not in seen:
                 seen.add(digest)
-                frontier.append((_shared(nxt, stores, terms), depth + 1))
+                frontier.append((_shared(nxt, stores, threads), depth + 1))
 
     return ExploreResult(states, terminals, stuck_reports, cycles, budget_hits)

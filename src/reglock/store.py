@@ -64,14 +64,14 @@ class RegionNode(Record):
         return ZERO
 
     def total_rg(self) -> int:
-        return sum(c.rg for _, c in self.threads)
+        return sum([c.rg for _, c in self.threads])
 
     def lock_holders(self) -> frozenset[int]:
         return frozenset(t for t, c in self.threads if c.lk > 0)
 
     def with_counts(self, tid: int, counts: Counts) -> "RegionNode":
-        table = {t: c for t, c in self.threads}
-        if counts == ZERO:
+        table = dict(self.threads)
+        if counts.rg == 0 and counts.lk == 0:
             table.pop(tid, None)
         else:
             table[tid] = counts
@@ -124,7 +124,8 @@ class Store(Record):
             path = stack.pop()
             if path[-1].rid == rid:
                 return path
-            stack.extend(path + (child,) for child in reversed(path[-1].children))
+            for child in reversed(path[-1].children):
+                stack.append(path + (child,))
         return None
 
     def find(self, rid: RegionLit) -> Optional[RegionNode]:
@@ -146,8 +147,8 @@ class Store(Record):
         the path are rebuilt."""
         old = path[-1]
         for parent in reversed(path[:-1]):
-            kids = (tuple(k for k in parent.children if k is not old) if node is None
-                    else tuple(node if k is old else k for k in parent.children))
+            kids = tuple([k for k in parent.children if k is not old] if node is None
+                         else [node if k is old else k for k in parent.children])
             old, node = parent, RegionNode(parent.rid, parent.threads, parent.heap, kids)
         return Store(node)
 
@@ -157,8 +158,9 @@ class Store(Record):
         """The path to `rid` when it and all its ancestors have a positive
         total region count, else None."""
         path = self.path_to(rid)
-        if path is None or not all(n.total_rg() > 0 for n in path):
-            return None
+        for node in path or ():
+            if node.total_rg() <= 0:
+                return None
         return path
 
     # -- the five partial functions plus transfer ----------------------------------

@@ -138,15 +138,18 @@ class CheckFailure(Exception):
 
 
 class TypedProgram(Record, frozen=False):
-    """A successfully checked program, with each definition's type and the
-    effect after each of its source lines."""
+    """A successfully checked program, with each definition's type, the
+    effect after each of its source lines, and the earlier definitions each
+    body names, as its check resolved them (`uses`)."""
 
     def __init__(self, program: SourceProgram, def_types: dict[str, Type],
-                 effect_lines: dict[str, dict[int, Effect]]) -> None:
-        self.__dict__.update(program=program, def_types=def_types, effect_lines=effect_lines)
+                 effect_lines: dict[str, dict[int, Effect]],
+                 uses: Optional[dict[str, list[str]]] = None) -> None:
+        self.__dict__.update(program=program, def_types=def_types, effect_lines=effect_lines,
+                             uses=uses)
 
     def linked_main(self) -> Expr:
-        return link_bodies(self.program)
+        return link_bodies(self.program, self.uses)
 
 
 class CheckResult(Record, frozen=False):
@@ -242,7 +245,8 @@ class Checker:
                  locations: Optional[dict[Location, Type]] = None,
                  lenient: bool = False,
                  record: Optional[Callable[[int, Effect], None]] = None,
-                 memo: Optional[dict] = None):
+                 memo: Optional[dict] = None,
+                 defs: Optional[dict[str, Type]] = None):
         self.regions = regions
         self.locations = locations or {}
         self.lenient = lenient
@@ -251,6 +255,9 @@ class Checker:
         # by the metatheory harness, whose module docstring says why an
         # entry stays valid.  A checker with a memo records no lines.
         self.memo = memo
+        # The definitions' types, and the names of those that a variable
+        # resolved to (`check_program`, for `link_bodies`).
+        self.defs, self.uses = defs, set()
 
     # -- helpers ---------------------------------------------------------------
 
@@ -443,6 +450,8 @@ class Checker:
             t = env.vars.get(e.name)
             if t is None:
                 raise self.fail("UnboundVariable", f"unbound variable {e.name!r}", e.loc, eff)
+            if self.defs is not None and self.defs.get(e.name) is t:
+                self.uses.add(e.name)
             return t, eff
 
         if isinstance(e, Const):
@@ -672,6 +681,7 @@ def check_program(program: SourceProgram) -> CheckResult:
     diagnostics: list[Diagnostic] = []
     def_types: dict[str, Type] = {}
     effect_lines: dict[str, dict[int, Effect]] = {}
+    uses: dict[str, list[str]] = {}
 
     failed: set[str] = set()
     for d in program.defs:
@@ -680,7 +690,7 @@ def check_program(program: SourceProgram) -> CheckResult:
             failed.add(d.name)
             continue
         lines: dict[int, Effect] = {}
-        checker = Checker(record=lambda line, eff: lines.__setitem__(line, eff))
+        checker = Checker(record=lambda line, eff: lines.__setitem__(line, eff), defs=def_types)
         env = _Env(dict(def_types), frozenset())
         try:
             t, _ = checker.check(d.body, env, EMPTY_EFFECT)
@@ -694,6 +704,7 @@ def check_program(program: SourceProgram) -> CheckResult:
             continue
         def_types[d.name] = t
         effect_lines[d.name] = lines
+        uses[d.name] = sorted(checker.uses)
 
     if "main" in def_types:
         bad = _validate_main(def_types["main"])
@@ -703,7 +714,7 @@ def check_program(program: SourceProgram) -> CheckResult:
 
     if diagnostics:
         return CheckResult(False, diagnostics)
-    typed = TypedProgram(program, def_types, effect_lines)
+    typed = TypedProgram(program, def_types, effect_lines, uses)
     return CheckResult(True, [], typed)
 
 
@@ -726,19 +737,23 @@ def _validate_main(t: Type) -> Optional[str]:
     return None
 
 
-def link_bodies(program: SourceProgram) -> Expr:
+def link_bodies(program: SourceProgram, uses: Optional[dict[str, list[str]]] = None) -> Expr:
     """`main` closed over the definitions it names, one closed expression.
 
-    Each definition is closed (`syntax.close`) over the earlier definitions
-    its body names, and only those, so linking costs the names each body
-    uses.  A closure digests and reads back as the term with those
-    definitions substituted.  Later definitions may reference earlier ones;
+    Each definition is closed over the earlier definitions its body names,
+    and only those, so linking costs the names each body uses.  A closure
+    digests and reads back as the term with those definitions substituted.
+    The names are those the check resolved (`uses`, see `TypedProgram`), or,
+    unchecked, the body's free names, which walk the body.  A local that
+    shadows a definition at the very same type may add the definition's
+    name to `uses`: a binding the body never reads, which leaves its
+    read-back as it is.  Later definitions may reference earlier ones;
     cycles are impossible by construction.  Raises CheckFailure on
     references to missing or not-yet-defined names.
     """
     linked: dict[str, Expr] = {}
     for d in program.defs:
-        names = sorted(free_names(d.body)[0])
+        names = uses[d.name] if uses is not None else sorted(free_names(d.body)[0])
         for name in names:
             if name in linked:
                 continue
@@ -750,5 +765,8 @@ def link_bodies(program: SourceProgram) -> Expr:
             raise CheckFailure(Diagnostic(
                 "UnboundVariable",
                 f"definition {d.name!r} references unknown name {name!r}", d.loc))
-        linked[d.name] = close(d.body, Env({name: linked[name] for name in names}))
+        env = Env({name: linked[name] for name in names})
+        # A checked body is a value, so `close` would find it holds the names.
+        linked[d.name] = close(d.body, env) if uses is None else \
+            Closure(d.body, env) if names else d.body
     return linked["main"]

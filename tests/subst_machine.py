@@ -6,40 +6,29 @@ bound their names in closures, with the reference substitution they used
 and `link` substitutes the definitions into `main`, so every thread term is
 closed and closure-free.  It shares no linking, binding or pushing code with
 the machine, and keeps no step cache, so each state's steps are computed
-afresh.  The records (`Config`, `Thread`, `Stepped`, ...), the store and the
-digests are the machine's own, and the scheduler makes the same seeded
-choice, so a run here and a run of `reglock.interp` compare step by step.
+afresh.  It imports nothing from `reglock.interp`: its records (`Config`,
+`Thread`, `Stepped`, ...), its table of evaluation positions, its
+primitives, its initial configuration and its deadlock search are its own.
+It shares the store and the digests with the machine, and its scheduler
+makes the same seeded choice, so a run here and a run of `reglock.interp`
+compare step by step.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
-from reglock.interp import (
-    EVAL_FIELDS,
-    BlockedOn,
-    Config,
-    ExploreResult,
-    MalformedTerm,
-    Stepped,
-    StepOutcome,
-    Stuck,
-    Terminal,
-    Thread,
-    Trace,
-    TraceStep,
-    _prim_eval,
-    detect_deadlock,
-    initial_config,
-)
 from reglock.parser import SourceProgram, pretty
-from reglock.store import Blocked, StoreFault
+from reglock.store import Blocked, Store, StoreFault, initial_store
 from reglock.syntax import (
     _FIELDS,
     BINDERS,
+    HEAP,
     LEAVES,
+    PRIM_BINARY,
+    PRIM_UNARY,
     REGION_FIELDS,
     SEQ_MODE,
     UNIT_VALUE,
@@ -59,6 +48,7 @@ from reglock.syntax import (
     RegionApp,
     RegionLambda,
     RegionLit,
+    Loc,
     RegionVar,
     RgnVal,
     Seq,
@@ -72,6 +62,130 @@ from reglock.syntax import (
 )
 
 Plug = Callable[[Expr], Expr]
+
+
+class Thread(NamedTuple):
+    tid: int
+    expr: Expr
+
+
+class Config(NamedTuple):
+    store: Store
+    threads: tuple[Thread, ...]
+    next_tid: int
+    next_loc: int
+    next_region: int
+
+    def thread(self, tid: int) -> Thread:
+        return next(t for t in self.threads if t.tid == tid)
+
+    def with_thread_expr(self, tid: int, expr: Expr, store: Optional[Store] = None,
+                         next_loc: Optional[int] = None,
+                         next_region: Optional[int] = None) -> "Config":
+        threads = tuple(Thread(tid, expr) if t.tid == tid else t for t in self.threads)
+        return Config(self.store if store is None else store, threads, self.next_tid,
+                      self.next_loc if next_loc is None else next_loc,
+                      self.next_region if next_region is None else next_region)
+
+    def without_thread(self, tid: int) -> "Config":
+        return self._replace(threads=tuple(t for t in self.threads if t.tid != tid))
+
+
+class Stepped(NamedTuple):
+    config: Config
+    rule: str
+    info: Optional[tuple] = None
+
+
+class BlockedOn(NamedTuple):
+    tid: int
+    region: RegionLit
+    holders: frozenset[int]
+    loc: Optional[Loc]
+
+
+class Stuck(NamedTuple):
+    tid: int
+    code: str
+    detail: str
+
+
+StepOutcome = Union[Stepped, BlockedOn, Stuck]
+
+
+class Terminal(NamedTuple):
+    kind: str
+    detail: dict
+
+
+class TraceStep(NamedTuple):
+    index: int
+    tid: int
+    rule: str
+
+
+class Trace:
+    def __init__(self, seed: int, config: Config) -> None:
+        self.seed, self.config = seed, config
+        self.steps: list[TraceStep] = []
+        self.terminal: Optional[Terminal] = None
+
+
+class ExploreResult(NamedTuple):
+    states: int
+    terminals: dict[str, int]
+    stuck_reports: list[dict]
+    deadlock_cycles: list[list[int]]
+    budget_hits: int
+
+
+class MalformedTerm(Exception):
+    pass
+
+
+#: The subterms that evaluate before their form steps, in order; a `Prim`'s
+#: operands all do.
+EVAL_POSITIONS = {App: ("fn", "arg"), RegionApp: ("fn",), NewRef: ("init", "handle"),
+                  Deref: ("ref",), Assign: ("target", "value"), NewRgn: ("parent_handle",),
+                  Cap: ("handle",), If: ("cond",), Seq: ("first",), While: ()}
+
+
+def initial_config(main_expr: Expr) -> Config:
+    """Thread 1 runs main[heap](rgn heap) in a store of the heap region alone."""
+    body = App(RegionApp(main_expr, HEAP), RgnVal(HEAP), SEQ_MODE)
+    return Config(initial_store(HEAP, 1), (Thread(1, body),), 2, 1, 1)
+
+
+def _prim_eval(op: str, args: tuple[Expr, ...]) -> Expr:
+    if not all(type(a) is Const for a in args):
+        raise TypeError(f"{op} of a non-constant")
+    meaning = PRIM_UNARY[op][2] if op in PRIM_UNARY else PRIM_BINARY[op][3]
+    return Const(meaning(*[a.value for a in args]))
+
+
+def detect_deadlock(outcomes: dict[int, StepOutcome]) -> list[int]:
+    """The first cycle that a depth-first search of the wait-for graph meets,
+    from the blocked threads in tid order and to the holders in tid order."""
+    edges = {tid: o.holders for tid, o in outcomes.items() if type(o) is BlockedOn}
+    done: set[int] = set()
+
+    def visit(path: list[int]) -> list[int]:
+        for target in sorted(edges[path[-1]]):
+            if target in path:
+                return path[path.index(target):]
+            if target in edges and target not in done:
+                cycle = visit(path + [target])
+                if cycle:
+                    return cycle
+        done.add(path[-1])
+        return []
+
+    for root in sorted(edges):
+        if root not in done:
+            cycle = visit([root])
+            if cycle:
+                return cycle
+    return []
 
 
 def subst_expr(e: Expr, sigma: dict) -> Expr:
@@ -153,7 +267,7 @@ def decompose(e: Expr) -> Optional[tuple[Expr, Plug]]:
 
     while True:
         form = type(e)
-        names = EVAL_FIELDS.get(form)
+        names = EVAL_POSITIONS.get(form)
         if names is not None:
             positions = zip(names, map(e.__getattribute__, names))
         elif form is Prim:
@@ -265,7 +379,7 @@ def _step_expr(config: Config, tid: int, plug: Plug, redex: Expr) -> StepOutcome
                              f"capability operation on non-handle {pretty(handle)}")
             result = store.updcap(redex.op, handle.region, tid)
             if isinstance(result, Blocked):
-                return BlockedOn(tid, result.region, result.holders)
+                return BlockedOn(tid, result.region, result.holders, redex.loc)
             return Stepped(config.with_thread_expr(tid, plug(Const(UNIT_VALUE)), result),
                            "E-C", (redex.op, handle.region))
         if isinstance(redex, If):
@@ -314,7 +428,10 @@ def classify(config: Config) -> tuple[dict[int, StepOutcome], Optional[Terminal]
     if not steppable:
         cycle = detect_deadlock(outcomes)
         waits = {str(tid): sorted(o.holders) for tid, o in outcomes.items()}
-        return outcomes, Terminal("deadlock", {"cycle": cycle, "waiting": waits}), []
+        blocked = {str(tid): {"region": str(o.region), "lock": o.loc and str(o.loc),
+                              "holders": sorted(o.holders)} for tid, o in outcomes.items()}
+        return outcomes, Terminal("deadlock", {"cycle": cycle, "waiting": waits,
+                                               "blocked": blocked}), []
     return outcomes, None, steppable
 
 

@@ -13,6 +13,9 @@ from reglock.interp import (
     EVAL_FIELDS,
     BlockedOn,
     Config,
+    Done,
+    Frame,
+    Ready,
     Stepped,
     Stuck,
     Thread,
@@ -87,31 +90,42 @@ def program_main(name: str):
     return checked_main(lock_tree(2)) if name == "lock_tree_2" else typed_main(name)
 
 
+def plugged(redex: Frame) -> Expr:
+    """The term a redex frame stands for: its node, under its bindings, in
+    the hole of its context."""
+    return Thread(0, redex.node, redex.env, redex.outer).expr
+
+
 class TestDecompose:
+    """`decompose` returns the redex as a frame whose positions all hold
+    values, its context as the frames out from it, or a closed value."""
+
     def test_value_has_no_redex(self):
-        assert decompose(Const(5)) is None
+        assert decompose(Const(5)) == Const(5)
 
     def test_beta_redex_is_the_whole_application(self):
         lam = Lambda("x", INT, Var("x"), EMPTY_EFFECT, EMPTY_EFFECT)
         e = App(lam, Const(5), SEQ_MODE)
-        redex, rebuild = decompose(e)
-        assert redex == e
-        assert rebuild(Const(7)) == Const(7)
+        redex = decompose(e)
+        assert redex.node is e and redex.left == (lam, Const(5)) and redex.outer is None
+        assert plugged(redex) == e
 
     def test_left_to_right_descends_into_fn_first(self):
         lam = Lambda("x", INT, Var("x"), EMPTY_EFFECT, EMPTY_EFFECT)
         inner = App(lam, Const(1), SEQ_MODE)
         e = App(inner, Prim("+", (Const(1), Const(2))), SEQ_MODE)
-        redex, rebuild = decompose(e)
-        assert redex == inner
-        assert rebuild(redex) == e
+        redex = decompose(e)
+        assert redex.node is inner
+        assert redex.outer.node is e and redex.outer.pos == 0 and redex.outer.outer is None
+        assert plugged(redex) == e
 
     def test_arg_position_after_fn_is_value(self):
         lam = Lambda("x", INT, Var("x"), EMPTY_EFFECT, EMPTY_EFFECT)
         arg = Prim("+", (Const(1), Const(2)), None)
         e = App(lam, arg, SEQ_MODE)
-        redex, _ = decompose(e)
-        assert redex == arg
+        redex = decompose(e)
+        assert redex.node is arg
+        assert (redex.outer.pos, redex.outer.left) == (1, (lam,))
 
 
 @st.composite
@@ -153,16 +167,16 @@ def test_unique_decomposition(e):
     """Every closed non-value decomposes into exactly one (context, redex)
     pair, and plugging the redex back reconstructs the term."""
     found = decompose(e)
-    if found is None:
-        assert is_value(e)
+    if type(found) is not Frame:
+        assert is_value(e) and found is e
     else:
-        redex, plug = found
-        assert not is_value(redex) or isinstance(redex, (Const,)) is False
+        redex = found.node
+        assert not is_value(redex)
         eager = (redex.args if isinstance(redex, Prim) else
                  [getattr(redex, name) for name in term_fields(type(redex))
                   if name not in DELAYED.get(type(redex), ())])
-        assert all(is_value(sub) for sub in eager)
-        assert plug(redex) == e
+        assert all(is_value(sub) for sub in eager) and found.left == tuple(eager)
+        assert plugged(found) == e
 
 
 def test_eval_fields_cover_every_compound_non_value():
@@ -229,7 +243,7 @@ class TestStepping:
                          if not isinstance(o, (BlockedOn, Stuck))]
             if not steppable:
                 break
-            config, _ = _apply_outcome(outcomes[steppable[0]])
+            config = outcomes[steppable[0]].config
         assert saw_blocked
 
     def test_spawn_conserves_per_region_counts(self):
@@ -250,7 +264,7 @@ class TestStepping:
                 return
             tid = min(t for t, o in outcomes.items()
                       if not isinstance(o, (BlockedOn, Stuck)))
-            config, _ = _apply_outcome(outcomes[tid])
+            config = outcomes[tid].config
         pytest.fail("no spawn step found")
 
     def test_thread_done_on_unit(self):
@@ -303,6 +317,17 @@ class TestDeadlockDetection:
     def test_no_blocked_threads(self):
         assert detect_deadlock({}) == []
 
+    def test_a_deadlock_names_each_waiting_lock(self):
+        # Seed 1 deadlocks: main (thread 1) holds r2 and waits at `lock h1`
+        # on line 22, the worker holds r1 and waits at `lock hb` on line 8.
+        trace = run_seeded(typed_main("deadlock_racy.rgn"), seed=1)
+        assert trace.terminal.kind == "deadlock"
+        detail = trace.terminal.detail
+        assert (detail["cycle"], detail["waiting"]) == ([1, 2], {"1": [2], "2": [1]})
+        assert detail["blocked"] == {
+            "1": {"region": "#r1", "lock": "22:4", "holders": [2]},
+            "2": {"region": "#r2", "lock": "8:4", "holders": [1]}}
+
     def test_forced_fixture_always_reports_two_cycle(self):
         main = unchecked_main("deadlock_forced.rgn")
         for seed in (0, 1, 7, 99):
@@ -335,8 +360,9 @@ class TestExplore:
 
 
 def step_uncached(config: Config, tid: int):
-    """`step_thread` on a copy of the thread's root term: `rebuild` drops
-    the cached step, and only a thread's root term carries one."""
+    """`step_thread` on a fresh state of a copy of the thread's term, which
+    keeps nothing: it is refocused from the root, through the closures of
+    the term, and builds its successor anew."""
     threads = tuple(Thread(t.tid, rebuild(t.expr)) if t.tid == tid else t
                     for t in config.threads)
     return step_thread(Config(config.store, threads, config.next_tid, config.next_loc,
@@ -350,24 +376,27 @@ def assert_same_outcome(cached, fresh) -> None:
         assert cached.rule == fresh.rule
         assert config_digest(cached.config) == config_digest(fresh.config)
     elif isinstance(cached, BlockedOn):
-        assert (cached.region, cached.holders) == (fresh.region, fresh.holders)
+        assert (cached.region, cached.holders, cached.loc) == (fresh.region, fresh.holders,
+                                                               fresh.loc)
     elif isinstance(cached, Stuck):
         assert (cached.code, cached.detail) == (fresh.code, fresh.detail)
 
 
 @pytest.mark.parametrize("name", RUNNABLE + ["lock_tree_2"])
 def test_cached_steps_agree_with_uncached_steps(name, monkeypatch):
-    """In every state `explore` visits, each thread's outcome, served from
-    the step cached on its term where there is one, equals the outcome of
-    stepping a copy of the term with nothing cached."""
+    """In every state `explore` visits, each thread's outcome, polled from
+    the state, which may be shared and keep its redex and its successor,
+    and stepped when it is ready, equals the outcome of stepping a fresh
+    state of a copy of its term."""
     main = program_main(name)
     real = interp.classify
     compared = []
 
-    def classify(config):
-        found = real(config)
+    def classify(config, *args):
+        found = real(config, *args)
         for tid, outcome in found[0].items():
-            assert_same_outcome(outcome, step_uncached(config, tid))
+            assert_same_outcome(outcome.stepped if isinstance(outcome, Ready) else outcome,
+                                step_uncached(config, tid))
             compared.append(tid)
         return found
 
@@ -394,10 +423,11 @@ def count_calls(monkeypatch, names, module=interp) -> dict[str, int]:
 
 
 def test_each_thread_term_is_stepped_once(monkeypatch):
-    """Timer-free shape guard: a thread term is decomposed once, not once
-    per state that holds it (explore) or per tick its thread is not chosen
-    (run).  Without the cache, explore of lock_tree(2) makes 4,104
-    decompose calls, and run 135 for 82 steps."""
+    """Timer-free shape guard: a thread state is refocused once, not once
+    per configuration that holds it (explore) or per tick its thread is not
+    chosen (run): `decompose` keeps its redex on the state.  Polled afresh
+    every time, explore of lock_tree(2) made 4,104 decompositions, and run
+    135 for 82 steps."""
     main = checked_main(lock_tree(2))
     counts = count_calls(monkeypatch, ["decompose"])
     assert explore(main).states == 1774
@@ -410,12 +440,14 @@ def test_each_thread_term_is_stepped_once(monkeypatch):
 
 
 def test_no_closure_is_pushed_twice(monkeypatch):
-    """Timer-free shape guard: a digest keeps the push it digests a closure
-    through (`syntax.pushed`), and `decompose` reuses it, so each closure is
-    pushed at most once, in `explore` and in a seeded run alike.  A loop
-    unrolls over read-backs, which keep their pushes: sharing.rgn, seed 1,
-    pushed one closure 997 times in 10,000 steps when each unrolling copied
-    the loop's closures."""
+    """Timer-free shape guard: a step pushes nothing, so a bare run pushes
+    only what leaves its thread (a stored function value here).  A digest
+    keeps the push it digests a closure through (`syntax.pushed`), a frame
+    keeps its node's push for `Thread.expr`, and `decompose` enters a
+    closure through its kept push, so each closure is pushed at most once,
+    in `explore` and in a seeded run alike.  A loop unrolls over its own
+    closures, which keep their pushes: sharing.rgn, seed 1, pushed one
+    closure 997 times in 10,000 steps when each unrolling copied them."""
     closures = []  # held, so no `id` is reused
     real = syntax.push
 
@@ -425,10 +457,78 @@ def test_no_closure_is_pushed_twice(monkeypatch):
 
     monkeypatch.setattr(syntax, "push", push)
     monkeypatch.setattr(interp, "push", push)
+    assert run_seeded(checked_main(lock_tree(3)), seed=2).terminal.kind == "all_done"
+    assert closures == []
     assert explore(checked_main(lock_tree(2))).states == 1774
     assert run_seeded(checked_main(STORED_CLOSURE), seed=1).terminal.kind == "all_done"
     assert len(run_seeded(typed_main("sharing.rgn"), seed=1).steps) == 10_000
     assert closures and len({id(c) for c in closures}) == len(closures)
+
+
+def test_a_step_builds_one_config(monkeypatch):
+    """Timer-free: a poll builds no configuration, so a seeded run builds
+    one per step and its initial one.  Each poll built its thread's
+    successor before: 1.5 per step on lock_tree(4)."""
+    built = [0]
+    real = Config.__init__
+
+    def init(self, *args, **kwargs):
+        built[0] += 1
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(Config, "__init__", init)
+    mains = [checked_main(lock_tree(d)) for d in (2, 3, 4)] + [
+        typed_main("sharing_once.rgn"), typed_main("many_threads.rgn"),
+        checked_main(paired_long_seq(30))]
+    for main in mains:
+        for seed in range(3):
+            built[0] = 0
+            trace = run_seeded(main, seed)
+            assert trace.terminal.kind == "all_done"
+            assert built[0] == len(trace.steps) + 1
+
+
+def nested_newrgn(n: int, pairs: int = 100) -> str:
+    """`main` nests n `newrgn r_i, h_i at h_(i-1) in (…; free h_i)` around
+    `pairs` pairs of `share heap; free heap`."""
+    opens = "".join(f"  newrgn r{i}, h{i} at {'heap' if i == 1 else f'h{i - 1}'} in (\n"
+                    for i in range(1, n + 1))
+    body = "; ".join(["share heap; free heap"] * pairs)
+    closes = "".join(f"; free h{i})" for i in reversed(range(1, n + 1)))
+    return ("def main = /\\rhoH. \\heap: rgn(rhoH) @ "
+            "[{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].\n" + opens + "   " + body + closes + "\n")
+
+
+def test_frames_a_step_visits_do_not_grow_with_the_context(monkeypatch):
+    """Timer-free: refocusing starts at the hole, so the frames a step
+    builds or leaves (each a `Frame` made) do not grow with the n frames
+    around the body of n nested `newrgn`s.  Decomposing from the root, a
+    step cost 33, 76 and 228 us at n = 5, 20 and 60; refocused, 15, 16 and
+    28 us, most of the rest in the store (2 cores, Python 3.11.7)."""
+    made = [0]
+    real = Frame.__init__
+
+    def init(self, *args):
+        made[0] += 1
+        real(self, *args)
+
+    per_step = {}
+    for n in (5, 20, 60):
+        main = checked_main(nested_newrgn(n))
+        monkeypatch.setattr(Frame, "__init__", init)
+        counts, step = [], interp._apply_outcome
+
+        def apply(outcome):
+            counts.append(made[0])
+            made[0] = 0
+            return step(outcome)
+
+        monkeypatch.setattr(interp, "_apply_outcome", apply)
+        trace = run_seeded(main, 1)
+        monkeypatch.undo()
+        assert trace.terminal.kind == "all_done" and len(trace.steps) == 3 * n + 402
+        per_step[n] = (max(counts[1:]), sorted(counts[1:])[len(counts) // 2])
+    assert per_step[5] == per_step[20] == per_step[60], per_step
 
 
 #: The uncached bodies of the store operations that `Store` memoises.
@@ -462,10 +562,10 @@ def test_threads_stay_in_tid_order(name, monkeypatch):
     next tid, and nothing reorders them."""
     real = interp.classify
 
-    def classify(config):
+    def classify(config, *args):
         tids = [t.tid for t in config.threads]
         assert tids == sorted(tids)
-        return real(config)
+        return real(config, *args)
 
     monkeypatch.setattr(interp, "classify", classify)
     assert explore(program_main(name), force=True).states > 0
@@ -555,14 +655,22 @@ def test_explore_computes_each_store_operation_once_per_distinct_store(monkeypat
 
 
 def test_explore_decomposes_each_distinct_term_once(monkeypatch):
-    """Timer-free: `explore` shares one term object per distinct thread
-    term, so a term that interleavings reach in different orders is
-    decomposed once.  many_threads decomposed 211 terms with an object per
-    state, and 43 with them shared."""
+    """Timer-free: `explore` shares one state object per distinct thread
+    term and tid, and a state new to its tid is refocused as the first
+    state of its term, so a term that interleavings reach in different
+    orders, or that threads reach alike, is decomposed once.  many_threads
+    decomposed 211 terms with an object per state, 43 with terms shared,
+    and 279 with states shared per tid alone."""
     made = []
-    monkeypatch.setattr(interp, "decompose", lambda e: made.append(e) or decompose(e))
+
+    def counted(*args):
+        made.append(args)
+        return decompose(*args)
+
+    monkeypatch.setattr(interp, "decompose", counted)
     assert explore(typed_main("many_threads.rgn"), force=True).states == 940
-    assert len(made) < 100 and len({expr_digest(e) for e in made}) == len(made)
+    digests = {expr_digest(Thread(0, *args).expr) for args in made}
+    assert len(made) < 100 and len(digests) == len(made)
 
 
 def test_a_spawn_transfers_one_effect_object(monkeypatch):
@@ -575,7 +683,8 @@ def test_a_spawn_transfers_one_effect_object(monkeypatch):
                         lambda self, *args: computed.append(args) or real(self, *args))
     config = initial_config(typed_main("sharing_once.rgn"))
     while True:
-        redex, _ = decompose(config.thread(1).expr)
+        thread = config.thread(1)
+        redex = decompose(thread.control, thread.env, thread.frames).node
         if isinstance(redex, App) and isinstance(redex.mode, ParMode):
             break
         config = step_thread(config, 1).config

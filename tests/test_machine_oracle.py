@@ -3,12 +3,16 @@
 Both run the same program under the same seed, each linked its own way:
 the machine's `main` closes over the definitions (`link_bodies`), the
 oracle's has them substituted (`subst_machine.link`).  After every step
-they must agree on the thread that stepped, its rule and the state digest;
-at the end, on the terminal and the store.  `explore` must reach the same states,
-terminals and deadlock cycles.
+they must agree on the thread that stepped, its rule, the state digest and
+each thread's printed read-back; at the end, on the terminal and the store.
+`explore` must reach the same states, terminals and deadlock cycles.  The
+oracle imports nothing from `reglock.interp`.
 """
 
 from __future__ import annotations
+
+import ast
+import pathlib
 
 import pytest
 
@@ -40,11 +44,12 @@ def mains_of(name: str):
 def assert_same_run(mains, seed: int) -> None:
     main, oracle_main = mains
     oracle_steps: list[tuple] = []
-    oracle = subst_machine.run_seeded(oracle_main, seed, each=lambda c: oracle_steps.append(
-        subst_machine.config_digest(c)))
-    trace = run_seeded(main, seed, record=lambda c: {"digest": config_digest(c)})
-    ours = [(s.tid, s.rule, s.record["digest"]) for s in trace.steps]
-    theirs = [(s.tid, s.rule, d) for s, d in zip(oracle.steps, oracle_steps)]
+    oracle = subst_machine.run_seeded(oracle_main, seed, each=lambda c: oracle_steps.append((
+        subst_machine.config_digest(c), [(t.tid, pretty(t.expr)) for t in c.threads])))
+    trace = run_seeded(main, seed, record=lambda c: {"digest": config_digest(c), "threads": [
+        (t.tid, pretty(read_back(t.expr))) for t in c.threads]})
+    ours = [(s.tid, s.rule, s.record["digest"], s.record["threads"]) for s in trace.steps]
+    theirs = [(s.tid, s.rule, *d) for s, d in zip(oracle.steps, oracle_steps)]
     for i, (a, b) in enumerate(zip(ours, theirs)):
         assert a == b, f"seed {seed}, step {i}"
     assert len(ours) == len(theirs)
@@ -85,3 +90,12 @@ def test_linking_by_binding_reads_back_as_substitution(name):
     bound, substituted = link_bodies(program), subst_machine.link(program)
     assert read_back(bound) == substituted
     assert expr_digest(bound) == expr_digest(substituted)
+
+
+def test_the_oracle_imports_nothing_from_the_machine():
+    tree = ast.parse(pathlib.Path(subst_machine.__file__).read_text())
+    imported = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    imported += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                 for alias in node.names]
+    assert "reglock.parser" in imported
+    assert not [name for name in imported if name.startswith("reglock.interp")]

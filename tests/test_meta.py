@@ -258,7 +258,7 @@ class TestPreservationOverRuns:
                 store = store._rebuild(path, path[-1].with_counts(1, Counts(1, 0)))
                 outcome = rebuild(outcome, config=rebuild(outcome.config, store=store))
                 tampered = True
-            config, _ = interp_mod._apply_outcome(outcome)
+            config = outcome.config
             violations = harness.after_step(tid, outcome, outcomes)
             if violations:
                 violations_found = violations
@@ -715,8 +715,8 @@ class TestFaultInjection:
         """Every step by `rule` becomes `change(outcome, tid)`."""
         real = interp.step_thread
 
-        def rewritten(config, tid):
-            out = real(config, tid)
+        def rewritten(config, tid, *polled):
+            out = real(config, tid, *polled)
             return change(out, tid) if isinstance(out, Stepped) and out.rule == rule else out
 
         monkeypatch.setattr(interp, "step_thread", rewritten)
