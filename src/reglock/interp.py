@@ -121,19 +121,20 @@ class Thread(Record):
                  frames: Optional[Frame] = None) -> None:
         self.__dict__.update(tid=tid, control=control, env=env, frames=frames)
 
-    def __getattr__(self, name: str) -> Expr:
-        """`expr`, the term the state stands for, made on first use and then
-        kept as an attribute, with the control's closure (`_focused`)."""
-        if name != "expr":
-            raise AttributeError(name)
-        e = self.control
-        if self.env:
-            e = close(e, self.env)
-            object.__setattr__(self, "_inner", e)
-        frame = self.frames
-        while frame is not None:
-            e, frame = _plug(frame, e), frame.outer
-        object.__setattr__(self, "expr", e)
+    @property
+    def expr(self) -> Expr:
+        """The term the state stands for, made once and kept, with the
+        control's closure (`_focused`)."""
+        e = self.__dict__.get("_expr")
+        if e is None:
+            e = self.control
+            if self.env:
+                e = close(e, self.env)
+                object.__setattr__(self, "_inner", e)
+            frame = self.frames
+            while frame is not None:
+                e, frame = _plug(frame, e), frame.outer
+            object.__setattr__(self, "_expr", e)
         return e
 
 
@@ -526,13 +527,20 @@ def step_thread(config: Config, tid: int, polled: Optional[Ready] = None) -> Ste
 # ---------------------------------------------------------------------------
 
 
+def _thread_digest(t: Thread) -> bytes:
+    """A thread's tid and term digest, as `config_digest` hashes them, kept on it."""
+    digest = b"%d\0" % t.tid + expr_digest(t.expr)
+    object.__setattr__(t, "_digest", digest)
+    return digest
+
+
 def config_digest(config: Config) -> str:
     """16 hex digits of SHA-256 over the root region's digest, each
     thread's (tid, term digest) in tid order, and the three counters."""
     root = config.store.root
     parts = [bytes(16) if root is None else root.digest()]
     for t in config.threads:  # in tid order: a spawn appends the next tid
-        parts.append(b"%d\0" % t.tid + expr_digest(t.expr))
+        parts.append(t.__dict__.get("_digest") or _thread_digest(t))
     parts.append(b"%d,%d,%d" % (config.next_tid, config.next_loc, config.next_region))
     return hashlib.sha256(b"".join(parts)).hexdigest()[:16]
 
@@ -718,10 +726,9 @@ def _shared(config: Config, stores: WeakValueDictionary, threads: WeakValueDicti
     shared = []
     for t in config.threads:
         if "_shared" not in t.__dict__:  # not yet the state of its digest and tid
-            digest = expr_digest(t.expr)
-            t = threads.setdefault((t.tid, digest), t)
+            t = threads.setdefault(t.__dict__.get("_digest") or _thread_digest(t), t)
             if "_shared" not in t.__dict__:
-                first = threads.setdefault(digest, t)
+                first = threads.setdefault(expr_digest(t.expr), t)
                 if first is not t:
                     object.__setattr__(t, "_twin", first)
                 object.__setattr__(t, "_shared", True)
