@@ -766,7 +766,7 @@ def link_bodies(program: SourceProgram, uses: Optional[dict[str, list[str]]] = N
                 "UnboundVariable",
                 f"definition {d.name!r} references unknown name {name!r}", d.loc))
         env = Env({name: linked[name] for name in names})
-        # A checked body is a value, so `close` would find it holds the names.
+        # Checked, the names are the ones `close` would walk the body to find.
         linked[d.name] = close(d.body, env) if uses is None else \
             Closure(d.body, env) if names else d.body
     return linked["main"]
