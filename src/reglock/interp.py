@@ -28,10 +28,10 @@ Scheduling is simulated: a seeded scheduler picks uniformly among threads
 that can step, and `explore` enumerates every interleaving up to a step
 bound, deduplicating states by a canonical digest.  Each tick polls every
 live thread (`poll`): `Ready`, `Done`, `BlockedOn` a lock (retried) or
-`Stuck`, which ends the run with a soundness report.  A poll builds
-nothing.  It refocuses a thread state once, keeping the redex on it, and
-runs the redex's store operation through the store's memo, so blocking and
-faults are decided as the step finds them.  Only the chosen thread steps,
+`Stuck`, which ends the run with a soundness report.  A poll builds no
+configuration and no thread state.  It refocuses a thread state once,
+keeping the redex on it, and runs the redex's store operation through the
+store's memo, so blocking and faults are decided as the step finds them.  Only the chosen thread steps,
 into one `Stepped`: the successor configuration, the rule and its payload.
 A successor that reads only its state (E-A, E-RP, E-IF, E-SEQ, E-WHILE,
 E-OP, and the `()` of E-C, E-AS and E-SN) is kept on that state.
@@ -412,8 +412,8 @@ def _spawned(config: Config, thread: Thread, store: Store, fn: Expr, arg: Expr,
 
 
 def poll(config: Config, thread: Thread) -> StepOutcome:
-    """`thread`'s outcome in `config`, which builds nothing: a `Ready`'s
-    step is made only when `stepped` asks for it."""
+    """`thread`'s outcome in `config`.  It builds no configuration and no
+    thread state: a `Ready`'s step is made only when `stepped` asks."""
     tid, kept = thread.tid, thread.__dict__.get("_next")
     if kept is not None and kept[0] is not None:  # a term-only rule's
         return Ready(_kept, config, thread, kept[0], None)

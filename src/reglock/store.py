@@ -64,7 +64,10 @@ class RegionNode(Record):
         return ZERO
 
     def total_rg(self) -> int:
-        return sum([c.rg for _, c in self.threads])
+        total = 0
+        for _, c in self.threads:
+            total += c.rg
+        return total
 
     def lock_holders(self) -> frozenset[int]:
         return frozenset(t for t, c in self.threads if c.lk > 0)
@@ -79,7 +82,7 @@ class RegionNode(Record):
 
     def heap_get(self, loc: Location) -> Optional[Expr]:
         for l, v in self.heap:
-            if l == loc:
+            if l.idx == loc.idx and l.region is loc.region:  # `==`, without a call
                 return v
         return None
 

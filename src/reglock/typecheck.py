@@ -246,7 +246,7 @@ class Checker:
                  lenient: bool = False,
                  record: Optional[Callable[[int, Effect], None]] = None,
                  memo: Optional[dict] = None,
-                 defs: Optional[dict[str, Type]] = None):
+                 uses: Optional[set[str]] = None):
         self.regions = regions
         self.locations = locations or {}
         self.lenient = lenient
@@ -255,9 +255,8 @@ class Checker:
         # by the metatheory harness, whose module docstring says why an
         # entry stays valid.  A checker with a memo records no lines.
         self.memo = memo
-        # The definitions' types, and the names of those that a variable
-        # resolved to (`check_program`, for `link_bodies`).
-        self.defs, self.uses = defs, set()
+        # The names that variables resolved to (`check_program`, for `link_bodies`).
+        self.uses = uses
 
     # -- helpers ---------------------------------------------------------------
 
@@ -450,7 +449,7 @@ class Checker:
             t = env.vars.get(e.name)
             if t is None:
                 raise self.fail("UnboundVariable", f"unbound variable {e.name!r}", e.loc, eff)
-            if self.defs is not None and self.defs.get(e.name) is t:
+            if self.uses is not None:
                 self.uses.add(e.name)
             return t, eff
 
@@ -690,7 +689,8 @@ def check_program(program: SourceProgram) -> CheckResult:
             failed.add(d.name)
             continue
         lines: dict[int, Effect] = {}
-        checker = Checker(record=lambda line, eff: lines.__setitem__(line, eff), defs=def_types)
+        names: set[str] = set()
+        checker = Checker(record=lambda line, eff: lines.__setitem__(line, eff), uses=names)
         env = _Env(dict(def_types), frozenset())
         try:
             t, _ = checker.check(d.body, env, EMPTY_EFFECT)
@@ -704,7 +704,7 @@ def check_program(program: SourceProgram) -> CheckResult:
             continue
         def_types[d.name] = t
         effect_lines[d.name] = lines
-        uses[d.name] = sorted(checker.uses)
+        uses[d.name] = sorted(names & def_types.keys())
 
     if "main" in def_types:
         bad = _validate_main(def_types["main"])
@@ -745,11 +745,11 @@ def link_bodies(program: SourceProgram, uses: Optional[dict[str, list[str]]] = N
     digests and reads back as the term with those definitions substituted.
     The names are those the check resolved (`uses`, see `TypedProgram`), or,
     unchecked, the body's free names, which walk the body.  A local that
-    shadows a definition at the very same type may add the definition's
-    name to `uses`: a binding the body never reads, which leaves its
-    read-back as it is.  Later definitions may reference earlier ones;
-    cycles are impossible by construction.  Raises CheckFailure on
-    references to missing or not-yet-defined names.
+    shadows a definition adds the definition's name to `uses`: a binding
+    the body never reads, which leaves its read-back as it is.  Later
+    definitions may reference earlier ones; cycles are impossible by
+    construction.  Raises CheckFailure on references to missing or
+    not-yet-defined names.
     """
     linked: dict[str, Expr] = {}
     for d in program.defs:

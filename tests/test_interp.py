@@ -425,9 +425,9 @@ def count_calls(monkeypatch, names, module=interp) -> dict[str, int]:
 def test_each_thread_term_is_stepped_once(monkeypatch):
     """Timer-free shape guard: a thread state is refocused once, not once
     per configuration that holds it (explore) or per tick its thread is not
-    chosen (run): `decompose` keeps its redex on the state.  Polled afresh
-    every time, explore of lock_tree(2) made 4,104 decompositions, and run
-    135 for 82 steps."""
+    chosen (run): `decompose` keeps its redex on the state.  Refocused at
+    every poll, explore of lock_tree(2) makes 4,311 decompositions, and run
+    139 for 82 steps."""
     main = checked_main(lock_tree(2))
     counts = count_calls(monkeypatch, ["decompose"])
     assert explore(main).states == 1774
