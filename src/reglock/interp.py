@@ -286,7 +286,7 @@ def _focused(thread: Thread) -> Union[Frame, Expr, MalformedTerm]:
             found = _focused(twin) if twin is not None else decompose(control, env,
                                                                        thread.frames)
         except MalformedTerm as exc:
-            found = exc
+            found = exc.with_traceback(None)  # whose frames would hold `thread`
         object.__setattr__(thread, "_focus", found)
     return found
 
@@ -318,8 +318,8 @@ class Ready(partial):
     def stepped(self) -> Stepped:
         step = self.__dict__.get("stepped")
         if step is None:
-            config, thread = self.args[:2]
-            step = self.__dict__["stepped"] = step_thread(config, thread.tid, self)
+            args = self.args
+            step = self.__dict__["stepped"] = step_thread(args[0], args[1].tid, self)
         return step
 
 
@@ -387,11 +387,12 @@ def _successor(thread: Thread, rule: Optional[str], control: Expr, env: Env = EM
 
 def _kept(config: Config, thread: Thread, rule: str, control: Expr, env: Env = EMPTY_ENV,
           bindings: Optional[dict] = None, store: Optional[Store] = None,
-          info: Optional[tuple] = None, keep: bool = True, **counters) -> Stepped:
+          info: Optional[tuple] = None, keep: bool = True, next_loc: Optional[int] = None,
+          next_region: Optional[int] = None) -> Stepped:
     """The step to `_successor`'s thread, term-only unless it leaves `store`;
     a successor that reads the configuration is not kept."""
     successor = _successor(thread, rule if store is None else None, control, env, bindings, keep)
-    return Stepped(config.with_thread(successor, store, **counters), rule, info)
+    return Stepped(config.with_thread(successor, store, next_loc, next_region), rule, info)
 
 
 def _unrolled(config: Config, thread: Thread, loop: While, env: Env) -> Stepped:
@@ -417,7 +418,7 @@ def poll(config: Config, thread: Thread) -> StepOutcome:
     tid, kept = thread.tid, thread.__dict__.get("_next")
     if kept is not None and kept[0] is not None:  # a term-only rule's
         return Ready(_kept, config, thread, kept[0], None)
-    redex = thread.__dict__.get("_focus") or _focused(thread)
+    redex = _focused(thread)
     if type(redex) is not Frame:
         if type(redex) is MalformedTerm:
             return Stuck(tid, "MalformedTerm", str(redex))
@@ -462,15 +463,15 @@ def poll(config: Config, thread: Thread) -> StepOutcome:
             ref = vals[0]
             if not isinstance(ref, LocVal):
                 return Stuck(tid, "BadDeref", f"deref of non-location {pretty(ref)}")
-            return Ready(_kept, config, thread, "E-D", store.lookup(ref.location, tid), keep=False)
+            return Ready(_kept, config, thread, "E-D", store.lookup(ref.location, tid), EMPTY_ENV,
+                         None, None, None, False)
         if form is Assign:
             ref = vals[0]
             if not isinstance(ref, LocVal):
                 return Stuck(tid, "BadAssign", f"assignment to non-location {pretty(ref)}")
             value = read_back(vals[1])
-            return Ready(_kept, config, thread, "E-AS", UNIT,
-                         store=store.update(ref.location, value, tid),
-                         info=(ref.location, value))
+            return Ready(_kept, config, thread, "E-AS", UNIT, EMPTY_ENV, None,
+                         store.update(ref.location, value, tid), (ref.location, value))
         if form is Prim:
             try:
                 value = _prim_eval(node.op, vals)
@@ -500,7 +501,7 @@ def poll(config: Config, thread: Thread) -> StepOutcome:
             new_store, rid = store.newrgn(handle.region, tid, f"r{config.next_region}")
             return Ready(_kept, config, thread, "E-NG", node.body, env,
                          {node.var: rid, node.handle_name: RgnVal(rid)}, new_store,
-                         (handle.region, rid), False, next_region=config.next_region + 1)
+                         (handle.region, rid), False, None, config.next_region + 1)
         if form is NewRef:
             handle = vals[1]
             if not isinstance(handle, RgnVal):
@@ -508,7 +509,7 @@ def poll(config: Config, thread: Thread) -> StepOutcome:
             init = read_back(vals[0])
             new_store, loc = store.alloc(handle.region, config.next_loc, init)
             return Ready(_kept, config, thread, "E-NR", LocVal(loc), EMPTY_ENV, None, new_store,
-                         (loc, init), False, next_loc=config.next_loc + 1)
+                         (loc, init), False, config.next_loc + 1)
         return Ready(_unrolled, config, thread, node, env)  # a While, the form left
     except StoreFault as exc:
         return Stuck(tid, exc.code, exc.message)

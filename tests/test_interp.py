@@ -13,7 +13,6 @@ from reglock.interp import (
     EVAL_FIELDS,
     BlockedOn,
     Config,
-    Done,
     Frame,
     Ready,
     Stepped,
@@ -392,8 +391,8 @@ def test_cached_steps_agree_with_uncached_steps(name, monkeypatch):
     real = interp.classify
     compared = []
 
-    def classify(config, *args):
-        found = real(config, *args)
+    def classify(config):
+        found = real(config)
         for tid, outcome in found[0].items():
             assert_same_outcome(outcome.stepped if isinstance(outcome, Ready) else outcome,
                                 step_uncached(config, tid))
@@ -562,10 +561,10 @@ def test_threads_stay_in_tid_order(name, monkeypatch):
     next tid, and nothing reorders them."""
     real = interp.classify
 
-    def classify(config, *args):
+    def classify(config):
         tids = [t.tid for t in config.threads]
         assert tids == sorted(tids)
-        return real(config, *args)
+        return real(config)
 
     monkeypatch.setattr(interp, "classify", classify)
     assert explore(program_main(name), force=True).states > 0
