@@ -119,11 +119,9 @@ def _print_trace(trace: Trace, fmt: str) -> None:
             "trace_digest": trace.json_digest(),
         }, default=str))
         return
-    for s in trace.steps:
-        print(f"{s.index} {s.tid} {s.rule}")
     detail = json.dumps(trace.terminal.detail, sort_keys=True, default=str)
-    print(f"terminal {trace.terminal.kind} {detail}")
-    print(f"trace {trace.digest()}")
+    print("\n".join([f"{s.index} {s.tid} {s.rule}" for s in trace.steps]
+                    + [f"terminal {trace.terminal.kind} {detail}", f"trace {trace.digest()}"]))
 
 
 def cmd_run(args) -> int:
