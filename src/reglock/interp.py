@@ -720,16 +720,17 @@ RECENT = 256
 def _shared(config: Config, stores: WeakValueDictionary, threads: WeakValueDictionary) -> Config:
     """`config` with its store and thread states swapped for those of the
     same digests (and tids) in `stores` and `threads`, or entered there
-    (see above).  A state new to its tid whose term another thread's state
-    has takes that state's refocusing (`_twin`)."""
+    (see above).  In a configuration of several threads, a state new to its
+    tid whose term another thread's state has takes that state's refocusing
+    (`_twin`)."""
     root = config.store.root
     store = stores.setdefault(bytes(16) if root is None else root.digest(), config.store)
-    shared = []
+    shared, several = [], len(config.threads) > 1
     for t in config.threads:
         if "_shared" not in t.__dict__:  # not yet the state of its digest and tid
             t = threads.setdefault(t.__dict__.get("_digest") or _thread_digest(t), t)
             if "_shared" not in t.__dict__:
-                first = threads.setdefault(expr_digest(t.expr), t)
+                first = threads.setdefault(expr_digest(t.expr), t) if several else t
                 if first is not t:
                     object.__setattr__(t, "_twin", first)
                 object.__setattr__(t, "_shared", True)
