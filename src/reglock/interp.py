@@ -189,6 +189,7 @@ EVAL_FIELDS: dict[type, tuple[str, ...]] = {
 
 
 def _getter(names: tuple[str, ...]) -> Callable[[Expr], tuple]:
+    """A node's fields `names` as a tuple, fetched in C where it can be."""
     get = operator.attrgetter(*names) if names else None
     return get if len(names) > 1 else (lambda e: (get(e),)) if names else (lambda e: ())
 
