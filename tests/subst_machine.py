@@ -40,6 +40,7 @@ from reglock.syntax import (
     Expr,
     If,
     Lambda,
+    Loc,
     LocVal,
     NewRef,
     NewRgn,
@@ -48,7 +49,6 @@ from reglock.syntax import (
     RegionApp,
     RegionLambda,
     RegionLit,
-    Loc,
     RegionVar,
     RgnVal,
     Seq,
