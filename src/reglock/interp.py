@@ -18,11 +18,12 @@ value that leaves its thread (stored by E-NR or E-AS, or a spawn's
 argument) is read back (`syntax.read_back`), so the store holds no closure.
 
 A thread stands for a term, `Thread.expr`: its frames plugged around its
-control closed over its environment, which digests, `explore`'s sharing
-and the metatheory harness read and a bare run never builds.  A frame plugs
-into its node's push (`syntax.push`), made once and handed on as the hole
-moves right, and `decompose` enters a closure through the push its digest
-kept, so an unchanged subterm keeps its digest and its harness memo entries.
+control closed over its environment, which digests and `explore`'s sharing
+read and a bare run never builds, nor the harness unless its check by
+frames (`Frame.judged`) falls back.  A frame plugs into its node's push
+(`syntax.push`), made once and handed on as the hole moves right, and
+`decompose` enters a closure through the push its digest kept, so an
+unchanged subterm keeps its digest.
 
 Scheduling is simulated: a seeded scheduler picks uniformly among threads
 that can step, and `explore` enumerates every interleaving up to a step
@@ -103,14 +104,15 @@ from .syntax import (
 class Frame:
     """`node` under `env` with the hole at its evaluation position `pos`,
     after the values `left`; `outer` is the next frame out, and `pushed`
-    the node's push once `Thread.expr` has made it.  Compared by identity."""
+    the node's push once `Thread.expr` has made it, and `judged` what the
+    harness found its hole to produce (`meta`).  Compared by identity."""
 
-    __slots__ = ("node", "env", "pos", "left", "outer", "pushed")
+    __slots__ = ("node", "env", "pos", "left", "outer", "pushed", "judged")
 
     def __init__(self, node: Expr, env: Env, pos: int, left: tuple, outer: Optional[Frame],
                  pushed: Optional[Expr] = None) -> None:
         self.node, self.env, self.pos, self.left = node, env, pos, left
-        self.outer, self.pushed = outer, pushed
+        self.outer, self.pushed, self.judged = outer, pushed, None
 
 
 class Thread(Record):
@@ -124,7 +126,8 @@ class Thread(Record):
     @property
     def expr(self) -> Expr:
         """The term the state stands for, made once and kept, with the
-        control's closure (`_focused`)."""
+        control's closure (`_focused`): for digests, and for the harness
+        only when its check by frames falls back (`meta`)."""
         e = self.__dict__.get("_expr")
         if e is None:
             e = self.control

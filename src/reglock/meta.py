@@ -31,9 +31,26 @@ whole demand may meet a capability that an inlined call left impure.
 Counts and parents, which the store-level invariants depend on, are
 checked exactly.
 
-Re-typing is incremental.  Each harness keeps one memo for its checker,
-which stores a success only, never a failure.  A program body keeps its
-Merkle digest for the whole run, as the machine binds names in closures
+Thread typing is by frames.  Once the harness has accepted a thread state
+(`interp`), it refocuses it (`interp._focused`, which the next poll reuses)
+and judges each frame that the refocusing built (`Frame.judged`): the type
+and output effect of its hole's operand under the thread's delta, the
+hole's input effect, as the positions left of the hole hold values.  After
+a step only the successor's control is typed, and compared with the
+judgement of the frames it fills; with none, it must type at unit and
+meet the obligation by counts.  This is exact: the state before the step
+had no violation, the frames below the hole are the same objects (an
+identity test, as for the store), and the frames around a hole read only
+the type and output effect it produces, so a hole filled at its judgement
+keeps the whole term's typing (Wright & Felleisen's replacement lemma,
+1994; the stack typing `k ÷ τ` of Harper, PFPL ch. 28).  Anything else
+falls back to the full re-typing of `Thread.expr` (`check_thread_typing`),
+which words any violation; a thread whose frames were not all judged
+falls back from then on.  The operands after a hole are not typed with
+its frame: the reduct that E-SEQ, E-IF or E-A puts there is found under
+the key that the typing around it stored, or renamed, either way.  The
+harness keeps one checker, whose memo stores a success only.  A program
+body keeps its Merkle digest for the whole run, as the machine binds names
 instead of substituting (see `interp`), so the memo keys a subterm on:
 
   * its digest, what it reads of the environment and the input effect's
@@ -48,25 +65,11 @@ instead of substituting (see `interp`), so the memo keys a subterm on:
     own annotation, and a `RegionLambda` checks its body under the empty
     effect.
 
-A closure types as its body with each bound variable at its value's type
-and each bound region variable read as its literal: the judgement of its
-read-back.  A name that it leaves free, which only the body of a `newrgn`
-stepped at its parent handle does (`syntax.push`), reads as the term
-around it binds it.  It is looked up by identity and input effect first,
-and what it reads of those free names, since a continuation is re-typed
-under the same effect at every step (preservation), then as its body
-under those readings.  A body that E-RP
-or E-NG just entered has never been typed with its new literal, so it is
-then looked up renamed, as the typing of the enclosing term stored it,
-while the binders just applied were still variables in scope
-(`Checker._renamed`).  The judgement treats a region variable in scope and
-a live literal alike, so the renamed entry is exact whenever the renaming
-is a bijection on the names it meets.  A term that holds a closure is new
-at each step and is typed without the memo; its subterms come from it.
-
-So a step types about its redex path.  A body is typed in full with its
-definition, and again only under an input effect that the program's own
-typing never gave it, as where a call was inlined.
+A term under run-time bindings types as its read-back, under a checker
+environment kept per `Env` (`Checker.bound_env`).  The body that E-A, E-RP
+or E-NG enters, and the frames in it, were typed while the binders just
+applied were variables in scope, so they are found renamed
+(`Checker._renamed`): entering a body is a lookup.
 
 R and M only grow: they hold every region and location ever allocated,
 freed or not.  This is the calculus's rule, not a relaxation: the static
@@ -107,7 +110,7 @@ from __future__ import annotations
 from typing import Optional
 
 from . import effects as fx
-from .interp import BlockedOn, Config, Stepped, StepOutcome
+from .interp import _OPERANDS, BlockedOn, Config, Frame, Stepped, StepOutcome, Thread, _focused
 from .store import Store, changes
 from .syntax import (
     EMPTY_EFFECT,
@@ -150,12 +153,9 @@ def check_thread_typing(regions: frozenset[RegionLit],
                         locations: dict[Location, Type],
                         threads, delta: dict[int, Effect],
                         obligations: dict[int, Effect],
-                        only: Optional[set[int]] = None,
                         memo: Optional[dict] = None) -> list[Violation]:
     out: list[Violation] = []
     for thread in threads:
-        if only is not None and thread.tid not in only:
-            continue
         eff = delta.get(thread.tid)
         if eff is None:
             out.append(Violation("thread-typing",
@@ -332,7 +332,11 @@ class Harness:
         self.delta = {1: self.main_in}
         self.obligations = {1: self.main_out}
         self.memo.clear()
+        self.checker = Checker(self.regions, self.locations, lenient=True, memo=self.memo)
         self.before = (None, None)
+        # Each thread's frames around its next redex, all judged, once its state
+        # is accepted (its successor's must be these), or False: not all judged.
+        self.holes: dict[int, object] = {}
         return self._check(config, [])
 
     def after_step(self, tid: int, outcome: Stepped,
@@ -348,7 +352,7 @@ class Harness:
 
         if rule == "E-NG":
             parent, new = info
-            self.regions = self.regions | {new}
+            self.regions = self.checker.regions = self.regions | {new}
             self.delta[tid] = self.delta[tid].with_entry(
                 new, Capability(1, 1, pure=True), parent)
         elif rule == "E-NR":
@@ -399,10 +403,48 @@ class Harness:
         """`out`, the step's own violations, and those of `config`."""
         if len(self.memo) > MEMO_BOUND:
             self.memo.clear()
-        out += check_thread_typing(self.regions, self.locations, config.threads,
-                                   self.delta, self.obligations, only=only, memo=self.memo)
+        for thread in config.threads:
+            if only is None or thread.tid in only:
+                out += self._check_thread(thread)
         out += check_store_consistency(config.store, self.delta, *self.before)
         out += check_store_typing(self.regions, self.locations, config.store,
                                   memo=self.memo, before=self.before[0])
         self.before = (None, None) if out else (config.store, dict(self.delta))
         return out
+
+    def _check_thread(self, thread: Thread) -> list[Violation]:
+        """`thread`'s typing by its frames, else in full (see above)."""
+        tid, frames, eff, got = thread.tid, thread.frames, self.delta.get(thread.tid), None
+        if eff is not None and frames is self.holes.get(tid) and eff.well_formed() is None:
+            try:
+                got = self.checker.check_bound(thread.control,
+                                               self.checker.bound_env(thread.env), eff)
+            except CheckFailure:
+                pass
+        if got is None or (got != frames.judged if frames is not None else not (
+                isinstance(got[0], UnitType)
+                and got[1].same_counts(self.obligations.get(tid, EMPTY_EFFECT)))):
+            found = check_thread_typing(self.regions, self.locations, [thread], self.delta,
+                                        self.obligations, memo=self.memo)
+            if found or got is None:  # unjudged frames: the thread falls back from now on
+                self.holes[tid] = False
+                return found
+            if frames is not None:
+                frames.judged = got  # a typing that the frames around accept too
+        self._judge(thread, eff)
+        return []
+
+    def _judge(self, thread: Thread, eff: Effect) -> None:
+        """Refocuses `thread`, accepted, and judges the frames that the
+        refocusing built (see above)."""
+        redex = _focused(thread)
+        frame = self.holes[thread.tid] = redex.outer if type(redex) is Frame else None
+        checker = self.checker
+        try:
+            while frame is not None and frame.judged is None:
+                node = frame.node
+                frame.judged = checker.check_bound(_OPERANDS[type(node)](node)[frame.pos],
+                                                   checker.bound_env(frame.env), eff)
+                frame = frame.outer
+        except CheckFailure:
+            self.holes[thread.tid] = False

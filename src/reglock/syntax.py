@@ -114,6 +114,7 @@ class _Atom:
         atom = None if ref is None else ref()
         if atom is None:
             atom = object.__new__(cls)
+            object.__setattr__(atom, "_memo", None)  # read often, by `per_value`
             for name, value in zip(cls.__slots__, values):
                 object.__setattr__(atom, name, value)
             table[key] = weakref.ref(atom, partial(_forget, table, key))
@@ -133,21 +134,33 @@ def per_value(first: _Atom, body: Callable, key, *args):
     """`body(first, *args)`, computed once per `(body, key)` and kept on
     `first` while it lives.  `key` stands for `args`, an effect by its
     entries (`Effect.items()`), whose order `==` ignores.  An error is not
-    kept, nor `first` on itself: a cycle that only the collector frees.  A
-    table is dropped at 256 entries: a long-lived value (a program's own
-    type) met by ever fresh operands (a loop's new regions) stays bounded."""
-    table = getattr(first, "_memo", None)
+    kept, nor `first` on itself, and a result whose own table holds `first`
+    (an inverse) is kept weakly, a dead one a miss: cycles that only the
+    collector frees.  A table is dropped at 256 entries: a long-lived value
+    (a program's own type) met by fresh operands stays bounded."""
+    table = first._memo
     if table is None or len(table) >= 256:
         table = {}
         object.__setattr__(first, "_memo", table)
     hit = table.get((body, key))
+    if hit is None and _WEAK in table:
+        hit = table[_WEAK].get((body, key))
+        hit = hit and hit()  # None once dead: a miss
     if hit is None:
         hit = body(first, *args)
-        table[body, key] = _SAME if hit is first else hit
+        if hit is first:
+            table[body, key] = _SAME
+        elif isinstance(hit, _Atom) and any(kept is first for kept in (hit._memo or {}).values()):
+            table.setdefault(_WEAK, {})[body, key] = weakref.ref(hit)
+        else:
+            table[body, key] = hit
     return first if hit is _SAME else hit
 
 
 _SAME = object()
+
+#: The key of a table's results kept weakly, a table of their own.
+_WEAK = object()
 
 
 # ---------------------------------------------------------------------------
@@ -868,19 +881,15 @@ def cached_attr(root, attr: str, kids: Callable, compute: Callable[[object, list
         value = compute(root, values)
         object.__setattr__(root, attr, value)
         return value
-    stack = [root]
+    stack = [(root, None)]  # a node, and its sub-nodes once it has been met
     while stack:
-        node = stack[-1]
-        if getattr(node, attr, None) is not None:  # done, or shared and done
-            stack.pop()
-            continue
-        subs = kids(node)
-        todo = [k for k in subs if getattr(k, attr, None) is None]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        object.__setattr__(node, attr, compute(node, [getattr(k, attr) for k in subs]))
+        node, subs = stack.pop()
+        if subs is not None:  # its sub-nodes are done
+            object.__setattr__(node, attr, compute(node, [getattr(k, attr) for k in subs]))
+        elif getattr(node, attr, None) is None:  # not done by another parent
+            subs = kids(node)
+            stack.append((node, subs))
+            stack.extend([(k, None) for k in subs if getattr(k, attr, None) is None])
     return getattr(root, attr)
 
 

@@ -248,10 +248,11 @@ class Checker:
                  memo: Optional[dict] = None,
                  uses: Optional[set[str]] = None):
         self.regions = regions
-        self.locations = locations or {}
+        self.locations = {} if locations is None else locations
         self.lenient = lenient
         self.record = record
-        # Subterms that checked, by `_key`, and closures by identity.  Owned
+        # Subterms that checked, by `_key`, and the environments and
+        # renamings of run-time bindings (`bound_env`, `_renamed`).  Owned
         # by the metatheory harness, whose module docstring says why an
         # entry stays valid.  A checker with a memo records no lines.
         self.memo = memo
@@ -307,25 +308,13 @@ class Checker:
 
     def _memo_check(self, e: Expr, env: _Env, eff: Effect) -> tuple[Type, Effect]:
         """`check` through the memo (see `meta`)."""
-        memo = self.memo
-        if type(e) is Closure:
-            # A continuation is re-typed at each step under the same effect
-            # (preservation).  The entry holds the closure: no `id` is reused.
-            # An open closure reads its free names from `env`.
-            key = (id(e), eff.items())
-            if free_names(e) is not RUNTIME:
-                key = (*key, env.key(e))
-            hit = memo.get(key)
-            if hit is None:
-                hit = memo[key] = (e, *self._check_bound(e.body, self._closure_env(e, env),
-                                                         eff))
-            return hit[1:]
         names = free_names(e)
         if names is RUNTIME or type(e) in LEAVES:
-            # A term that holds a closure is new at each step, and a leaf is
-            # cheaper to type than to look up.
+            # A term that holds a closure is typed as its parts, and a leaf
+            # is cheaper to type than to look up.
             return self._check(e, env, eff)
         key, value = self._key(e, names, env, eff)
+        memo = self.memo
         hit = memo.get(key)
         if hit is None:
             hit = self._check(e, env, eff)
@@ -345,9 +334,10 @@ class Checker:
             return key, True
         return (key, eff.items()), False
 
-    def _check_bound(self, body: Expr, env: _Env, eff: Effect) -> tuple[Type, Effect]:
-        """`check` of a body that a closure or a let binds, which may be
-        found renamed (`_renamed`) when the memo lacks it."""
+    def check_bound(self, body: Expr, env: _Env, eff: Effect) -> tuple[Type, Effect]:
+        """`check` of a body that a closure, a let or a run-time environment
+        (`bound_env`) binds, which may be found renamed (`_renamed`) when the
+        memo lacks it."""
         memo = self.memo
         if memo is None or not env.rho:
             return self.check(body, env, eff)
@@ -374,23 +364,25 @@ class Checker:
         bindings back in scope, all of them first: a body after E-RP or E-NG
         is found as the typing of an enclosing term stored it, while the
         binders just applied were still variables.  With all of them, that
-        is the program's own typing of a definition."""
+        is the program's own typing of a definition.  They are made once per
+        `rho`, the last one that found an entry first."""
         rho = env.rho
-        if not rho or len(set(rho.values())) < len(rho) or not self.regions.issuperset(
-                rho.values()):
-            return None
+        key = ("rho", id(rho))
+        if key not in self.memo:  # the entry holds `rho`: no `id` is reused
+            bound = list(rho.items())
+            exact = len(set(rho.values())) == len(rho) and self.regions.issuperset(rho.values())
+            self.memo[key] = (rho, [(dict(bound[i:]), {lit: var for var, lit in bound[i:]})
+                                    for i in range(len(bound)) if exact])
+        renamings = self.memo[key][1]
         literal, binders = inner_regions(body)
-        if literal or not binders.isdisjoint(rho) or any(
+        if not renamings or literal or not binders.isdisjoint(rho) or any(
                 r in rho or p in rho for r, _, p in eff.items()):
             return None
-        bound = list(rho.items())
         terms, regions = env.order(body)
         types = tuple(map(env.vars.get, terms))
         named = [free_regions(t) for t in types]  # a definition's type names none
         value = isinstance(body, (Lambda, RegionLambda))
-        for i in range(len(bound)):
-            back = dict(bound[i:])
-            renamed = {lit: var for var, lit in bound[i:]}
+        for i, (back, renamed) in enumerate(renamings):
             # No bound variable's type may name a renamed variable.
             if any(not back.keys().isdisjoint(names) for names in named):
                 continue
@@ -402,29 +394,34 @@ class Checker:
                 key = (key, subst_regions(eff, renamed).items())
             hit = self.memo.get(key)
             if hit is not None:
+                if i:  # the frames of one body are found by one renaming
+                    renamings.insert(0, renamings.pop(i))
                 return subst_regions(hit, back) if value else (
                     subst_regions(hit[0], back), subst_regions(hit[1], back))
         return None
 
-    def _closure_env(self, c: Closure, env: _Env) -> _Env:
-        """The environment that types `c.body` as its read-back: each bound
-        variable at its value's type, each bound region variable read as its
-        literal, and each name that `c` leaves free (a binder's, see
-        `syntax.push`) as `env`, the environment around `c`, has it.  The
-        bindings' part is memoised per set of bindings, which closures
-        pushed from one closure share: a value's type does not change during
-        a run."""
-        bindings = c.env
+    def bound_env(self, bindings: Env) -> _Env:
+        """The environment of run-time `bindings`: each bound variable at its
+        value's type, each bound region variable read as its literal.  Kept
+        in the memo per `Env`, which closures pushed from one closure share:
+        a value's type does not change during a run."""
         key = ("env", id(bindings))
         hit = self.memo and self.memo.get(key)
         if hit:
-            bound = hit[1]
-        else:
-            bound = _Env({x: self.check(v, _EMPTY_ENV, EMPTY_EFFECT)[0]
-                          for x, v in bindings.items() if type(x) is str},
-                         frozenset(), bindings.regions)
-            if self.memo is not None:
-                self.memo[key] = (bindings, bound)  # holds the bindings: no `id` is reused
+            return hit[1]
+        bound = _Env({x: self.check(v, _EMPTY_ENV, EMPTY_EFFECT)[0]
+                      for x, v in bindings.items() if type(x) is str},
+                     frozenset(), bindings.regions)
+        if self.memo is not None:
+            self.memo[key] = (bindings, bound)  # holds the bindings: no `id` is reused
+        return bound
+
+    def _closure_env(self, c: Closure, env: _Env) -> _Env:
+        """The environment that types `c.body` as its read-back: `c`'s
+        bindings (`bound_env`), and each name that `c` leaves free (a
+        binder's, see `syntax.push`) as `env`, the environment around `c`,
+        has it."""
+        bound = self.bound_env(c.env)
         names = free_names(c)
         if names is RUNTIME:
             return bound
@@ -626,7 +623,7 @@ class Checker:
             return result, out
 
         if type(e) is Closure:
-            return self.check(e.body, self._closure_env(e, env), eff)
+            return self.check_bound(e.body, self._closure_env(e, env), eff)
 
         raise self.fail("UnsupportedForm", f"cannot type {type(e).__name__}", e.loc, eff)
 
@@ -638,7 +635,7 @@ class Checker:
             if type(e.fn) is not Closure:
                 return self.check(e.fn.body, env.bind(e.fn.param, t_arg), out)
             fn, fn_env = e.fn.body, self._closure_env(e.fn, env)
-            return self._check_bound(fn.body, fn_env.bind(fn.param, t_arg), out)
+            return self.check_bound(fn.body, fn_env.bind(fn.param, t_arg), out)
 
         t_fn, out = self.check(e.fn, env, eff)
         t_arg, out = self.check(e.arg, env, out)

@@ -28,11 +28,13 @@ from reglock.syntax import (
     Capability,
     CapOp,
     Const,
+    Deref,
     Effect,
     FnType,
     Location,
     LocVal,
     RegionLit,
+    Seq,
     Var,
     read_back,
 )
@@ -293,19 +295,31 @@ def count_checks(monkeypatch) -> dict[str, int]:
     return counts
 
 
-def test_harness_types_few_nodes_per_step(monkeypatch):
-    """Timer-free shape guard: a closure's body keeps its digest, so it
-    comes from the memo under what it reads of its bindings, or renamed
-    from the typing that its binders' variables had; a step of lock_tree(4)
-    types about 7.6 nodes in full (17.8 when E-A, E-RP and E-NG substituted
-    and only closed subterms were served, 40.7 when only subterms under an
-    empty environment were)."""
-    result = check_program(parse_program(lock_tree(4)))
+def nodes_typed_per_step(text: str, seed: int, monkeypatch) -> float:
+    result = check_program(parse_program(text))
     main = result.typed.linked_main()
     counts = count_checks(monkeypatch)
-    trace = run_seeded(main, seed=1, harness=Harness(result.typed))
+    trace = run_seeded(main, seed=seed, harness=Harness(result.typed))
     assert trace.terminal.kind == "all_done" and trace.steps
-    assert counts["typed"] <= 9 * len(trace.steps)
+    return counts["typed"] / len(trace.steps)
+
+
+def test_harness_types_few_nodes_per_step(monkeypatch):
+    """Timer-free shape guard: a step types its control against the
+    judgement of the frames it fills, and a body that a step enters, with
+    the frames in it, comes from the memo renamed from the typing that its
+    binders' variables had; a step of lock_tree(4) types about 4.2 nodes in
+    full (7.6 when each step re-typed its thread from the root, 17.8 when
+    E-A, E-RP and E-NG substituted and only closed subterms were served,
+    40.7 when only subterms under an empty environment were)."""
+    assert nodes_typed_per_step(lock_tree(4), 1, monkeypatch) <= 5
+
+
+def test_harness_types_few_nodes_per_step_of_a_long_sequence(monkeypatch):
+    """The same guard on one long thread: a step of paired_long_seq(60)
+    types about 0.8 nodes in full (1.8 when each step re-typed its thread
+    from the root)."""
+    assert nodes_typed_per_step(paired_long_seq(60), 0, monkeypatch) <= 1
 
 
 class Differential(Harness):
@@ -356,6 +370,53 @@ def test_memoised_retyping_agrees_with_a_fresh_checker(name, monkeypatch):
     if name == "lock_tree_3":
         # The workers inlined into `work` are closed values under its binders.
         assert counts["open_hits"] > 0
+
+
+class FrameCheck(Harness):
+    """Has every thread check also re-type the thread's whole term in full,
+    with no memo, and records each check where the two verdicts differ."""
+
+    def __init__(self, typed):
+        super().__init__(typed)
+        self.checks, self.disagreements = 0, []
+
+    def _check_thread(self, thread):
+        verdict = super()._check_thread(thread)
+        full = check_thread_typing(self.regions, self.locations, [thread], self.delta,
+                                   self.obligations)
+        if [v.to_json() for v in verdict] != [v.to_json() for v in full]:
+            self.disagreements.append((thread.tid, verdict, full))
+        self.checks += 1
+        return verdict
+
+
+@pytest.mark.parametrize("text, seeds", [
+    *(pytest.param(corpus_text(name), range(10), id=name) for name in RUNNABLE),
+    *(pytest.param(lock_tree(depth), range(5), id=f"lock_tree_{depth}")
+      for depth in (2, 3, 4)),
+    pytest.param(paired_long_seq(30), [0], id="long_seq_30"),
+])
+def test_frame_check_agrees_with_full_retyping(text, seeds, monkeypatch):
+    """After every step, the harness's check by frames gives the verdict of
+    the full re-typing of the thread's term, and decides at least 95 % of
+    the checks itself, without falling back to that re-typing."""
+    fallbacks = []
+
+    def fallback(*args, **kwargs):
+        fallbacks.append(args[2])
+        return check_thread_typing(*args, **kwargs)
+
+    monkeypatch.setattr(meta, "check_thread_typing", fallback)
+    result = check_program(parse_program(text))
+    main = result.typed.linked_main()
+    checks = 0
+    for seed in seeds:
+        harness = FrameCheck(result.typed)
+        trace = run_seeded(main, seed=seed, harness=harness)
+        assert trace.terminal.kind in ("all_done", "deadlock"), trace.terminal
+        assert not harness.disagreements
+        checks += harness.checks
+    assert checks and len(fallbacks) <= 0.05 * checks
 
 
 class CountingMemo(dict):
@@ -782,6 +843,30 @@ class TestFaultInjection:
         tid = payload["steps"][-1]["thread"]
         assert payload["steps"][-1]["rule"] == "E-T"
         self.assert_violation(payload, "thread-typing", f"thread {tid} finished with effect")
+
+    def test_step_that_rewrites_a_frame_below_the_hole(self, capsys, monkeypatch):
+        # Every E-C hands its successor a copy of the frame around its hole,
+        # judgement and all, whose continuation dereferences a number. The
+        # frames are no longer those the harness judged, and the term no
+        # longer types.
+        def rewritten(out, tid):
+            thread = out.config.thread(tid)
+            frame = thread.frames
+            if frame is None or type(frame.node) is not Seq:
+                return out
+            node = Seq(frame.node.first, Deref(Const(1)), frame.node.loc)
+            copy = interp.Frame(node, frame.env, frame.pos, frame.left, frame.outer)
+            copy.judged = frame.judged
+            successor = Thread(tid, thread.control, thread.env, copy)
+            return Stepped(out.config.with_thread(successor), out.rule, out.info)
+
+        self.rewrite(monkeypatch, "E-C", rewritten)
+        for seed in range(3):
+            payload = self.run_json(capsys, "sharing_once.rgn", seed)
+            violations = payload["terminal"]["violations"]
+            assert payload["steps"][-1]["rule"] == "E-C"
+            assert [v["check"] for v in violations] == ["thread-typing"]
+            assert "deref of non-reference int" in violations[0]["message"]
 
     def test_term_rule_the_memo_must_not_mask(self, capsys, monkeypatch):
         # `+` yielding a bool changes the stepped term, so its digest changes.
