@@ -17,11 +17,26 @@ verbatim.  Sugar handled here:
 
 The parser can never produce runtime-only forms (region or location values).
 
+Expressions are parsed by one loop over the token list, by operator
+precedence on an explicit stack (Pratt, POPL 1973; Dijkstra's shunting
+yard), so nesting costs no recursion.  A prefix form (`(`, `let`, `newrgn`,
+`if`, `while`, `\\`, `/\\`, `spawn`, `!`, `deref`, a capability operator,
+`new .. at`) pushes a frame that says what to build once each operand it
+waits for is done.  A frame sets its operand's floor, the loosest form it
+may be: 0 `s1; …; sn`, 1 a statement form, 2 `:=`, 3 to 7 the binary
+operators at least that strong (`PRIM_BINARY`), 8 a prefix operator, 9 an
+atom with its postfix `[r]` and `(args)`: an `if` condition is at 2, a
+`newrgn` parent and a `spawn` call at 9, `new`'s initialiser at the
+strength of `+`.  `;` and `:=` nest to the right, a binary operator takes
+its right operand one floor up, so nests to the left, and only `;` may
+follow a statement form.  Types and effects are parsed by recursion.
+
 Region binders (`/\\rho` and `newrgn rho`) follow the variable convention:
 a binder that shadows one in scope is named by the first `rho%n` (n = 1,
 2, ...) not in scope, and every reference reads its binder's name.  No
 binder of a definition then shadows another, so no later pass renames one.
 A renamed binder prints as `rho%n`, which the lexer rejects, like `rgn<..>`.
+A name's binders in scope are `rho`, `rho%1`, ...: a new one takes their count.
 
 `lex` gives each token as a plain `(kind, text, offset)` tuple, kind one of
 "name", "int", "punct" and "eof", from one match of `_TOKEN` that also
@@ -80,7 +95,6 @@ from .syntax import (
     UnitVal,
     Var,
     While,
-    fresh_region_var,
     is_let,
     read_back,
 )
@@ -127,17 +141,20 @@ _PUNCT = [
     "+", "-", "*", "<", "!", "\\", "=",
 ]
 
-# A token: the blanks, newlines and comments before it, then the first
-# alternative that matches.  A comment runs to the end of its line: the
-# lookahead stops backtracking from cutting it short and reading its tail as
-# a token.  A name starts with a letter or `_`; `[^\W\d]` also admits a
+# A token: the blanks, newlines and comments before it, then one group of
+# `_KINDS`, none of which starts as another does; a punctuation mark of two
+# characters goes before one of one.  A comment runs to the end of its line:
+# the lookahead stops backtracking from cutting it short and reading its tail
+# as a token.  A name starts with a letter or `_`; `[^\W\d]` also admits a
 # non-decimal numeric character such as `²`, which `lex` rejects.
 _SKIP = r"[ \t\r\n]*(?://[^\n]*(?![^\n])[ \t\r\n]*)*"
 _TOKEN = re.compile(_SKIP + "(?:" + "|".join([
-    r"(?P<int>[0-9]+)",
-    r"(?P<name>[^\W\d]\w*)",
-    "(?P<punct>" + "|".join(map(re.escape, _PUNCT)) + ")",
+    r"([^\W\d]\w*)",
+    "(" + "|".join(re.escape(p) for p in _PUNCT if len(p) == 2)
+    + "|[" + "".join(re.escape(p) for p in _PUNCT if len(p) == 1) + "])",
+    r"([0-9]+)",
 ]) + ")")
+_KINDS = (None, "name", "punct", "int")
 # What may follow the last token: blanks, newlines and comments, of which
 # only the last may end the input without a newline.
 _TAIL = re.compile(r"[ \t\r\n]*(?://[^\n]*\n[ \t\r\n]*)*")
@@ -149,7 +166,7 @@ _Token = tuple[str, str, int]
 def lex(source: str) -> list[_Token]:
     """The tokens of `source`, each `(kind, text, offset)`, the last of kind
     "eof".  Raises ParseError at the first character that starts no token."""
-    tokens = [(m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup))
+    tokens = [(_KINDS[m.lastindex], m[m.lastindex], m.start(m.lastindex))
               for m in iter(_TOKEN.scanner(source).match, None)]
     if not source.isascii():
         for kind, text, offset in tokens:
@@ -179,73 +196,91 @@ def _locate(line_starts: list[int], offset: int) -> Loc:
     return Loc(line, offset - line_starts[line - 1] + 1)
 
 
+# The kinds of frame of the expression loop: a form, or the operand it waits for.
+(_END, _SEQ, _BINARY, _ASSIGN, _PAREN, _ARGS, _NOT, _DEREF, _CAP, _NEW, _NEW_AT, _IF,
+ _THEN, _ELSE, _WHILE, _DO, _PARENT, _IN, _REGION_LAMBDA, _LAMBDA, _SPAWN, _LET,
+ _LET_IN) = range(23)
+
+#: The prefix forms: the frame each pushes, the strongest floor that admits
+#: it, and its operand's floor, None for a form with a head to read first.
+_PREFIX = {"let": (_LET, 1, None), "while": (_WHILE, 1, None), "newrgn": (_PARENT, 1, None),
+           "/\\": (_REGION_LAMBDA, 1, None), "\\": (_LAMBDA, 1, None), "spawn": (_SPAWN, 1, None),
+           "if": (_IF, 1, 2), "!": (_NOT, 8, 8), "deref": (_DEREF, 8, 8),
+           "new": (_NEW, 8, PRIM_BINARY["+"][2]), **{k: (_CAP, 8, 8) for k in _CAP_OP}}
+
+#: The postfix and infix forms: the strongest floor that admits each, and an
+#: infix form's frame and right operand's floor.
+_INFIX = {"[": (10, None, None), "(": (10, None, None), ";": (0, _SEQ, 0), ":=": (2, _ASSIGN, 2),
+          **{op: (s, _BINARY, s + 1) for op, (_, _, s, _) in PRIM_BINARY.items()}}
+
+#: A complete operand's level, the strongest form above that may extend it:
+#: an atom's (a postfix form), an operand's (an infix form), a statement's (`;`).
+_ATOM, _OPERAND, _STMT = 10, 9, 0
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], source: str):
         self.tokens = tokens
-        self.pos = 0
         self.line_starts = _line_starts(source)
-        # The region binders in scope, innermost last: (source name, name).
-        self.regions: list[tuple[str, RegionVar]] = []
+        # The region binders in scope, innermost last, per source name.
+        self.scopes: dict[str, list[RegionVar]] = {}
 
-    # -- token plumbing --------------------------------------------------------
+    # -- tokens and names ------------------------------------------------------
 
-    def loc(self, tok: _Token) -> Loc:
-        return _locate(self.line_starts, tok[2])
+    def at(self, pos: int) -> Loc:
+        return _locate(self.line_starts, self.tokens[pos][2])
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def expected(self, pos: int, what: str) -> ParseError:
+        found = self.tokens[pos][1]
+        return ParseError("SyntaxError", f"expected {what}, found {found!r}", self.at(pos))
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
+    def want(self, pos: int, text: str) -> int:
+        """The position after the token `text`, which must be at `pos`."""
+        if self.tokens[pos][1] != text:
+            raise self.expected(pos, repr(text))
+        return pos + 1
 
-    def accept(self, text: str) -> Optional[_Token]:
-        """The next token, consumed, if it reads `text`."""
-        return self.next() if self.tokens[self.pos][1] == text else None
+    def name(self, pos: int, what: str) -> str:
+        kind, text, _ = self.tokens[pos]
+        if kind != "name" or text in KEYWORDS:
+            raise self.expected(pos, what)
+        return text
 
-    def eat(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok[1] != text:
-            raise ParseError("SyntaxError", f"expected {text!r}, found {tok[1]!r}", self.loc(tok))
-        return self.next()
+    def number(self, pos: int) -> int:
+        kind, text, _ = self.tokens[pos]
+        if kind != "int":
+            raise self.expected(pos, "a number")
+        try:
+            return int(text)
+        except ValueError:  # past `sys.get_int_max_str_digits()`
+            raise ParseError("SyntaxError", "number too long", self.at(pos)) from None
 
-    def eat_name(self, what: str = "identifier") -> _Token:
-        tok = self.peek()
-        if tok[0] != "name" or tok[1] in KEYWORDS:
-            raise ParseError("SyntaxError", f"expected {what}, found {tok[1]!r}", self.loc(tok))
-        return self.next()
+    def bind(self, source: str) -> tuple[RegionVar, list[RegionVar]]:
+        """A binder written `source`, now in scope, and the stack it leaves by."""
+        binders = self.scopes.setdefault(source, [])
+        var = RegionVar(f"{source}%{len(binders)}" if binders else source)
+        binders.append(var)
+        return var, binders
 
-    def region_binder(self, source: str, sep: str) -> tuple[RegionVar, Expr]:
-        """The name of a region binder written `source`, and its body after
-        `sep`, where a reference to `source` reads that name."""
-        var = fresh_region_var(RegionVar(source), {var for _, var in self.regions})
-        self.regions.append((source, var))
-        self.eat(sep)
-        body = self.stmt()
-        self.regions.pop()
-        return var, body
-
-    def region(self, what: str) -> RegionVar:
+    def region(self, pos: int, what: str) -> RegionVar:
         """A region reference: the name of the innermost binder it names."""
-        source = self.eat_name(what)[1]
-        return next((var for name, var in reversed(self.regions) if name == source),
-                    RegionVar(source))
+        source = self.name(pos, what)
+        binders = self.scopes.get(source)
+        return binders[-1] if binders else RegionVar(source)
 
     # -- program ----------------------------------------------------------------
 
     def program(self) -> SourceProgram:
         defs: list[Definition] = []
         names: set[str] = set()
-        while self.peek()[0] != "eof":
-            loc = self.loc(self.eat("def"))
-            name = self.eat_name("definition name")[1]
+        pos = 0
+        while self.tokens[pos][0] != "eof":
+            loc = self.at(pos)
+            name = self.name(self.want(pos, "def"), "definition name")
             if name in names:
                 raise ParseError("DuplicateDefinition", f"definition {name!r} repeated", loc)
             names.add(name)
-            self.eat("=")
-            body = self.expr()
+            body, pos = self.expr(self.want(pos + 2, "="))
             defs.append(Definition(name, body, loc))
         if "main" not in names:
             raise ParseError("MissingMain", "program has no `main` definition")
@@ -253,268 +288,239 @@ class _Parser:
 
     # -- expressions ------------------------------------------------------------
 
-    def expr(self) -> Expr:
-        """`s1; …; sn`, nested to the right; each `Seq` is at its `;`."""
-        heads: list[tuple[Expr, Loc]] = []
-        e = self.stmt()
-        while semi := self.accept(";"):
-            heads.append((e, self.loc(semi)))
-            e = self.stmt()
-        for first, loc in reversed(heads):
-            e = Seq(first, e, loc)
-        return e
-
-    def stmt(self) -> Expr:
-        text = self.peek()[1]
-        if text == "let":
-            return self.let_expr()
-        if text == "if":
-            loc = self.loc(self.next())
-            cond = self.assign()
-            self.eat("then")
-            then = self.stmt()
-            self.eat("else")
-            orelse = self.stmt()
-            return If(cond, then, orelse, loc)
-        if text == "while":
-            loc = self.loc(self.next())
-            self.eat("(")
-            cond = self.expr()
-            self.eat(")")
-            self.eat("do")
-            body = self.stmt()
-            return While(cond, body, loc)
-        if text == "newrgn":
-            loc = self.loc(self.next())
-            source = self.eat_name("region variable")[1]
-            self.eat(",")
-            handle = self.eat_name("handle name")[1]
-            self.eat("at")
-            parent = self.postfix()  # outside the binder's scope
-            rvar, body = self.region_binder(source, "in")
-            return NewRgn(rvar, handle, parent, body, loc)
-        if text == "/\\":
-            loc = self.loc(self.next())
-            rvar, body = self.region_binder(self.eat_name("region variable")[1], ".")
-            return RegionLambda(rvar, body, loc)
-        if text == "\\":
-            return self.lambda_expr()
-        if text == "spawn":
-            return self.spawn_expr()
-        return self.assign()
-
-    def let_expr(self) -> Expr:
-        """`let x1 = e1 in … let xn = en in e`, nested to the right."""
-        binders: list[tuple[str, Expr, Loc]] = []
-        while tok := self.accept("let"):
-            name = self.eat_name("binder name")[1]
-            self.eat("=")
-            bound = self.stmt()
-            self.eat("in")
-            binders.append((name, bound, self.loc(tok)))
-        e = self.stmt()
-        for name, bound, loc in reversed(binders):
-            e = App(Lambda(name, None, e, None, None, loc), bound, SEQ_MODE, loc)
-        return e
-
-    def lambda_expr(self) -> Expr:
-        loc = self.loc(self.eat("\\"))
-        params: list[tuple[str, Type]] = []
-        parens = self.accept("(")
+    def expr(self, pos: int) -> tuple[Expr, int]:
+        """The `s1; …; sn` at `pos`, and the position after it."""
+        tokens, starts, at, want = self.tokens, self.line_starts, self.at, self.want
+        stack: list[tuple] = [(_END, 0)]
+        floor, e, level = 0, None, _ATOM
         while True:
-            pname = self.eat_name("parameter name")[1]
-            self.eat(":")
-            params.append((pname, self.type_expr()))
-            if not (parens and self.accept(",")):
-                break
-        if parens:
-            self.eat(")")
-        eff_in, eff_out = self.annotation()
-        self.eat(".")
-        body = self.stmt()
-        # Outer binders of a multi-parameter lambda are effect-neutral; the
-        # declared effect belongs to the innermost one.
-        name, ptype = params[-1]
-        out = Lambda(name, ptype, body, eff_in, eff_out, loc)
-        for name, ptype in reversed(params[:-1]):
-            out = Lambda(name, ptype, out, EMPTY_EFFECT, EMPTY_EFFECT, loc)
-        return out
-
-    def spawn_expr(self) -> Expr:
-        loc = self.loc(self.eat("spawn"))
-        transfer: Optional[Effect] = None
-        if self.accept("["):
-            transfer = self.effect()
-            self.eat("]")
-        call = self.postfix()
-        if not isinstance(call, App):
-            raise ParseError("SyntaxError", "spawn must be followed by an application", loc)
-        return App(call.fn, call.arg, ParMode(transfer), call.loc or loc)
-
-    def assign(self) -> Expr:
-        lhs = self.binary()
-        tok = self.accept(":=")
-        return Assign(lhs, self.assign(), self.loc(tok)) if tok else lhs
-
-    def binary(self, floor: int = 0) -> Expr:
-        """A chain of binary operators that bind at least as strongly as
-        `floor`, by precedence climbing (`PRIM_BINARY`), each to the left."""
-        e = self.unary()
-        while True:
-            tok = self.peek()
-            op = PRIM_BINARY.get(tok[1])
-            if op is None or op[2] < floor:
-                return e
-            self.next()
-            e = Prim(tok[1], (e, self.binary(op[2] + 1)), self.loc(tok))
-
-    def unary(self) -> Expr:
-        tok = self.peek()
-        if tok[1] == "!":
-            loc = self.loc(self.next())
-            return Prim("!", (self.unary(),), loc)
-        if tok[1] == "deref":
-            loc = self.loc(self.next())
-            return Deref(self.unary(), loc)
-        if tok[1] in _CAP_OP:
-            self.next()
-            return Cap(_CAP_OP[tok[1]], self.unary(), self.loc(tok))
-        if tok[1] == "new":
-            loc = self.loc(self.next())
-            init = self.binary(PRIM_BINARY["+"][2])
-            self.eat("at")
-            handle = self.unary()
-            return NewRef(init, handle, loc)
-        return self.postfix()
-
-    def postfix(self) -> Expr:
-        e = self.atom()
-        while True:
-            if tok := self.accept("["):
-                e = RegionApp(e, self.region("region name"), self.loc(tok))
-                self.eat("]")
-            elif tok := self.accept("("):
-                # Application; `()` directly after an expression is a
-                # unit-argument call.
-                loc = self.loc(tok)
-                if self.accept(")"):
-                    e = App(e, Const(UNIT_VALUE, loc), SEQ_MODE, loc)
+            if e is None:  # an operand at `floor`: a prefix form, or an atom
+                kind, text, offset = tokens[pos]
+                if kind == "name" and text not in KEYWORDS:
+                    e = Var(text, _locate(starts, offset))
+                elif (form := _PREFIX.get(text)) is not None and floor <= form[1]:
+                    pushed, _, operand = form
+                    loc, pos = _locate(starts, offset), pos + 1
+                    if operand is not None:
+                        stack.append((pushed, floor, loc, text))
+                        floor = operand
+                    elif pushed == _LET:
+                        stack.append((_LET, floor, loc, self.name(pos, "binder name")))
+                        floor, pos = 1, want(pos + 1, "=")
+                    elif pushed == _WHILE:
+                        stack.append((_WHILE, floor, loc))
+                        floor, pos = 0, want(pos, "(")
+                    elif pushed == _PARENT:
+                        source = self.name(pos, "region variable")
+                        handle = self.name(want(pos + 1, ","), "handle name")
+                        stack.append((_PARENT, floor, loc, source, handle))
+                        floor, pos = 9, want(pos + 3, "at")
+                    elif pushed == _REGION_LAMBDA:
+                        var, binders = self.bind(self.name(pos, "region variable"))
+                        stack.append((_REGION_LAMBDA, floor, loc, var, binders))
+                        floor, pos = 1, want(pos + 1, ".")
+                    elif pushed == _LAMBDA:
+                        params, parens = [], tokens[pos][1] == "("
+                        pos += parens
+                        while True:
+                            name = self.name(pos, "parameter name")
+                            ptype, pos = self.type_expr(want(pos + 1, ":"))
+                            params.append((name, ptype))
+                            if not (parens and tokens[pos][1] == ","):
+                                break
+                            pos += 1
+                        eff_in, eff_out, pos = self.annotation(want(pos, ")") if parens else pos)
+                        stack.append((_LAMBDA, floor, loc, params, eff_in, eff_out))
+                        floor, pos = 1, want(pos, ".")
+                    else:  # `spawn`, and the effect it transfers
+                        transfer = None
+                        if tokens[pos][1] == "[":
+                            transfer, pos = self.effect(pos + 1)
+                            pos = want(pos, "]")
+                        stack.append((_SPAWN, floor, loc, transfer))
+                        floor = 9
                     continue
-                args = [self.stmt()]
-                while self.accept(","):
-                    args.append(self.stmt())
-                self.eat(")")
-                for a in args:
-                    e = App(e, a, SEQ_MODE, loc)
-            else:
-                return e
-
-    def atom(self) -> Expr:
-        tok = self.peek()
-        if tok[0] == "int":
-            self.next()
-            return Const(int(tok[1]), self.loc(tok))
-        if tok[1] in ("true", "false"):
-            self.next()
-            return Const(tok[1] == "true", self.loc(tok))
-        if self.accept("("):
-            if self.accept(")"):
-                return Const(UNIT_VALUE, self.loc(tok))
-            inner = self.expr()
-            self.eat(")")
-            return inner
-        if tok[0] == "name" and tok[1] not in KEYWORDS:
-            self.next()
-            return Var(tok[1], self.loc(tok))
-        raise ParseError("SyntaxError", f"unexpected token {tok[1]!r}", self.loc(tok))
+                elif text == "(" and tokens[pos + 1][1] != ")":
+                    stack.append((_PAREN, floor))
+                    floor, pos = 0, pos + 1
+                    continue
+                elif text == "(":
+                    e, pos = Const(UNIT_VALUE, at(pos)), pos + 1
+                elif kind == "int":
+                    e = Const(self.number(pos), at(pos))
+                elif text == "true" or text == "false":
+                    e = Const(text == "true", at(pos))
+                else:
+                    raise ParseError("SyntaxError", f"unexpected token {text!r}", at(pos))
+                pos, level = pos + 1, _ATOM
+            # `e` is complete: the frames on top take it until a postfix or an
+            # infix form does, or one waits for another operand.
+            infix = _INFIX.get(tokens[pos][1])
+            while e is not None and (infix is None or not floor <= infix[0] <= level):
+                frame = stack.pop()
+                kind, floor = frame[0], frame[1]
+                if kind == _SEQ:
+                    e = Seq(frame[3], e, frame[2])
+                elif kind == _CAP:
+                    e, level = Cap(_CAP_OP[frame[3]], e, frame[2]), _OPERAND
+                elif kind == _PAREN:
+                    pos, level = want(pos, ")"), _ATOM
+                    infix = _INFIX.get(tokens[pos][1])
+                elif kind == _ARGS:
+                    frame[4].append(e)
+                    if tokens[pos][1] == ",":
+                        stack.append(frame)
+                        floor, pos, e = 1, pos + 1, None
+                        continue
+                    e = frame[3]
+                    for arg in frame[4]:
+                        e = App(e, arg, SEQ_MODE, frame[2])
+                    pos, level = want(pos, ")"), _ATOM
+                    infix = _INFIX.get(tokens[pos][1])
+                elif kind == _REGION_LAMBDA:
+                    frame[4].pop()
+                    e, level = RegionLambda(frame[3], e, frame[2]), _STMT
+                elif kind == _LAMBDA:
+                    # The declared effect is the innermost binder's; outer ones are effect-neutral.
+                    _, _, loc, params, eff_in, eff_out = frame
+                    e, level = Lambda(*params[-1], e, eff_in, eff_out, loc), _STMT
+                    for name, ptype in reversed(params[:-1]):
+                        e = Lambda(name, ptype, e, EMPTY_EFFECT, EMPTY_EFFECT, loc)
+                elif kind == _END:
+                    return e, pos
+                elif kind == _PARENT:  # the binder's scope starts after its parent
+                    var, binders = self.bind(frame[3])
+                    stack.append((_IN, floor, frame[2], var, frame[4], e, binders))
+                    floor, pos, e = 1, want(pos, "in"), None
+                elif kind == _IN:
+                    frame[6].pop()
+                    e, level = NewRgn(frame[3], frame[4], frame[5], e, frame[2]), _STMT
+                elif kind == _LET:
+                    stack.append((_LET_IN, floor, frame[2], frame[3], e))
+                    floor, pos, e = 1, want(pos, "in"), None
+                elif kind == _LET_IN:
+                    lam = Lambda(frame[3], None, e, None, None, frame[2])
+                    e, level = App(lam, frame[4], SEQ_MODE, frame[2]), _STMT
+                elif kind == _ASSIGN:
+                    e, level = Assign(frame[3], e, frame[2]), _OPERAND
+                elif kind == _BINARY:
+                    e, level = Prim(frame[4], (frame[3], e), frame[2]), _OPERAND
+                elif kind == _DEREF:
+                    e, level = Deref(e, frame[2]), _OPERAND
+                elif kind == _NOT:
+                    e, level = Prim("!", (e,), frame[2]), _OPERAND
+                elif kind == _NEW:
+                    stack.append((_NEW_AT, floor, frame[2], e))
+                    floor, pos, e = 8, want(pos, "at"), None
+                elif kind == _NEW_AT:
+                    e, level = NewRef(frame[3], e, frame[2]), _OPERAND
+                elif kind == _SPAWN:
+                    if not isinstance(e, App):
+                        raise ParseError("SyntaxError", "spawn must be followed by an application",
+                                         frame[2])
+                    e, level = App(e.fn, e.arg, ParMode(frame[3]), e.loc or frame[2]), _STMT
+                elif kind == _IF:
+                    stack.append((_THEN, floor, frame[2], e))
+                    floor, pos, e = 1, want(pos, "then"), None
+                elif kind == _THEN:
+                    stack.append((_ELSE, floor, frame[2], frame[3], e))
+                    floor, pos, e = 1, want(pos, "else"), None
+                elif kind == _ELSE:
+                    e, level = If(frame[3], frame[4], e, frame[2]), _STMT
+                elif kind == _WHILE:
+                    stack.append((_DO, floor, frame[2], e))
+                    floor, pos, e = 1, want(want(pos, ")"), "do"), None
+                else:  # _DO
+                    e, level = While(frame[3], e, frame[2]), _STMT
+            if e is not None:
+                _, text, offset = tokens[pos]
+                loc = _locate(starts, offset)
+                if infix[1] is not None:
+                    stack.append((infix[1], floor, loc, e, text))
+                    floor, pos, e = infix[2], pos + 1, None
+                elif text == "[":
+                    e = RegionApp(e, self.region(pos + 1, "region name"), loc)
+                    pos = want(pos + 2, "]")
+                elif tokens[pos + 1][1] == ")":  # a unit-argument call
+                    e, pos = App(e, Const(UNIT_VALUE, loc), SEQ_MODE, loc), pos + 2
+                else:
+                    stack.append((_ARGS, floor, loc, e, []))
+                    floor, pos, e = 1, pos + 1, None
 
     # -- types and effects --------------------------------------------------------
 
-    def type_expr(self) -> Type:
-        tok = self.peek()
-        if tok[1] in _BASE_TYPES:
-            self.next()
-            return _BASE_TYPES[tok[1]]
-        if self.accept("rgn"):
-            self.eat("(")
-            r = self.region("region name")
-            self.eat(")")
-            return HandleType(r)
-        if self.accept("ref"):
-            self.eat("(")
-            elem = self.type_expr()
-            self.eat(",")
-            r = self.region("region name")
-            self.eat(")")
-            return RefType(elem, r)
-        if self.accept("fn"):
-            self.eat("(")
-            param = self.type_expr()
-            self.eat(")")
-            eff_in, eff_out = self.annotation()
-            self.eat("->")
-            result = self.type_expr()
-            return FnType(param, eff_in, eff_out, result)
-        raise ParseError("SyntaxError", f"expected a type, found {tok[1]!r}", self.loc(tok))
+    def type_expr(self, pos: int) -> tuple[Type, int]:
+        text = self.tokens[pos][1]
+        if text in _BASE_TYPES:
+            return _BASE_TYPES[text], pos + 1
+        if text not in ("rgn", "ref", "fn"):
+            raise self.expected(pos, "a type")
+        pos = self.want(pos + 1, "(")
+        if text == "rgn":
+            return HandleType(self.region(pos, "region name")), self.want(pos + 1, ")")
+        if text == "ref":
+            elem, pos = self.type_expr(pos)
+            pos = self.want(pos, ",")
+            return RefType(elem, self.region(pos, "region name")), self.want(pos + 1, ")")
+        param, pos = self.type_expr(pos)
+        eff_in, eff_out, pos = self.annotation(self.want(pos, ")"))
+        result, pos = self.type_expr(self.want(pos, "->"))
+        return FnType(param, eff_in, eff_out, result), pos
 
-    def annotation(self) -> tuple[Effect, Effect]:
+    def annotation(self, pos: int) -> tuple[Effect, Effect, int]:
         """`@ [e1 -> e2]`: a function's input and output effects."""
-        self.eat("@")
-        self.eat("[")
-        eff_in = self.effect()
-        self.eat("->")
-        eff_out = self.effect()
-        self.eat("]")
-        return eff_in, eff_out
+        eff_in, pos = self.effect(self.want(self.want(pos, "@"), "["))
+        eff_out, pos = self.effect(self.want(pos, "->"))
+        return eff_in, eff_out, self.want(pos, "]")
 
-    def effect(self) -> Effect:
-        self.eat("{")
+    def effect(self, pos: int) -> tuple[Effect, int]:
+        """`{r^(rg,lk)@parent, …}`, with `~` before an impure capability."""
+        tokens = self.tokens
+        pos = self.want(pos, "{")
         entries: list[tuple[RegionVar, Capability, Parent]] = []
-        if self.peek()[1] != "}":
+        if tokens[pos][1] != "}":
             while True:
-                r = self.region("region name")
-                self.eat("^")
-                pure = not self.accept("~")
-                self.eat("(")
-                rg = int(self.eat_int()[1])
-                self.eat(",")
-                lk = int(self.eat_int()[1])
-                self.eat(")")
-                self.eat("@")
-                entries.append((r, Capability(rg, lk, pure), self.parent()))
-                if not self.accept(","):
+                r = self.region(pos, "region name")
+                if tokens[pos + 1][1] != "^":
+                    raise self.expected(pos + 1, "'^'")
+                pure = tokens[pos + 2][1] != "~"
+                pos += 2 if pure else 3
+                if tokens[pos][1] != "(":
+                    raise self.expected(pos, "'('")
+                rg = self.number(pos + 1)
+                if tokens[pos + 2][1] != ",":
+                    raise self.expected(pos + 2, "','")
+                lk = self.number(pos + 3)
+                if tokens[pos + 4][1] != ")":
+                    raise self.expected(pos + 4, "')'")
+                if tokens[pos + 5][1] != "@":
+                    raise self.expected(pos + 5, "'@'")
+                pos += 6
+                text = tokens[pos][1]
+                parent = (UNKNOWN if text == "?" else BOTTOM if text == "_"
+                          else self.region(pos, "parent region"))
+                entries.append((r, Capability(rg, lk, pure), parent))
+                if tokens[pos + 1][1] != ",":
                     break
-        self.eat("}")
+                pos += 2
+            pos += 1
+        pos = self.want(pos, "}")
         try:
-            return Effect(entries)
+            return Effect(entries), pos
         except ValueError as exc:
-            raise ParseError("SyntaxError", str(exc), self.loc(self.peek()))
-
-    def eat_int(self) -> _Token:
-        tok = self.peek()
-        if tok[0] != "int":
-            raise ParseError("SyntaxError", f"expected a number, found {tok[1]!r}", self.loc(tok))
-        return self.next()
-
-    def parent(self) -> Parent:
-        if self.accept("?"):
-            return UNKNOWN
-        if self.accept("_"):
-            return BOTTOM
-        return self.region("parent region")
+            raise ParseError("SyntaxError", str(exc), self.at(pos))
 
 
 def parse_program(text: str) -> SourceProgram:
-    parser = _Parser(lex(text), text)
-    return parser.program()
+    return _Parser(lex(text), text).program()
 
 
 def parse_expr(text: str) -> Expr:
     parser = _Parser(lex(text), text)
-    e = parser.expr()
-    tok = parser.peek()
-    if tok[0] != "eof":
-        raise ParseError("SyntaxError", f"trailing input {tok[1]!r}", parser.loc(tok))
+    e, pos = parser.expr(0)
+    kind, text, _ = parser.tokens[pos]
+    if kind != "eof":
+        raise ParseError("SyntaxError", f"trailing input {text!r}", parser.at(pos))
     return e
 
 
@@ -522,102 +528,91 @@ def parse_expr(text: str) -> Expr:
 # Pretty printer
 # ---------------------------------------------------------------------------
 
-def _app_spine(e: Expr) -> tuple[Expr, list[Expr]]:
-    args: list[Expr] = []
-    while isinstance(e, App) and e.mode is SEQ_MODE and not is_let(e):
-        args.append(e.arg)
-        e = e.fn
-    return e, list(reversed(args))
-
-
 def pretty(e: Expr) -> str:
     """Render an expression in re-parseable surface syntax.
 
-    Runtime-only values print in a bracketed form that the parser rejects,
-    keeping the source/runtime distinction visible in traces; a region
-    binder the parser renamed prints as `rho%n`, which the lexer rejects.
-    A run-time term prints as its read-back, closures substituted.
+    Runtime-only values and ints too long for decimal (`int<0x..>`) print in
+    a bracketed form that the parser rejects, keeping the source/runtime
+    distinction visible in traces; a region binder the parser renamed prints
+    as `rho%n`, which the lexer rejects.  A run-time term prints as its
+    read-back, closures substituted.
     """
     return _pp(read_back(e), 0)
 
 
-# precedence levels: 0 seq, 1 stmt-forms, 2 assign, then the binary
-# operators' strengths from `PRIM_BINARY` (3 to 7), 8 unary, 9 postfix/atom
-
-
 def _pp(e: Expr, level: int) -> str:
-    def wrap(text: str, mine: int) -> str:
-        return f"({text})" if mine < level else text
+    """`e` printed where an operand of floor `level` is wanted (the parser's
+    floors), in parentheses if it is looser, from an explicit stack of
+    pieces: strings, and subterms with their floors."""
+    out: list[str] = []
+    stack: list = [(e, level)]
+    while stack:
+        piece = stack.pop()
+        if type(piece) is str:
+            out.append(piece)
+            continue
+        layout = _LAYOUT.get(type(piece[0]), _layout)
+        mine, pieces = layout(piece[0])
+        if mine < piece[1]:
+            pieces = ["(", *pieces, ")"]
+        stack.extend(reversed(pieces))
+    return "".join(out)
 
-    if isinstance(e, Var):
-        return e.name
+
+#: Each regular form's layout: the loosest floor at which it prints without
+#: parentheses, and its pieces.  `_layout` lays out the others.
+_LAYOUT = {
+    Var: lambda e: (9, [e.name]),
+    RgnVal: lambda e: (9, [f"rgn<{e.region}>"]),
+    LocVal: lambda e: (9, [f"loc<{e.location.idx}@{e.location.region}>"]),
+    Seq: lambda e: (0, [(e.first, 1), "; ", (e.second, 0)]),
+    If: lambda e: (1, ["if ", (e.cond, 2), " then ", (e.then, 1), " else ", (e.orelse, 1)]),
+    While: lambda e: (1, ["while (", (e.cond, 0), ") do ", (e.body, 1)]),
+    NewRgn: lambda e: (1, [f"newrgn {e.var}, {e.handle_name} at ", (e.parent_handle, 9),
+                           " in ", (e.body, 1)]),
+    RegionLambda: lambda e: (1, [f"/\\{e.var}. ", (e.body, 1)]),
+    Assign: lambda e: (2, [(e.target, 3), " := ", (e.value, 2)]),
+    Deref: lambda e: (8, ["deref ", (e.ref, 8)]),
+    Cap: lambda e: (8, [f"{CAP_KEYWORD[e.op]} ", (e.handle, 8)]),
+    NewRef: lambda e: (8, ["new ", (e.init, PRIM_BINARY["+"][2]), " at ", (e.handle, 8)]),
+    RegionApp: lambda e: (9, [(e.fn, 9), f"[{e.region}]"]),
+}
+
+
+def _layout(e: Expr) -> tuple[int, list]:
     if isinstance(e, Const):
-        if isinstance(e.value, UnitVal):
-            return "()"
-        if isinstance(e.value, bool):
-            return "true" if e.value else "false"
-        return str(e.value)
-    if isinstance(e, RgnVal):
-        return f"rgn<{e.region}>"
-    if isinstance(e, LocVal):
-        return f"loc<{e.location.idx}@{e.location.region}>"
-    if isinstance(e, Seq):
-        heads = []
-        while isinstance(e, Seq):
-            heads.append(f"{_pp(e.first, 1)}; ")
-            e = e.second
-        return wrap("".join(heads) + _pp(e, 0), 0)
+        if isinstance(e.value, (UnitVal, bool)):
+            return 9, ["()" if e.value is UNIT_VALUE else "true" if e.value else "false"]
+        try:
+            return 9, [str(e.value)]
+        except ValueError:  # past `sys.get_int_max_str_digits()`
+            return 9, [f"int<{e.value:#x}>"]
+    if isinstance(e, Prim):
+        if e.op == "!":
+            return 8, ["!", (e.args[0], 8)]
+        mine = PRIM_BINARY[e.op][2]
+        return mine, [(e.args[0], mine), f" {e.op} ", (e.args[1], mine + 1)]
     if is_let(e):
-        heads = []
-        while is_let(e):
-            heads.append(f"let {e.fn.param} = {_pp(e.arg, 1)} in ")
-            e = e.fn.body
-        return wrap("".join(heads) + _pp(e, 1), 1)
-    if isinstance(e, If):
-        return wrap(f"if {_pp(e.cond, 2)} then {_pp(e.then, 1)} else {_pp(e.orelse, 1)}", 1)
-    if isinstance(e, While):
-        return wrap(f"while ({_pp(e.cond, 0)}) do {_pp(e.body, 1)}", 1)
-    if isinstance(e, NewRgn):
-        return wrap(f"newrgn {e.var}, {e.handle_name} at {_pp(e.parent_handle, 9)} "
-                    f"in {_pp(e.body, 1)}", 1)
-    if isinstance(e, RegionLambda):
-        return wrap(f"/\\{e.var}. {_pp(e.body, 1)}", 1)
+        return 1, [f"let {e.fn.param} = ", (e.arg, 1), " in ", (e.fn.body, 1)]
     if isinstance(e, Lambda):
         if e.param_type is None:
             # Internal let binder escaping into value position: print as a
             # degenerate let to stay readable; cannot be re-parsed standalone.
-            return wrap(f"\\{e.param}. {_pp(e.body, 1)}", 1)
+            return 1, [f"\\{e.param}. ", (e.body, 1)]
         ann = ""
         if e.effect_in is not None and e.effect_out is not None:
             ann = f" @ [{e.effect_in.pretty()} -> {e.effect_out.pretty()}]"
-        return wrap(f"\\{e.param}: {e.param_type}{ann}. {_pp(e.body, 1)}", 1)
-    if isinstance(e, Assign):
-        return wrap(f"{_pp(e.target, 3)} := {_pp(e.value, 2)}", 2)
-    if isinstance(e, Prim):
-        if e.op == "!":
-            return wrap(f"!{_pp(e.args[0], 8)}", 8)
-        mine = PRIM_BINARY[e.op][2]
-        left = _pp(e.args[0], mine)
-        right = _pp(e.args[1], mine + 1)
-        return wrap(f"{left} {e.op} {right}", mine)
-    if isinstance(e, Deref):
-        return wrap(f"deref {_pp(e.ref, 8)}", 8)
-    if isinstance(e, Cap):
-        return wrap(f"{CAP_KEYWORD[e.op]} {_pp(e.handle, 8)}", 8)
-    if isinstance(e, NewRef):
-        return wrap(f"new {_pp(e.init, PRIM_BINARY['+'][2])} at {_pp(e.handle, 8)}", 8)
-    if isinstance(e, App):
+        return 1, [f"\\{e.param}: {e.param_type}{ann}. ", (e.body, 1)]
+    if isinstance(e, App):  # `f(a, b)`: the sequential calls of its spine, last first
+        head, pieces = e.fn, [")", (e.arg, 1)]
+        while isinstance(head, App) and head.mode is SEQ_MODE and not is_let(head):
+            pieces += [", ", (head.arg, 1)]
+            head = head.fn
+        pieces += ["(", (head, 9)]
         if isinstance(e.mode, ParMode):
-            head, args = _app_spine(e.fn)
-            args = args + [e.arg]
             ann = f"[{e.mode.transfer.pretty()}]" if e.mode.transfer is not None else ""
-            arglist = ", ".join(_pp(a, 1) for a in args)
-            return wrap(f"spawn{ann} {_pp(head, 9)}({arglist})", 1)
-        head, args = _app_spine(e)
-        arglist = ", ".join(_pp(a, 1) for a in args)
-        return wrap(f"{_pp(head, 9)}({arglist})", 9)
-    if isinstance(e, RegionApp):
-        return wrap(f"{_pp(e.fn, 9)}[{e.region}]", 9)
+            return 1, [f"spawn{ann} ", *reversed(pieces)]
+        return 9, pieces[::-1]
     raise TypeError(f"unknown expression {e!r}")
 
 

@@ -898,7 +898,10 @@ def _encode_expr(e: Expr, kid_digests: bytes) -> bytes:
     texts = [type(e).__name__]
     for name in _ATTRS[type(e)]:
         value = getattr(e, name)
-        texts.append(f"{type(value).__name__}:{value}")
+        try:
+            texts.append(f"{type(value).__name__}:{value}")
+        except ValueError:  # an int past `sys.get_int_max_str_digits()`: in hex
+            texts.append(f"int:{value:#x}")
     texts.append("")
     return "\0".join(texts).encode() + kid_digests
 

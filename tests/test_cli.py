@@ -391,6 +391,46 @@ def test_internal_error_exits_six_without_traceback(tmp_path, capsys):
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+def test_deeply_parenthesised_main_checks_runs_and_explores(tmp_path):
+    # The parser keeps its own stack, so nesting costs it no recursion, and
+    # parentheses build no node for the checker to recurse over.
+    path = tmp_path / "parentheses.rgn"
+    path.write_text(MAIN_HEADER + "  " + "(" * 10_000 + "()" + ")" * 10_000 + "\n")
+    for argv in (["check"], ["run", "--seed", "0"], ["explore"]):
+        proc = subprocess.run([sys.executable, "-m", "reglock.cli", argv[0], str(path), *argv[1:]],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0 and not proc.stderr, (argv, proc.stderr)
+
+
+#: A number past Python's limit on converting an int to or from decimal text
+#: (`sys.get_int_max_str_digits()`, 4,300 digits by default).
+LONG_NUMBER = "1" + "0" * 4999
+
+
+@pytest.mark.parametrize("source, loc", [
+    (MAIN_HEADER + f"  let x = {LONG_NUMBER} in ()\n", "2:11"),
+    (MAIN_HEADER.replace("(1,0)", f"({LONG_NUMBER},0)", 1) + "  ()\n", "1:47"),
+], ids=["literal", "effect-count"])
+def test_a_number_too_long_to_read_is_a_syntax_error(source, loc, tmp_path, capsys):
+    path = tmp_path / "long_number.rgn"
+    path.write_text(source)
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out == f"parse error: SyntaxError at {loc}: number too long\n"
+
+
+def test_a_value_too_long_for_decimal_is_digested_and_printed(tmp_path, capsys):
+    # Its digest and its printed form are in hex; `int<..>` is a run-time
+    # form, which the lexer rejects.
+    nines = "9" * 3000
+    path = tmp_path / "long_value.rgn"
+    path.write_text(MAIN_HEADER + "  newrgn rho, h at heap in\n"
+                    f"  let r = new {nines} * {nines} at h in free h\n")
+    assert main(["run", str(path), "--seed", "0", "--trace", "json", "--snapshots"]) == 0
+    assert f'"int<{int(nines) ** 2:#x}>"' in capsys.readouterr().out
+    assert main(["explore", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["terminals"]
+
+
 def test_a_reader_that_closes_early_is_an_io_error():
     """A pipe whose reader has gone (`| head -1`) ends the run with exit 2
     and one line of stderr; the flush at exit writes nothing more."""
