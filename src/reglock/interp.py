@@ -28,12 +28,13 @@ unchanged subterm keeps its digest.
 Scheduling is simulated: a seeded scheduler picks uniformly among threads
 that can step, and `explore` enumerates every interleaving up to a step
 bound, deduplicating states by a canonical digest.  Each tick polls every
-live thread (`poll`): `Ready`, `Done`, `BlockedOn` a lock (retried) or
-`Stuck`, which ends the run with a soundness report.  A poll builds no
-configuration and no thread state.  It refocuses a thread state once,
-keeping the redex on it, and runs the redex's store operation through the
-store's memo, so blocking and faults are decided as the step finds them.  Only the chosen thread steps,
-into one `Stepped`: the successor configuration, the rule and its payload.
+live thread (`poll`): `Ready` (a finished thread's step is E-T),
+`BlockedOn` a lock (retried) or `Stuck`, which ends the run with a
+soundness report.  A poll builds no configuration and no thread state.  It
+refocuses a thread state once, keeping the redex on it, and runs the
+redex's store operation through the store's memo, so blocking and faults
+are decided as the step finds them.  Only the chosen thread steps, into one
+`Stepped`: the successor configuration, the rule and its payload.
 A successor that reads only its state (E-A, E-RP, E-IF, E-SEQ, E-WHILE,
 E-OP, and the `()` of E-C, E-AS and E-SN) is kept on that state.
 
@@ -327,10 +328,6 @@ class Ready(partial):
         return step
 
 
-class Done(Ready):
-    """A thread whose term is `()`: its step is E-T."""
-
-
 class BlockedOn(Record):
     # loc: the waiting `lock`'s place in the source
     def __init__(self, tid: int, region: RegionLit, holders: frozenset[int],
@@ -427,7 +424,7 @@ def poll(config: Config, thread: Thread) -> StepOutcome:
         if type(redex) is MalformedTerm:
             return Stuck(tid, "MalformedTerm", str(redex))
         if type(redex) is Const and redex.value is UNIT_VALUE:
-            return Done(_finished, config, thread)
+            return Ready(_finished, config, thread)
         return Stuck(tid, "NonUnitTerminal", f"thread reduced to a non-unit value {pretty(redex)}")
     node, env, vals, store = redex.node, redex.env, redex.left, config.store
     form = type(node)

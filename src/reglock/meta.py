@@ -48,28 +48,31 @@ falls back to the full re-typing of `Thread.expr` (`check_thread_typing`),
 which words any violation; a thread whose frames were not all judged
 falls back from then on.  The operands after a hole are not typed with
 its frame: the reduct that E-SEQ, E-IF or E-A puts there is found under
-the key that the typing around it stored, or renamed, either way.  The
-harness keeps one checker, whose memo stores a success only.  A program
-body keeps its Merkle digest for the whole run, as the machine binds names
-instead of substituting (see `interp`), so the memo keys a subterm on:
+the key that the typing around it stored.  The harness keeps one
+checker, whose memo stores a success only.  A program body keeps its
+Merkle digest for the whole run, as the machine binds names instead of
+substituting (see `interp`), so the memo keys a subterm on:
 
   * its digest, what it reads of the environment and the input effect's
     entry tuple `Effect.items()`, built once per effect.  What a term reads
-    is each free variable's type, and each free region variable's literal,
-    or that it is in scope; a closed term reads nothing.  The judgement
-    reads the environment only there, so the entry is exact.  Region names
-    and capabilities are interned, so the key hashes and compares in C;
+    is each free variable's type, and whether each free region variable is
+    in scope; a closed term reads nothing.  The judgement reads the
+    environment only there, so the entry is exact.  Region names and
+    capabilities are interned, so the key hashes and compares in C;
   * for a function value (a `Lambda` or `RegionLambda`), the same without
     the effect: the hit is (its type, the input effect), since a value's
     output effect is its input effect, a `Lambda` checks its body under its
     own annotation, and a `RegionLambda` checks its body under the empty
     effect.
 
-A term under run-time bindings types as its read-back, under a checker
-environment kept per `Env` (`Checker.bound_env`).  The body that E-A, E-RP
-or E-NG enters, and the frames in it, were typed while the binders just
-applied were variables in scope, so they are found renamed
-(`Checker._renamed`): entering a body is a lookup.
+A term under run-time bindings types as its read-back.  The harness
+hands each control and frame operand to `Checker.check_bound` with its
+`Env`, which renames the bound literals back to their variables (the bound
+values' types once per `Env`, `Checker.bound_env`).  So the body that E-A,
+E-RP or E-NG enters, and the frames in it, are found as the typing around
+them stored them while the binders just applied were variables in scope:
+entering a body is a lookup.  Only aliased bindings and a body that names
+a bound literal are typed with the bindings substituted.
 
 R and M only grow: they hold every region and location ever allocated,
 freed or not.  This is the calculus's rule, not a relaxation: the static
@@ -417,8 +420,7 @@ class Harness:
         tid, frames, eff, got = thread.tid, thread.frames, self.delta.get(thread.tid), None
         if eff is not None and frames is self.holes.get(tid) and eff.well_formed() is None:
             try:
-                got = self.checker.check_bound(thread.control,
-                                               self.checker.bound_env(thread.env), eff)
+                got = self.checker.check_bound(thread.control, thread.env, eff)
             except CheckFailure:
                 pass
         if got is None or (got != frames.judged if frames is not None else not (
@@ -444,7 +446,7 @@ class Harness:
             while frame is not None and frame.judged is None:
                 node = frame.node
                 frame.judged = checker.check_bound(_OPERANDS[type(node)](node)[frame.pos],
-                                                   checker.bound_env(frame.env), eff)
+                                                   frame.env, eff)
                 frame = frame.outer
         except CheckFailure:
             self.holes[thread.tid] = False

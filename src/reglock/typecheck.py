@@ -25,14 +25,15 @@ environment, so it never consults an outer binder of the same name, and a
 `newrgn` inside it extends the value's own annotation.
 
 A linked program and the terms of a run hold closures (`syntax.Closure`),
-which the checker types as their read-back: the body with each bound
-variable at its value's type and each bound region variable read as its
-literal (`_Env.rho`).  A memo (the harness's) keys a subterm on its
-digest, what it reads of the environment and `Effect.items()`, and interned
-region names and capabilities make that key hash in C; `meta` says why an
-entry is exact.  Effects and types are interned too, and a call's split and
-join, a region application's instance and a type's free regions are
-computed once per value (`per_value`).
+which the checker types as their read-back.  Run-time bindings are read in
+one place, `Checker.check_bound`: it renames each bound literal back to its
+variable, types the body under the static judgement with those variables in
+scope, and renames the result forward.  A memo (the harness's) keys a
+subterm on its digest, what it reads of the environment and
+`Effect.items()`, and interned region names and capabilities make that key
+hash in C; `meta` says why an entry is exact.  Effects and types are
+interned too, and a call's split and join, a region application's instance
+and a type's free regions are computed once per value (`per_value`).
 """
 
 from __future__ import annotations
@@ -95,6 +96,7 @@ from .syntax import (
     inner_regions,
     is_let,
     is_value,
+    read_back,
     subst_regions,
 )
 
@@ -190,26 +192,20 @@ def effect_eq(a: Effect, b: Effect, lenient: bool = False) -> bool:
     return a.same_counts(b) if lenient else a == b
 
 
-_NO_RHO: dict = {}
-
-
 class _Env(Record, frozen=False):
-    """The typing environment: term variables' types, the region variables
-    in scope, and `rho`, the region variables that read as literals (a
-    closure's, see `Checker.check`)."""
+    """The typing environment: term variables' types and the region
+    variables in scope."""
 
-    def __init__(self, vars: dict[str, Type], region_vars: frozenset[RegionVar],
-                 rho: Optional[dict[RegionVar, RegionLit]] = None) -> None:
-        self.__dict__.update(vars=vars, region_vars=region_vars, rho=rho or _NO_RHO)
+    def __init__(self, vars: dict[str, Type], region_vars: frozenset[RegionVar]) -> None:
+        self.__dict__.update(vars=vars, region_vars=region_vars)
 
     def bind(self, name: str, t: Type) -> "_Env":
         table = dict(self.vars)
         table[name] = t
-        return _Env(table, self.region_vars, self.rho)
+        return _Env(table, self.region_vars)
 
     def bind_region(self, r: RegionVar) -> "_Env":
-        rho = self.rho if r not in self.rho else {k: v for k, v in self.rho.items() if k != r}
-        return _Env(self.vars, self.region_vars | {r}, rho)
+        return _Env(self.vars, self.region_vars | {r})
 
     @staticmethod
     def order(e: Expr) -> tuple[tuple[str, ...], tuple[RegionVar, ...]]:
@@ -223,15 +219,11 @@ class _Env(Record, frozen=False):
 
     def key(self, e: Expr) -> tuple:
         """What `e`, an open term, reads of the environment: each free
-        variable's type, and each free region variable's literal or whether
-        it is in scope, in a fixed order of their names."""
-        order = self.order(e)
-        reads = self.__dict__.get("_reads")
-        if reads is None:
-            reads = dict.fromkeys(self.region_vars, True)
-            reads.update(self.rho)
-            self._reads = reads
-        return tuple(map(self.vars.get, order[0])), tuple(map(reads.get, order[1]))
+        variable's type, and whether each free region variable is in scope,
+        in a fixed order of their names."""
+        terms, regions = self.order(e)
+        return (tuple(map(self.vars.get, terms)),
+                tuple(map(self.region_vars.__contains__, regions)))
 
 
 _EMPTY_ENV = _Env({}, frozenset())
@@ -251,8 +243,8 @@ class Checker:
         self.locations = {} if locations is None else locations
         self.lenient = lenient
         self.record = record
-        # Subterms that checked, by `_key`, and the environments and
-        # renamings of run-time bindings (`bound_env`, `_renamed`).  Owned
+        # Subterms that checked, by `_key`, the environments of run-time
+        # bindings (`bound_env`) and the read-backs typed under them.  Owned
         # by the metatheory harness, whose module docstring says why an
         # entry stays valid.  A checker with a memo records no lines.
         self.memo = memo
@@ -334,112 +326,92 @@ class Checker:
             return key, True
         return (key, eff.items()), False
 
-    def check_bound(self, body: Expr, env: _Env, eff: Effect) -> tuple[Type, Effect]:
-        """`check` of a body that a closure, a let or a run-time environment
-        (`bound_env`) binds, which may be found renamed (`_renamed`) when the
-        memo lacks it."""
-        memo = self.memo
-        if memo is None or not env.rho:
-            return self.check(body, env, eff)
-        key, value = self._key(body, free_names(body), env, eff)
-        hit = memo.get(key)
-        if hit is None:
-            hit = self._renamed(body, env, eff)
-            if hit is None:
-                return self.check(body, env, eff)
-            memo[key] = hit
-        return (hit, eff) if value else hit
-
-    def _renamed(self, body: Expr, env: _Env, eff: Effect):
-        """The memo's entry for `body` with some of its bound region
-        variables in scope instead of read as literals, renamed back to the
-        literals; None when there is none, or when renaming is not exact.
+    def check_bound(self, body: Expr, bindings: Env, eff: Effect,
+                    env: _Env = _EMPTY_ENV) -> tuple[Type, Effect]:
+        """`check` of `body` under run-time `bindings` and, for the names
+        they leave free, `env`: the one reading of run-time region bindings.
 
         The judgement treats a region variable in scope and a live region
         literal alike, so it commutes with a renaming of one into the other
-        that is a bijection on the names it meets: the literals are distinct
-        and live, the body names no literal and does not rebind the
-        variables, and the input effect and the bound variables' types name
-        none of the variables.  The renamings tried put the innermost
-        bindings back in scope, all of them first: a body after E-RP or E-NG
-        is found as the typing of an enclosing term stored it, while the
-        binders just applied were still variables.  With all of them, that
-        is the program's own typing of a definition.  They are made once per
-        `rho`, the last one that found an entry first."""
-        rho = env.rho
-        key = ("rho", id(rho))
-        if key not in self.memo:  # the entry holds `rho`: no `id` is reused
-            bound = list(rho.items())
-            exact = len(set(rho.values())) == len(rho) and self.regions.issuperset(rho.values())
-            self.memo[key] = (rho, [(dict(bound[i:]), {lit: var for var, lit in bound[i:]})
-                                    for i in range(len(bound)) if exact])
-        renamings = self.memo[key][1]
-        literal, binders = inner_regions(body)
-        if not renamings or literal or not binders.isdisjoint(rho) or any(
-                r in rho or p in rho for r, _, p in eff.items()):
-            return None
-        terms, regions = env.order(body)
-        types = tuple(map(env.vars.get, terms))
-        named = [free_regions(t) for t in types]  # a definition's type names none
-        value = isinstance(body, (Lambda, RegionLambda))
-        for i, (back, renamed) in enumerate(renamings):
-            # No bound variable's type may name a renamed variable.
-            if any(not back.keys().isdisjoint(names) for names in named):
-                continue
-            key = (expr_digest(body), (tuple([subst_regions(t, renamed) if names else t
-                                              for t, names in zip(types, named)]), tuple(
-                [True if r in back or r in env.region_vars else rho.get(r)
-                 for r in regions])))
-            if not value:
-                key = (key, subst_regions(eff, renamed).items())
-            hit = self.memo.get(key)
-            if hit is not None:
-                if i:  # the frames of one body are found by one renaming
-                    renamings.insert(0, renamings.pop(i))
-                return subst_regions(hit, back) if value else (
-                    subst_regions(hit[0], back), subst_regions(hit[1], back))
-        return None
+        that is a bijection on the names it meets (equivariance).  So the
+        bound literals are renamed back to their variables, in the input
+        effect and in the types around `body` (`bound_env`), `body` is typed
+        with the variables in scope, and the result is renamed forward: a
+        body that a step has just entered is found as the typing around it
+        stored it, while its binders were variables.  Where the renaming is
+        not a bijection (aliased or unknown literals, a body that names a
+        literal or rebinds a variable, an effect or a type around it that
+        names a variable), or the renamed typing fails, `body` is typed with
+        the bindings substituted, so a diagnostic names literals."""
+        if not bindings:
+            return self.check(body, env, eff)
+        bound, back = self.bound_env(bindings)
+        scope = bound.region_vars
+        if back:
+            literal, binders = inner_regions(body)
+            if literal or not scope.isdisjoint(binders) or not scope.isdisjoint(free_regions(eff)):
+                back = None
+        if back is not None and (env.vars or env.region_vars):
+            outer = {x: env.vars[x] for x in free_names(body)[0]
+                     if x not in bindings and x in env.vars}
+            if any(not scope.isdisjoint(free_regions(t)) for t in outer.values()):
+                back = None
+            elif back:
+                outer = {x: subst_regions(t, back) for x, t in outer.items()}
+            bound = _Env({**outer, **bound.vars}, scope | env.region_vars)
+        if back is None:
+            return self._substituted(body, bindings, eff, env)
+        if not back:
+            return self.check(body, bound, eff)
+        try:
+            t, out = self.check(body, bound, subst_regions(eff, back))
+        except CheckFailure:
+            return self._substituted(body, bindings, eff, env)
+        return subst_regions(t, bindings.regions), subst_regions(out, bindings.regions)
 
-    def bound_env(self, bindings: Env) -> _Env:
-        """The environment of run-time `bindings`: each bound variable at its
-        value's type, each bound region variable read as its literal.  Kept
-        in the memo per `Env`, which closures pushed from one closure share:
-        a value's type does not change during a run."""
+    def bound_env(self, bindings: Env) -> tuple[_Env, Optional[dict]]:
+        """Run-time `bindings` read as variables: the environment of each
+        bound value's type and each bound region variable in scope, with each
+        bound literal renamed back to its variable, and that renaming, or
+        None where it is not exact: aliased literals, one outside the
+        regions, or a type that names a bound variable.  Kept in the memo
+        per `Env`, which closures pushed from one closure share: a value's
+        type does not change during a run."""
         key = ("env", id(bindings))
         hit = self.memo and self.memo.get(key)
         if hit:
             return hit[1]
-        bound = _Env({x: self.check(v, _EMPTY_ENV, EMPTY_EFFECT)[0]
-                      for x, v in bindings.items() if type(x) is str},
-                     frozenset(), bindings.regions)
+        regions = bindings.regions
+        types = {x: self.check(v, _EMPTY_ENV, EMPTY_EFFECT)[0]
+                 for x, v in bindings.items() if type(x) is str}
+        back: Optional[dict] = {lit: var for var, lit in regions.items()}
+        if back and (len(back) < len(regions) or not self.regions.issuperset(back) or any(
+                not regions.keys().isdisjoint(free_regions(t)) for t in types.values())):
+            back = None
+        if back:
+            types = {x: subst_regions(t, back) for x, t in types.items()}
+        found = (_Env(types, frozenset(regions)), back)
         if self.memo is not None:
-            self.memo[key] = (bindings, bound)  # holds the bindings: no `id` is reused
-        return bound
+            self.memo[key] = (bindings, found)  # holds the bindings: no `id` is reused
+        return found
 
-    def _closure_env(self, c: Closure, env: _Env) -> _Env:
-        """The environment that types `c.body` as its read-back: `c`'s
-        bindings (`bound_env`), and each name that `c` leaves free (a
-        binder's, see `syntax.push`) as `env`, the environment around `c`,
-        has it."""
-        bound = self.bound_env(c.env)
-        names = free_names(c)
-        if names is RUNTIME:
-            return bound
-        terms, regions = names
-        types = {**bound.vars, **{x: env.vars[x] for x in terms if x in env.vars}}
-        rho = {**bound.rho, **{r: env.rho[r] for r in regions if r in env.rho}}
-        return _Env(types, regions & env.region_vars, rho)
-
-    def _resolve(self, x, env: _Env, loc: Optional[Loc]):
-        """A type, effect or calling mode as written, read under `env.rho`."""
-        if not env.rho or x is None:
-            return x
+    def _substituted(self, body: Expr, bindings: Env, eff: Effect,
+                     env: _Env) -> tuple[Type, Effect]:
+        """`check` of `body`'s read-back under `bindings`, kept in the memo
+        per body and bindings."""
+        key = ("back", id(body), id(bindings))
+        hit = self.memo and self.memo.get(key)
+        if hit:
+            return self.check(hit[2], env, eff)
         try:
-            return subst_regions(x, env.rho)
+            term = read_back(close(body, bindings))
         except fx.CapError as exc:
-            raise self.fail(exc.code, exc.message, loc)
+            raise self.fail(exc.code, exc.message, body.loc)
         except ValueError as exc:
-            raise self.fail("MalformedAnnotation", str(exc), loc)
+            raise self.fail("MalformedAnnotation", str(exc), body.loc)
+        if self.memo is not None:
+            self.memo[key] = (body, bindings, term)  # holds both: no `id` is reused
+        return self.check(term, env, eff)
 
     def _check(self, e: Expr, env: _Env, eff: Effect) -> tuple[Type, Effect]:
         if isinstance(e, Var):
@@ -474,10 +446,6 @@ class Checker:
                 raise self.fail("UnsupportedForm",
                                 "internal let binder outside application position", e.loc, eff)
             assert e.effect_in is not None and e.effect_out is not None
-            if env.rho:  # the annotations as read under a closure's bindings
-                e = Lambda(e.param, self._resolve(e.param_type, env, e.loc), e.body,
-                           self._resolve(e.effect_in, env, e.loc),
-                           self._resolve(e.effect_out, env, e.loc), e.loc)
             self._validate_annotation(e.effect_in, env, e.loc)
             self._validate_annotation(e.effect_out, env, e.loc)
             body_env = env.bind(e.param, e.param_type)
@@ -503,12 +471,11 @@ class Checker:
             if not isinstance(t_fn, RegionPolyType):
                 raise self.fail("TypeMismatch",
                                 f"region application of non-polymorphic type {t_fn}", e.loc, out)
-            region = env.rho.get(e.region, e.region) if env.rho else e.region
-            if not self._region_in_scope(region, env):
+            if not self._region_in_scope(e.region, env):
                 raise self.fail("UnknownRegion",
-                                f"region {region} is not in scope", e.loc, out)
+                                f"region {e.region} is not in scope", e.loc, out)
             try:
-                return subst_regions(t_fn.body, {t_fn.var: region}), out
+                return subst_regions(t_fn.body, {t_fn.var: e.region}), out
             except fx.CapError as exc:
                 raise self.fail(exc.code, exc.message, e.loc, out)
             except ValueError as exc:
@@ -623,7 +590,7 @@ class Checker:
             return result, out
 
         if type(e) is Closure:
-            return self.check_bound(e.body, self._closure_env(e, env), eff)
+            return self.check_bound(e.body, e.env, eff, env)
 
         raise self.fail("UnsupportedForm", f"cannot type {type(e).__name__}", e.loc, eff)
 
@@ -634,8 +601,10 @@ class Checker:
             t_arg, out = self.check(e.arg, env, eff)
             if type(e.fn) is not Closure:
                 return self.check(e.fn.body, env.bind(e.fn.param, t_arg), out)
-            fn, fn_env = e.fn.body, self._closure_env(e.fn, env)
-            return self.check_bound(fn.body, fn_env.bind(fn.param, t_arg), out)
+            fn, bindings = e.fn.body, e.fn.env
+            if fn.param in bindings:  # the let's binder shadows it
+                bindings = bindings.without({fn.param})
+            return self.check_bound(fn.body, bindings, out, env.bind(fn.param, t_arg))
 
         t_fn, out = self.check(e.fn, env, eff)
         t_arg, out = self.check(e.arg, env, out)
@@ -659,7 +628,7 @@ class Checker:
         except fx.CapError as exc:
             raise self.fail(exc.code, exc.message, e.loc, out)
         if par:
-            declared = self._resolve(e.mode.transfer, env, e.loc)
+            declared = e.mode.transfer
             if declared is not None and not effect_eq(declared, split.passed, self.lenient):
                 raise self.fail("SpawnAnnotationMismatch",
                                 f"spawn annotation {declared.pretty()} does not match the "

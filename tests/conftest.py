@@ -184,6 +184,38 @@ def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].
   work[rhoH](heap)
 """
 
+#: A body that names a region literal when a step enters it.  `f` is stored,
+#: so its annotations are read back with `rho`'s literal, and `(deref f)[rho]`
+#: enters its body with `r` bound to that same literal.  Renaming the literal
+#: back to `r` would rename the body's own `rho` too, so the harness types
+#: that body with its bindings substituted (`Checker.check_bound`).
+LITERAL_BODY = """
+def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].
+  newrgn rho, h at heap in
+  let c = new 1 at h in
+  let f = new (/\\r. \\(x: ref(int, rho), y: ref(int, r))
+      @ [{rho^~(1,1)@?, r^~(1,1)@?} -> {rho^~(1,1)@?, r^~(1,1)@?}].
+    x := deref y + 1) at h in
+  (share h; lock h;
+   (deref f)[rho](c, c);
+   unlock h; unlock h;
+   free h; free h)
+"""
+
+#: A `let` that binds the name of a definition its body also calls.  `main`
+#: is closed over `f`, so while the `let`'s right-hand side steps, its binder
+#: sits in a closure whose bindings hold the definition `f`, which the
+#: binder shadows.
+SHADOWED_DEFINITION = """
+def f = \\x: int @ [{} -> {}]. x + 1
+def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].
+  newrgn rho, h at heap in
+  let z = new f(1) at h in
+  let f = 1 + 1 in
+  (z := deref z + f;
+   free h)
+"""
+
 #: Accepted programs for checks no corpus program reaches: a parameter of
 #: function type and an `if` (TWICE), and a cell of region-polymorphic type
 #: assigned an alpha-equivalent value (POLY_CELL).

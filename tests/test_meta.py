@@ -43,7 +43,9 @@ from conftest import (
     COMPUTED_HANDLE,
     CORPUS,
     INLINED_PURITY,
+    LITERAL_BODY,
     RUNNABLE,
+    SHADOWED_DEFINITION,
     SHADOWED_SPAWN,
     SPLIT_THEN_WHOLE,
     corpus_text,
@@ -233,6 +235,13 @@ class TestPreservationOverRuns:
         assert cli_main(["run", str(path), "--seed", str(seed), "--metatheory"]) == 0
         assert capsys.readouterr().out.endswith("metatheory: 0 violations\n")
 
+    def test_body_that_names_its_bound_literal(self, tmp_path, capsys):
+        path = tmp_path / "literal_body.rgn"
+        path.write_text(LITERAL_BODY)
+        for seed in range(3):
+            assert cli_main(["run", str(path), "--seed", str(seed), "--metatheory"]) == 0
+            assert capsys.readouterr().out.endswith("metatheory: 0 violations\n")
+
     def test_fault_injection_is_caught_mid_run(self, store_differential):
         # Drop a dynamic lock count behind the harness's back: static-dynamic
         # consistency must flag it on the next step, as the full check does.
@@ -307,11 +316,13 @@ def nodes_typed_per_step(text: str, seed: int, monkeypatch) -> float:
 def test_harness_types_few_nodes_per_step(monkeypatch):
     """Timer-free shape guard: a step types its control against the
     judgement of the frames it fills, and a body that a step enters, with
-    the frames in it, comes from the memo renamed from the typing that its
-    binders' variables had; a step of lock_tree(4) types about 4.2 nodes in
-    full (7.6 when each step re-typed its thread from the root, 17.8 when
-    E-A, E-RP and E-NG substituted and only closed subterms were served,
-    40.7 when only subterms under an empty environment were)."""
+    the frames in it, is typed with its bound literals renamed back to
+    their variables, and so comes from the memo as the typing around it
+    stored it; a step of lock_tree(4) types about 3.97 nodes in full (4.2
+    when a renamed lookup served only the entered body and its frames, 7.6
+    when each step re-typed its thread from the root, 17.8 when E-A, E-RP
+    and E-NG substituted and only closed subterms were served, 40.7 when
+    only subterms under an empty environment were)."""
     assert nodes_typed_per_step(lock_tree(4), 1, monkeypatch) <= 5
 
 
@@ -352,7 +363,9 @@ class Differential(Harness):
 GENERATED = {"long_seq_30": (paired_long_seq(30), [0]),
              "lock_tree_3": (lock_tree(3), range(3)),
              "shadowed_spawn": (SHADOWED_SPAWN, range(3)),
-             "computed_handle": (COMPUTED_HANDLE, range(10))}
+             "computed_handle": (COMPUTED_HANDLE, range(10)),
+             "literal_body": (LITERAL_BODY, [0]),
+             "shadowed_definition": (SHADOWED_DEFINITION, [0])}
 
 
 @pytest.mark.parametrize("name", RUNNABLE + list(GENERATED))
@@ -370,6 +383,33 @@ def test_memoised_retyping_agrees_with_a_fresh_checker(name, monkeypatch):
     if name == "lock_tree_3":
         # The workers inlined into `work` are closed values under its binders.
         assert counts["open_hits"] > 0
+
+
+def test_only_unrenamable_bodies_are_typed_substituted(monkeypatch):
+    """Timer-free: the harness types a body under run-time bindings as its
+    read-back only where renaming the bound literals back to their
+    variables is not a bijection.  Over the runnable corpus and
+    lock_tree(2..4) at seeds 0..4 and paired_long_seq(30), that is only
+    the aliased `swap[rho][rho]` of the two alias_swap programs; LITERAL_BODY
+    enters a body that names its bound literal."""
+    counts, current = Counter(), [None]
+    real = Checker._substituted
+
+    def substituted(self, *args):
+        counts[current[0]] += 1
+        return real(self, *args)
+
+    monkeypatch.setattr(Checker, "_substituted", substituted)
+    programs = [*((name, corpus_text(name), range(5)) for name in RUNNABLE),
+                *((f"lock_tree_{depth}", lock_tree(depth), range(5)) for depth in (2, 3, 4)),
+                ("long_seq_30", paired_long_seq(30), [0]), ("literal_body", LITERAL_BODY, [0])]
+    for name, text, seeds in programs:
+        current[0] = name
+        result = check_program(parse_program(text))
+        for seed in seeds:
+            trace = run_seeded(result.typed.linked_main(), seed, harness=Harness(result.typed))
+            assert trace.terminal.kind in ("all_done", "deadlock"), (name, seed)
+    assert set(counts) == {"alias_swap_locked.rgn", "alias_swap_reentrant.rgn", "literal_body"}
 
 
 class FrameCheck(Harness):
@@ -589,9 +629,8 @@ def test_each_algebra_body_runs_once_per_operands(monkeypatch):
     algebra and region substitution run their uncached bodies at most once
     per distinct operands, an effect or a type as the first one (interned,
     so by identity, and kept alive here) and the others by value; each call
-    of the checker and each renaming (`Checker._renamed`) finds the rest.
-    When the renamings were cached per world, `_renamed` made 1.7 calls of
-    `subst_regions` a lookup."""
+    of the checker and each renaming of run-time bindings
+    (`Checker.check_bound`) finds the rest."""
     runs, held = Counter(), []
 
     def operand(x):

@@ -31,9 +31,11 @@ from reglock.syntax import (
     free_names,
     read_back,
 )
-from reglock.typecheck import check_program, link_bodies, type_eq
+from reglock.typecheck import Checker, check_program, link_bodies, type_eq
+import conftest
 import subst_machine
-from conftest import SHADOWED_SPAWN, WELL_TYPED, corpus_text
+from conftest import SHADOWED_SPAWN, WELL_TYPED, corpus_text, lock_tree, paired_long_seq
+from test_lex import load_workloads
 
 RHOH = RegionVar("rhoH")
 RHO = RegionVar("rho")
@@ -316,6 +318,37 @@ class TestStability:
         assert isinstance(main_t, RegionPolyType)
         assert isinstance(main_t.body, FnType)
         assert isinstance(main_t.body.param, HandleType)
+
+
+def test_lenient_checker_agrees_where_the_strict_one_accepts(monkeypatch):
+    """At every node that the strict checker accepts, the harness's lenient
+    one gives the same type and output effect, purity flags included: over
+    the accepted corpus, the `conftest` fixtures and perfbench's generators
+    at small sizes.  So what the static check finds is exact for the
+    harness; only the lenient side accepts more."""
+    bench = load_workloads()
+    sources = {name: corpus_text(name) for name in WELL_TYPED}
+    sources.update({name: getattr(conftest, name) for name in (
+        "SHADOWED_SPAWN", "COMPUTED_HANDLE", "DEAD_HANDLE", "INLINED_PURITY",
+        "SPLIT_THEN_WHOLE", "LITERAL_BODY", "TWICE", "POLY_CELL")})
+    sources.update(lock_tree_3=lock_tree(3), paired_long_seq_10=paired_long_seq(10),
+                   bench_long_seq_10=bench.long_seq(10),
+                   bench_lock_tree_2=bench.lock_tree(2, 1, [3, 4]))
+    accepted, real = [], Checker.check
+
+    def check(self, e, env, eff):
+        result = real(self, e, env, eff)
+        if not self.lenient:
+            accepted.append((e, env, eff, result))
+        return result
+
+    monkeypatch.setattr(Checker, "check", check)
+    for name, text in sources.items():
+        accepted.clear()
+        assert check_program(parse_program(text)).ok, name
+        lenient = Checker(lenient=True)
+        assert accepted and all(lenient.check(e, env, eff) == result
+                                for e, env, eff, result in accepted), name
 
 
 class _SpawnRecorder:
