@@ -342,41 +342,43 @@ class Checker:
         not a bijection (aliased or unknown literals, a body that names a
         literal or rebinds a variable, an effect or a type around it that
         names a variable), or the renamed typing fails, `body` is typed with
-        the bindings substituted, so a diagnostic names literals."""
+        the literals substituted (`_substituted`), so a diagnostic names
+        them."""
         if not bindings:
             return self.check(body, env, eff)
-        bound, back = self.bound_env(bindings)
-        scope = bound.region_vars
+        bound, renamed, back = self.bound_env(bindings)
+        outer = {x: env.vars[x] for x in free_names(body)[0]
+                 if x not in bindings and x in env.vars} if env.vars else {}
         if back:
+            scope = renamed.region_vars
             literal, binders = inner_regions(body)
-            if literal or not scope.isdisjoint(binders) or not scope.isdisjoint(free_regions(eff)):
-                back = None
-        if back is not None and (env.vars or env.region_vars):
-            outer = {x: env.vars[x] for x in free_names(body)[0]
-                     if x not in bindings and x in env.vars}
-            if any(not scope.isdisjoint(free_regions(t)) for t in outer.values()):
-                back = None
-            elif back:
-                outer = {x: subst_regions(t, back) for x, t in outer.items()}
-            bound = _Env({**outer, **bound.vars}, scope | env.region_vars)
-        if back is None:
-            return self._substituted(body, bindings, eff, env)
-        if not back:
-            return self.check(body, bound, eff)
-        try:
-            t, out = self.check(body, bound, subst_regions(eff, back))
-        except CheckFailure:
-            return self._substituted(body, bindings, eff, env)
-        return subst_regions(t, bindings.regions), subst_regions(out, bindings.regions)
+            if not (literal or not scope.isdisjoint(binders)
+                    or not scope.isdisjoint(free_regions(eff)) or outer and any(
+                        not scope.isdisjoint(free_regions(t)) for t in outer.values())):
+                if outer or env.region_vars:
+                    renamed = _Env({**{x: subst_regions(t, back) for x, t in outer.items()},
+                                    **renamed.vars}, scope | env.region_vars)
+                try:
+                    t, out = self.check(body, renamed, subst_regions(eff, back))
+                except CheckFailure:
+                    pass
+                else:
+                    return subst_regions(t, bindings.regions), subst_regions(out, bindings.regions)
+        if outer or env.region_vars:
+            bound = _Env({**outer, **bound.vars}, env.region_vars)
+        if bindings.regions:
+            body = self._substituted(body, bindings.regions)
+        return self.check(body, bound, eff)
 
-    def bound_env(self, bindings: Env) -> tuple[_Env, Optional[dict]]:
-        """Run-time `bindings` read as variables: the environment of each
-        bound value's type and each bound region variable in scope, with each
-        bound literal renamed back to its variable, and that renaming, or
-        None where it is not exact: aliased literals, one outside the
-        regions, or a type that names a bound variable.  Kept in the memo
-        per `Env`, which closures pushed from one closure share: a value's
-        type does not change during a run."""
+    def bound_env(self, bindings: Env) -> tuple[_Env, Optional[_Env], Optional[dict]]:
+        """Run-time `bindings` as typing environments: each bound value's
+        type, and the same with each bound literal renamed back to its
+        variable and each bound region variable in scope, with that renaming;
+        None for both where there are no region bindings, or the renaming is
+        not exact: aliased literals, one outside the regions, or a type that
+        names a bound variable.  Kept in the memo per `Env`, which closures
+        pushed from one closure share: a value's type does not change during
+        a run."""
         key = ("env", id(bindings))
         hit = self.memo and self.memo.get(key)
         if hit:
@@ -384,34 +386,33 @@ class Checker:
         regions = bindings.regions
         types = {x: self.check(v, _EMPTY_ENV, EMPTY_EFFECT)[0]
                  for x, v in bindings.items() if type(x) is str}
-        back: Optional[dict] = {lit: var for var, lit in regions.items()}
-        if back and (len(back) < len(regions) or not self.regions.issuperset(back) or any(
-                not regions.keys().isdisjoint(free_regions(t)) for t in types.values())):
-            back = None
-        if back:
-            types = {x: subst_regions(t, back) for x, t in types.items()}
-        found = (_Env(types, frozenset(regions)), back)
+        back = {lit: var for var, lit in regions.items()}
+        renamed = None
+        if back and len(back) == len(regions) and self.regions.issuperset(back) and all(
+                regions.keys().isdisjoint(free_regions(t)) for t in types.values()):
+            renamed = _Env({x: subst_regions(t, back) for x, t in types.items()},
+                           frozenset(regions))
+        found = (_Env(types, frozenset()), renamed, back if renamed else None)
         if self.memo is not None:
             self.memo[key] = (bindings, found)  # holds the bindings: no `id` is reused
         return found
 
-    def _substituted(self, body: Expr, bindings: Env, eff: Effect,
-                     env: _Env) -> tuple[Type, Effect]:
-        """`check` of `body`'s read-back under `bindings`, kept in the memo
-        per body and bindings."""
-        key = ("back", id(body), id(bindings))
+    def _substituted(self, body: Expr, regions: dict) -> Expr:
+        """`body` with the bound `regions` substituted, kept in the memo per
+        body and bindings."""
+        key = ("back", id(body), tuple(regions.items()))
         hit = self.memo and self.memo.get(key)
         if hit:
-            return self.check(hit[2], env, eff)
+            return hit[1]
         try:
-            term = read_back(close(body, bindings))
+            term = read_back(close(body, Env(regions)))
         except fx.CapError as exc:
             raise self.fail(exc.code, exc.message, body.loc)
         except ValueError as exc:
             raise self.fail("MalformedAnnotation", str(exc), body.loc)
         if self.memo is not None:
-            self.memo[key] = (body, bindings, term)  # holds both: no `id` is reused
-        return self.check(term, env, eff)
+            self.memo[key] = (body, term)  # holds the body: no `id` is reused
+        return term
 
     def _check(self, e: Expr, env: _Env, eff: Effect) -> tuple[Type, Effect]:
         if isinstance(e, Var):
