@@ -72,7 +72,7 @@ values' types once per `Env`, `Checker.bound_env`).  So the body that E-A,
 E-RP or E-NG enters, and the frames in it, are found as the typing around
 them stored them while the binders just applied were variables in scope:
 entering a body is a lookup.  Only aliased bindings and a body that names
-a bound literal are typed with the bindings substituted.
+a bound literal are typed with the region bindings substituted.
 
 R and M only grow: they hold every region and location ever allocated,
 freed or not.  This is the calculus's rule, not a relaxation: the static

@@ -188,7 +188,7 @@ def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].
 #: so its annotations are read back with `rho`'s literal, and `(deref f)[rho]`
 #: enters its body with `r` bound to that same literal.  Renaming the literal
 #: back to `r` would rename the body's own `rho` too, so the harness types
-#: that body with its bindings substituted (`Checker.check_bound`).
+#: that body with its region bindings substituted (`Checker.check_bound`).
 LITERAL_BODY = """
 def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].
   newrgn rho, h at heap in

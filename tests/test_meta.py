@@ -386,8 +386,8 @@ def test_memoised_retyping_agrees_with_a_fresh_checker(name, monkeypatch):
 
 
 def test_only_unrenamable_bodies_are_typed_substituted(monkeypatch):
-    """Timer-free: the harness types a body under run-time bindings as its
-    read-back only where renaming the bound literals back to their
+    """Timer-free: the harness types a body with its region bindings
+    substituted only where renaming the bound literals back to their
     variables is not a bijection.  Over the runnable corpus and
     lock_tree(2..4) at seeds 0..4 and paired_long_seq(30), that is only
     the aliased `swap[rho][rho]` of the two alias_swap programs; LITERAL_BODY
