@@ -244,7 +244,7 @@ class Checker:
         self.lenient = lenient
         self.record = record
         # Subterms that checked, by `_key`, the environments of run-time
-        # bindings (`bound_env`) and the read-backs typed under them.  Owned
+        # bindings (`bound_env`) and bodies substituted (`_substituted`).  Owned
         # by the metatheory harness, whose module docstring says why an
         # entry stays valid.  A checker with a memo records no lines.
         self.memo = memo
