@@ -44,14 +44,15 @@ identity test, as for the store), and the frames around a hole read only
 the type and output effect it produces, so a hole filled at its judgement
 keeps the whole term's typing (Wright & Felleisen's replacement lemma,
 1994; the stack typing `k ÷ τ` of Harper, PFPL ch. 28).  Anything else
-falls back to the full re-typing of `Thread.expr` (`check_thread_typing`),
-which words any violation; a thread whose frames were not all judged
-falls back from then on.  The operands after a hole are not typed with
-its frame: the reduct that E-SEQ, E-IF or E-A puts there is found under
-the key that the typing around it stored.  The harness keeps one
-checker, whose memo stores a success only.  A program body keeps its
-Merkle digest for the whole run, as the machine binds names instead of
-substituting (see `interp`), so the memo keys a subterm on:
+falls back to typing the thread's read-back, which holds no closure, in
+full (`check_thread_typing`), which words any violation; a thread whose
+frames were not all judged falls back from then on.  The operands after
+a hole are not typed with its frame: the reduct that E-SEQ, E-IF or E-A
+puts there is found under the key that the typing around it stored.  The
+harness keeps one checker, which holds R and M, and whose memo stores a
+success only.  A program body keeps its Merkle digest for the whole run,
+as the machine binds names instead of substituting (see `interp`), so the
+memo keys a subterm on:
 
   * its digest, what it reads of the environment and the input effect's
     entry tuple `Effect.items()`, built once per effect.  What a term reads
@@ -67,12 +68,13 @@ substituting (see `interp`), so the memo keys a subterm on:
 
 A term under run-time bindings types as its read-back.  The harness
 hands each control and frame operand to `Checker.check_bound` with its
-`Env`, which renames the bound literals back to their variables (the bound
-values' types once per `Env`, `Checker.bound_env`).  So the body that E-A,
-E-RP or E-NG enters, and the frames in it, are found as the typing around
-them stored them while the binders just applied were variables in scope:
-entering a body is a lookup.  Only aliased bindings and a body that names
-a bound literal are typed with the region bindings substituted.
+`Env`, which binds all of its free names, and `check_bound` renames the
+bound literals back to their variables (the bound values' types once per
+`Env`, `Checker.bound_env`).  So the body that E-A, E-RP or E-NG enters,
+and the frames in it, are found as the typing around them stored them
+while the binders just applied were variables in scope: entering a body
+is a lookup.  Only aliased bindings and a body that names a bound literal
+are typed with the region bindings substituted.
 
 R and M only grow: they hold every region and location ever allocated,
 freed or not.  This is the calculus's rule, not a relaxation: the static
@@ -98,10 +100,11 @@ The store checks read what the step changed.  A run ends at its first
 violation, so the configuration before a step had none; the harness keeps
 its store and delta.  Path copying leaves each region node that a step did
 not replace the same object, so `store.changes` finds the changed regions
-by identity, and only they, or a changed entry of delta, can take part in
-a new violation: consistency checks those entries and the ones naming a
-region whose counts changed or that went, and the ancestors and subtree of
-each region newly locked or new to the tree; store typing, what is new.
+by identity, once for both store checks, and only they, or a changed
+entry of delta, can take part in a new violation: consistency checks
+those entries and the ones naming a region whose counts changed or that
+went, and the ancestors and subtree of each region newly locked or new to
+the tree; store typing, what is new.
 
 The checker leaves out its well-formedness check per node: its effects are
 well-formed by construction from a well-formed input, so the harness checks
@@ -126,11 +129,10 @@ from .syntax import (
     Record,
     RegionLit,
     RegionPolyType,
-    Type,
     UnitType,
     subst_regions,
 )
-from .typecheck import CheckFailure, Checker, TypedProgram, _Env, type_eq
+from .typecheck import _EMPTY_ENV, CheckFailure, Checker, TypedProgram, type_eq
 
 
 #: The harness memo's size past which it is cleared (successes only, so exact).
@@ -146,17 +148,8 @@ class Violation(Record):
         return {"check": self.check, "message": self.message, "thread": self.thread}
 
 
-def _retype(regions: frozenset[RegionLit], locations: dict[Location, Type],
-            expr: Expr, eff: Effect, memo: Optional[dict] = None) -> tuple[Type, Effect]:
-    checker = Checker(regions=regions, locations=locations, lenient=True, memo=memo)
-    return checker.check(expr, _Env({}, frozenset()), eff)
-
-
-def check_thread_typing(regions: frozenset[RegionLit],
-                        locations: dict[Location, Type],
-                        threads, delta: dict[int, Effect],
-                        obligations: dict[int, Effect],
-                        memo: Optional[dict] = None) -> list[Violation]:
+def check_thread_typing(checker: Checker, threads, delta: dict[int, Effect],
+                        obligations: dict[int, Effect]) -> list[Violation]:
     out: list[Violation] = []
     for thread in threads:
         eff = delta.get(thread.tid)
@@ -173,7 +166,7 @@ def check_thread_typing(regions: frozenset[RegionLit],
                                  f"ill-formed: {reason}", thread.tid))
             continue
         try:
-            t, final = _retype(regions, locations, thread.expr, eff, memo)
+            t, final = checker.check(checker.read_back(thread.expr), _EMPTY_ENV, eff)
         except CheckFailure as exc:
             out.append(Violation("thread-typing",
                                  f"thread {thread.tid} fails to type: "
@@ -193,11 +186,12 @@ def check_thread_typing(regions: frozenset[RegionLit],
 
 
 def check_store_consistency(store: Store, delta: dict[int, Effect],
-                            before: Optional[Store] = None,
+                            changed: Optional[tuple] = None,
                             delta_before: Optional[dict[int, Effect]] = None) -> list[Violation]:
-    """The full check, or that of what changed since `before` and `delta_before`."""
+    """The full check, or that of what changed since the last store and
+    delta: `changed`, the store's `changes`, and `delta_before`."""
     out: list[Violation] = []
-    found, gone = changes(before, store)
+    found, gone = changed or changes(None, store)
     old_delta = delta_before or {}
     # The regions on which an unchanged entry of delta can now fail.
     touched = gone.union([r for r, (was, path) in found.items()
@@ -259,15 +253,13 @@ def check_store_consistency(store: Store, delta: dict[int, Effect],
     return out
 
 
-def check_store_typing(regions: frozenset[RegionLit],
-                       locations: dict[Location, Type],
-                       store: Store,
-                       memo: Optional[dict] = None,
-                       before: Optional[Store] = None) -> list[Violation]:
-    """The full check, or that of the regions and cells new since `before`."""
+def check_store_typing(checker: Checker, store: Store,
+                       changed: Optional[tuple] = None) -> list[Violation]:
+    """The full check against the checker's R and M, or that of the regions
+    and cells new in `changed`, the store's `changes`."""
     out: list[Violation] = []
-    found, _ = changes(before, store)
-    missing = found.keys() - regions
+    found, _ = changed or changes(None, store)
+    missing = found.keys() - checker.regions
     if missing:
         out.append(Violation("store-typing",
                              f"store regions {sorted(map(str, missing))} are missing "
@@ -277,17 +269,17 @@ def check_store_typing(regions: frozenset[RegionLit],
         if was is None or was.heap is not path[-1].heap:
             old = dict(was.heap) if was is not None else {}
             stored.update((loc, v) for loc, v in path[-1].heap if old.get(loc) is not v)
-    unknown = stored.keys() - locations.keys()
+    unknown = stored.keys() - checker.locations.keys()
     if unknown:
         out.append(Violation("store-typing",
                              f"store locations {sorted(map(str, unknown))} are missing "
                              f"from the domain of M"))
     for loc, value in stored.items():
-        want = locations.get(loc)
+        want = checker.locations.get(loc)
         if want is None:
             continue  # reported above
         try:
-            t, _ = _retype(regions, locations, value, EMPTY_EFFECT, memo)
+            t, _ = checker.check(value, _EMPTY_ENV, EMPTY_EFFECT)
         except CheckFailure as exc:
             out.append(Violation("store-typing",
                                  f"stored value at {loc} fails to type: "
@@ -319,23 +311,18 @@ class Harness:
         assert isinstance(main_t, RegionPolyType) and isinstance(main_t.body, FnType)
         self.main_in = subst_regions(main_t.body.effect_in, {main_t.var: HEAP})
         self.main_out = subst_regions(main_t.body.effect_out, {main_t.var: HEAP})
-        self.regions: frozenset[RegionLit] = frozenset()
-        self.locations: dict[Location, Type] = {}
         self.delta: dict[int, Effect] = {}
         self.obligations: dict[int, Effect] = {}
-        # The checker's memo of closed subterms, shared by every re-typing
-        # of this run (see the module docstring).
+        # The memo of the run's checker (see the module docstring).
         self.memo: dict = {}
         # The last configuration's store and delta, if it had no violation.
         self.before: tuple = (None, None)
 
     def observe_init(self, config: Config) -> list[Violation]:
-        self.regions = frozenset({HEAP})
-        self.locations = {}
         self.delta = {1: self.main_in}
         self.obligations = {1: self.main_out}
         self.memo.clear()
-        self.checker = Checker(self.regions, self.locations, lenient=True, memo=self.memo)
+        self.checker = Checker(frozenset({HEAP}), {}, lenient=True, memo=self.memo)
         self.before = (None, None)
         # Each thread's frames around its next redex, all judged, once its state
         # is accepted (its successor's must be these), or False: not all judged.
@@ -355,15 +342,14 @@ class Harness:
 
         if rule == "E-NG":
             parent, new = info
-            self.regions = self.checker.regions = self.regions | {new}
+            self.checker.regions |= {new}
             self.delta[tid] = self.delta[tid].with_entry(
                 new, Capability(1, 1, pure=True), parent)
         elif rule == "E-NR":
             loc, value = info
             try:
-                t, _ = _retype(self.regions, self.locations, value, EMPTY_EFFECT,
-                               self.memo)
-                self.locations[loc] = t
+                t, _ = self.checker.check(value, _EMPTY_ENV, EMPTY_EFFECT)
+                self.checker.locations[loc] = t
             except CheckFailure as exc:
                 violations.append(Violation(
                     "store-typing",
@@ -409,9 +395,9 @@ class Harness:
         for thread in config.threads:
             if only is None or thread.tid in only:
                 out += self._check_thread(thread)
-        out += check_store_consistency(config.store, self.delta, *self.before)
-        out += check_store_typing(self.regions, self.locations, config.store,
-                                  memo=self.memo, before=self.before[0])
+        changed = changes(self.before[0], config.store)
+        out += check_store_consistency(config.store, self.delta, changed, self.before[1])
+        out += check_store_typing(self.checker, config.store, changed)
         self.before = (None, None) if out else (config.store, dict(self.delta))
         return out
 
@@ -426,8 +412,7 @@ class Harness:
         if got is None or (got != frames.judged if frames is not None else not (
                 isinstance(got[0], UnitType)
                 and got[1].same_counts(self.obligations.get(tid, EMPTY_EFFECT)))):
-            found = check_thread_typing(self.regions, self.locations, [thread], self.delta,
-                                        self.obligations, memo=self.memo)
+            found = check_thread_typing(self.checker, [thread], self.delta, self.obligations)
             if found or got is None:  # unjudged frames: the thread falls back from now on
                 self.holes[tid] = False
                 return found

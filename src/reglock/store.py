@@ -324,18 +324,12 @@ def _region_json(node: RegionNode, value_str: Callable[[Expr], str]) -> dict:
     }
 
 
-_last: tuple = (None, None, None)  # the last call of `changes`, which both store checks make
-
-
 def changes(old: Optional[Store], new: Store) -> tuple[dict, set[RegionLit]]:
     """What `new` changed of `old`: each node of `new` that is not the node
     at its place in `old`, as (that node or None, its path from the root),
     parents first in child order, and the regions that `new` lost.  Path
     copying keeps every other node the same object, so the walk enters only
     nodes that differ.  Against no store every node is new."""
-    global _last
-    if _last[0] is old and _last[1] is new:
-        return _last[2]
     found, gone = {}, set()
     root = old.root if old is not None else None
     stack = [] if root is new.root else [
@@ -351,8 +345,7 @@ def changes(old: Optional[Store], new: Store) -> tuple[dict, set[RegionLit]]:
                 if o is not kid:
                     stack.append((o, path + (kid,), o.children if o else (), kid.children))
             gone.update(n.rid for o in olds.values() for n in Store(o).regions())
-    _last = (old, new, (found, gone - found.keys()))
-    return _last[2]
+    return found, gone - found.keys()
 
 
 def initial_store(heap: RegionLit, tid: int) -> Store:

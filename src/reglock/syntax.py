@@ -671,12 +671,9 @@ def is_value(e: Expr) -> bool:
 
 
 def is_let(e: Expr) -> bool:
-    """`let x = e1 in e2`: an unannotated binder lambda, or a closure of
-    one, applied to e1."""
-    if not isinstance(e, App) or e.mode is not SEQ_MODE:
-        return False
-    fn = e.fn.body if type(e.fn) is Closure else e.fn
-    return isinstance(fn, Lambda) and fn.param_type is None
+    """`let x = e1 in e2`: an unannotated binder lambda applied to e1."""
+    return (isinstance(e, App) and e.mode is SEQ_MODE and isinstance(e.fn, Lambda)
+            and e.fn.param_type is None)
 
 
 # ---------------------------------------------------------------------------

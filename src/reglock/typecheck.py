@@ -25,15 +25,18 @@ environment, so it never consults an outer binder of the same name, and a
 `newrgn` inside it extends the value's own annotation.
 
 A linked program and the terms of a run hold closures (`syntax.Closure`),
-which the checker types as their read-back.  Run-time bindings are read in
-one place, `Checker.check_bound`: it renames each bound literal back to its
-variable, types the body under the static judgement with those variables in
-scope, and renames the result forward.  A memo (the harness's) keys a
-subterm on its digest, what it reads of the environment and
-`Effect.items()`, and interned region names and capabilities make that key
-hash in C; `meta` says why an entry is exact.  Effects and types are
-interned too, and a call's split and join, a region application's instance
-and a type's free regions are computed once per value (`per_value`).
+which the checker types as their read-back.  It meets only closed ones,
+whose bindings bind all of the body's free names: a value, or a run-time
+control or frame operand; the harness types a whole thread as its
+read-back.  Run-time bindings are read in one place, `Checker.check_bound`:
+it renames each bound literal back to its variable, types the body under
+the static judgement with those variables in scope, and renames the result
+forward.  A memo (the harness's) keys a subterm on its digest, what it
+reads of the environment and `Effect.items()`, and interned region names
+and capabilities make that key hash in C; `meta` says why an entry is
+exact.  Effects and types are interned too, and a call's split and join, a
+region application's instance and a type's free regions are computed once
+per value (`per_value`).
 """
 
 from __future__ import annotations
@@ -326,46 +329,33 @@ class Checker:
             return key, True
         return (key, eff.items()), False
 
-    def check_bound(self, body: Expr, bindings: Env, eff: Effect,
-                    env: _Env = _EMPTY_ENV) -> tuple[Type, Effect]:
-        """`check` of `body` under run-time `bindings` and, for the names
-        they leave free, `env`: the one reading of run-time region bindings.
+    def check_bound(self, body: Expr, bindings: Env, eff: Effect) -> tuple[Type, Effect]:
+        """`check` of `body` under run-time `bindings`, which bind each of its
+        free names: the one reading of run-time region bindings.
 
         The judgement treats a region variable in scope and a live region
         literal alike, so it commutes with a renaming of one into the other
         that is a bijection on the names it meets (equivariance).  So the
         bound literals are renamed back to their variables, in the input
-        effect and in the types around `body` (`bound_env`), `body` is typed
+        effect and in the bound values' types (`bound_env`), `body` is typed
         with the variables in scope, and the result is renamed forward: a
         body that a step has just entered is found as the typing around it
         stored it, while its binders were variables.  Where the renaming is
         not a bijection (aliased or unknown literals, a body that names a
-        literal or rebinds a variable, an effect or a type around it that
-        names a variable), or the renamed typing fails, `body` is typed with
-        the literals substituted (`_substituted`), so a diagnostic names
-        them."""
+        literal or rebinds a variable, an effect or a bound type that names
+        a variable), `body` is typed with the literals substituted
+        (`_substituted`).  A failure is not retried: the harness then types
+        the thread's read-back, which words the diagnostic."""
         if not bindings:
-            return self.check(body, env, eff)
+            return self.check(body, _EMPTY_ENV, eff)
         bound, renamed, back = self.bound_env(bindings)
-        outer = {x: env.vars[x] for x in free_names(body)[0]
-                 if x not in bindings and x in env.vars} if env.vars else {}
         if back:
             scope = renamed.region_vars
             literal, binders = inner_regions(body)
             if not (literal or not scope.isdisjoint(binders)
-                    or not scope.isdisjoint(free_regions(eff)) or outer and any(
-                        not scope.isdisjoint(free_regions(t)) for t in outer.values())):
-                if outer or env.region_vars:
-                    renamed = _Env({**{x: subst_regions(t, back) for x, t in outer.items()},
-                                    **renamed.vars}, scope | env.region_vars)
-                try:
-                    t, out = self.check(body, renamed, subst_regions(eff, back))
-                except CheckFailure:
-                    pass
-                else:
-                    return subst_regions(t, bindings.regions), subst_regions(out, bindings.regions)
-        if outer or env.region_vars:
-            bound = _Env({**outer, **bound.vars}, env.region_vars)
+                    or not scope.isdisjoint(free_regions(eff))):
+                t, out = self.check(body, renamed, subst_regions(eff, back))
+                return subst_regions(t, bindings.regions), subst_regions(out, bindings.regions)
         if bindings.regions:
             body = self._substituted(body, bindings.regions)
         return self.check(body, bound, eff)
@@ -404,15 +394,21 @@ class Checker:
         hit = self.memo and self.memo.get(key)
         if hit:
             return hit[1]
-        try:
-            term = read_back(close(body, Env(regions)))
-        except fx.CapError as exc:
-            raise self.fail(exc.code, exc.message, body.loc)
-        except ValueError as exc:
-            raise self.fail("MalformedAnnotation", str(exc), body.loc)
+        term = self.read_back(close(body, Env(regions)))
         if self.memo is not None:
             self.memo[key] = (body, term)  # holds the body: no `id` is reused
         return term
+
+    def read_back(self, term: Expr) -> Expr:
+        """`read_back(term)`, or the failure, at `term`, of a substitution
+        that it cannot make (aliased entries that do not merge)."""
+        loc = (term.body if type(term) is Closure else term).loc
+        try:
+            return read_back(term)
+        except fx.CapError as exc:
+            raise self.fail(exc.code, exc.message, loc)
+        except ValueError as exc:
+            raise self.fail("MalformedAnnotation", str(exc), loc)
 
     def _check(self, e: Expr, env: _Env, eff: Effect) -> tuple[Type, Effect]:
         if isinstance(e, Var):
@@ -590,22 +586,16 @@ class Checker:
                                 f"{' and '.join(map(str, arg_types))}", e.loc, out)
             return result, out
 
-        if type(e) is Closure:
-            return self.check_bound(e.body, e.env, eff, env)
+        if type(e) is Closure:  # closed: its bindings bind its body's free names
+            return self.check_bound(e.body, e.env, eff)
 
         raise self.fail("UnsupportedForm", f"cannot type {type(e).__name__}", e.loc, eff)
 
     def _check_app(self, e: App, env: _Env, eff: Effect) -> tuple[Type, Effect]:
         # `let x = e1 in e2` is a transparent binder, not a capability split.
-        # At run time its binder may be closed over the let's environment.
         if is_let(e):
             t_arg, out = self.check(e.arg, env, eff)
-            if type(e.fn) is not Closure:
-                return self.check(e.fn.body, env.bind(e.fn.param, t_arg), out)
-            fn, bindings = e.fn.body, e.fn.env
-            if fn.param in bindings:  # the let's binder shadows it
-                bindings = bindings.without({fn.param})
-            return self.check_bound(fn.body, bindings, out, env.bind(fn.param, t_arg))
+            return self.check(e.fn.body, env.bind(e.fn.param, t_arg), out)
 
         t_fn, out = self.check(e.fn, env, eff)
         t_arg, out = self.check(e.arg, env, out)

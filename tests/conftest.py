@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import os
 import pathlib
 
 import pytest
 
 CORPUS = pathlib.Path(__file__).resolve().parent.parent / "corpus"
+SRC = CORPUS.parent / "src"
 
 #: Programs the checker accepts.
 WELL_TYPED = [
@@ -47,6 +49,15 @@ def corpus_dir() -> pathlib.Path:
 
 def corpus_text(name: str) -> str:
     return (CORPUS / name).read_text()
+
+
+def src_env(**extra: str) -> dict[str, str]:
+    """This process's environment with `src/` first on `PYTHONPATH`, and
+    `extra`: for a subprocess that imports reglock, which pytest's
+    `pythonpath` setting does not reach."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), path]) if path else str(SRC),
+            **extra}
 
 
 def rebuild(record, **changes):
@@ -214,6 +225,21 @@ def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].
   let f = 1 + 1 in
   (z := deref z + f;
    free h)
+"""
+
+#: An accepted program that the machine cannot run under the harness, an
+#: open soundness gap (ROADMAP item 17).  `g[rho][rho]` instantiates both of
+#: `g`'s region variables at one region, and the checker substitutes only
+#: the instance's type, which does not name the inner lambda; once E-RP
+#: binds `r1` and `r2` to the same literal, that lambda's annotation has two
+#: entries for it, with different parents, which cannot merge.
+ALIASED_ANNOTATION = """
+def g = /\\r1. /\\r2. \\(h1: rgn(r1), h2: rgn(r2))
+    @ [{r1^~(1,0)@?, r2^~(1,0)@?} -> {r1^~(1,0)@?, r2^~(1,0)@?}].
+  ((\\u: unit @ [{r1^(1,0)@_, r2^(1,0)@r1} -> {r1^(1,0)@_, r2^(1,0)@r1}]. u); ())
+def main = /\\rhoH. \\heap: rgn(rhoH) @ [{rhoH^(1,0)@_} -> {rhoH^(1,0)@_}].
+  newrgn rho, h at heap in
+  (share h; share h; g[rho][rho](h, h); unlock h; free h; free h; free h)
 """
 
 #: Accepted programs for checks no corpus program reaches: a parameter of

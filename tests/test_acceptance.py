@@ -17,7 +17,7 @@ from reglock.interp import explore, run_seeded
 from reglock.meta import Harness
 from reglock.parser import parse_program
 from reglock.typecheck import check_program, link_bodies
-from conftest import CORPUS, RUNNABLE, WELL_TYPED, corpus_text
+from conftest import CORPUS, RUNNABLE, WELL_TYPED, corpus_text, src_env
 
 
 def _typed(name: str):
@@ -198,7 +198,7 @@ def test_criterion_8_determinism():
     for name in ("sharing_once.rgn", "deadlock_racy.rgn"):
         cmd = [sys.executable, "-m", "reglock.cli", "run", str(CORPUS / name),
                "--seed", "314159", "--trace", "json", "--snapshots"]
-        first = subprocess.run(cmd, capture_output=True).stdout
-        second = subprocess.run(cmd, capture_output=True).stdout
+        first = subprocess.run(cmd, capture_output=True, env=src_env()).stdout
+        second = subprocess.run(cmd, capture_output=True, env=src_env()).stdout
         assert first == second and first, name
     report(8, "byte-identical traces for identical (file, seed)")

@@ -16,7 +16,7 @@ from reglock import cli
 from reglock.cli import main
 from reglock.parser import _PUNCT, KEYWORDS, lex
 from conftest import (COMPUTED_HANDLE, CORPUS, DEAD_HANDLE, POLY_CELL, RUNNABLE,
-                      SHADOWED_SPAWN, TWICE, paired_long_seq)
+                      SHADOWED_SPAWN, TWICE, paired_long_seq, src_env)
 
 
 def corpus(name: str) -> str:
@@ -229,8 +229,8 @@ def test_run_output_is_byte_identical():
     cmd = [sys.executable, "-m", "reglock.cli", "run",
            corpus("sharing_once.rgn"), "--seed", "42", "--trace", "json",
            "--snapshots"]
-    a = subprocess.run(cmd, capture_output=True, check=True).stdout
-    b = subprocess.run(cmd, capture_output=True, check=True).stdout
+    a = subprocess.run(cmd, capture_output=True, check=True, env=src_env()).stdout
+    b = subprocess.run(cmd, capture_output=True, check=True, env=src_env()).stdout
     assert a == b and a
 
 
@@ -342,7 +342,7 @@ def test_malformed_unchecked_terms_get_stuck_with_and_without_asserts(source, fa
     assert main(argv) == 4
     outs = [capsys.readouterr().out]
     optimized = subprocess.run([sys.executable, "-O", "-m", "reglock.cli", *argv],
-                               capture_output=True, text=True)
+                               capture_output=True, text=True, env=src_env())
     assert optimized.returncode == 4 and not optimized.stderr
     outs.append(optimized.stdout)
     for out in outs:
@@ -398,7 +398,7 @@ def test_deeply_parenthesised_main_checks_runs_and_explores(tmp_path):
     path.write_text(MAIN_HEADER + "  " + "(" * 10_000 + "()" + ")" * 10_000 + "\n")
     for argv in (["check"], ["run", "--seed", "0"], ["explore"]):
         proc = subprocess.run([sys.executable, "-m", "reglock.cli", argv[0], str(path), *argv[1:]],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0 and not proc.stderr, (argv, proc.stderr)
 
 
@@ -436,7 +436,7 @@ def test_a_reader_that_closes_early_is_an_io_error():
     and one line of stderr; the flush at exit writes nothing more."""
     proc = subprocess.Popen([sys.executable, "-m", "reglock.cli", "run", corpus("sharing.rgn"),
                              "--seed", "3", "--max-steps", "20000"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=src_env())
     first = proc.stdout.readline()
     proc.stdout.close()
     err = proc.stderr.read().decode()
@@ -451,7 +451,7 @@ def test_a_full_device_is_an_io_error():
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "reglock.cli", "run",
                                corpus("sharing_once.rgn"), "--seed", "3"],
-                              stdout=full, stderr=subprocess.PIPE, text=True)
+                              stdout=full, stderr=subprocess.PIPE, text=True, env=src_env())
     assert proc.returncode == 2 and proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("error: cannot write output: ")
 
@@ -462,7 +462,7 @@ def test_max_states_stops_a_looping_explore(capsys):
     report gives the states seen and the frontier left."""
     argv = ["explore", corpus("migration.rgn"), "--force-threads", "--max-states", "500"]
     proc = subprocess.run([sys.executable, "-m", "reglock.cli", *argv, "--json"],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60, env=src_env())
     assert proc.returncode == 5, proc.stderr
     report = json.loads(proc.stdout)
     frontier = report["max_states"]["frontier"]
@@ -502,7 +502,7 @@ def test_one_grammar_serves_every_command_alike(capsys):
         except SystemExit as exc:
             code = exc.code
         alone = subprocess.run([sys.executable, "-m", "reglock.cli", *argv],
-                               capture_output=True, text=True)
+                               capture_output=True, text=True, env=src_env())
         assert (code, capsys.readouterr().out) == (alone.returncode, alone.stdout), argv
 
 

@@ -4,7 +4,6 @@ configuration by `config_digest`."""
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
 import threading
@@ -30,7 +29,8 @@ from reglock.syntax import (
     read_back,
 )
 from reglock.typecheck import check_program, link_bodies
-from conftest import CORPUS, RUNNABLE, corpus_text, lock_tree, paired_long_seq, rebuild
+from conftest import (CORPUS, RUNNABLE, corpus_text, lock_tree, paired_long_seq, rebuild,
+                      src_env)
 
 
 def linked_main(text: str, checked: bool = True):
@@ -150,7 +150,7 @@ def test_same_digests_in_every_process():
     PYTHONHASHSEED, so no output may follow the order of a set of them."""
     cmd = [sys.executable, "-c", IN_ONE_PROCESS] + [str(CORPUS / name) for name in RUNNABLE]
     outs = [subprocess.run(cmd, capture_output=True, check=True, text=True,
-                           env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+                           env=src_env(PYTHONHASHSEED=seed)).stdout
             for seed in ("1", "2")]
     assert outs[0] == outs[1]
     assert outs[0].count("exit ") == 3 * len(RUNNABLE) and '"trace_digest"' in outs[0]
