@@ -55,9 +55,8 @@ def src_env(**extra: str) -> dict[str, str]:
     """This process's environment with `src/` first on `PYTHONPATH`, and
     `extra`: for a subprocess that imports reglock, which pytest's
     `pythonpath` setting does not reach."""
-    path = os.environ.get("PYTHONPATH")
-    return {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), path]) if path else str(SRC),
-            **extra}
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
 
 
 def rebuild(record, **changes):

@@ -494,8 +494,8 @@ def test_check_bound_meets_only_bound_bodies(name, monkeypatch):
     that `Checker.check_bound` types has bindings that bind each of its
     free term names and region variables: a control, a frame's operand or
     a closed value's closure.  The full re-typing types the thread's
-    read-back, which holds no closure; when it typed `Thread.expr`, it met
-    closures that `push` left open in the binders around them."""
+    read-back, which holds no closure, so it never meets the closures that
+    `push` leaves open in the binders around them."""
     unbound = []
     real = Checker.check_bound
 
