@@ -129,6 +129,7 @@ from .syntax import (
     Record,
     RegionLit,
     RegionPolyType,
+    Type,
     UnitType,
     subst_regions,
 )
@@ -279,7 +280,7 @@ def check_store_typing(checker: Checker, store: Store,
         if want is None:
             continue  # reported above
         try:
-            t, _ = checker.check(value, _EMPTY_ENV, EMPTY_EFFECT)
+            t = _value_type(checker, value)
         except CheckFailure as exc:
             out.append(Violation("store-typing",
                                  f"stored value at {loc} fails to type: "
@@ -289,6 +290,15 @@ def check_store_typing(checker: Checker, store: Store,
             out.append(Violation("store-typing",
                                  f"stored value at {loc} has type {t}, M says {want}"))
     return out
+
+
+def _value_type(checker: Checker, value: Expr) -> Type:
+    """A stored `value`'s type; a failure is worded on its read-back, whose
+    diagnostic names the literals, not the variables they renamed."""
+    try:
+        return checker.check(value, _EMPTY_ENV, EMPTY_EFFECT)[0]
+    except CheckFailure:
+        return checker.check(checker.read_back(value), _EMPTY_ENV, EMPTY_EFFECT)[0]
 
 
 def check_not_stuck(outcomes: dict[int, StepOutcome]) -> list[Violation]:
@@ -348,8 +358,7 @@ class Harness:
         elif rule == "E-NR":
             loc, value = info
             try:
-                t, _ = self.checker.check(value, _EMPTY_ENV, EMPTY_EFFECT)
-                self.checker.locations[loc] = t
+                self.checker.locations[loc] = _value_type(self.checker, value)
             except CheckFailure as exc:
                 violations.append(Violation(
                     "store-typing",

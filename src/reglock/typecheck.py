@@ -345,7 +345,8 @@ class Checker:
         literal or rebinds a variable, an effect or a bound type that names
         a variable), `body` is typed with the literals substituted
         (`_substituted`).  A failure is not retried: the harness then types
-        the thread's read-back, which words the diagnostic."""
+        the read-back of the thread or stored value, which words the
+        diagnostic."""
         if not bindings:
             return self.check(body, _EMPTY_ENV, eff)
         bound, renamed, back = self.bound_env(bindings)
